@@ -21,7 +21,8 @@
 
 use std::time::Instant;
 
-use fastz_align::{dedupe_alignments, Alignment};
+use fastz_align::dedupe_alignments;
+use fastz_bench::alignment_checksum;
 use fastz_core::{prefilter_anchors, run_fastz, FastZConfig, PrefilterConfig};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
@@ -90,27 +91,6 @@ fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize, usize) {
     (pair.target, pair.query, anchors, span, garbage)
 }
 
-/// FNV-1a over the deduped alignment set (dedupe sorts, so the sum is
-/// order-insensitive across runs).
-fn checksum(alignments: &[Alignment]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for a in alignments {
-        eat(a.target_start as u64);
-        eat(a.target_end as u64);
-        eat(a.query_start as u64);
-        eat(a.query_end as u64);
-        eat(a.score as u64);
-        eat(a.ops.len() as u64);
-    }
-    h
-}
-
 fn main() {
     let args = parse_args();
     let (target, query, anchors, span, garbage) = corpus();
@@ -144,8 +124,8 @@ fn main() {
     assert!(rejected > 0, "the garbage population must be rejectable");
     let full = run_fastz(&target, &query, &anchors, span, &cfg);
     let filtered = run_fastz(&target, &query, &kept, span, &cfg);
-    let full_sum = checksum(&dedupe_alignments(full.alignments.clone()));
-    let filt_sum = checksum(&dedupe_alignments(filtered.alignments.clone()));
+    let full_sum = alignment_checksum(&dedupe_alignments(full.alignments.clone()));
+    let filt_sum = alignment_checksum(&dedupe_alignments(filtered.alignments.clone()));
     assert_eq!(full_sum, filt_sum, "pre-filter changed the alignment set");
     eprintln!(
         "checksum: OK ({full_sum:016x}); rejected {rejected}/{} anchors",

@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use fastz_bench::{args_or_exit, flag_number};
 use fastz_core::{
     run_fastz, warp_extend_in, FastZConfig, FastZReport, HostDispatch, OptFlags, WarpConfig,
 };
@@ -48,7 +49,10 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: host_throughput [--check] [--threads N] [--repeats N] \
+                     [--heavy N] [--light N] [--out FILE]";
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         check: false,
         threads: 8,
@@ -57,20 +61,19 @@ fn parse_args() -> Args {
         light: None,
         out: "BENCH_host.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter();
     while let Some(a) = it.next() {
-        let mut grab = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
         match a.as_str() {
             "--check" => args.check = true,
-            "--threads" => args.threads = grab().parse().expect("--threads"),
-            "--repeats" => args.repeats = grab().parse().expect("--repeats"),
-            "--heavy" => args.heavy = Some(grab().parse().expect("--heavy")),
-            "--light" => args.light = Some(grab().parse().expect("--light")),
-            "--out" => args.out = grab(),
-            other => panic!("unknown argument {other} (see --check/--threads/--repeats/--out)"),
+            "--threads" => args.threads = flag_number(a, it.next())?,
+            "--repeats" => args.repeats = flag_number(a, it.next())?,
+            "--heavy" => args.heavy = Some(flag_number(a, it.next())?),
+            "--light" => args.light = Some(flag_number(a, it.next())?),
+            "--out" => args.out = it.next().ok_or("--out needs a value")?.clone(),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 /// `xorshift64*` — deterministic corpus without any RNG dependency.
@@ -251,7 +254,7 @@ fn stealing_critical_path(durs: &[f64], workers: usize) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = args_or_exit(parse_args, USAGE);
     let (mut heavy, mut light) = if args.check { (4, 96) } else { (6, 250) };
     heavy = args.heavy.unwrap_or(heavy);
     light = args.light.unwrap_or(light);
@@ -383,5 +386,29 @@ fn main() {
             (pooled_wall / static_wall - 1.0) * 100.0
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_report_an_error() {
+        let a = parse_args(&argv(&["--check", "--threads", "3", "--heavy", "2"])).unwrap();
+        assert!(a.check);
+        assert_eq!((a.threads, a.heavy, a.light), (3, Some(2), None));
+        for bad in [
+            &["--threads"][..],
+            &["--light", "-1"],
+            &["--out"],
+            &["--bogus"],
+        ] {
+            assert!(parse_args(&argv(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use fastz_bench::{args_or_exit, flag_number, fnv1a};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::Sequence;
 use fastz_seed::{
@@ -42,23 +43,24 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: index_build [--repeats N] [--shards N] [--out FILE]";
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         repeats: 3,
         shards: 4,
         out: "BENCH_index.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter();
     while let Some(a) = it.next() {
-        let mut grab = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
         match a.as_str() {
-            "--repeats" => args.repeats = grab().parse().expect("--repeats"),
-            "--shards" => args.shards = grab().parse().expect("--shards"),
-            "--out" => args.out = grab(),
-            other => panic!("unknown argument {other} (see --repeats/--shards/--out)"),
+            "--repeats" => args.repeats = flag_number(a, it.next())?,
+            "--shards" => args.shards = flag_number(a, it.next())?,
+            "--out" => args.out = it.next().ok_or("--out needs a value")?.clone(),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn corpus() -> (Sequence, Sequence) {
@@ -73,20 +75,15 @@ fn corpus() -> (Sequence, Sequence) {
 
 /// FNV-1a over the anchor list, order-sensitive.
 fn checksum(anchors: &[Anchor]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for a in anchors {
-        for v in [a.target_pos as u64, a.query_pos as u64] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+    fnv1a(
+        anchors
+            .iter()
+            .flat_map(|a| [a.target_pos as u64, a.query_pos as u64]),
+    )
 }
 
 fn main() {
-    let args = parse_args();
+    let args = args_or_exit(parse_args, USAGE);
     let (target, query) = corpus();
     let shape = SeedShape::lastz_12of19();
     let params = WorkloadParams::default();
@@ -263,5 +260,36 @@ fn main() {
     if gate_failed {
         eprintln!("FAIL: warm index loads below the {WARM_GATE:.2}x speedup gate");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_report_an_error() {
+        let a = parse_args(&argv(&[
+            "--repeats",
+            "2",
+            "--shards",
+            "8",
+            "--out",
+            "x.json",
+        ]))
+        .unwrap();
+        assert_eq!((a.repeats, a.shards, a.out.as_str()), (2, 8, "x.json"));
+        for bad in [
+            &["--repeats"][..],
+            &["--shards", "many"],
+            &["--out"],
+            &["--bogus"],
+        ] {
+            assert!(parse_args(&argv(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -23,6 +23,7 @@
 use std::time::Instant;
 
 use fastz_align::{dedupe_alignments, Alignment};
+use fastz_bench::alignment_checksum;
 use fastz_core::{run_fastz, FastZConfig};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
@@ -76,27 +77,6 @@ fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize) {
     (pair.target, pair.query, wl.anchors, span)
 }
 
-/// FNV-1a over every alignment's coordinates, score, and op string —
-/// order-sensitive, so both sides are deduped (which sorts) first.
-fn checksum(alignments: &[Alignment]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for a in alignments {
-        eat(a.target_start as u64);
-        eat(a.target_end as u64);
-        eat(a.query_start as u64);
-        eat(a.query_end as u64);
-        eat(a.score as u64);
-        eat(a.ops.len() as u64);
-    }
-    h
-}
-
 fn main() {
     let args = parse_args();
     let (target, query, anchors, span) = corpus();
@@ -135,8 +115,8 @@ fn main() {
         .iter()
         .flat_map(|r| r.alignments.iter().cloned())
         .collect();
-    let served_sum = checksum(&dedupe_alignments(union));
-    let direct_sum = checksum(&dedupe_alignments(direct.alignments.clone()));
+    let served_sum = alignment_checksum(&dedupe_alignments(union));
+    let direct_sum = alignment_checksum(&dedupe_alignments(direct.alignments.clone()));
     assert_eq!(
         served_sum, direct_sum,
         "served alignments diverged from the direct run"

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use fastz_core::{
     run_fastz, step_interpreter, step_simd, warp_extend_in, FastZConfig, FastZReport, OptFlags,
-    StepIn, WarpConfig, WarpExtension, WavefrontBackend,
+    SimdIsa, StepIn, WarpConfig, WarpExtension, WavefrontBackend,
 };
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, Lanes, SharedMem, WARP_SIZE};
@@ -266,10 +266,11 @@ fn main() {
     let corpus = Corpus::build(pairs, args.len);
 
     eprintln!(
-        "simd_wavefront: {} pairs x {} bp, {} repeats{}",
+        "simd_wavefront: {} pairs x {} bp, {} repeats, {} engine body{}",
         pairs,
         args.len,
         repeats,
+        SimdIsa::dispatched().name(),
         if args.check { " (check mode)" } else { "" },
     );
 
@@ -316,7 +317,9 @@ fn main() {
 
     // Kernel-granularity microbench: the per-step kernels in isolation
     // (the engine's gather/bookkeeping/sanitizer costs are shared by
-    // both backends and dilute the end-to-end ratio above).
+    // both backends and dilute the end-to-end ratio above). Called
+    // directly, the kernels run at the build's baseline ISA, not in the
+    // dispatched engine body.
     let ksteps = if args.check { 400_000 } else { 4_000_000 };
     kernel_microbench(ksteps / 4, false);
     kernel_microbench(ksteps / 4, true);
@@ -348,18 +351,9 @@ fn main() {
     } else {
         "portable fixed-array fallback (autovectorized)"
     };
-    // Compile-time codegen width: the portable fallback vectorizes to
-    // whatever the build's target features allow (CI builds the bench
-    // with target-cpu=native to use the runner's full vector width).
-    let target_isa = if cfg!(target_feature = "avx512f") {
-        "avx512"
-    } else if cfg!(target_feature = "avx2") {
-        "avx2"
-    } else if cfg!(target_feature = "sse2") {
-        "sse2 (x86-64 baseline)"
-    } else {
-        "no explicit vector target features"
-    };
+    // The engine body the runtime dispatch chose for this CPU (the
+    // build itself needs no target-cpu flag).
+    let target_isa = SimdIsa::dispatched().name();
     let json = format!(
         "{{\n  \"bench\": \"simd_wavefront\",\n  \"mode\": \"{}\",\n  \
          \"repeats\": {},\n  \"host_parallelism\": {},\n  \"simd_path\": \"{}\",\n  \
@@ -373,7 +367,7 @@ fn main() {
          \"speedup\": {:.3}, \"checksums_identical\": true }},\n  \
          \"speedup\": {:.3},\n  \"speedup_source\": \"measured end-to-end wall-clock \
          (per-thread vector speedup; valid on any core count)\",\n  \
-         \"methodology\": \"Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits) before any timing. End-to-end wall-clock is best-of-{} interleaved corpus runs at the full warp width after one warmup per backend; throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal) — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end).\"\n}}\n",
+         \"methodology\": \"Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits) before any timing. End-to-end wall-clock is best-of-{} interleaved corpus runs at the full warp width after one warmup per backend, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal), called directly, so compiled for the build's baseline ISA rather than the dispatched body — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end).\"\n}}\n",
         if args.check { "check" } else { "full" },
         repeats,
         cores,

@@ -6,10 +6,12 @@
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod eval;
 pub mod opts;
 pub mod table;
 
+pub use checksum::{alignment_checksum, fnv1a};
 pub use eval::{evaluate_pair, PairEval, PairWorkload};
-pub use opts::HarnessOpts;
+pub use opts::{args_or_exit, flag_number, HarnessOpts};
 pub use table::Table;

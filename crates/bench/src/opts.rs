@@ -1,6 +1,26 @@
 //! Command-line options shared by all harness binaries.
 
+use std::str::FromStr;
+
 use fastz_genome::Scale;
+
+/// Parses the process arguments with `parse`; on an error prints it and
+/// `usage` to standard error and exits with status 2.
+pub fn args_or_exit<A>(parse: impl FnOnce(&[String]) -> Result<A, String>, usage: &str) -> A {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The numeric value of `flag` (`value` is the argument after it).
+pub fn flag_number<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be a number, got {v:?}"))
+}
 
 /// Parsed harness options.
 #[derive(Clone, Debug)]
@@ -34,18 +54,11 @@ impl HarnessOpts {
     ///
     /// Exits the process with a usage message on bad input.
     pub fn from_env() -> HarnessOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match HarnessOpts::parse(&args) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: [--scale test|bench|large] [--max-anchors N] \
-                     [--pairs L1+L2+...] [--verbose]"
-                );
-                std::process::exit(2);
-            }
-        }
+        args_or_exit(
+            HarnessOpts::parse,
+            "usage: [--scale test|bench|large] [--max-anchors N] \
+             [--pairs L1+L2+...] [--verbose]",
+        )
     }
 
     /// Parses an argument list.
@@ -63,12 +76,7 @@ impl HarnessOpts {
                         other => return Err(format!("unknown scale {other}")),
                     };
                 }
-                "--max-anchors" => {
-                    let v = it.next().ok_or("--max-anchors needs a value")?;
-                    opts.max_anchors = v
-                        .parse()
-                        .map_err(|_| "--max-anchors must be a number".to_string())?;
-                }
+                "--max-anchors" => opts.max_anchors = flag_number(arg, it.next())?,
                 "--pairs" => {
                     // Pair labels contain commas (C1_1,1), so the list
                     // separator is '+': --pairs C1_1,1+A1_X,X

@@ -59,6 +59,8 @@ use fastz_gpu_sim::sanitize::stage as san_stage;
 use fastz_gpu_sim::{SharedMem, WarpCounters};
 use fastz_seed::Anchor;
 
+use crate::warp_engine::{IsaKernel, SimdIsa};
+
 /// Which extension algorithm runs the one-sided problems.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExtendBackend {
@@ -850,6 +852,17 @@ fn side_upper_bound(
     scoring: &Scoring,
     cfg: &PrefilterConfig,
 ) -> Option<i64> {
+    side_upper_bound_on(SimdIsa::dispatched(), text, pattern, scoring, cfg)
+}
+
+/// [`side_upper_bound`] with the mini-DP compiled for `isa`.
+fn side_upper_bound_on(
+    isa: SimdIsa,
+    text: &[u8],
+    pattern: &[u8],
+    scoring: &Scoring,
+    cfg: &PrefilterConfig,
+) -> Option<i64> {
     let p = pattern.len().min(cfg.rows.max(1));
     if p == 0 {
         return Some(0);
@@ -867,63 +880,308 @@ fn side_upper_bound(
     }
 
     // Tier 2: exact affine mini-DP over the probe rectangle.
-    let neg = i64::MIN / 4;
-    let osc = i64::from(scoring.gaps.open_score());
-    let esc = i64::from(scoring.gaps.extend_score());
-    let ydrop = i64::from(scoring.ydrop);
+    let osc = scoring.gaps.open_score();
+    let esc = scoring.gaps.extend_score();
     let mut mm = i64::MIN;
+    let mut step = i64::from(osc).abs().max(i64::from(esc).abs());
     for a in 0..5u8 {
         for b in 0..5u8 {
-            mm = mm.max(i64::from(scoring.subst.score(a, b)));
+            let sub = i64::from(scoring.subst.score(a, b));
+            mm = mm.max(sub);
+            step = step.max(sub.abs());
         }
     }
-    let width = cc + 1;
-    // Previous row of cell scores S = max(M, Ix, Iy) and the Iy state.
-    let mut s_prev = vec![0i64; width];
-    let mut iy_prev = vec![neg; width];
-    for (j, slot) in s_prev.iter_mut().enumerate().skip(1) {
-        *slot = osc + esc * (j as i64 - 1);
+    // Every cell score is a path score of at most `p + cc` steps (plus
+    // one flush row and the padding columns), each within ±`step`; the
+    // running-maximum terms stay within four times that. Past i32's
+    // safe range keep the anchor (always sound) rather than widen the
+    // rows.
+    let padded = cc.div_ceil(PROBE_LANES) * PROBE_LANES;
+    if 4 * (p + padded + 2) as i64 * step >= i64::from(NEG_I32).abs() {
+        return None;
     }
-    let tail_live = cc < text.len();
-    // Frontier recurrence: f(i) = max(f(i-1) + Mm, S(i, C)).
-    let mut frontier = s_prev[cc];
-    let mut side = 0i64;
-    let mut cut = false;
-    let mut s_row = vec![0i64; width];
-    let mut iy_row = vec![neg; width];
-    for i in 1..=p {
-        let mut ix = neg;
-        s_row[0] = osc + esc * (i as i64 - 1);
-        iy_row[0] = s_row[0];
-        let mut row_max = neg;
-        for j in 1..=cc {
-            let sub = i64::from(scoring.subst.score(text[j - 1], pattern[i - 1]));
-            let m = s_prev[j - 1] + sub;
-            ix = (s_row[j - 1] + osc).max(ix + esc);
-            let iy = (s_prev[j] + osc).max(iy_prev[j] + esc);
-            let s = m.max(ix).max(iy);
-            s_row[j] = s;
-            iy_row[j] = iy;
-            row_max = row_max.max(s);
+    isa.run(MiniDp {
+        text,
+        pattern,
+        p,
+        cc,
+        scoring,
+        mm,
+    })
+}
+
+/// Tier 2 of [`side_upper_bound`] over the first `p` pattern rows and
+/// `cc` text columns, as one [`IsaKernel`].
+struct MiniDp<'a> {
+    text: &'a [u8],
+    pattern: &'a [u8],
+    p: usize,
+    cc: usize,
+    scoring: &'a Scoring,
+    /// The best substitution score.
+    mm: i64,
+}
+
+impl IsaKernel for MiniDp<'_> {
+    type Output = Option<i64>;
+
+    #[inline(always)]
+    fn run(self) -> Option<i64> {
+        let MiniDp {
+            text,
+            pattern,
+            p,
+            cc,
+            scoring,
+            mm,
+        } = self;
+        let ydrop = i64::from(scoring.ydrop);
+        let tail_live = cc < text.len();
+        let mut rows = ProbeRows::new(text, cc, scoring);
+        // Each step finishes row i and starts row i + 1 (a flush past
+        // the last probed row); the first step finishes row 0.
+        let (_, s_cc) = rows.step(1, pattern[0]);
+        // Frontier recurrence: f(i) = max(f(i-1) + Mm, S(i, C)).
+        let mut frontier = i64::from(s_cc);
+        let mut side = 0i64;
+        let mut cut = false;
+        for i in 1..=p {
+            let next = pattern[..p].get(i).copied().unwrap_or(0);
+            let (row_max, s_cc) = rows.step(i + 1, next);
+            frontier = (frontier + mm).max(i64::from(s_cc));
+            let bound = if tail_live {
+                row_max.max(frontier)
+            } else {
+                row_max
+            };
+            side = side.max(bound);
+            if bound < -ydrop {
+                cut = true;
+                break;
+            }
         }
-        frontier = (frontier + mm).max(s_row[cc]);
-        let bound = if tail_live {
-            row_max.max(frontier)
+        if cut || p == pattern.len() {
+            Some(side.max(0))
         } else {
-            row_max
-        };
-        side = side.max(bound);
-        std::mem::swap(&mut s_prev, &mut s_row);
-        std::mem::swap(&mut iy_prev, &mut iy_row);
-        if bound < -ydrop {
-            cut = true;
-            break;
+            None
         }
     }
-    if cut || p == pattern.len() {
-        Some(side.max(0))
-    } else {
-        None
+}
+
+/// "Minus infinity" of the probe rows: far below any reachable score
+/// (the magnitude guard in [`side_upper_bound`]) and far from wrapping.
+const NEG_I32: i32 = i32::MIN / 4;
+
+/// Column lanes of the probe rows' striped layout.
+const PROBE_LANES: usize = 16;
+
+/// One vector of the striped layout: lane `l` of vector `t` holds
+/// column `l·seg + t + 1`.
+type Stripe = [i32; PROBE_LANES];
+
+/// Whole-stripe operations, one simple loop each so they compile to
+/// vector instructions.
+mod lanes {
+    use super::Stripe;
+
+    #[inline(always)]
+    pub fn add(a: Stripe, b: Stripe) -> Stripe {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+
+    #[inline(always)]
+    pub fn sub(a: Stripe, b: Stripe) -> Stripe {
+        std::array::from_fn(|l| a[l] - b[l])
+    }
+
+    #[inline(always)]
+    pub fn max(a: Stripe, b: Stripe) -> Stripe {
+        std::array::from_fn(|l| a[l].max(b[l]))
+    }
+
+    #[inline(always)]
+    pub fn min(a: Stripe, b: Stripe) -> Stripe {
+        std::array::from_fn(|l| a[l].min(b[l]))
+    }
+}
+
+/// Row-by-row Gotoh DP of the pre-filter probe, vectorized across
+/// columns.
+///
+/// Per row `i`, with `S = max(M, Ix, Iy)`, `H = max(M, Iy)` and
+/// `g = max(open, extend)`:
+///
+/// * `M(j) = S(i-1, j-1) + sub(j)` and `Iy(j) = max(S(i-1, j) + open,
+///   Iy(i-1, j) + extend)` read only the previous row.
+/// * The horizontal gap state is the only dependence along the row.
+///   Substituting `S(j-1) = max(H(j-1), Ix(j-1))` into
+///   `Ix(j) = max(S(j-1) + open, Ix(j-1) + extend)` gives
+///   `Ix(j) = max(H(j-1) + open, Ix(j-1) + g)`, which unrolls to
+///   `Ix(j) = open + (j-1)·g + max_{k<j} (H(k) − k·g)`: one running
+///   maximum.
+///
+/// The columns are striped (Farrar's layout): the row splits into
+/// [`PROBE_LANES`] contiguous segments of `seg` columns, one per lane,
+/// so walking the stripes `t = 0..seg` advances every segment at once.
+/// A row is stored unfinished, as `H` plus each segment's exclusive
+/// running maximum of `H(k) − k·g`, and a carry per lane (the running
+/// maximum of the segments before it, from `H(0)`). One [`Self::step`]
+/// walks the stripes once: it finishes row `i` (`S = max(H, Ix)`, the
+/// row maximum) and from it starts row `i + 1`, so every value is read
+/// and written once per row, and the running maximum threads a
+/// recurrence through the walk that keeps it a lane-parallel loop.
+///
+/// All of it is an exact integer rewrite of the one-pass recurrence, so
+/// every cell score is identical to it. Columns past `cc` (padding of
+/// the last segments) follow the same recurrence on a zero substitution
+/// score; they come after every real column, so no real cell reads
+/// them, and the row maximum masks them out.
+struct ProbeRows {
+    /// `H` of the unfinished row, columns `1..`, striped.
+    h: Vec<Stripe>,
+    /// Per-segment exclusive running maximum of `H(k) − k·g`.
+    pre: Vec<Stripe>,
+    /// Per-lane carry into `pre`.
+    carry: Stripe,
+    /// `Iy` of the unfinished row.
+    iy: Vec<Stripe>,
+    /// `S` (= `H`) of the unfinished row at column 0.
+    col0: i32,
+    /// `j·g` per column.
+    ramp: Vec<Stripe>,
+    /// `i32::MAX` on real columns (`j ≤ cc`), [`NEG_I32`] on padding:
+    /// the row maximum takes `min(S, cap)`.
+    cap: Vec<Stripe>,
+    /// `sub(text[j-1], c)` per column, code `c`'s stripes at
+    /// `c·seg..(c+1)·seg`.
+    profile: Vec<Stripe>,
+    /// Stripe and lane of column `cc`.
+    last: (usize, usize),
+    seg: usize,
+    open: i32,
+    extend: i32,
+    /// `open − g`: `Ix(j) = max_{k<j}(H(k) − k·g) + j·g + shift`.
+    shift: i32,
+}
+
+impl ProbeRows {
+    /// Row 0 of the probe over the first `cc` text columns, unfinished.
+    #[inline(always)]
+    fn new(text: &[u8], cc: usize, scoring: &Scoring) -> ProbeRows {
+        let open = scoring.gaps.open_score();
+        let extend = scoring.gaps.extend_score();
+        let gap = open.max(extend);
+        let seg = cc.div_ceil(PROBE_LANES);
+        // Column `j ≥ 1` of stripe `t`, lane `l`.
+        let stripes = |f: &dyn Fn(usize) -> i32| -> Vec<Stripe> {
+            (0..seg)
+                .map(|t| std::array::from_fn(|l| f(l * seg + t + 1)))
+                .collect()
+        };
+        let mut profile = Vec::with_capacity(5 * seg);
+        for c in 0..5u8 {
+            let sub = |j: usize| {
+                text[..cc]
+                    .get(j - 1)
+                    .map_or(0, |&t| scoring.subst.score(t, c))
+            };
+            profile.extend(stripes(&sub));
+        }
+        // Row 0 has no horizontal gaps: S = H and the running maxima
+        // sit at minus infinity.
+        ProbeRows {
+            h: stripes(&|j| open + extend * (j as i32 - 1)),
+            pre: vec![[NEG_I32; PROBE_LANES]; seg],
+            carry: [NEG_I32; PROBE_LANES],
+            iy: vec![[NEG_I32; PROBE_LANES]; seg],
+            col0: 0,
+            ramp: stripes(&|j| j as i32 * gap),
+            cap: stripes(&|j| if j <= cc { i32::MAX } else { NEG_I32 }),
+            profile,
+            last: match cc {
+                0 => (0, 0),
+                _ => ((cc - 1) % seg, (cc - 1) / seg),
+            },
+            seg,
+            open,
+            extend,
+            shift: open - gap,
+        }
+    }
+
+    /// Finishes the stored row `i − 1`, starts row `i` (pattern code
+    /// `code`) from it, and returns the finished row's maximum over
+    /// columns `1..=cc` (`i64::MIN / 4` when there are none) and its
+    /// `S` at column `cc`.
+    #[inline(always)]
+    fn step(&mut self, i: usize, code: u8) -> (i64, i32) {
+        let ProbeRows {
+            h,
+            pre,
+            carry,
+            iy,
+            col0,
+            ramp,
+            cap,
+            profile,
+            last,
+            seg,
+            open,
+            extend,
+            shift,
+        } = self;
+        let (seg, open, extend) = (*seg, *open, *extend);
+        let (shift_v, open_v, extend_v) = (
+            [*shift; PROBE_LANES],
+            [open; PROBE_LANES],
+            [extend; PROBE_LANES],
+        );
+        let col0_prev = *col0;
+        *col0 = open + extend * (i as i32 - 1);
+        if seg == 0 {
+            return (i64::MIN / 4, col0_prev);
+        }
+        // S of the finished row from its stored form.
+        let finish = |h: Stripe, pre: Stripe, ramp: Stripe| {
+            lanes::max(
+                h,
+                lanes::add(lanes::add(lanes::max(pre, *carry), ramp), shift_v),
+            )
+        };
+        let (t_cc, l_cc) = *last;
+        let s_cc = finish(h[t_cc], pre[t_cc], ramp[t_cc])[l_cc];
+        // The diagonal of a segment's first column is the previous
+        // segment's last one: the last stripe shifted up one lane,
+        // column 0 entering lane 0.
+        let tail = finish(h[seg - 1], pre[seg - 1], ramp[seg - 1]);
+        let mut diag: Stripe =
+            std::array::from_fn(|l| if l == 0 { col0_prev } else { tail[l - 1] });
+        // `code` is a sequence code (< 5) and the profile holds five
+        // codes' `seg` stripes. Every stripe array is cut to `seg`, so
+        // the loop indexes in bounds.
+        let sub = &profile[code as usize * seg..(code as usize + 1) * seg];
+        let (h, pre, iy) = (&mut h[..seg], &mut pre[..seg], &mut iy[..seg]);
+        let (ramp, cap) = (&ramp[..seg], &cap[..seg]);
+        let mut best = [NEG_I32; PROBE_LANES];
+        let mut run = [NEG_I32; PROBE_LANES];
+        for t in 0..seg {
+            let up = finish(h[t], pre[t], ramp[t]);
+            best = lanes::max(best, lanes::min(up, cap[t]));
+            let y = lanes::max(lanes::add(up, open_v), lanes::add(iy[t], extend_v));
+            let h_t = lanes::max(lanes::add(diag, sub[t]), y);
+            iy[t] = y;
+            h[t] = h_t;
+            pre[t] = run;
+            run = lanes::max(run, lanes::sub(h_t, ramp[t]));
+            diag = up;
+        }
+        // Carry the segment totals across lanes, from H(0).
+        carry[0] = *col0;
+        for l in 1..PROBE_LANES {
+            carry[l] = carry[l - 1].max(run[l - 1]);
+        }
+        let row_max = best.into_iter().fold(NEG_I32, i32::max);
+        (i64::from(row_max), s_cc)
     }
 }
 
@@ -1127,6 +1385,162 @@ mod tests {
         assert_eq!(clean, NEG_INF);
         let wrapped = candidate_score(1, 1, u32::MAX / 8, BitvecMutation::SaturatingWrap);
         assert!(wrapped != clean);
+    }
+
+    /// The probe's first form: one pass per row over i64 cells, the
+    /// Gotoh recurrence exactly as written in `side_upper_bound`'s docs.
+    fn side_upper_bound_one_pass(
+        text: &[u8],
+        pattern: &[u8],
+        scoring: &Scoring,
+        cfg: &PrefilterConfig,
+    ) -> Option<i64> {
+        let p = pattern.len().min(cfg.rows.max(1));
+        if p == 0 {
+            return Some(0);
+        }
+        let cc = text.len().min(cfg.cols);
+        let w = p.min(64);
+        let k = cfg.k.clamp(1, 63);
+        let masks = window_masks(&text[..text.len().min(w + k)], &pattern[..w], k);
+        if masks.iter().any(|rows| rows[k] & (1u64 << (w - 1)) == 0) {
+            return None;
+        }
+        let neg = i64::MIN / 4;
+        let osc = i64::from(scoring.gaps.open_score());
+        let esc = i64::from(scoring.gaps.extend_score());
+        let mut mm = i64::MIN;
+        for a in 0..5u8 {
+            for b in 0..5u8 {
+                mm = mm.max(i64::from(scoring.subst.score(a, b)));
+            }
+        }
+        let width = cc + 1;
+        let mut s_prev: Vec<i64> = (0..width as i64)
+            .map(|j| if j == 0 { 0 } else { osc + esc * (j - 1) })
+            .collect();
+        let mut iy_prev = vec![neg; width];
+        let tail_live = cc < text.len();
+        let mut frontier = s_prev[cc];
+        let mut side = 0i64;
+        let mut cut = false;
+        let mut s_row = vec![0i64; width];
+        let mut iy_row = vec![neg; width];
+        for i in 1..=p {
+            let mut ix = neg;
+            s_row[0] = osc + esc * (i as i64 - 1);
+            iy_row[0] = s_row[0];
+            let mut row_max = neg;
+            for j in 1..=cc {
+                let sub = i64::from(scoring.subst.score(text[j - 1], pattern[i - 1]));
+                ix = (s_row[j - 1] + osc).max(ix + esc);
+                let iy = (s_prev[j] + osc).max(iy_prev[j] + esc);
+                let s = (s_prev[j - 1] + sub).max(ix).max(iy);
+                s_row[j] = s;
+                iy_row[j] = iy;
+                row_max = row_max.max(s);
+            }
+            frontier = (frontier + mm).max(s_row[cc]);
+            let bound = if tail_live {
+                row_max.max(frontier)
+            } else {
+                row_max
+            };
+            side = side.max(bound);
+            std::mem::swap(&mut s_prev, &mut s_row);
+            std::mem::swap(&mut iy_prev, &mut iy_row);
+            if bound < -i64::from(scoring.ydrop) {
+                cut = true;
+                break;
+            }
+        }
+        (cut || p == pattern.len()).then_some(side.max(0))
+    }
+
+    #[test]
+    fn striped_probe_matches_the_one_pass_recurrence() {
+        use fastz_genome::evolve::random_codes;
+        use fastz_genome::{GapPenalties, SubstMatrix};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Open cheaper than extend makes max(open, extend) = open, the
+        // other branch of the horizontal-gap rewrite.
+        let odd = Scoring {
+            subst: SubstMatrix::from_acgt(
+                [
+                    [7, -5, -2, -9],
+                    [-3, 6, -8, -1],
+                    [-4, -6, 8, -2],
+                    [-7, -1, -3, 5],
+                ],
+                -20,
+            ),
+            gaps: GapPenalties {
+                open: -3,
+                extend: 4,
+            },
+            ..Scoring::bench_scaled()
+        };
+        let isas: Vec<SimdIsa> = SimdIsa::ALL
+            .into_iter()
+            .filter(|isa| {
+                let ok = isa.supported();
+                if !ok {
+                    eprintln!("probe differential: {} skipped (not supported)", isa.name());
+                }
+                ok
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(0xB0B);
+        // Verdicts seen: kept (None), bounded at 0, bounded above 0.
+        let mut verdicts = [0usize; 3];
+        for sc in [Scoring::bench_scaled(), odd] {
+            for trial in 0..200 {
+                let len = rng.gen_range(0..300);
+                let text = random_codes(len, 0.5, &mut rng);
+                let mut pattern = random_codes(rng.gen_range(1..300), 0.5, &mut rng);
+                if trial % 4 == 0 {
+                    // Partly homologous, with an N run.
+                    let n = pattern.len().min(text.len());
+                    pattern[..n].copy_from_slice(&text[..n]);
+                    pattern[n / 3..n / 2].fill(fastz_genome::N_CODE);
+                }
+                // Column counts on and off the lane multiple, and 0.
+                let cfg = PrefilterConfig {
+                    rows: [1, 17, 64, 256][trial % 4],
+                    cols: [0, 9, 100, 256, 33][(trial / 4) % 5],
+                    k: [1, 8, 24][trial % 3],
+                };
+                let want = side_upper_bound_one_pass(&text, &pattern, &sc, &cfg);
+                for &isa in &isas {
+                    let got = side_upper_bound_on(isa, &text, &pattern, &sc, &cfg);
+                    let shape = format!("{len} x {}", pattern.len());
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} trial {trial}: {shape} under {cfg:?}",
+                        isa.name()
+                    );
+                }
+                verdicts[want.map_or(0, |b| 1 + usize::from(b > 0))] += 1;
+            }
+        }
+        eprintln!("probe differential verdicts (kept, 0, >0): {verdicts:?}");
+        assert!(verdicts.iter().all(|&n| n >= 10), "{verdicts:?}");
+    }
+
+    #[test]
+    fn probe_keeps_the_anchor_when_scores_could_overflow_i32() {
+        let mut sc = Scoring::bench_scaled();
+        sc.subst = fastz_genome::SubstMatrix::from_acgt([[1 << 24, -1, -1, -1]; 4], -1);
+        let text = vec![1u8; 40];
+        let pattern = vec![2u8; 40];
+        let cfg = PrefilterConfig {
+            k: 1,
+            ..PrefilterConfig::default()
+        };
+        assert!(side_upper_bound_one_pass(&text, &pattern, &sc, &cfg).is_some());
+        assert_eq!(side_upper_bound(&text, &pattern, &sc, &cfg), None);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
 pub use warp_engine::{
-    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_in, WarpConfig,
+    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_in, SimdIsa, WarpConfig,
     WarpExtension, WavefrontBackend,
 };
 pub use wavefront_step::{step_interpreter, step_simd, StepIn, StepOut};

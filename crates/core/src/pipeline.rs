@@ -128,7 +128,7 @@ impl FastZConfig {
 }
 
 /// Aggregate pipeline statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FastZStats {
     /// Seed anchors processed.
     pub seeds: usize,

@@ -22,7 +22,9 @@
 //! returns the same or an occasionally higher score (§3.4).
 
 use crate::ablation::OptFlags;
-use crate::wavefront_step::{step_interpreter, step_simd, StepIn};
+use crate::wavefront_step::{
+    first_lane_at, profile_select, reduce_max, step_interpreter, step_simd, target_profile, StepIn,
+};
 use fastz_align::score;
 use fastz_align::trace::{CellScores, CellSink, NoTrace};
 use fastz_align::ydrop::{tb, NEG_INF};
@@ -30,6 +32,7 @@ use fastz_align::{walk_traceback_with, EditOp};
 use fastz_genome::Scoring;
 use fastz_gpu_sim::sanitize::stage as san_stage;
 use fastz_gpu_sim::{lanes32, shfl_up, splat, Lanes, SharedMem, WarpCounters, WARP_SIZE};
+use std::sync::OnceLock;
 
 /// Which host realization of the 32-lane wavefront executes each step.
 ///
@@ -39,10 +42,12 @@ use fastz_gpu_sim::{lanes32, shfl_up, splat, Lanes, SharedMem, WarpCounters, WAR
 /// bit-identical between them. The choice only affects host wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WavefrontBackend {
-    /// Scalar lane-by-lane interpretation (the reference semantics).
-    #[default]
+    /// Scalar lane-by-lane interpretation: the reference semantics, kept
+    /// as the differential oracle that tests and conformance select.
     Interpreter,
-    /// 32-wide host-SIMD vectors via [`fastz_gpu_sim::lanes32`].
+    /// 32-wide host-SIMD vectors via [`fastz_gpu_sim::lanes32`] (the
+    /// production path).
+    #[default]
     Simd,
 }
 
@@ -121,7 +126,7 @@ impl WarpConfig {
 }
 
 /// Result of one warp extension.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarpExtension {
     /// Best score found (≥ 0).
     pub best_score: i32,
@@ -211,8 +216,229 @@ pub fn warp_extend_traced<K: CellSink>(
 }
 
 /// [`warp_extend_traced`] with an externally owned traceback buffer
-/// (see [`warp_extend_in`]).
+/// (see [`warp_extend_in`]). Runs the engine body compiled for
+/// [`SimdIsa::dispatched`].
 pub fn warp_extend_traced_in<K: CellSink>(
+    target: &[u8],
+    query: &[u8],
+    scoring: &Scoring,
+    cfg: &WarpConfig,
+    shared: &mut SharedMem,
+    tbm: &mut Vec<u8>,
+    sink: &mut K,
+) -> WarpExtension {
+    extend_on(
+        SimdIsa::dispatched(),
+        target,
+        query,
+        scoring,
+        cfg,
+        shared,
+        tbm,
+        sink,
+    )
+}
+
+/// Host instruction-set level an instantiation of the engine body is
+/// compiled for.
+///
+/// The body is one `#[inline(always)]` generic, instantiated once per
+/// level under `#[target_feature]`; [`SimdIsa::dispatched`] picks the
+/// widest level the CPU supports, once per process. Every level runs the
+/// same integer operations in the same order, so results are
+/// bit-identical across levels — only the vector width the compiler may
+/// use differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimdIsa {
+    /// The build's baseline target features (SSE2 on x86-64), and the
+    /// only level on other architectures.
+    Portable,
+    /// x86-64 AVX2 (with BMI1/BMI2, LZCNT, POPCNT).
+    Avx2,
+    /// x86-64 AVX-512 F/BW/VL/DQ (with the AVX2-level extras).
+    Avx512,
+}
+
+impl SimdIsa {
+    /// Every level, narrowest first.
+    pub const ALL: [SimdIsa; 3] = [SimdIsa::Portable, SimdIsa::Avx2, SimdIsa::Avx512];
+
+    /// Short name (`portable`, `avx2`, `avx512`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdIsa::Portable => "portable",
+            SimdIsa::Avx2 => "avx2",
+            SimdIsa::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this CPU can run the level's instantiation. The feature
+    /// lists match the `#[target_feature]` attributes of the
+    /// instantiations below.
+    pub fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = || {
+                is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("bmi1")
+                    && is_x86_feature_detected!("bmi2")
+                    && is_x86_feature_detected!("lzcnt")
+                    && is_x86_feature_detected!("popcnt")
+            };
+            match self {
+                SimdIsa::Portable => true,
+                SimdIsa::Avx2 => avx2(),
+                SimdIsa::Avx512 => {
+                    avx2()
+                        && is_x86_feature_detected!("avx512f")
+                        && is_x86_feature_detected!("avx512bw")
+                        && is_x86_feature_detected!("avx512vl")
+                        && is_x86_feature_detected!("avx512dq")
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == SimdIsa::Portable
+        }
+    }
+
+    /// The widest supported level: detected on first use, then cached
+    /// for the life of the process.
+    pub fn dispatched() -> SimdIsa {
+        static LEVEL: OnceLock<SimdIsa> = OnceLock::new();
+        *LEVEL.get_or_init(|| {
+            SimdIsa::ALL
+                .into_iter()
+                .rev()
+                .find(|isa| isa.supported())
+                .unwrap_or(SimdIsa::Portable)
+        })
+    }
+
+    /// Runs `kernel`'s body compiled for this level.
+    ///
+    /// # Panics
+    ///
+    /// When the CPU does not support the level (see
+    /// [`SimdIsa::supported`]).
+    pub(crate) fn run<K: IsaKernel>(self, kernel: K) -> K::Output {
+        assert!(
+            self.supported(),
+            "{} is not supported on this CPU",
+            self.name()
+        );
+        match self {
+            SimdIsa::Portable => kernel.run(),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported()` confirmed every feature the
+            // instantiation enables.
+            SimdIsa::Avx2 => unsafe { x86::run_avx2(kernel) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            SimdIsa::Avx512 => unsafe { x86::run_avx512(kernel) },
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdIsa::Avx2 | SimdIsa::Avx512 => unreachable!("rejected by supported()"),
+        }
+    }
+}
+
+/// A hot loop compiled once per [`SimdIsa`] level.
+///
+/// Implementations mark [`IsaKernel::run`] `#[inline(always)]`, so its
+/// body is compiled into each `#[target_feature]` instantiation below
+/// and the compiler may vectorize it at that level's width.
+pub(crate) trait IsaKernel {
+    type Output;
+
+    /// The kernel body.
+    fn run(self) -> Self::Output;
+}
+
+/// The `#[target_feature]` instantiations behind [`SimdIsa::run`]. The
+/// feature lists match [`SimdIsa::supported`].
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::IsaKernel;
+
+    /// # Safety
+    ///
+    /// The CPU must support every enabled feature
+    /// (`SimdIsa::Avx2.supported()`).
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    pub(super) unsafe fn run_avx2<K: IsaKernel>(kernel: K) -> K::Output {
+        kernel.run()
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support every enabled feature
+    /// (`SimdIsa::Avx512.supported()`).
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq,avx2,bmi1,bmi2,lzcnt,popcnt")]
+    pub(super) unsafe fn run_avx512<K: IsaKernel>(kernel: K) -> K::Output {
+        kernel.run()
+    }
+}
+
+/// The engine body's arguments, as one [`IsaKernel`].
+struct Extend<'a, K> {
+    target: &'a [u8],
+    query: &'a [u8],
+    scoring: &'a Scoring,
+    cfg: &'a WarpConfig,
+    shared: &'a mut SharedMem,
+    tbm: &'a mut Vec<u8>,
+    sink: &'a mut K,
+}
+
+impl<K: CellSink> IsaKernel for Extend<'_, K> {
+    type Output = WarpExtension;
+
+    #[inline(always)]
+    fn run(self) -> WarpExtension {
+        let Extend {
+            target,
+            query,
+            scoring,
+            cfg,
+            shared,
+            tbm,
+            sink,
+        } = self;
+        extend_body(target, query, scoring, cfg, shared, tbm, sink)
+    }
+}
+
+/// Runs the engine body instantiated for `isa`.
+///
+/// # Panics
+///
+/// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_on<K: CellSink>(
+    isa: SimdIsa,
+    target: &[u8],
+    query: &[u8],
+    scoring: &Scoring,
+    cfg: &WarpConfig,
+    shared: &mut SharedMem,
+    tbm: &mut Vec<u8>,
+    sink: &mut K,
+) -> WarpExtension {
+    isa.run(Extend {
+        target,
+        query,
+        scoring,
+        cfg,
+        shared,
+        tbm,
+        sink,
+    })
+}
+
+/// The engine body, inlined into each [`SimdIsa`] instantiation.
+#[inline(always)]
+fn extend_body<K: CellSink>(
     target: &[u8],
     query: &[u8],
     scoring: &Scoring,
@@ -312,6 +538,9 @@ pub fn warp_extend_traced_in<K: CellSink>(
             }
         })
         .collect();
+    // The next strip's boundary, filled by this strip's last lane; the
+    // two buffers swap at every strip boundary.
+    let mut next_spill: Vec<Spill> = Vec::new();
 
     // Per-row maxima of completed strips (LASTZ-order-safe threshold
     // source b), kept as prefix maxima over rows.
@@ -378,7 +607,8 @@ pub fn warp_extend_traced_in<K: CellSink>(
         row_max_strip.clear();
         row_max_strip.resize(row_cap + 1, NEG_INF);
 
-        let mut next_spill: Vec<Spill> = vec![DEAD; row_cap + 1];
+        next_spill.clear();
+        next_spill.resize(row_cap + 1, DEAD);
         if strip_base + width < n {
             let boundary = strip_base + width;
             next_spill[0] = Spill {
@@ -390,8 +620,9 @@ pub fn warp_extend_traced_in<K: CellSink>(
         // Lagged anti-diagonal maxima (threshold source a): ring of the
         // last `width` step maxima plus the running max of anything
         // older (a diagonal `width` steps old lies entirely on rows
-        // strictly below every current cell).
+        // strictly below every current cell). `ring_slot` is `t % width`.
         let mut diag_ring = [NEG_INF; WARP_SIZE];
+        let mut ring_slot = 0usize;
         let mut lagged_best = NEG_INF;
 
         let mut strip_live = false;
@@ -399,10 +630,21 @@ pub fn warp_extend_traced_in<K: CellSink>(
         let mut spill_live_ptr = row_base + 1; // next spill row not yet known-dead
 
         let mut live_max_row = 0usize;
-        // Per-step gather scratch shared by both backends (substitution
-        // scores and pruning thresholds of the active lanes).
-        let mut subst_v: Lanes<i32> = splat(0);
-        let mut thresh_v: Lanes<i32> = splat(0);
+
+        // Shifted-vector gathers. Lane ℓ at step t+1 works on the row
+        // lane ℓ−1 worked on at step t, so each row-indexed input enters
+        // at lane 0 and moves up one lane per step: the query code of
+        // the lane's row (resolved against the strip's target profile by
+        // a select) and the row's prefix-best threshold source, which is
+        // constant within a strip. Lanes that have not reached the
+        // strip's first row hold fillers; they are inactive.
+        let profile = target_profile(
+            &scoring.subst,
+            &target[strip_base..strip_base + lanes_valid],
+        );
+        let mut q_codes: Lanes<i32> = splat(0);
+        let mut row_best: Lanes<i32> = splat(NEG_INF);
+
         // the last lane finishes row row_cap at t_max - 2
         let rows_avail = row_cap - row_base;
         let t_max = rows_avail + width;
@@ -440,18 +682,22 @@ pub fn warp_extend_traced_in<K: CellSink>(
             let lo = (t + 1).saturating_sub(rows_avail);
             let hi = t.min(lanes_valid - 1);
 
-            // Shared per-lane gathers: the substitution score of each
-            // active lane's cell and the LASTZ-order-safe pruning
-            // threshold (module docs). Performed once, fed to whichever
-            // kernel runs, so both backends consume identical inputs.
-            if lo <= hi {
-                for l in lo..=hi {
-                    let i_idx = lane0_row - l;
-                    let j_idx = strip_base + l + 1;
-                    subst_v[l] = scoring.subst.score(target[j_idx - 1], query[i_idx - 1]);
-                    thresh_v[l] = lagged_best.max(row_prefix_best[i_idx]) - ydrop;
-                }
-            }
+            // Lane 0 enters row `lane0_row`; past `row_cap` it is
+            // inactive and takes fillers.
+            let (q_in, best_in) = if lane0_row <= row_cap {
+                (i32::from(query[lane0_row - 1]), row_prefix_best[lane0_row])
+            } else {
+                (0, NEG_INF)
+            };
+            q_codes = lanes32::shift_up1(&q_codes, q_in);
+            row_best = lanes32::shift_up1(&row_best, best_in);
+            // The substitution score of each lane's cell and the
+            // LASTZ-order-safe pruning threshold (module docs).
+            let subst_v = profile_select(&profile, &q_codes);
+            let thresh_v = lanes32::add(
+                &lanes32::max(&row_best, &splat(lagged_best)),
+                &splat(-ydrop),
+            );
 
             let step_in = StepIn {
                 s_left: &s_left,
@@ -487,16 +733,31 @@ pub fn warp_extend_traced_in<K: CellSink>(
             // Rows decrease with lane index, so lane `lo` is deepest.
             explored_rows = explored_rows.max(lane0_row - lo);
 
-            // Shared bookkeeping over the step's outputs — identical for
-            // both backends, which can therefore only diverge inside the
-            // step kernels (and those are pinned per step by the
-            // differential tests).
-            let mut live_this_step = false;
-            let mut step_max = NEG_INF;
-            for l in lo..=hi {
-                let i_idx = lane0_row - l;
-                let j_idx = strip_base + l + 1;
-                if out.live_mask & (1 << l) != 0 {
+            // Whole-warp bookkeeping over the step's outputs, shared by
+            // both backends (which can therefore only diverge inside the
+            // step kernels, pinned per step by the differential tests).
+            // Dead and inactive lanes store NEG_INF, so the lane maximum
+            // of `s_store` is the step's best live S.
+            let step_max = reduce_max(&out.s_store);
+            let live_this_step = out.live_mask != 0;
+            if live_this_step {
+                strip_live = true;
+                // The lowest live lane sits on the deepest live row.
+                live_max_row =
+                    live_max_row.max(lane0_row - out.live_mask.trailing_zeros() as usize);
+                if step_max > best_score {
+                    // First lane of the maximum: the cell a lane-order
+                    // scan with a strict `>` update would keep.
+                    let l = first_lane_at(&out.s_store, step_max);
+                    best_score = step_max;
+                    best_i = lane0_row - l;
+                    best_j = strip_base + l + 1;
+                }
+                let mut live = out.live_mask;
+                while live != 0 {
+                    let l = live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
                     debug_assert!(
                         out.s_store[l] > NEG_INF / 2,
                         "live cell ({i_idx},{j_idx}) carries a sentinel-derived S value {}",
@@ -511,39 +772,48 @@ pub fn warp_extend_traced_in<K: CellSink>(
                             d: out.d_store[l],
                         },
                     );
-                    live_this_step = true;
-                    strip_live = true;
-                    live_max_row = live_max_row.max(i_idx);
-                    step_max = step_max.max(out.s_store[l]);
-                    row_max_strip[i_idx] = row_max_strip[i_idx].max(out.s_store[l]);
-                    if out.s_store[l] > best_score {
-                        best_score = out.s_store[l];
-                        best_i = i_idx;
-                        best_j = j_idx;
-                    }
                 }
+            }
+            // Row maxima over the active lanes' rows (lane `lo` is on the
+            // deepest); a dead lane's NEG_INF never raises one.
+            for (row_max, &s) in row_max_strip[lane0_row - hi..=lane0_row - lo]
+                .iter_mut()
+                .rev()
+                .zip(&out.s_store[lo..=hi])
+            {
+                *row_max = (*row_max).max(s);
+            }
 
-                // Traceback byte (the kernel computes one for every
-                // active lane; S_ORIGIN source when pruned).
-                if cfg.record_traceback {
-                    tbm[(i_idx - 1) * n + (j_idx - 1)] = out.tb[l] | TB_WRITTEN;
-                    counters.global_written += 1; // 1 B/cell, staged
-                    counters.shared_bytes += 2; //   through shared
+            // Traceback bytes (the kernel computes one for every active
+            // lane; S_ORIGIN source when pruned).
+            if cfg.record_traceback {
+                for l in lo..=hi {
+                    tbm[(lane0_row - l - 1) * n + (strip_base + l)] = out.tb[l] | TB_WRITTEN;
                 }
-                if w > 0 && i_idx <= w && j_idx <= w {
-                    shared.write_u8((i_idx - 1) * w + (j_idx - 1), out.tb[l]);
-                    counters.shared_bytes += 1;
+                counters.global_written += active_lanes; // 1 B/cell, staged
+                counters.shared_bytes += 2 * active_lanes; //   through shared
+            }
+            // Eager-window bytes, only on steps that reach the w×w window
+            // (its lowest active column and shallowest active row).
+            if w > 0 && strip_base + lo < w && lane0_row - hi <= w {
+                for l in lo..=hi {
+                    let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
+                    if i_idx <= w && j_idx <= w {
+                        shared.write_u8((i_idx - 1) * w + (j_idx - 1), out.tb[l]);
+                        counters.shared_bytes += 1;
+                    }
                 }
             }
 
             // Cyclic register rotation: discard the oldest diagonal. The
-            // windowed copy leaves finished and unstarted lanes' registers
-            // untouched; with the whole warp active it degenerates to a
+            // active-lane select leaves finished and unstarted lanes'
+            // registers untouched; with the whole warp active it is a
             // whole-vector rotation of the three-row buffer.
-            s_prev[lo..=hi].copy_from_slice(&s_cur[lo..=hi]);
-            s_cur[lo..=hi].copy_from_slice(&out.s_store[lo..=hi]);
-            i_cur[lo..=hi].copy_from_slice(&out.i_store[lo..=hi]);
-            d_cur[lo..=hi].copy_from_slice(&out.d_store[lo..=hi]);
+            let active = lanes32::range_mask(lo, hi);
+            s_prev = lanes32::select(&active, &s_cur, &s_prev);
+            s_cur = lanes32::select(&active, &out.s_store, &s_cur);
+            i_cur = lanes32::select(&active, &out.i_store, &i_cur);
+            d_cur = lanes32::select(&active, &out.d_store, &d_cur);
 
             // The last lane spills the strip boundary for the next strip.
             if strip_base + width < n && (lo..=hi).contains(&(width - 1)) {
@@ -574,9 +844,12 @@ pub fn warp_extend_traced_in<K: CellSink>(
             }
 
             // Update the lagged threshold source.
-            let expiring = diag_ring[t % width];
-            lagged_best = lagged_best.max(expiring);
-            diag_ring[t % width] = step_max;
+            lagged_best = lagged_best.max(diag_ring[ring_slot]);
+            diag_ring[ring_slot] = step_max;
+            ring_slot += 1;
+            if ring_slot == width {
+                ring_slot = 0;
+            }
 
             if live_this_step {
                 last_live_t = t as i64;
@@ -635,7 +908,7 @@ pub fn warp_extend_traced_in<K: CellSink>(
         // The boundary spill is consumed by the same warp on the very next
         // strip, so the reload hits L2 — like the paper's §6 accounting we
         // charge only the 12 B/step write side to DRAM.
-        spill = next_spill;
+        std::mem::swap(&mut spill, &mut next_spill);
     }
 
     // Eager traceback: finish in the inspector if the optimum fits the
@@ -711,7 +984,7 @@ mod tests {
     use super::*;
     use fastz_align::ydrop::{ydrop_extend, PruneMode};
     use fastz_genome::evolve::random_codes;
-    use fastz_genome::{GapPenalties, Scoring, Sequence, SubstMatrix};
+    use fastz_genome::{GapPenalties, Scoring, Sequence, SubstMatrix, N_CODE};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -855,10 +1128,14 @@ mod tests {
             "trimming changed the optimum"
         );
         assert_eq!((exec.best_i, exec.best_j), (insp.best_i, insp.best_j));
-        let ops = exec.ops.unwrap();
-        // Re-score the edit script.
+        assert_eq!(rescore(&exec, &t, &q, &sc), exec.best_score);
+    }
+
+    /// Re-scores an executor's edit script from the sequences, checking
+    /// that it ends at the reported optimum.
+    fn rescore(exec: &WarpExtension, t: &[u8], q: &[u8], sc: &Scoring) -> i32 {
         let (mut ti, mut qi, mut score) = (0usize, 0usize, 0i32);
-        for op in &ops {
+        for op in exec.ops.as_ref().expect("executor edit script") {
             match *op {
                 EditOp::Diag(k) => {
                     for _ in 0..k {
@@ -878,7 +1155,7 @@ mod tests {
             }
         }
         assert_eq!((ti, qi), (exec.best_j, exec.best_i));
-        assert_eq!(score, exec.best_score);
+        score
     }
 
     #[test]
@@ -982,66 +1259,209 @@ mod tests {
         assert!(r.counters.shuffles >= 3 * r.counters.steps);
     }
 
-    #[test]
-    fn simd_backend_is_bit_identical_to_the_interpreter() {
-        // The engine's hard contract: backend choice changes host
-        // wall-clock only. Optimum, edit scripts, counters (hence modeled
-        // GPU time), and explored extents must match exactly, across
-        // strip widths and in both inspector and executor modes.
-        let sc = scoring();
-        for seed in 0..10u64 {
-            let mut rng = SmallRng::seed_from_u64(3000 + seed);
-            let t = random_codes(260, 0.5, &mut rng);
-            let mut q = t.clone();
-            for b in q.iter_mut() {
+    /// One differential case: a pair plus the row/column trims its
+    /// inspector runs under.
+    struct Case {
+        label: String,
+        t: Vec<u8>,
+        q: Vec<u8>,
+        max_rows: usize,
+        max_cols: usize,
+    }
+
+    fn case(label: impl Into<String>, t: Vec<u8>, q: Vec<u8>) -> Case {
+        Case {
+            label: label.into(),
+            t,
+            q,
+            max_rows: usize::MAX,
+            max_cols: usize::MAX,
+        }
+    }
+
+    /// A copy of `t` with ~6% substitutions.
+    fn mutate(t: &[u8], rng: &mut SmallRng) -> Vec<u8> {
+        t.iter()
+            .map(|&b| {
                 if rng.gen_bool(0.06) {
-                    *b = (*b + 1 + rng.gen_range(0..3)) % 4;
+                    (b + 1 + rng.gen_range(0..3)) % 4
+                } else {
+                    b
+                }
+            })
+            .collect()
+    }
+
+    fn differential_corpus() -> Vec<Case> {
+        let mut rng = SmallRng::seed_from_u64(0x15A);
+        let mut cases = Vec::new();
+        // Random homologous pairs with one small indel.
+        for k in 0..6 {
+            let t = random_codes(rng.gen_range(60..180), 0.5, &mut rng);
+            let mut q = mutate(&t, &mut rng);
+            let cut = rng.gen_range(10..q.len() - 10);
+            q.splice(cut..cut + 2, []);
+            cases.push(case(format!("random {k}"), t, q));
+        }
+        // Longer homologous pairs: many strips at every width.
+        for len in [260usize, 300] {
+            let t = random_codes(len, 0.5, &mut rng);
+            let mut q = mutate(&t, &mut rng);
+            let cut = rng.gen_range(40..len - 60);
+            q.splice(cut..cut + 2, []);
+            cases.push(case(format!("random {len} bp"), t, q));
+        }
+        // Unrelated random pairs (the y-drop stops early).
+        for k in 0..2 {
+            let t = random_codes(120, 0.5, &mut rng);
+            let q = random_codes(120, 0.5, &mut rng);
+            cases.push(case(format!("unrelated {k}"), t, q));
+        }
+        // Deletions and insertions next to 8- and 32-lane strip
+        // boundaries, in either sequence.
+        for pos in [7usize, 8, 9, 31, 32, 33, 63, 64, 65] {
+            let t = random_codes(100, 0.5, &mut rng);
+            let mut q = t.clone();
+            q.splice(pos..pos + 3, []);
+            cases.push(case(format!("deletion at {pos}"), t.clone(), q.clone()));
+            cases.push(case(format!("insertion at {pos}"), q, t));
+        }
+        // Shorter than one strip.
+        for len in [1usize, 2, 5, 17, 31] {
+            let t = random_codes(len, 0.5, &mut rng);
+            let q = mutate(&t, &mut rng);
+            cases.push(case(format!("short {len}"), t.clone(), q));
+            let other = random_codes(len + 3, 0.5, &mut rng);
+            cases.push(case(format!("short {len} vs {}", len + 3), t, other));
+        }
+        // All-N runs: inside a homology, and a sequence of only N.
+        let t = random_codes(110, 0.5, &mut rng);
+        let mut q = t.clone();
+        q[40..70].fill(N_CODE);
+        cases.push(case("N run in query", t.clone(), q.clone()));
+        cases.push(case("N run in target", q, t.clone()));
+        cases.push(case("all-N query", t.clone(), vec![N_CODE; 90]));
+        cases.push(case("all-N both", vec![N_CODE; 40], vec![N_CODE; 40]));
+        // Row and column trims cutting through a strip.
+        let q = mutate(&t, &mut rng);
+        for (max_rows, max_cols) in [(50, usize::MAX), (usize::MAX, 45), (33, 20), (1, 64)] {
+            cases.push(Case {
+                max_rows,
+                max_cols,
+                ..case(format!("trim {max_rows}x{max_cols}"), t.clone(), q.clone())
+            });
+        }
+        cases
+    }
+
+    /// Runs `cfg` on the body compiled for `isa`, tracing every live cell.
+    fn traced_on(
+        isa: SimdIsa,
+        c: &Case,
+        sc: &Scoring,
+        cfg: &WarpConfig,
+    ) -> (WarpExtension, fastz_align::DenseTrace) {
+        let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
+        let mut trace = fastz_align::DenseTrace::default();
+        let ext = extend_on(
+            isa,
+            &c.t,
+            &c.q,
+            sc,
+            cfg,
+            &mut shared,
+            &mut Vec::new(),
+            &mut trace,
+        );
+        (ext, trace)
+    }
+
+    #[test]
+    fn every_isa_body_matches_the_interpreter() {
+        // The engine's hard contract: neither the backend nor the ISA
+        // level of the compiled body may change anything observable.
+        // Each body the host can run executes the SIMD backend and is
+        // compared with the interpreter on the portable body: the whole
+        // WarpExtension (optimum, edit scripts, counters, extents) and
+        // every traced cell, in inspector and trimmed-executor mode.
+        // The asymmetric matrix catches a transposed target profile.
+        let asymmetric = Scoring {
+            subst: SubstMatrix::from_acgt(
+                [
+                    [12, -9, -3, -17],
+                    [-6, 10, -14, -2],
+                    [-1, -13, 11, -8],
+                    [-15, -4, -7, 9],
+                ],
+                -40,
+            ),
+            ..scoring()
+        };
+        let isas: Vec<SimdIsa> = SimdIsa::ALL
+            .into_iter()
+            .filter(|isa| {
+                let ok = isa.supported();
+                if !ok {
+                    eprintln!(
+                        "ISA differential: {} skipped (not supported on this CPU)",
+                        isa.name()
+                    );
+                }
+                ok
+            })
+            .collect();
+        let oracle = WavefrontBackend::Interpreter;
+        let simd = WavefrontBackend::Simd;
+        for sc in [scoring(), asymmetric] {
+            for c in &differential_corpus() {
+                for width in [1usize, 2, 7, 8, 31, 32] {
+                    let icfg = WarpConfig {
+                        max_rows: c.max_rows,
+                        max_cols: c.max_cols,
+                        ..inspector_cfg().with_strip_width(width)
+                    };
+                    let want = traced_on(SimdIsa::Portable, c, &sc, &icfg.with_backend(oracle));
+                    let ecfg =
+                        WarpConfig::executor(&OptFlags::fastz(), want.0.best_i, want.0.best_j)
+                            .with_strip_width(width);
+                    let want_exec =
+                        traced_on(SimdIsa::Portable, c, &sc, &ecfg.with_backend(oracle));
+                    // Both sides share the substitution gather, so check
+                    // it against the sequences directly too.
+                    assert_eq!(
+                        rescore(&want_exec.0, &c.t, &c.q, &sc),
+                        want_exec.0.best_score
+                    );
+                    for &isa in &isas {
+                        let ctx = format!("{} / {} / width {width}", isa.name(), c.label);
+                        let got = traced_on(isa, c, &sc, &icfg.with_backend(simd));
+                        assert_eq!(got.0, want.0, "{ctx} (inspector)");
+                        assert_eq!(got.1.cells, want.1.cells, "{ctx} (inspector cells)");
+                        let got = traced_on(isa, c, &sc, &ecfg.with_backend(simd));
+                        assert_eq!(got.0, want_exec.0, "{ctx} (executor)");
+                        assert_eq!(got.1.cells, want_exec.1.cells, "{ctx} (executor cells)");
+                    }
                 }
             }
-            let cut = rng.gen_range(40..200);
-            q.splice(cut..cut + 2, []);
-            for width in [1usize, 2, 7, 31, 32] {
-                let icfg = inspector_cfg().with_strip_width(width);
-                let a = run(&t, &q, &icfg);
-                let b = run(&t, &q, &icfg.with_backend(WavefrontBackend::Simd));
-                let ctx = format!("seed {seed} width {width}");
-                assert_eq!(a.best_score, b.best_score, "{ctx}");
-                assert_eq!((a.best_i, a.best_j), (b.best_i, b.best_j), "{ctx}");
-                assert_eq!(a.eager_ops, b.eager_ops, "{ctx}");
-                assert_eq!(a.counters, b.counters, "{ctx}");
-                assert_eq!(
-                    (a.explored_rows, a.explored_cols),
-                    (b.explored_rows, b.explored_cols),
-                    "{ctx}"
-                );
-
-                let ecfg = WarpConfig::executor(&OptFlags::fastz(), a.best_i, a.best_j)
-                    .with_strip_width(width);
-                let ea = run(&t, &q, &ecfg);
-                let eb = run(&t, &q, &ecfg.with_backend(WavefrontBackend::Simd));
-                assert_eq!(ea.ops, eb.ops, "{ctx} (executor)");
-                assert_eq!(ea.counters, eb.counters, "{ctx} (executor)");
-            }
         }
-        // Cell-for-cell: every live cell both backends report to a trace
-        // sink must agree in position and all three scores.
-        let mut rng = SmallRng::seed_from_u64(77);
-        let t = random_codes(150, 0.5, &mut rng);
-        let mut q = t.clone();
-        q.splice(70..72, []);
-        let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
-        let mut trace_a = fastz_align::DenseTrace::default();
-        warp_extend_traced(&t, &q, &sc, &inspector_cfg(), &mut shared, &mut trace_a);
-        let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
-        let mut trace_b = fastz_align::DenseTrace::default();
-        warp_extend_traced(
-            &t,
-            &q,
-            &sc,
-            &inspector_cfg().with_backend(WavefrontBackend::Simd),
-            &mut shared,
-            &mut trace_b,
-        );
-        assert_eq!(trace_a.cells, trace_b.cells);
+        let ran: Vec<&str> = isas.iter().map(|isa| isa.name()).collect();
+        eprintln!("ISA differential: compared {ran:?} against the interpreter");
+        assert!(isas.contains(&SimdIsa::Portable));
+    }
+
+    #[test]
+    fn dispatch_picks_the_widest_supported_level() {
+        let isa = SimdIsa::dispatched();
+        assert!(isa.supported());
+        let wider = SimdIsa::ALL.iter().skip_while(|&&l| l != isa).skip(1);
+        for &level in wider {
+            assert!(
+                !level.supported(),
+                "{} is supported but {} was chosen",
+                level.name(),
+                isa.name()
+            );
+        }
+        assert_eq!(SimdIsa::dispatched(), isa, "the choice is cached");
     }
 }

@@ -15,10 +15,69 @@
 //! Both kernels write deterministic values for inactive lanes
 //! ([`NEG_INF`] stores, zero traceback bytes), so whole-struct equality
 //! of [`StepOut`] is meaningful.
+//!
+//! The module also holds the whole-warp helpers the engine wraps around
+//! either kernel: the per-strip `target_profile` and its
+//! `profile_select` (the substitution gather as a vector select), and
+//! the step reductions `reduce_max` / `first_lane_at`. Both backends
+//! share them, so the step inputs and the bookkeeping over its outputs
+//! are the same vector code whichever kernel runs.
 
 use fastz_align::score;
 use fastz_align::ydrop::{tb, NEG_INF};
+use fastz_genome::{SubstMatrix, ALPHABET_SIZE};
 use fastz_gpu_sim::{lanes32, splat, Lanes, WARP_SIZE};
+
+/// One strip's substitution scores by query code: `profile[c][l]` scores
+/// lane `l`'s target base (`strip_target[l]`) against query code `c`.
+/// Lanes past the end of `strip_target` (a partial last strip) score 0;
+/// they are never active.
+pub(crate) fn target_profile(
+    subst: &SubstMatrix,
+    strip_target: &[u8],
+) -> [Lanes<i32>; ALPHABET_SIZE] {
+    let mut profile = [splat(0); ALPHABET_SIZE];
+    for (c, row) in profile.iter_mut().enumerate() {
+        for (cell, &t) in row.iter_mut().zip(strip_target) {
+            *cell = subst.score(t, c as u8);
+        }
+    }
+    profile
+}
+
+/// The substitution score of every lane's cell: lane `l` picks
+/// `profile[codes[l]][l]`. A chain of `codes >= c` selects in ascending
+/// `c` leaves each lane on its own code's row, so the gather costs
+/// `ALPHABET_SIZE − 1` compare-and-select pairs and no memory lookups.
+/// Every code must lie in `0..ALPHABET_SIZE`.
+#[inline(always)]
+pub(crate) fn profile_select(
+    profile: &[Lanes<i32>; ALPHABET_SIZE],
+    codes: &Lanes<i32>,
+) -> Lanes<i32> {
+    let mut out = profile[0];
+    for (c, row) in profile.iter().enumerate().skip(1) {
+        out = lanes32::select(&lanes32::ge(codes, &splat(c as i32)), row, &out);
+    }
+    out
+}
+
+/// Largest lane value (`NEG_INF` floors it). Over a step's `s_store`,
+/// whose dead and inactive lanes hold `NEG_INF`, this is the best live
+/// S of the step.
+#[inline(always)]
+pub(crate) fn reduce_max(v: &Lanes<i32>) -> i32 {
+    v.iter().fold(NEG_INF, |m, &x| m.max(x))
+}
+
+/// The first lane holding `max`, which must be the largest value of
+/// `v`: lanes `>= max` are exactly the lanes equal to it. The lowest
+/// lane wins ties, the same cell a lane-order scan with a strict `>`
+/// update keeps.
+#[inline(always)]
+pub(crate) fn first_lane_at(v: &Lanes<i32>, max: i32) -> usize {
+    lanes32::movemask(&lanes32::ge(v, &splat(max))).trailing_zeros() as usize
+}
 
 /// Inputs of one wavefront step, prepared by the engine and identical
 /// for both backends.
@@ -163,7 +222,9 @@ pub fn step_interpreter(inp: &StepIn) -> StepOut {
 /// The vector step: the same recurrence as [`step_interpreter`], but the
 /// S/I/D register files are 32-wide i32 vectors and every lane decision
 /// is a mask (`shfl` already arrived vectorized in [`StepIn`]; ballots
-/// fall out of [`lanes32::movemask`]).
+/// fall out of [`lanes32::movemask`]). Always inlined, so each
+/// ISA-specialized engine body compiles it for its own vector width.
+#[inline(always)]
 pub fn step_simd(inp: &StepIn) -> StepOut {
     use lanes32 as v;
     if inp.lo > inp.hi {
@@ -246,5 +307,69 @@ pub fn step_simd(inp: &StepIn) -> StepOut {
         tb: tb_bytes,
         live_mask,
         active_mask,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A matrix whose transpose differs, so a swapped profile shows.
+    fn asymmetric() -> SubstMatrix {
+        SubstMatrix::from_acgt(
+            [
+                [12, -9, -3, -17],
+                [-6, 10, -14, -2],
+                [-1, -13, 11, -8],
+                [-15, -4, -7, 9],
+            ],
+            -40,
+        )
+    }
+
+    #[test]
+    fn profile_select_matches_the_scalar_gather() {
+        let m = asymmetric();
+        let mut rng = SmallRng::seed_from_u64(5);
+        for len in [1usize, 7, 31, 32] {
+            let target: Vec<u8> = (0..len).map(|_| rng.gen_range(0..5)).collect();
+            let profile = target_profile(&m, &target);
+            let mut codes = [0i32; WARP_SIZE];
+            for c in codes.iter_mut() {
+                *c = rng.gen_range(0..ALPHABET_SIZE as i32);
+            }
+            let got = profile_select(&profile, &codes);
+            for (l, &t) in target.iter().enumerate() {
+                assert_eq!(got[l], m.score(t, codes[l] as u8), "len {len} lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn step_reductions_match_a_strict_lane_scan() {
+        // The lane-order scan the engine's per-lane loop used: a strict
+        // `>` keeps the first lane of the maximum.
+        let mut rng = SmallRng::seed_from_u64(6);
+        for _ in 0..200 {
+            let mut v = splat(NEG_INF);
+            for x in v.iter_mut() {
+                if rng.gen_bool(0.7) {
+                    *x = rng.gen_range(-5..5); // many ties
+                }
+            }
+            let (mut best, mut lane) = (NEG_INF, WARP_SIZE);
+            for (l, &x) in v.iter().enumerate() {
+                if x > best {
+                    (best, lane) = (x, l);
+                }
+            }
+            assert_eq!(reduce_max(&v), best);
+            if lane < WARP_SIZE {
+                assert_eq!(first_lane_at(&v, best), lane);
+            }
+        }
+        assert_eq!(reduce_max(&splat(NEG_INF)), NEG_INF);
     }
 }

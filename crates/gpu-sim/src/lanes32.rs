@@ -228,14 +228,16 @@ pub fn movemask(m: &Lanes<i32>) -> u32 {
 }
 
 /// The `-1`/`0` mask of the contiguous lane range `lo..=hi` (empty when
-/// `lo > hi`) — the active-lane predicate of one wavefront step.
+/// `lo > hi`) — the active-lane predicate of one wavefront step. The
+/// bounds clamp to `0..=WARP_SIZE` so the lane compare stays in `i32`
+/// lanes and vectorizes.
 #[inline(always)]
 pub fn range_mask(lo: usize, hi: usize) -> Lanes<i32> {
+    let (lo, hi) = (lo.min(WARP_SIZE) as i32, hi.min(WARP_SIZE) as i32);
     let mut out = [0i32; WARP_SIZE];
-    if lo <= hi {
-        for v in out.iter_mut().take(hi.min(WARP_SIZE - 1) + 1).skip(lo) {
-            *v = -1;
-        }
+    for (l, v) in out.iter_mut().enumerate() {
+        let l = l as i32;
+        *v = -((lo <= l) as i32 & (l <= hi) as i32);
     }
     out
 }

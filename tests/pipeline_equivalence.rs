@@ -3,7 +3,7 @@
 //! guarantee ("identical (or occasionally longer) alignments", §3.4).
 
 use fastz::align::{sequential_gapped, DriverConfig};
-use fastz::core::{run_fastz, FastZConfig, OptFlags};
+use fastz::core::{run_fastz, FastZConfig, OptFlags, WavefrontBackend};
 use fastz::genome::{evolve::generate_pair, find_pair, Scale, Scoring};
 use fastz::gpu_sim::DeviceSpec;
 use fastz::seed::{Workload, WorkloadParams};
@@ -178,4 +178,25 @@ fn retime_is_consistent_with_the_run_device() {
     // A slower device must not be faster.
     let pascal = fz.retime(&DeviceSpec::titan_x_pascal(), cfg.flags.streams);
     assert!(pascal.total() >= fz.modeled_time_s);
+}
+
+#[test]
+fn default_backend_matches_the_interpreter_oracle() {
+    // The production default is the SIMD wavefront on the runtime-chosen
+    // ISA; the scalar interpreter is its oracle. Everything a run reports
+    // must be bit-identical between the two.
+    let s = setup("A1_X,X", 200);
+    let default = FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere());
+    assert_eq!(default.backend, WavefrontBackend::Simd);
+    let oracle = FastZConfig {
+        backend: WavefrontBackend::Interpreter,
+        ..default.clone()
+    };
+    let got = run_fastz(&s.target, &s.query, &s.anchors, s.span, &default);
+    let want = run_fastz(&s.target, &s.query, &s.anchors, s.span, &oracle);
+    assert!(want.stats.problems > 0 && !want.alignments.is_empty());
+    assert_eq!(got.alignments, want.alignments);
+    assert_eq!(got.stats, want.stats);
+    assert_eq!(got.bin_counts, want.bin_counts);
+    assert_eq!(got.modeled_time_s.to_bits(), want.modeled_time_s.to_bits());
 }
