@@ -6,7 +6,7 @@
 //! does. Four configurations run over the same seed workload:
 //!
 //! * `plain`      — `run_fastz` (the fault-free fast path);
-//! * `resilient`  — `run_fastz_resilient` with resilience disabled
+//! * `resilient`  — `run_fastz_observed` with resilience disabled
 //!   (every probe short-circuited; must be modeled-time identical and
 //!   within noise on host wall time);
 //! * `checkpoint` — resilience disabled but checkpointing enabled
@@ -16,9 +16,10 @@
 //!   overhead and the fault counts.
 
 use fastz_bench::{HarnessOpts, PairWorkload, Table};
-use fastz_core::{run_fastz, run_fastz_resilient, FastZConfig, ResilienceConfig};
+use fastz_core::{run_fastz, run_fastz_observed, FastZConfig, ResilienceConfig};
 use fastz_genome::{within_genus_pairs, Scoring};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
+use fastz_obs::NoObs;
 use std::time::Duration;
 
 const DRILL_SEED: u64 = 7;
@@ -73,9 +74,15 @@ fn main() {
             }
             let report = match rcfg {
                 None => run_fastz(&wl.target, &wl.query, &wl.anchors, wl.seed_span, &cfg),
-                Some(r) => {
-                    run_fastz_resilient(&wl.target, &wl.query, &wl.anchors, wl.seed_span, &cfg, r)
-                }
+                Some(r) => run_fastz_observed(
+                    &wl.target,
+                    &wl.query,
+                    &wl.anchors,
+                    wl.seed_span,
+                    &cfg,
+                    r,
+                    &mut NoObs,
+                ),
             };
             best_host = best_host.min(report.host_wall);
             modeled = report.modeled_time_s;

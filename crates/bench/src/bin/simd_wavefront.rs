@@ -346,17 +346,13 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let simd_isa = if cfg!(feature = "nightly-simd") {
-        "std::simd (nightly feature)"
-    } else {
-        "portable fixed-array fallback (autovectorized)"
-    };
     // The engine body the runtime dispatch chose for this CPU (the
     // build itself needs no target-cpu flag).
     let target_isa = SimdIsa::dispatched().name();
     let json = format!(
         "{{\n  \"bench\": \"simd_wavefront\",\n  \"mode\": \"{}\",\n  \
-         \"repeats\": {},\n  \"host_parallelism\": {},\n  \"simd_path\": \"{}\",\n  \
+         \"repeats\": {},\n  \"host_parallelism\": {},\n  \
+         \"simd_path\": \"portable fixed-array fallback (autovectorized)\",\n  \
          \"target_isa\": \"{}\",\n  \
          \"corpus\": {{ \"pairs\": {}, \"pair_len\": {}, \"dp_cells\": {} }},\n  \
          \"identity\": {{ \"extensions\": {}, \"strip_widths\": {:?}, \
@@ -371,7 +367,6 @@ fn main() {
         if args.check { "check" } else { "full" },
         repeats,
         cores,
-        simd_isa,
         target_isa,
         pairs,
         args.len,

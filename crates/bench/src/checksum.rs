@@ -2,18 +2,14 @@
 //! produced the same output before either is timed.
 
 use fastz_align::Alignment;
+use fastz_genome::hash;
 
 /// 64-bit FNV-1a over `words`, each hashed as its eight little-endian
 /// bytes. Order-sensitive.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in words {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    words
+        .into_iter()
+        .fold(hash::FNV1A_BASIS, |h, v| hash::fnv1a(h, &v.to_le_bytes()))
 }
 
 /// [`fnv1a`] over each alignment's coordinates, score and edit-script

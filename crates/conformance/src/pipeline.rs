@@ -6,13 +6,13 @@
 //! plus complete fault accounting.
 
 use fastz_core::{
-    run_fastz, run_fastz_multi_gpu_resilient, run_fastz_observed, run_fastz_resilient, FastZConfig,
-    OptFlags, Partition, ResilienceConfig,
+    run_fastz, run_fastz_multi_gpu, run_fastz_observed, FastZConfig, OptFlags, Partition,
+    ResilienceConfig,
 };
 use fastz_genome::evolve::{default_classes, generate_pair, PairParams};
 use fastz_genome::Scoring;
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
-use fastz_obs::Recorder;
+use fastz_obs::{NoObs, Recorder};
 use fastz_seed::{Anchor, Workload, WorkloadParams};
 
 use crate::corpus::Category;
@@ -34,7 +34,7 @@ fn diverge_resilient(seed: u64, message: String) -> Divergence {
         category: Category::CleanHomology,
         seed,
         invariant: "pipeline-resilience",
-        engines: "pipeline (run_fastz_resilient)",
+        engines: "pipeline (run_fastz_observed)",
         message,
         first_divergent_cell: None,
     }
@@ -332,7 +332,15 @@ pub fn check_pipeline_resilient(
 
     let clean = run_fastz(&pair.target, &pair.query, anchors, span, &cfg);
     let rcfg = ResilienceConfig::with_plan(FaultPlan::from_seed(fault_seed));
-    let faulted = run_fastz_resilient(&pair.target, &pair.query, anchors, span, &cfg, &rcfg);
+    let faulted = run_fastz_observed(
+        &pair.target,
+        &pair.query,
+        anchors,
+        span,
+        &cfg,
+        &rcfg,
+        &mut NoObs,
+    );
 
     let mut out = Vec::new();
     let mut checks = 0;
@@ -393,7 +401,7 @@ pub fn check_pipeline_resilient(
 
     // Multi-GPU: device loss with re-dispatch to survivors.
     let devices = vec![DeviceSpec::rtx3080_ampere(); 3];
-    let multi = run_fastz_multi_gpu_resilient(
+    let multi = run_fastz_multi_gpu(
         &pair.target,
         &pair.query,
         anchors,

@@ -2,6 +2,7 @@
 //! built offline with no serde; the writer below emits the small, flat
 //! schema the CLI documents).
 
+use fastz_obs::export::json_escape;
 use std::fmt::Write as _;
 
 use crate::corpus::Category;
@@ -63,23 +64,6 @@ impl SuiteReport {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_cell(out: &mut String, cell: &CellDiff) {
     let _ = write!(out, "{{\"i\":{},\"j\":{},", cell.i, cell.j);
     out.push_str("\"lhs\":");
@@ -115,14 +99,14 @@ pub fn to_json(report: &SuiteReport) -> String {
     for (idx, d) in report.divergences.iter().enumerate() {
         out.push_str("    {");
         out.push_str("\"category\": ");
-        push_json_str(&mut out, d.category.name());
+        json_escape(&mut out, d.category.name());
         let _ = write!(out, ", \"replay_seed\": {}", d.seed);
         out.push_str(", \"invariant\": ");
-        push_json_str(&mut out, d.invariant);
+        json_escape(&mut out, d.invariant);
         out.push_str(", \"engines\": ");
-        push_json_str(&mut out, d.engines);
+        json_escape(&mut out, d.engines);
         out.push_str(", \"message\": ");
-        push_json_str(&mut out, &d.message);
+        json_escape(&mut out, &d.message);
         out.push_str(", \"first_divergent_cell\": ");
         match &d.first_divergent_cell {
             Some(cell) => push_cell(&mut out, cell),

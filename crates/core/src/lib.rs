@@ -32,13 +32,11 @@ pub use bitvec::{
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
 pub use multi_gpu::{
-    device_speed, partition_anchors, partition_anchors_sharded, rebalance_shards,
-    run_fastz_multi_gpu, run_fastz_multi_gpu_resilient, straggler_index, MultiGpuReport, Partition,
-    ShardSchedule, SHARD_MOVE_COST_S,
+    device_speed, partition_anchors, rebalance_shards, run_fastz_multi_gpu, straggler_index,
+    MultiGpuReport, Partition, ShardSchedule, SHARD_MOVE_COST_S,
 };
 pub use pipeline::{
-    run_fastz, run_fastz_in_pool, run_fastz_observed, run_fastz_resilient, FastZConfig,
-    FastZReport, FastZStats,
+    run_fastz, run_fastz_in_pool, run_fastz_observed, FastZConfig, FastZReport, FastZStats,
 };
 pub use pool::{Arena, HostDispatch, HostPool, PoolStats};
 pub use resilient::{

@@ -16,12 +16,13 @@
 //! host-side scatter/gather term; results are identical to a single-GPU
 //! run by construction (asserted in tests).
 
-use crate::pipeline::{run_fastz_resilient, FastZConfig, FastZReport};
+use crate::pipeline::{run_fastz_observed, sim_threads, FastZConfig, FastZReport};
 use crate::resilient::{ResilienceConfig, ResilienceReport};
 use fastz_align::{dedupe_alignments, Alignment};
 use fastz_genome::Sequence;
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultSite};
 use fastz_gpu_sim::{DeviceSpec, PhaseTimeline};
+use fastz_obs::NoObs;
 use fastz_seed::Anchor;
 
 /// Anchor partitioning policy across devices.
@@ -236,48 +237,6 @@ pub fn rebalance_shards(
     }
 }
 
-/// Splits `anchors` across devices by target-interval shard: each
-/// anchor belongs to the shard whose window interval `[lo, hi)`
-/// contains its `target_pos`, and lands on that shard's assigned
-/// device. Order within a device follows the input order, so the union
-/// over devices is exactly the input anchor set — shard-local placement
-/// never changes what gets aligned, only where.
-///
-/// `bounds` must be ordered and disjoint (the
-/// `ShardedSeedIndex::shard_bounds` layout); anchors past the last
-/// bound (possible only with mismatched inputs) go to the last shard's
-/// device rather than being dropped.
-pub fn partition_anchors_sharded(
-    anchors: &[Anchor],
-    bounds: &[(u64, u64)],
-    schedule: &ShardSchedule,
-    n_devices: usize,
-) -> Vec<Vec<Anchor>> {
-    let n_devices = n_devices.max(1);
-    let mut parts = vec![Vec::new(); n_devices];
-    if bounds.is_empty() {
-        parts[0].extend(anchors.iter().copied());
-        return parts;
-    }
-    for &a in anchors {
-        let pos = a.target_pos as u64;
-        // Binary search over the ordered interval starts.
-        let shard = match bounds.binary_search_by(|&(lo, _)| lo.cmp(&pos)) {
-            Ok(s) => s,
-            Err(0) => 0,
-            Err(ins) => ins - 1,
-        };
-        let dev = schedule
-            .assignments
-            .get(shard)
-            .copied()
-            .unwrap_or(0)
-            .min(n_devices - 1);
-        parts[dev].push(a);
-    }
-    parts
-}
-
 /// Splits `anchors` across `n` partitions under `policy`.
 ///
 /// `n == 0` is a caller configuration bug, not a reason to bring a long
@@ -301,35 +260,13 @@ pub fn partition_anchors(anchors: &[Anchor], n: usize, policy: Partition) -> Vec
     }
 }
 
-/// Runs FastZ over `devices`, partitioning the anchors by `policy`
-/// (fault-free).
+/// Runs FastZ over `devices`, partitioning the anchors by `policy`,
+/// under a [`ResilienceConfig`] ([`ResilienceConfig::disabled`] for a
+/// fault-free run).
 ///
 /// Each device gets the same optimization flags and scoring from `cfg`;
-/// `cfg.device` is ignored in favour of the per-device specs.
-pub fn run_fastz_multi_gpu(
-    target: &Sequence,
-    query: &Sequence,
-    anchors: &[Anchor],
-    seed_span: usize,
-    cfg: &FastZConfig,
-    devices: &[DeviceSpec],
-    policy: Partition,
-) -> MultiGpuReport {
-    run_fastz_multi_gpu_resilient(
-        target,
-        query,
-        anchors,
-        seed_span,
-        cfg,
-        devices,
-        policy,
-        &ResilienceConfig::disabled(),
-    )
-}
-
-/// [`run_fastz_multi_gpu`] under a [`ResilienceConfig`].
-///
-/// Each device's partition is dispatched in
+/// `cfg.device` is ignored in favour of the per-device specs. Each
+/// device's partition is dispatched in
 /// [`ResilienceConfig::dispatch_chunks`] host-visible chunks whose
 /// results are gathered as they complete. A device lost at a chunk
 /// boundary keeps its completed chunks (already on the host) and its
@@ -340,7 +277,7 @@ pub fn run_fastz_multi_gpu(
 /// applied). Checkpointing is a single-run facility; per-device runs
 /// here do not checkpoint.
 #[allow(clippy::too_many_arguments)]
-pub fn run_fastz_multi_gpu_resilient(
+pub fn run_fastz_multi_gpu(
     target: &Sequence,
     query: &Sequence,
     anchors: &[Anchor],
@@ -407,14 +344,7 @@ pub fn run_fastz_multi_gpu_resilient(
     // host), gathered back in device order; a device thread's panic is
     // re-raised here with its original payload. Results are identical
     // to the old serial loop by the pipeline's determinism contract.
-    let host_threads = if cfg.sim_threads > 0 {
-        cfg.sim_threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    };
-    let per_device_threads = (host_threads / devices.len()).max(1);
+    let per_device_threads = (sim_threads(cfg) / devices.len()).max(1);
     let per_device: Vec<FastZReport> = std::thread::scope(|s| {
         let handles: Vec<_> = devices
             .iter()
@@ -432,7 +362,9 @@ pub fn run_fastz_multi_gpu_resilient(
                     ..rcfg.clone()
                 };
                 s.spawn(move || {
-                    run_fastz_resilient(target, query, part, seed_span, &dev_cfg, &dev_rcfg)
+                    run_fastz_observed(
+                        target, query, part, seed_span, &dev_cfg, &dev_rcfg, &mut NoObs,
+                    )
                 })
             })
             .collect();
@@ -529,7 +461,16 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].len(), 10);
         let (t, q, anchors, span) = demo();
-        let report = run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &[], Partition::Strided);
+        let report = run_fastz_multi_gpu(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg(),
+            &[],
+            Partition::Strided,
+            &ResilienceConfig::disabled(),
+        );
         assert_eq!(
             report.per_device.len(),
             1,
@@ -552,7 +493,7 @@ mod tests {
             ..FaultRates::NONE
         });
         let rcfg = ResilienceConfig::with_plan(plan);
-        let multi = run_fastz_multi_gpu_resilient(
+        let multi = run_fastz_multi_gpu(
             &t,
             &q,
             &anchors,
@@ -573,7 +514,7 @@ mod tests {
 
         // A drill-rate plan (partial losses) preserves the set too.
         let drill = ResilienceConfig::with_plan(FaultPlan::from_seed(9));
-        let drilled = run_fastz_multi_gpu_resilient(
+        let drilled = run_fastz_multi_gpu(
             &t,
             &q,
             &anchors,
@@ -593,7 +534,16 @@ mod tests {
         let single = run_fastz(&t, &q, &anchors, span, &cfg());
         let devices = vec![DeviceSpec::rtx3080_ampere(); 4];
         for policy in [Partition::Block, Partition::Strided] {
-            let multi = run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &devices, policy);
+            let multi = run_fastz_multi_gpu(
+                &t,
+                &q,
+                &anchors,
+                span,
+                &cfg(),
+                &devices,
+                policy,
+                &ResilienceConfig::disabled(),
+            );
             assert_eq!(
                 multi.alignments, single.alignments,
                 "{policy:?} changed the alignments"
@@ -612,6 +562,7 @@ mod tests {
             &cfg(),
             &[DeviceSpec::rtx3080_ampere()],
             Partition::Strided,
+            &ResilienceConfig::disabled(),
         );
         let four = run_fastz_multi_gpu(
             &t,
@@ -621,6 +572,7 @@ mod tests {
             &cfg(),
             &vec![DeviceSpec::rtx3080_ampere(); 4],
             Partition::Strided,
+            &ResilienceConfig::disabled(),
         );
         // Host scatter/gather grows with device count, so compare the
         // device component.
@@ -639,9 +591,26 @@ mod tests {
         // block partitioning puts it all on device 0; striding spreads it.
         let (t, q, anchors, span) = demo();
         let devices = vec![DeviceSpec::rtx3080_ampere(); 4];
-        let block = run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &devices, Partition::Block);
-        let strided =
-            run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &devices, Partition::Strided);
+        let block = run_fastz_multi_gpu(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg(),
+            &devices,
+            Partition::Block,
+            &ResilienceConfig::disabled(),
+        );
+        let strided = run_fastz_multi_gpu(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg(),
+            &devices,
+            Partition::Strided,
+            &ResilienceConfig::disabled(),
+        );
         assert!(strided.modeled_time_s <= block.modeled_time_s * 1.25);
         assert_eq!(block.alignments, strided.alignments);
     }
@@ -672,8 +641,16 @@ mod tests {
         };
         let devices = vec![broken, DeviceSpec::rtx3080_ampere()];
         let single = run_fastz(&t, &q, &anchors, span, &cfg());
-        let multi =
-            run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &devices, Partition::Strided);
+        let multi = run_fastz_multi_gpu(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg(),
+            &devices,
+            Partition::Strided,
+            &ResilienceConfig::disabled(),
+        );
         assert_eq!(multi.straggler, 0, "the degenerate device must straggle");
         assert!(
             !multi.modeled_time_s.is_finite(),
@@ -756,50 +733,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_local_partitioning_is_total_and_preserves_alignments() {
-        let (t, q, anchors, span) = demo();
-        // Shard the window space into 6 intervals and place them on 3
-        // devices by modeled (entry-count) load.
-        let n_windows = (t.len() - span + 1) as u64;
-        let per = n_windows.div_ceil(6);
-        let bounds: Vec<(u64, u64)> = (0..6)
-            .map(|s| ((s * per).min(n_windows), ((s + 1) * per).min(n_windows)))
-            .collect();
-        let loads: Vec<f64> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                anchors
-                    .iter()
-                    .filter(|a| (a.target_pos as u64) >= lo && (a.target_pos as u64) < hi)
-                    .count() as f64
-            })
-            .collect();
-        let sched = rebalance_shards(&loads, &[1.0; 3], &[None; 6]);
-        let parts = partition_anchors_sharded(&anchors, &bounds, &sched, 3);
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, anchors.len(), "no anchor dropped or duplicated");
-        let mut all: Vec<_> = parts.concat();
-        all.sort_by_key(|a| (a.query_pos, a.target_pos));
-        let mut want = anchors.clone();
-        want.sort_by_key(|a| (a.query_pos, a.target_pos));
-        assert_eq!(all, want);
-        // Running each shard-local partition through the pipeline and
-        // merging reproduces the single-run alignment set exactly.
-        let single = run_fastz(&t, &q, &anchors, span, &cfg());
-        let mut merged = Vec::new();
-        for part in &parts {
-            merged.extend(run_fastz(&t, &q, part, span, &cfg()).alignments);
-        }
-        assert_eq!(dedupe_alignments(merged), single.alignments);
-    }
-
-    #[test]
     fn heterogeneous_devices_straggle_on_the_slowest() {
         let (t, q, anchors, span) = demo();
         let devices = vec![DeviceSpec::rtx3080_ampere(), DeviceSpec::titan_x_pascal()];
-        let multi =
-            run_fastz_multi_gpu(&t, &q, &anchors, span, &cfg(), &devices, Partition::Strided);
+        let multi = run_fastz_multi_gpu(
+            &t,
+            &q,
+            &anchors,
+            span,
+            &cfg(),
+            &devices,
+            Partition::Strided,
+            &ResilienceConfig::disabled(),
+        );
         // The straggler index reflects the slowest per-device time (which
         // partition holds the longest problem varies with the stride).
         let argmax = multi
@@ -820,6 +766,7 @@ mod tests {
             &cfg(),
             &vec![DeviceSpec::titan_x_pascal(); 2],
             Partition::Strided,
+            &ResilienceConfig::disabled(),
         );
         let ampere_fleet = run_fastz_multi_gpu(
             &t,
@@ -829,6 +776,7 @@ mod tests {
             &cfg(),
             &vec![DeviceSpec::rtx3080_ampere(); 2],
             Partition::Strided,
+            &ResilienceConfig::disabled(),
         );
         assert!(pascal_fleet.modeled_time_s > ampere_fleet.modeled_time_s);
     }

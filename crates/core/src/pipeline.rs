@@ -10,25 +10,28 @@
 
 use crate::ablation::OptFlags;
 use crate::binning::{classify, BinClass, BinCounts, BIN_BOUNDS};
-use crate::bitvec::{bitvec_extend_in, BitvecConfig, BitvecExtension, BitvecStats, ExtendBackend};
+use crate::bitvec::{bitvec_extend_in, BitvecConfig, BitvecStats, ExtendBackend};
 use crate::cost::price_task;
-use crate::pool::{HostDispatch, HostPool};
+use crate::pool::{Arena, HostDispatch, HostPool};
 use crate::resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
-use crate::warp_engine::{warp_extend_in, WarpConfig, WarpExtension, WavefrontBackend};
+use crate::warp_engine::{warp_extend_in, WarpConfig, WavefrontBackend};
 use fastz_align::{push_op, Alignment, EditOp};
-use fastz_genome::{Scoring, Sequence};
+use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS};
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultSite};
 use fastz_gpu_sim::roofline;
-use fastz_gpu_sim::stream::{time_stream_pipeline_capped, time_stream_pipeline_resilient};
+use fastz_gpu_sim::stream::{
+    time_stream_pipeline_capped, time_stream_pipeline_resilient, PipelineTiming,
+};
 use fastz_gpu_sim::{
-    BlockResources, DeviceSpec, KernelCounters, KernelSpec, PhaseTimeline, SharedMem, WarpTask,
-    WARP_SIZE,
+    BlockResources, DeviceSpec, KernelCounters, KernelSpec, PhaseTimeline, SharedMem, WarpCounters,
+    WarpTask, WARP_SIZE,
 };
 use fastz_obs::{names, LogicalClock, MetricsSink, NoObs};
 use fastz_seed::Anchor;
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Host-side modeling constants for the "other" phase of Figure 8
@@ -198,15 +201,11 @@ impl FastZReport {
     /// count without re-running the functional simulation (the work
     /// counters are device-independent).
     pub fn retime(&self, device: &DeviceSpec, streams: usize) -> PhaseTimeline {
-        let usable = device.mem_gib as u64 * (1 << 30) * 8 / 10;
-        let insp_cap = self
-            .inspector_alloc_bytes
-            .map(|b| (usable / b.max(1)) as usize);
-        let exec_cap = self
-            .executor_alloc_bytes
-            .map(|b| (usable / b.max(1)) as usize);
-        let insp = time_stream_pipeline_capped(device, &self.inspector_kernels, streams, insp_cap);
-        let exec = time_stream_pipeline_capped(device, &self.executor_kernels, streams, exec_cap);
+        let time = |kernels: &[KernelSpec], alloc_bytes| {
+            time_stream_pipeline_capped(device, kernels, streams, memory_cap(device, alloc_bytes))
+        };
+        let insp = time(&self.inspector_kernels, self.inspector_alloc_bytes);
+        let exec = time(&self.executor_kernels, self.executor_alloc_bytes);
         let mut timeline = PhaseTimeline::new();
         timeline.add("inspector", insp.time_s);
         timeline.add("executor", exec.time_s);
@@ -238,16 +237,41 @@ impl SideResult {
     }
 }
 
-/// One side's final edit script (for splicing).
-#[derive(Clone, Debug, Default)]
-struct SideOps {
-    score: i32,
-    best_i: usize,
-    best_j: usize,
-    ops: Vec<EditOp>,
+/// Concurrent problems that device memory admits when each one holds
+/// `alloc_bytes` (80% of device memory is usable); `None` when the
+/// allocation does not bound concurrency.
+fn memory_cap(device: &DeviceSpec, alloc_bytes: Option<u64>) -> Option<usize> {
+    let usable = device.mem_gib as u64 * (1 << 30) * 8 / 10;
+    alloc_bytes.map(|b| (usable / b.max(1)) as usize)
 }
 
-fn sim_threads(cfg: &FastZConfig) -> usize {
+/// Prices one engine outcome into a [`SideResult`]. Both engines report
+/// the optimum as `(score, best_i, best_j)` and the explored extents as
+/// `(rows, cols)`; `ops` is the side's final edit script, when the
+/// engine produced one.
+fn side_result(
+    (score, best_i, best_j): (i32, usize, usize),
+    (explored_rows, explored_cols): (usize, usize),
+    ops: Option<Vec<EditOp>>,
+    counters: WarpCounters,
+    bitvec: BitvecStats,
+) -> SideResult {
+    SideResult {
+        score,
+        best_i,
+        best_j,
+        explored_rows,
+        explored_cols,
+        eager_ops: ops,
+        task: price_task(&counters),
+        counters,
+        bitvec,
+    }
+}
+
+/// Host workers for the functional simulation: `cfg.sim_threads`, or
+/// every available core when it is 0.
+pub(crate) fn sim_threads(cfg: &FastZConfig) -> usize {
     if cfg.sim_threads > 0 {
         cfg.sim_threads
     } else {
@@ -257,44 +281,14 @@ fn sim_threads(cfg: &FastZConfig) -> usize {
     }
 }
 
-/// Builds the (target, query) suffix slices of one problem side; the left
-/// side reverses prefixes into the provided buffers.
-fn side_slices<'a>(
-    target: &'a Sequence,
-    query: &'a Sequence,
-    anchor: Anchor,
-    seed_span: usize,
-    left: bool,
-    max_extension: usize,
-    rev: &'a mut (Vec<u8>, Vec<u8>),
-) -> (&'a [u8], &'a [u8]) {
-    let (rev_t, rev_q) = rev;
-    let tc = target.codes();
-    let qc = query.codes();
-    let t0 = anchor.target_pos as usize;
-    let q0 = anchor.query_pos as usize;
-    if left {
-        let ts = t0.saturating_sub(max_extension);
-        let qs = q0.saturating_sub(max_extension);
-        rev_t.clear();
-        rev_q.clear();
-        rev_t.extend(tc[ts..t0].iter().rev());
-        rev_q.extend(qc[qs..q0].iter().rev());
-        (rev_t.as_slice(), rev_q.as_slice())
-    } else {
-        let te = tc.len().min(t0 + seed_span + max_extension);
-        let qe = qc.len().min(q0 + seed_span + max_extension);
-        (&tc[t0 + seed_span..te], &qc[q0 + seed_span..qe])
-    }
-}
-
 // Phase execution lives in `crate::pool`: a persistent work-stealing
 // worker set with per-worker buffer arenas replaces the old
 // spawn-per-phase static chunking (`run_phase`). Problems are claimed
 // through an atomic index, results come back in problem order, and a
 // worker panic is re-raised with its original payload.
 
-/// Runs the FastZ pipeline over `anchors` (fault-free, no checkpoint).
+/// Runs the FastZ pipeline over `anchors` (fault-free, no checkpoint,
+/// unobserved).
 pub fn run_fastz(
     target: &Sequence,
     query: &Sequence,
@@ -302,13 +296,14 @@ pub fn run_fastz(
     seed_span: usize,
     cfg: &FastZConfig,
 ) -> FastZReport {
-    run_fastz_resilient(
+    run_fastz_observed(
         target,
         query,
         anchors,
         seed_span,
         cfg,
         &ResilienceConfig::disabled(),
+        &mut NoObs,
     )
 }
 
@@ -339,16 +334,6 @@ fn flags_bits(flags: &OptFlags) -> u64 {
         | (eager_traceback as u64) << 1
         | (executor_trimming as u64) << 2
         | (streams as u64) << 3
-}
-
-/// FNV-1a folds `v` into `h` — the combiner for the config word.
-fn fold64(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The semantic-config word folded into the checkpoint fingerprint.
@@ -383,12 +368,15 @@ fn config_identity(cfg: &FastZConfig, strip_width: usize) -> u64 {
         ExtendBackend::YDrop => 0u64,
         ExtendBackend::Bitvector => 1u64,
     };
-    let mut w = fold64(0xcbf2_9ce4_8422_2325, flags_bits(flags));
-    w = fold64(w, strip_width as u64);
-    w = fold64(w, backend_bit);
-    w = fold64(w, *max_extension as u64);
-    w = fold64(w, bitvec_identity(bitvec));
-    w
+    [
+        flags_bits(flags),
+        strip_width as u64,
+        backend_bit,
+        *max_extension as u64,
+        bitvec_identity(bitvec),
+    ]
+    .iter()
+    .fold(FNV1A_BASIS, |w, v| fnv1a(w, &v.to_le_bytes()))
 }
 
 /// Identity of the bitvector geometry. A semantic axis when the
@@ -402,114 +390,17 @@ fn bitvec_identity(bv: &BitvecConfig) -> u64 {
         k,
         mutation,
     } = *bv;
-    let mut w = fold64(0xcbf2_9ce4_8422_2325, window as u64);
-    w = fold64(w, overlap as u64);
-    w = fold64(w, k as u64);
-    w = fold64(w, mutation as u64);
-    w
+    [window as u64, overlap as u64, k as u64, mutation as u64]
+        .iter()
+        .fold(FNV1A_BASIS, |w, v| fnv1a(w, &v.to_le_bytes()))
 }
 
-/// One extension problem under the resilience ladder.
-///
-/// Attempts `0..max_problem_retries` run the configured warp engine;
-/// a bit flip detected on each of those degrades the problem to the
-/// scalar y-drop path — the same engine at strip width 1 (one lane,
-/// one cell per step), whose results are identical by the strip-width
-/// invariance property — for `max_fallback_retries` more attempts.
-/// Exhausting the whole budget skips the problem with record. Each
-/// discarded attempt charges its task's serial time plus an exponential
-/// backoff into the modeled overhead; the clean attempt's result and
-/// counters are the ones kept.
-#[allow(clippy::too_many_arguments)]
-fn extend_resilient(
-    t: &[u8],
-    q: &[u8],
-    scoring: &Scoring,
-    warp_cfg: &WarpConfig,
-    backend: ExtendBackend,
-    bvcfg: &BitvecConfig,
-    shared: &mut SharedMem,
-    tbm: &mut Vec<u8>,
-    rcfg: &ResilienceConfig,
-    unit: u64,
-    clock_hz: f64,
-) -> (SideResult, ProblemLog) {
-    // One clean attempt of the configured algorithm. The bitvector
-    // engine has no strip-width ladder — its deterministic re-run *is*
-    // the degraded rung — so `scalar` only reshapes the y-drop path.
-    fn attempt_once(
-        t: &[u8],
-        q: &[u8],
-        scoring: &Scoring,
-        warp_cfg: &WarpConfig,
-        backend: ExtendBackend,
-        bvcfg: &BitvecConfig,
-        shared: &mut SharedMem,
-        tbm: &mut Vec<u8>,
-        scalar: bool,
-    ) -> SideResult {
-        match backend {
-            ExtendBackend::YDrop => {
-                let engine_cfg = if scalar {
-                    warp_cfg.with_strip_width(1)
-                } else {
-                    *warp_cfg
-                };
-                side_result(warp_extend_in(t, q, scoring, &engine_cfg, shared, tbm))
-            }
-            ExtendBackend::Bitvector => side_result_bitvec(bitvec_extend_in(t, q, bvcfg, shared)),
-        }
-    }
-    let mut log = ProblemLog::default();
-    if rcfg.plan.is_none() {
-        let r = attempt_once(t, q, scoring, warp_cfg, backend, bvcfg, shared, tbm, false);
-        return (r, log);
-    }
-    let site = FaultSite::new(rcfg.device_ord, scope::PROBLEM, unit);
-    let budget = rcfg.attempt_budget();
-    let mut attempt = 0u32;
-    loop {
-        let scalar = attempt >= rcfg.max_problem_retries;
-        shared.clear();
-        let r = attempt_once(t, q, scoring, warp_cfg, backend, bvcfg, shared, tbm, scalar);
-        if !rcfg.plan.fires(FaultKind::BitFlip, site, attempt) {
-            log.fell_back = scalar;
-            return (r, log);
-        }
-        // ECC flagged a flipped score cell: discard the attempt, charge
-        // its serial time plus backoff, and climb the ladder.
-        log.flips += 1;
-        log.wasted_s += r.task.cycles / clock_hz;
-        log.backoff_s += rcfg.watchdog.backoff_s(attempt);
-        attempt += 1;
-        if attempt >= budget {
-            // Skip with record: the run keeps going without this seed
-            // (its index lands in `ResilienceReport::skipped_seeds`);
-            // the last attempt's result still feeds binning and timing.
-            log.skipped = true;
-            return (r, log);
-        }
-        log.retries += 1;
-    }
-}
-
-/// [`run_fastz`] under a [`ResilienceConfig`]: the same pipeline with
-/// fault injection probes, the bit-flip retry/degradation ladder,
-/// watchdog-priced kernel recovery, and batch-level checkpoint/resume.
-pub fn run_fastz_resilient(
-    target: &Sequence,
-    query: &Sequence,
-    anchors: &[Anchor],
-    seed_span: usize,
-    cfg: &FastZConfig,
-    rcfg: &ResilienceConfig,
-) -> FastZReport {
-    run_fastz_observed(target, query, anchors, seed_span, cfg, rcfg, &mut NoObs)
-}
-
-/// [`run_fastz_resilient`] with a [`MetricsSink`] threaded through the
-/// pipeline: semantic counters, per-problem histograms, timing gauges,
-/// and a phase-scoped span timeline land in `sink`.
+/// [`run_fastz`] under a [`ResilienceConfig`] — fault injection probes,
+/// the bit-flip retry/degradation ladder, watchdog-priced kernel
+/// recovery, and batch-level checkpoint/resume — with a [`MetricsSink`]
+/// threaded through the pipeline: semantic counters, per-problem
+/// histograms, timing gauges, and a phase-scoped span timeline land in
+/// `sink`. Pass [`NoObs`] for a resilient run nobody observes.
 ///
 /// With [`NoObs`] the sink calls monomorphize to nothing and the span
 /// layout work is skipped entirely (`S::ENABLED` gate), so the
@@ -551,6 +442,10 @@ pub fn run_fastz_observed<S: MetricsSink>(
 /// alignments, bin counts, and the modeled GPU time's exact bits — is
 /// identical whether its problems ran on a private pool or interleaved
 /// with other requests' phases on a shared one.
+///
+/// The body is a driver over the phases of [`Run`]: inspect, partition
+/// (eager traceback and length binning), execute, splice, account, and —
+/// for observed runs — emit.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fastz_in_pool<S: MetricsSink>(
     target: &Sequence,
@@ -563,63 +458,73 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
     pool: &HostPool<'_>,
 ) -> FastZReport {
     let wall_start = Instant::now();
-    let flags = cfg.flags;
-    let strip_width = cfg.strip_width.clamp(1, WARP_SIZE);
-    let n_problems = anchors.len() * 2;
-    let clock_hz = cfg.device.clock_ghz * 1e9;
-
-    // ---- Checkpoint: load and validate against the workload --------------
-    // The semantic config word ([`config_identity`]) rides in the
-    // workload fingerprint: a checkpoint written at another strip
-    // width, extension algorithm, extension cap, or bitvector geometry
-    // holds another engine's work and must not be restored here.
-    // The seed-index identity folds in last: anchors produced by a
-    // persisted index version A must not resume a checkpoint written
-    // under version B (combine with 0 is the identity, so in-memory
-    // workloads keep their historical fingerprints).
-    let fingerprint = combine_fingerprint(
-        workload_fingerprint(
-            target,
-            query,
-            anchors,
-            seed_span,
-            &cfg.scoring,
-            config_identity(cfg, strip_width),
-        ),
-        cfg.index_fingerprint,
-    );
-    let mut ckpt = Checkpoint::new(fingerprint);
-    let mut res = ResilienceReport::default();
-    if let Some(path) = &rcfg.checkpoint {
-        match Checkpoint::load(path) {
-            Ok(Some(prev)) if prev.fingerprint == fingerprint => {
-                res.resumed = prev.inspector_done;
-                ckpt = prev;
-            }
-            Ok(Some(prev)) => {
-                // A foreign or stale checkpoint (different inputs/flags)
-                // is not trusted; record why and start from scratch.
-                res.checkpoints_rejected.push(format!(
-                    "{}: fingerprint {:016x} does not match workload {:016x}",
-                    path.display(),
-                    prev.fingerprint,
-                    fingerprint
-                ));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                // Torn/corrupt file (or an IO failure): reported, not
-                // silently ignored — the run proceeds from scratch and
-                // the next save atomically replaces the bad file.
-                res.checkpoints_rejected.push(e);
-            }
-        }
+    let run = Run::new(target, query, anchors, seed_span, cfg, rcfg);
+    let mut ledger = run.load_checkpoint();
+    let inspector = run.inspect(pool, &mut ledger, sink);
+    let bins = run.partition(&inspector, &mut ledger, sink);
+    let executed = run.execute(pool, &mut ledger, sink, &inspector, &bins);
+    let alignments = run.splice(&inspector, &executed.results, &ledger.skipped);
+    // Both phases have completed (`pool.run` blocks until workers drain
+    // their arenas), so the merged sanitizer report is final here.
+    let sanitize = pool.sanitize_report();
+    let (mut report, timing) = run.account(&inspector, executed, ledger, alignments, sanitize);
+    if S::ENABLED {
+        run.emit(sink, pool, &report, &inspector, &timing);
     }
-    let mut skipped: BTreeSet<usize> = BTreeSet::new();
-    let absorb = |res: &mut ResilienceReport,
-                  skipped: &mut BTreeSet<usize>,
-                  idx: usize,
-                  log: &ProblemLog| {
+    report.host_wall = wall_start.elapsed();
+    report
+}
+
+/// One pipeline run: its inputs and the values every phase derives from
+/// them. The phases are methods, called in order by [`run_fastz_in_pool`].
+struct Run<'a> {
+    target: &'a Sequence,
+    query: &'a Sequence,
+    anchors: &'a [Anchor],
+    seed_span: usize,
+    cfg: &'a FastZConfig,
+    rcfg: &'a ResilienceConfig,
+    /// `cfg.strip_width` clamped to `1..=WARP_SIZE`.
+    strip_width: usize,
+    /// Modeled device clock in Hz.
+    clock_hz: f64,
+    /// One-sided extension problems: two per anchor, left side first.
+    n_problems: usize,
+    /// Engine configuration of every inspector problem.
+    insp_cfg: WarpConfig,
+}
+
+/// What a run accumulates across its phases.
+struct Ledger {
+    ckpt: Checkpoint,
+    res: ResilienceReport,
+    stats: FastZStats,
+    bin_counts: BinCounts,
+    /// Seeds with a side that exhausted the retry/fallback budget.
+    skipped: BTreeSet<usize>,
+}
+
+/// A batch of problems that checkpoints as one unit.
+#[derive(Clone, Copy)]
+enum Stage {
+    Inspector,
+    /// One executor length bin, by slot.
+    Bin(usize),
+}
+
+/// What the execute phase produces.
+struct Executed {
+    /// Executor result per problem (`None`: resolved in the inspector).
+    results: Vec<Option<SideResult>>,
+    kernels: Vec<KernelSpec>,
+    /// Bin slot of each kernel, parallel to `kernels`.
+    slots: Vec<usize>,
+}
+
+impl Ledger {
+    /// Folds one problem's fault-ladder outcome into the report.
+    fn absorb(&mut self, idx: usize, log: &ProblemLog) {
+        let res = &mut self.res;
         res.injected.bit_flips += log.flips;
         res.detected.bit_flips += log.flips;
         res.retries += log.retries;
@@ -629,368 +534,592 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
             res.fallbacks += 1;
         }
         if log.skipped {
-            skipped.insert(idx / 2);
+            self.skipped.insert(idx / 2);
         }
-    };
+    }
 
-    // ---- Inspector phase -------------------------------------------------
-    let insp_cfg = WarpConfig::inspector(&flags)
-        .with_strip_width(strip_width)
-        .with_backend(cfg.backend);
-    let restored_inspector =
-        ckpt.inspector_done && (0..n_problems).all(|i| ckpt.inspector.contains_key(&i));
-    let inspector_results: Vec<SideResult> = if restored_inspector {
-        res.restored_problems += n_problems as u64;
-        (0..n_problems)
-            .map(|i| ckpt.inspector[&i].clone())
-            .collect()
-    } else {
-        let outcomes = pool.run(n_problems, |idx, arena| {
-            arena.shared.sanitize_context("inspector", idx as u64);
-            let anchor = anchors[idx / 2];
-            let left = idx % 2 == 0;
-            let (t, q) = side_slices(
-                target,
-                query,
-                anchor,
-                seed_span,
-                left,
-                cfg.max_extension,
-                &mut arena.rev,
-            );
-            extend_resilient(
-                t,
-                q,
+    /// The checkpointed results of `idxs`, when `stage` completed and
+    /// every one of them was persisted; anything less re-runs.
+    fn restore(&mut self, stage: Stage, idxs: &[usize]) -> Option<Vec<SideResult>> {
+        let (done, saved) = match stage {
+            Stage::Inspector => (self.ckpt.inspector_done, &self.ckpt.inspector),
+            Stage::Bin(slot) => (self.ckpt.bins_done.contains(&slot), &self.ckpt.executor),
+        };
+        if !done || !idxs.iter().all(|idx| saved.contains_key(idx)) {
+            return None;
+        }
+        self.res.restored_problems += idxs.len() as u64;
+        Some(idxs.iter().map(|idx| saved[idx].clone()).collect())
+    }
+
+    /// Records `stage` as complete with `results` and saves the
+    /// checkpoint to `path`.
+    fn persist(&mut self, stage: Stage, idxs: &[usize], results: &[SideResult], path: &Path) {
+        let saved = match stage {
+            Stage::Inspector => {
+                self.ckpt.inspector_done = true;
+                &mut self.ckpt.inspector
+            }
+            Stage::Bin(slot) => {
+                self.ckpt.bins_done.insert(slot);
+                &mut self.ckpt.executor
+            }
+        };
+        saved.extend(idxs.iter().copied().zip(results.iter().cloned()));
+        // Best-effort persistence: a failed write degrades resume,
+        // never the run itself.
+        if self.ckpt.save(path).is_ok() {
+            self.res.checkpoints_written += 1;
+        }
+    }
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        target: &'a Sequence,
+        query: &'a Sequence,
+        anchors: &'a [Anchor],
+        seed_span: usize,
+        cfg: &'a FastZConfig,
+        rcfg: &'a ResilienceConfig,
+    ) -> Run<'a> {
+        let strip_width = cfg.strip_width.clamp(1, WARP_SIZE);
+        Run {
+            target,
+            query,
+            anchors,
+            seed_span,
+            cfg,
+            rcfg,
+            strip_width,
+            clock_hz: cfg.device.clock_ghz * 1e9,
+            n_problems: anchors.len() * 2,
+            insp_cfg: WarpConfig::inspector(&cfg.flags)
+                .with_strip_width(strip_width)
+                .with_backend(cfg.backend),
+        }
+    }
+
+    /// Loads the checkpoint (if one is configured) and validates it
+    /// against this workload.
+    fn load_checkpoint(&self) -> Ledger {
+        let (cfg, rcfg) = (self.cfg, self.rcfg);
+        // The semantic config word ([`config_identity`]) rides in the
+        // workload fingerprint: a checkpoint written at another strip
+        // width, extension algorithm, extension cap, or bitvector geometry
+        // holds another engine's work and must not be restored here.
+        // The seed-index identity folds in last: anchors produced by a
+        // persisted index version A must not resume a checkpoint written
+        // under version B (combine with 0 is the identity, so in-memory
+        // workloads keep their historical fingerprints).
+        let fingerprint = combine_fingerprint(
+            workload_fingerprint(
+                self.target,
+                self.query,
+                self.anchors,
+                self.seed_span,
                 &cfg.scoring,
-                &insp_cfg,
-                cfg.extend_backend,
-                &cfg.bitvec,
-                &mut arena.shared,
-                &mut arena.scratch,
-                rcfg,
-                idx as u64,
-                clock_hz,
-            )
-        });
-        let mut results = Vec::with_capacity(n_problems);
-        for (idx, (r, log)) in outcomes.into_iter().enumerate() {
-            absorb(&mut res, &mut skipped, idx, &log);
-            results.push(r);
+                config_identity(cfg, self.strip_width),
+            ),
+            cfg.index_fingerprint,
+        );
+        let mut ledger = Ledger {
+            ckpt: Checkpoint::new(fingerprint),
+            res: ResilienceReport::default(),
+            stats: FastZStats {
+                seeds: self.anchors.len(),
+                problems: self.n_problems,
+                ..FastZStats::default()
+            },
+            bin_counts: BinCounts::default(),
+            skipped: BTreeSet::new(),
+        };
+        if let Some(path) = &rcfg.checkpoint {
+            match Checkpoint::load(path) {
+                Ok(Some(prev)) if prev.fingerprint == fingerprint => {
+                    ledger.res.resumed = prev.inspector_done;
+                    ledger.ckpt = prev;
+                }
+                Ok(Some(prev)) => {
+                    // A foreign or stale checkpoint (different inputs/flags)
+                    // is not trusted; record why and start from scratch.
+                    ledger.res.checkpoints_rejected.push(format!(
+                        "{}: fingerprint {:016x} does not match workload {:016x}",
+                        path.display(),
+                        prev.fingerprint,
+                        fingerprint
+                    ));
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    // Torn/corrupt file (or an IO failure): reported, not
+                    // silently ignored — the run proceeds from scratch and
+                    // the next save atomically replaces the bad file.
+                    ledger.res.checkpoints_rejected.push(e);
+                }
+            }
+        }
+        ledger
+    }
+
+    /// The (target, query) slices of problem `idx`: even indices extend
+    /// left of their anchor (prefixes reversed into `rev`), odd ones right.
+    fn side<'s>(&'s self, idx: usize, rev: &'s mut (Vec<u8>, Vec<u8>)) -> (&'s [u8], &'s [u8]) {
+        let (rev_t, rev_q) = rev;
+        let tc = self.target.codes();
+        let qc = self.query.codes();
+        let anchor = self.anchors[idx / 2];
+        let t0 = anchor.target_pos as usize;
+        let q0 = anchor.query_pos as usize;
+        let reach = self.cfg.max_extension;
+        if idx.is_multiple_of(2) {
+            let ts = t0.saturating_sub(reach);
+            let qs = q0.saturating_sub(reach);
+            rev_t.clear();
+            rev_q.clear();
+            rev_t.extend(tc[ts..t0].iter().rev());
+            rev_q.extend(qc[qs..q0].iter().rev());
+            (rev_t.as_slice(), rev_q.as_slice())
+        } else {
+            let span = self.seed_span;
+            let te = tc.len().min(t0 + span + reach);
+            let qe = qc.len().min(q0 + span + reach);
+            (&tc[t0 + span..te], &qc[q0 + span..qe])
+        }
+    }
+
+    /// One extension problem under the resilience ladder.
+    ///
+    /// Attempts `0..max_problem_retries` run the configured warp engine;
+    /// a bit flip detected on each of those degrades the problem to the
+    /// scalar y-drop path — the same engine at strip width 1 (one lane,
+    /// one cell per step), whose results are identical by the strip-width
+    /// invariance property — for `max_fallback_retries` more attempts.
+    /// Exhausting the whole budget skips the problem with record. Each
+    /// discarded attempt charges its task's serial time plus an exponential
+    /// backoff into the modeled overhead; the clean attempt's result and
+    /// counters are the ones kept.
+    fn extend(
+        &self,
+        t: &[u8],
+        q: &[u8],
+        warp_cfg: &WarpConfig,
+        shared: &mut SharedMem,
+        tbm: &mut Vec<u8>,
+        unit: u64,
+    ) -> (SideResult, ProblemLog) {
+        let (cfg, rcfg) = (self.cfg, self.rcfg);
+        // One clean attempt of the configured algorithm. The bitvector
+        // engine has no strip-width ladder — its deterministic re-run *is*
+        // the degraded rung — so `scalar` only reshapes the y-drop path.
+        let attempt =
+            |shared: &mut SharedMem, tbm: &mut Vec<u8>, scalar: bool| match cfg.extend_backend {
+                ExtendBackend::YDrop => {
+                    let engine_cfg = if scalar {
+                        warp_cfg.with_strip_width(1)
+                    } else {
+                        *warp_cfg
+                    };
+                    let e = warp_extend_in(t, q, &cfg.scoring, &engine_cfg, shared, tbm);
+                    side_result(
+                        (e.best_score, e.best_i, e.best_j),
+                        (e.explored_rows, e.explored_cols),
+                        e.ops.or(e.eager_ops),
+                        e.counters,
+                        BitvecStats::default(),
+                    )
+                }
+                // The bitvector engine always emits a complete edit script.
+                ExtendBackend::Bitvector => {
+                    let e = bitvec_extend_in(t, q, &cfg.bitvec, shared);
+                    side_result(
+                        (e.best_score, e.best_i, e.best_j),
+                        (e.explored_rows, e.explored_cols),
+                        Some(e.ops),
+                        e.counters,
+                        e.stats,
+                    )
+                }
+            };
+        let mut log = ProblemLog::default();
+        if rcfg.plan.is_none() {
+            return (attempt(shared, tbm, false), log);
+        }
+        let site = FaultSite::new(rcfg.device_ord, scope::PROBLEM, unit);
+        let budget = rcfg.attempt_budget();
+        let mut attempt_no = 0u32;
+        loop {
+            let scalar = attempt_no >= rcfg.max_problem_retries;
+            shared.clear();
+            let r = attempt(shared, tbm, scalar);
+            if !rcfg.plan.fires(FaultKind::BitFlip, site, attempt_no) {
+                log.fell_back = scalar;
+                return (r, log);
+            }
+            // ECC flagged a flipped score cell: discard the attempt, charge
+            // its serial time plus backoff, and climb the ladder.
+            log.flips += 1;
+            log.wasted_s += r.task.cycles / self.clock_hz;
+            log.backoff_s += rcfg.watchdog.backoff_s(attempt_no);
+            attempt_no += 1;
+            if attempt_no >= budget {
+                // Skip with record: the run keeps going without this seed
+                // (its index lands in `ResilienceReport::skipped_seeds`);
+                // the last attempt's result still feeds binning and timing.
+                log.skipped = true;
+                return (r, log);
+            }
+            log.retries += 1;
+        }
+    }
+
+    /// Runs one checkpoint unit — the inspector phase or one executor
+    /// bin. It is restored from the checkpoint when that holds all of it;
+    /// otherwise `solve` runs each problem on `pool` and the results are
+    /// checkpointed. Either way every result's work lands in the stage's
+    /// counters and task-cycle histogram.
+    fn restore_or_solve<S: MetricsSink>(
+        &self,
+        pool: &HostPool<'_>,
+        ledger: &mut Ledger,
+        sink: &mut S,
+        stage: Stage,
+        idxs: &[usize],
+        solve: impl Fn(usize, &mut Arena) -> (SideResult, ProblemLog) + Sync,
+    ) -> Vec<SideResult> {
+        let results = match ledger.restore(stage, idxs) {
+            Some(restored) => restored,
+            None => {
+                let outcomes = pool.run(idxs.len(), |k, arena| solve(idxs[k], arena));
+                let results: Vec<SideResult> = idxs
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(&idx, (r, log))| {
+                        ledger.absorb(idx, &log);
+                        r
+                    })
+                    .collect();
+                if let Some(path) = &self.rcfg.checkpoint {
+                    ledger.persist(stage, idxs, &results, path);
+                }
+                results
+            }
+        };
+        let stats = &mut ledger.stats;
+        let (counters, hist) = match stage {
+            Stage::Inspector => (&mut stats.inspector, names::TASK_CYCLES_INSPECTOR_HIST),
+            Stage::Bin(_) => (&mut stats.executor, names::TASK_CYCLES_EXECUTOR_HIST),
+        };
+        for r in &results {
+            counters.add_task(&r.counters);
+            stats.bitvec.merge(&r.bitvec);
+            sink.observe(hist, &names::TASK_CYCLES_BUCKETS, r.task.cycles);
         }
         results
-    };
-    if let Some(path) = &rcfg.checkpoint {
-        if !restored_inspector {
-            for (i, r) in inspector_results.iter().enumerate() {
-                ckpt.inspector.insert(i, r.clone());
-            }
-            ckpt.inspector_done = true;
-            // Best-effort persistence: a failed write degrades resume,
-            // never the run itself.
-            if ckpt.save(path).is_ok() {
-                res.checkpoints_written += 1;
-            }
+    }
+
+    /// Inspect phase: the lightweight inspector runs every problem, with
+    /// eager traceback when enabled.
+    fn inspect<S: MetricsSink>(
+        &self,
+        pool: &HostPool<'_>,
+        ledger: &mut Ledger,
+        sink: &mut S,
+    ) -> Vec<SideResult> {
+        let idxs: Vec<usize> = (0..self.n_problems).collect();
+        self.restore_or_solve(pool, ledger, sink, Stage::Inspector, &idxs, |idx, arena| {
+            arena.shared.sanitize_context("inspector", idx as u64);
+            let (t, q) = self.side(idx, &mut arena.rev);
+            let (shared, scratch) = (&mut arena.shared, &mut arena.scratch);
+            self.extend(t, q, &self.insp_cfg, shared, scratch, idx as u64)
+        })
+    }
+
+    /// Whether a side finished in the inspector: eager traceback produced
+    /// its edit script (y-drop, with the flag on and a ≤16×16 optimum),
+    /// or the bitvector engine did, which tracebacks every problem in
+    /// place whatever the flag. The partition and the `eager_traceback`
+    /// span both count sides by this predicate.
+    fn resolved_in_inspector(&self, r: &SideResult) -> bool {
+        r.eager_ops.is_some()
+            && (self.cfg.flags.eager_traceback
+                || self.cfg.extend_backend == ExtendBackend::Bitvector)
+    }
+
+    /// Partition phase: Table 2 classifies each seed by its optimal
+    /// extent; problems not resolved in the inspector go to the
+    /// executor's length bins (§3.3), in problem order within a bin.
+    fn partition<S: MetricsSink>(
+        &self,
+        inspector: &[SideResult],
+        ledger: &mut Ledger,
+        sink: &mut S,
+    ) -> Vec<Vec<usize>> {
+        for pair in inspector.chunks(2) {
+            let extent = pair.iter().map(|r| r.extent()).max().unwrap_or(0);
+            ledger.bin_counts.record(classify(extent));
+            sink.observe(
+                names::SEED_EXTENT_HIST,
+                &names::SEED_EXTENT_BUCKETS,
+                extent as f64,
+            );
         }
+        let stats = &mut ledger.stats;
+        let mut bins: Vec<Vec<usize>> = vec![Vec::new(); BIN_BOUNDS.len() + 2];
+        for (idx, r) in inspector.iter().enumerate() {
+            if self.resolved_in_inspector(r) {
+                stats.eager_resolved += 1;
+                continue;
+            }
+            let slot = match classify(r.extent()) {
+                BinClass::Eager => 0, // eager-sized but flag off → smallest bin
+                BinClass::Bin(b) => b + 1,
+                BinClass::Overflow => BIN_BOUNDS.len() + 1,
+            };
+            bins[slot].push(idx);
+        }
+        stats.executor_problems = self.n_problems - stats.eager_resolved;
+        bins
     }
 
-    let mut stats = FastZStats {
-        seeds: anchors.len(),
-        problems: n_problems,
-        ..FastZStats::default()
-    };
-    for r in &inspector_results {
-        stats.inspector.add_task(&r.counters);
-        stats.bitvec.merge(&r.bitvec);
-        sink.observe(
-            names::TASK_CYCLES_INSPECTOR_HIST,
-            &names::TASK_CYCLES_BUCKETS,
-            r.task.cycles,
-        );
-    }
-
-    // ---- Table 2 classification (per seed, by optimal extent) -----------
-    let mut bin_counts = BinCounts::default();
-    for pair in inspector_results.chunks(2) {
-        let extent = pair.iter().map(|r| r.extent()).max().unwrap_or(0);
-        bin_counts.record(classify(extent));
-        sink.observe(
-            names::SEED_EXTENT_HIST,
-            &names::SEED_EXTENT_BUCKETS,
-            extent as f64,
-        );
-    }
-
-    // ---- Partition: eager-resolved vs executor problems ------------------
-    // A side is resolved in the inspector iff eager traceback produced its
-    // edit script (requires the flag and a ≤16×16 optimum). The bitvector
-    // engine tracebacks every problem in place, so under it a side is
-    // resolved whenever a script exists — always, in practice — and the
-    // executor phase runs empty regardless of the eager flag.
-    let mut executor_idx: Vec<usize> = Vec::new();
-    for (idx, r) in inspector_results.iter().enumerate() {
-        let resolved = match cfg.extend_backend {
-            ExtendBackend::YDrop => flags.eager_traceback && r.eager_ops.is_some(),
-            ExtendBackend::Bitvector => r.eager_ops.is_some(),
+    /// Execute phase: each non-empty bin re-runs its problems with full
+    /// traceback, trimmed to the optimum the inspector found, and becomes
+    /// one kernel split into launch batches like the inspector's.
+    fn execute<S: MetricsSink>(
+        &self,
+        pool: &HostPool<'_>,
+        ledger: &mut Ledger,
+        sink: &mut S,
+        inspector: &[SideResult],
+        bins: &[Vec<usize>],
+    ) -> Executed {
+        let flags = self.cfg.flags;
+        let mut executed = Executed {
+            results: vec![None; self.n_problems],
+            kernels: Vec::new(),
+            slots: Vec::new(),
         };
-        if resolved {
-            stats.eager_resolved += 1;
-        } else {
-            executor_idx.push(idx);
-        }
-    }
-    stats.executor_problems = executor_idx.len();
-
-    // Group executor problems by length bin (§3.3), preserving order
-    // within a bin.
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); BIN_BOUNDS.len() + 2];
-    for &idx in &executor_idx {
-        let r = &inspector_results[idx];
-        let class = classify(r.extent());
-        let slot = match class {
-            BinClass::Eager => 0, // eager-sized but flag off → smallest bin
-            BinClass::Bin(b) => b + 1,
-            BinClass::Overflow => BIN_BOUNDS.len() + 1,
-        };
-        bins[slot].push(idx);
-    }
-
-    // ---- Executor phase ---------------------------------------------------
-    let mut executor_results: Vec<Option<SideResult>> = vec![None; n_problems];
-    let mut executor_kernels: Vec<KernelSpec> = Vec::new();
-    // Bin slot of each executor kernel, parallel to `executor_kernels` —
-    // lets the emit block below attribute per-bin span durations.
-    let mut executor_kernel_slots: Vec<usize> = Vec::new();
-    for (slot, bin) in bins.iter().enumerate() {
-        if bin.is_empty() {
-            continue;
-        }
-        // Checkpoint granularity is the executor bin: a bin whose every
-        // problem was persisted restores wholesale; anything less re-runs.
-        let restored_bin =
-            ckpt.bins_done.contains(&slot) && bin.iter().all(|idx| ckpt.executor.contains_key(idx));
-        let mut tasks = Vec::with_capacity(bin.len());
-        if restored_bin {
-            res.restored_problems += bin.len() as u64;
-            for &idx in bin {
-                let r = ckpt.executor[&idx].clone();
-                stats.executor.add_task(&r.counters);
-                stats.bitvec.merge(&r.bitvec);
-                sink.observe(
-                    names::TASK_CYCLES_EXECUTOR_HIST,
-                    &names::TASK_CYCLES_BUCKETS,
-                    r.task.cycles,
-                );
-                tasks.push(r.task);
-                executor_results[idx] = Some(r);
-            }
-        } else {
-            let results = pool.run(bin.len(), |k, arena| {
-                let idx = bin[k];
-                arena.shared.sanitize_context("executor", idx as u64);
-                let anchor = anchors[idx / 2];
-                let left = idx % 2 == 0;
-                let insp = &inspector_results[idx];
-                let (t, q) = side_slices(
-                    target,
-                    query,
-                    anchor,
-                    seed_span,
-                    left,
-                    cfg.max_extension,
-                    &mut arena.rev,
-                );
-                let mut exec_cfg = WarpConfig::executor(&flags, insp.best_i, insp.best_j)
-                    .with_strip_width(strip_width)
-                    .with_backend(cfg.backend);
-                if !flags.executor_trimming {
-                    // Untrimmed executor recomputes the whole search space the
-                    // inspector explored, with traceback everywhere (Fig 9
-                    // base configuration).
-                    exec_cfg.max_rows = insp.explored_rows;
-                    exec_cfg.max_cols = insp.explored_cols;
-                }
-                // The bin's arena traceback buffer, leased by slot: the
-                // engine zero-resizes it to the trimmed cell count, so the
-                // first problem of a class allocates and the rest reuse.
-                let rows = q.len().min(exec_cfg.max_rows);
-                let cols = t.len().min(exec_cfg.max_cols);
-                let tbm = arena.tb.lease(slot, rows.saturating_mul(cols));
-                // Executor problem sites live in the upper unit half-space
-                // so their fault schedule is independent of the inspector's.
-                extend_resilient(
-                    t,
-                    q,
-                    &cfg.scoring,
-                    &exec_cfg,
-                    cfg.extend_backend,
-                    &cfg.bitvec,
-                    &mut arena.shared,
-                    tbm,
-                    rcfg,
-                    (1u64 << 32) | idx as u64,
-                    clock_hz,
-                )
-            });
-            for (k, (r, log)) in results.into_iter().enumerate() {
-                absorb(&mut res, &mut skipped, bin[k], &log);
-                stats.executor.add_task(&r.counters);
-                stats.bitvec.merge(&r.bitvec);
-                sink.observe(
-                    names::TASK_CYCLES_EXECUTOR_HIST,
-                    &names::TASK_CYCLES_BUCKETS,
-                    r.task.cycles,
-                );
-                tasks.push(r.task);
-                executor_results[bin[k]] = Some(r);
-            }
-            if let Some(path) = &rcfg.checkpoint {
-                for &idx in bin {
-                    if let Some(r) = &executor_results[idx] {
-                        ckpt.executor.insert(idx, r.clone());
+        for (slot, bin) in bins.iter().enumerate().filter(|(_, bin)| !bin.is_empty()) {
+            let results =
+                self.restore_or_solve(pool, ledger, sink, Stage::Bin(slot), bin, |idx, arena| {
+                    arena.shared.sanitize_context("executor", idx as u64);
+                    let insp = &inspector[idx];
+                    let (t, q) = self.side(idx, &mut arena.rev);
+                    let mut exec_cfg = WarpConfig::executor(&flags, insp.best_i, insp.best_j)
+                        .with_strip_width(self.strip_width)
+                        .with_backend(self.cfg.backend);
+                    if !flags.executor_trimming {
+                        // Untrimmed executor recomputes the whole search space the
+                        // inspector explored, with traceback everywhere (Fig 9
+                        // base configuration).
+                        exec_cfg.max_rows = insp.explored_rows;
+                        exec_cfg.max_cols = insp.explored_cols;
                     }
-                }
-                ckpt.bins_done.insert(slot);
-                if ckpt.save(path).is_ok() {
-                    res.checkpoints_written += 1;
-                }
+                    // The bin's arena traceback buffer, leased by slot: the
+                    // engine zero-resizes it to the trimmed cell count, so the
+                    // first problem of a class allocates and the rest reuse.
+                    let rows = q.len().min(exec_cfg.max_rows);
+                    let cols = t.len().min(exec_cfg.max_cols);
+                    let tbm = arena.tb.lease(slot, rows.saturating_mul(cols));
+                    // Executor problem sites live in the upper unit half-space
+                    // so their fault schedule is independent of the inspector's.
+                    let unit = (1u64 << 32) | idx as u64;
+                    self.extend(t, q, &exec_cfg, &mut arena.shared, tbm, unit)
+                });
+            let tasks: Vec<WarpTask> = results.iter().map(|r| r.task).collect();
+            for (&idx, r) in bin.iter().zip(results) {
+                executed.results[idx] = Some(r);
+            }
+            for (b, chunk) in tasks.chunks(self.cfg.inspector_batch).enumerate() {
+                executed.kernels.push(KernelSpec::new(
+                    format!("executor-bin{slot}-{b}"),
+                    chunk.to_vec(),
+                    BlockResources::fastz_executor(),
+                ));
+                executed.slots.push(slot);
             }
         }
-        // One kernel per bin (split into batches like the inspector).
-        for (b, chunk) in tasks.chunks(cfg.inspector_batch).enumerate() {
-            executor_kernels.push(KernelSpec::new(
-                format!("executor-bin{slot}-{b}"),
-                chunk.to_vec(),
-                BlockResources::fastz_executor(),
-            ));
-            executor_kernel_slots.push(slot);
-        }
+        executed
     }
 
-    // ---- Splice halves into alignments -----------------------------------
-    let mut alignments: Vec<Alignment> = Vec::new();
-    for (a_idx, anchor) in anchors.iter().enumerate() {
-        // A seed whose side exhausted the whole retry/fallback budget is
-        // skipped with record rather than spliced from a suspect result.
-        if skipped.contains(&a_idx) {
-            continue;
-        }
+    /// Splice phase: joins each seed's two sides around it into one
+    /// alignment and keeps those that reach the gapped threshold.
+    fn splice(
+        &self,
+        inspector: &[SideResult],
+        executor: &[Option<SideResult>],
+        skipped: &BTreeSet<usize>,
+    ) -> Vec<Alignment> {
+        let tc = self.target.codes();
+        let qc = self.query.codes();
+        let span = self.seed_span;
         // A side's final ops come from eager traceback (inspector) when it
         // resolved there, otherwise from the executor's full traceback
         // (both are stored in `SideResult::eager_ops` by `side_result`).
-        let side = |idx: usize| -> SideOps {
-            let r = match &executor_results[idx] {
-                Some(exec) => exec,
-                None => &inspector_results[idx],
-            };
-            SideOps {
-                score: r.score,
-                best_i: r.best_i,
-                best_j: r.best_j,
-                ops: r
-                    .eager_ops
-                    .clone()
-                    .expect("unresolved side has no edit script"),
+        let side = |idx: usize| {
+            let r = executor[idx].as_ref().unwrap_or(&inspector[idx]);
+            let ops = r.eager_ops.as_deref();
+            (r, ops.expect("unresolved side has no edit script"))
+        };
+        let mut alignments: Vec<Alignment> = Vec::new();
+        for (a_idx, anchor) in self.anchors.iter().enumerate() {
+            // A seed whose side exhausted the whole retry/fallback budget is
+            // skipped with record rather than spliced from a suspect result.
+            if skipped.contains(&a_idx) {
+                continue;
             }
-        };
-        let left = side(a_idx * 2);
-        let right = side(a_idx * 2 + 1);
-
-        let tc = target.codes();
-        let qc = query.codes();
-        let t0 = anchor.target_pos as usize;
-        let q0 = anchor.query_pos as usize;
-        // The seed must be scored in the same regime as the sides it
-        // joins: substitution-matrix scores under y-drop, the unit
-        // identity (match +2, mismatch −1: `(i+j) − 3·ed` over one
-        // aligned pair) under the bitvector engine.
-        let mut seed_score = 0i32;
-        for k in 0..seed_span {
-            seed_score += match cfg.extend_backend {
-                ExtendBackend::YDrop => cfg.scoring.subst.score(tc[t0 + k], qc[q0 + k]),
-                ExtendBackend::Bitvector => {
-                    if tc[t0 + k] == qc[q0 + k] {
-                        2
-                    } else {
-                        -1
+            let (left, left_ops) = side(a_idx * 2);
+            let (right, right_ops) = side(a_idx * 2 + 1);
+            let t0 = anchor.target_pos as usize;
+            let q0 = anchor.query_pos as usize;
+            // The seed must be scored in the same regime as the sides it
+            // joins: substitution-matrix scores under y-drop, the unit
+            // identity (match +2, mismatch −1: `(i+j) − 3·ed` over one
+            // aligned pair) under the bitvector engine.
+            let seed_score: i32 = (0..span)
+                .map(|k| {
+                    let (tb, qb) = (tc[t0 + k], qc[q0 + k]);
+                    match self.cfg.extend_backend {
+                        ExtendBackend::YDrop => self.cfg.scoring.subst.score(tb, qb),
+                        ExtendBackend::Bitvector if tb == qb => 2,
+                        ExtendBackend::Bitvector => -1,
                     }
-                }
+                })
+                .sum();
+
+            let mut ops: Vec<EditOp> = Vec::new();
+            for &op in left_ops.iter().rev() {
+                push_op(&mut ops, op);
+            }
+            push_op(&mut ops, EditOp::Diag(span as u32));
+            for &op in right_ops {
+                push_op(&mut ops, op);
+            }
+
+            let alignment = Alignment {
+                target_start: t0 - left.best_j,
+                target_end: t0 + span + right.best_j,
+                query_start: q0 - left.best_i,
+                query_end: q0 + span + right.best_i,
+                score: left.score + seed_score + right.score,
+                ops,
             };
+            if alignment.score >= self.cfg.scoring.gapped_threshold {
+                alignments.push(alignment);
+            }
         }
-
-        let mut ops: Vec<EditOp> = Vec::new();
-        for &op in left.ops.iter().rev() {
-            push_op(&mut ops, op);
-        }
-        push_op(&mut ops, EditOp::Diag(seed_span as u32));
-        for &op in &right.ops {
-            push_op(&mut ops, op);
-        }
-
-        let alignment = Alignment {
-            target_start: t0 - left.best_j,
-            target_end: t0 + seed_span + right.best_j,
-            query_start: q0 - left.best_i,
-            query_end: q0 + seed_span + right.best_i,
-            score: left.score + seed_score + right.score,
-            ops,
-        };
-        if alignment.score >= cfg.scoring.gapped_threshold {
-            alignments.push(alignment);
-        }
+        fastz_align::dedupe_alignments(alignments)
     }
-    let alignments = fastz_align::dedupe_alignments(alignments);
 
-    // ---- Timing assembly ---------------------------------------------------
-    let inspector_kernels: Vec<KernelSpec> = inspector_results
-        .chunks(cfg.inspector_batch)
-        .enumerate()
-        .map(|(b, chunk)| {
-            KernelSpec::new(
-                format!("inspector-{b}"),
-                chunk.iter().map(|r| r.task).collect(),
-                BlockResources::fastz_inspector(),
-            )
-        })
-        .collect();
+    /// Account phase: prices the measured work on the modeled device —
+    /// inspector kernel batches, memory-capped stream timing under
+    /// kernel-level faults, and the host-side "other" time — into the
+    /// Figure 8 timeline, and assembles the report. Also returns the
+    /// inspector and executor stream timing for the emit phase.
+    fn account(
+        &self,
+        inspector: &[SideResult],
+        executed: Executed,
+        mut ledger: Ledger,
+        alignments: Vec<Alignment>,
+        sanitize: Option<fastz_gpu_sim::SanitizeReport>,
+    ) -> (FastZReport, [PipelineTiming; 2]) {
+        let cfg = self.cfg;
+        let flags = cfg.flags;
+        let inspector_kernels: Vec<KernelSpec> = inspector
+            .chunks(cfg.inspector_batch)
+            .enumerate()
+            .map(|(b, chunk)| {
+                KernelSpec::new(
+                    format!("inspector-{b}"),
+                    chunk.iter().map(|r| r.task).collect(),
+                    BlockResources::fastz_inspector(),
+                )
+            })
+            .collect();
 
-    // Without cyclic register buffers, the inspector cannot elide its
-    // score matrices: each resident problem holds a worst-case banded
-    // allocation (reachable rows × max extension × 12 B), and device
-    // memory caps how many problems run concurrently (paper §3 — the
-    // footprint reduction "enables more parallelism").
-    let max_match = cfg.scoring.subst.max_score().max(1);
-    let banded_rows = 32
-        + ((cfg.scoring.ydrop + 32 * max_match).max(0) / cfg.scoring.gaps.extend.max(1)) as usize;
-    let inspector_alloc_bytes =
-        (!flags.cyclic_buffers).then(|| (banded_rows * cfg.max_extension * 12) as u64);
-    let executor_alloc_bytes = (!flags.executor_trimming).then(|| {
-        let per_cell = 1 + if flags.cyclic_buffers { 0 } else { 12 };
-        (banded_rows * cfg.max_extension * per_cell) as u64
-    });
-    let usable = cfg.device.mem_gib as u64 * (1 << 30) * 8 / 10;
-    let insp_cap = inspector_alloc_bytes.map(|b| (usable / b.max(1)) as usize);
-    let exec_cap = executor_alloc_bytes.map(|b| (usable / b.max(1)) as usize);
-    let insp_t = time_stream_pipeline_resilient(
-        &cfg.device,
-        &inspector_kernels,
-        flags.streams,
-        insp_cap,
-        &rcfg.plan,
-        rcfg.device_ord,
-        scope::INSPECTOR_KERNEL,
-        &rcfg.watchdog,
-    );
-    let exec_t = time_stream_pipeline_resilient(
-        &cfg.device,
-        &executor_kernels,
-        flags.streams,
-        exec_cap,
-        &rcfg.plan,
-        rcfg.device_ord,
-        scope::EXECUTOR_KERNEL,
-        &rcfg.watchdog,
-    );
-    for rt in [&insp_t, &exec_t] {
+        // Without cyclic register buffers, the inspector cannot elide its
+        // score matrices: each resident problem holds a worst-case banded
+        // allocation (reachable rows × max extension × 12 B), and device
+        // memory caps how many problems run concurrently (paper §3 — the
+        // footprint reduction "enables more parallelism").
+        let max_match = cfg.scoring.subst.max_score().max(1);
+        let banded_rows = 32
+            + ((cfg.scoring.ydrop + 32 * max_match).max(0) / cfg.scoring.gaps.extend.max(1))
+                as usize;
+        let inspector_alloc_bytes =
+            (!flags.cyclic_buffers).then(|| (banded_rows * cfg.max_extension * 12) as u64);
+        let executor_alloc_bytes = (!flags.executor_trimming).then(|| {
+            let per_cell = 1 + if flags.cyclic_buffers { 0 } else { 12 };
+            (banded_rows * cfg.max_extension * per_cell) as u64
+        });
+        let res = &mut ledger.res;
+        let insp = self.time_kernels(
+            &inspector_kernels,
+            inspector_alloc_bytes,
+            scope::INSPECTOR_KERNEL,
+            res,
+        );
+        let exec = self.time_kernels(
+            &executed.kernels,
+            executor_alloc_bytes,
+            scope::EXECUTOR_KERNEL,
+            res,
+        );
+        res.skipped_seeds = ledger.skipped.iter().copied().collect();
+        let other_s = host::FIXED_S
+            + (self.target.len() + self.query.len()) as f64 / host::PCIE_BW
+            + self.anchors.len() as f64 * host::PER_SEED_S;
+
+        let mut timeline = PhaseTimeline::new();
+        timeline.add("inspector", insp.time_s);
+        timeline.add("executor", exec.time_s);
+        timeline.add("other", other_s);
+        if res.overhead_s > 0.0 {
+            // Fault-free runs keep the three-phase Figure 8 timeline exactly;
+            // fault recovery shows up as its own phase.
+            timeline.add("resilience", res.overhead_s);
+        }
+        let report = FastZReport {
+            alignments,
+            bin_counts: ledger.bin_counts,
+            modeled_time_s: timeline.total(),
+            timeline,
+            stats: ledger.stats,
+            host_wall: Duration::ZERO,
+            inspector_kernels,
+            executor_kernels: executed.kernels,
+            executor_bin_slots: executed.slots,
+            other_s,
+            inspector_alloc_bytes,
+            executor_alloc_bytes,
+            resilience: ledger.res,
+            sanitize,
+        };
+        (report, [insp, exec])
+    }
+
+    /// Models one phase's kernels on the run's device and streams, capped
+    /// by device memory when each problem holds `alloc_bytes`, under the
+    /// kernel-level faults the plan schedules at `site_scope`.
+    fn time_kernels(
+        &self,
+        kernels: &[KernelSpec],
+        alloc_bytes: Option<u64>,
+        site_scope: u32,
+        res: &mut ResilienceReport,
+    ) -> PipelineTiming {
+        let (cfg, rcfg) = (self.cfg, self.rcfg);
+        let rt = time_stream_pipeline_resilient(
+            &cfg.device,
+            kernels,
+            cfg.flags.streams,
+            memory_cap(&cfg.device, alloc_bytes),
+            &rcfg.plan,
+            rcfg.device_ord,
+            site_scope,
+            &rcfg.watchdog,
+        );
         // Kernel-level faults: hangs are detected (watchdog + relaunch);
         // stalls and shared-memory pressure are tolerated in place.
         res.injected.merge(&rt.faults);
@@ -1000,33 +1129,23 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
         res.retries += rt.retries;
         res.backoff_s += rt.backoff_s;
         res.overhead_s += rt.overhead_s;
-    }
-    res.skipped_seeds = skipped.into_iter().collect();
-    let other_s = host::FIXED_S
-        + (target.len() + query.len()) as f64 / host::PCIE_BW
-        + anchors.len() as f64 * host::PER_SEED_S;
-
-    let mut timeline = PhaseTimeline::new();
-    timeline.add("inspector", insp_t.base.time_s);
-    timeline.add("executor", exec_t.base.time_s);
-    timeline.add("other", other_s);
-    if res.overhead_s > 0.0 {
-        // Fault-free runs keep the three-phase Figure 8 timeline exactly;
-        // fault recovery shows up as its own phase.
-        timeline.add("resilience", res.overhead_s);
+        rt.base
     }
 
-    // Both phases have completed (`pool.run` blocks until workers drain
-    // their arenas), so the merged sanitizer report is final here.
-    let sanitize_report = pool.sanitize_report();
-
-    // ---- Observability emit -----------------------------------------------
-    // Everything below derives from deterministic work counters and the
-    // modeled clock — never wall time — so a fixed-seed run exports
-    // byte-identical metrics and spans on every invocation. The whole
-    // block (including the per-bin span re-timing) is gated on
-    // `S::ENABLED` so `NoObs` runs pay nothing.
-    if S::ENABLED {
+    /// Emit phase, observed runs only. Everything emitted derives from
+    /// deterministic work counters and the modeled clock — never wall
+    /// time — so a fixed-seed run exports byte-identical metrics and
+    /// spans on every invocation.
+    fn emit<S: MetricsSink>(
+        &self,
+        sink: &mut S,
+        pool: &HostPool<'_>,
+        report: &FastZReport,
+        inspector: &[SideResult],
+        [insp_t, exec_t]: &[PipelineTiming; 2],
+    ) {
+        let cfg = self.cfg;
+        let stats = &report.stats;
         sink.counter_add(names::SEEDS_TOTAL, stats.seeds as u64);
         sink.counter_add(names::PROBLEMS_TOTAL, stats.problems as u64);
         sink.counter_add(names::EAGER_RESOLVED_TOTAL, stats.eager_resolved as u64);
@@ -1034,7 +1153,7 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
             names::EXECUTOR_PROBLEMS_TOTAL,
             stats.executor_problems as u64,
         );
-        sink.counter_add(names::ALIGNMENTS_TOTAL, alignments.len() as u64);
+        sink.counter_add(names::ALIGNMENTS_TOTAL, report.alignments.len() as u64);
         // Bitvector work-reduction counters, emitted on every observed
         // run — zeros under y-drop — so the exported series set never
         // depends on the configured backend.
@@ -1044,10 +1163,10 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
             names::BITVEC_DENT_DISCARDS_TOTAL,
             stats.bitvec.dent_discards,
         );
-        bin_counts.record_into(sink);
+        report.bin_counts.record_into(sink);
         stats.inspector.record_into(sink, "inspector");
         stats.executor.record_into(sink, "executor");
-        res.record_into(sink);
+        report.resilience.record_into(sink);
 
         let eager_ratio = if stats.problems == 0 {
             0.0
@@ -1064,22 +1183,21 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
             work.shared_bytes as f64 / moved as f64
         };
         sink.gauge_set(names::GLOBAL_TRAFFIC_ELISION_RATIO, elision);
-        roofline::analyze(
-            &cfg.device,
-            stats.inspector.total.alu_ops,
-            stats.inspector.total.global_bytes(),
-        )
-        .record_into(sink, "inspector");
-        roofline::analyze(
-            &cfg.device,
-            stats.executor.total.alu_ops,
-            stats.executor.total.global_bytes(),
-        )
-        .record_into(sink, "executor");
-        insp_t.base.record_into(sink, "inspector");
-        exec_t.base.record_into(sink, "executor");
-        timeline.record_into(sink);
-        sink.gauge_set(names::MODELED_TIME_SECONDS, timeline.total());
+        for (phase, counters) in [
+            ("inspector", &stats.inspector),
+            ("executor", &stats.executor),
+        ] {
+            roofline::analyze(
+                &cfg.device,
+                counters.total.alu_ops,
+                counters.total.global_bytes(),
+            )
+            .record_into(sink, phase);
+        }
+        insp_t.record_into(sink, "inspector");
+        exec_t.record_into(sink, "executor");
+        report.timeline.record_into(sink);
+        sink.gauge_set(names::MODELED_TIME_SECONDS, report.timeline.total());
 
         // Host execution pool telemetry. Tasks, phases, and the arena
         // counters are deterministic at one worker (the golden workload
@@ -1101,7 +1219,7 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
         // Sanitizer counters, emitted on every observed run — zeros
         // when the sanitizer is off — so the exported series set never
         // depends on configuration (same discipline as FaultCounters).
-        let srep = sanitize_report.clone().unwrap_or_default();
+        let srep = report.sanitize.clone().unwrap_or_default();
         for kind in fastz_gpu_sim::FindingKind::ALL {
             sink.counter_add(&names::sanitize_kind(kind.name()), srep.count(kind));
         }
@@ -1124,22 +1242,34 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
             );
             roofline::record_bank_pressure(sink, ph, b.groups, b.serialized_extra);
         }
+        self.emit_spans(sink, report, inspector, insp_t, exec_t);
+    }
 
-        // Span timeline: phases laid back-to-back on the logical clock.
-        // The per-bin executor spans are an *attribution* view — each
-        // slot's kernels re-timed alone — because the multi-stream model
-        // pools all bins into one bag of tasks; their sum can therefore
-        // differ from the pooled executor phase time (the gauge above
-        // keeps the pooled number).
+    /// Span timeline: phases laid back-to-back on the logical clock.
+    /// The per-bin executor spans are an *attribution* view — each
+    /// slot's kernels re-timed alone — because the multi-stream model
+    /// pools all bins into one bag of tasks; their sum can therefore
+    /// differ from the pooled executor phase time (the gauge keeps the
+    /// pooled number).
+    fn emit_spans<S: MetricsSink>(
+        &self,
+        sink: &mut S,
+        report: &FastZReport,
+        inspector: &[SideResult],
+        insp_t: &PipelineTiming,
+        exec_t: &PipelineTiming,
+    ) {
+        let device = &self.cfg.device;
         let mut clock = LogicalClock::new();
-        let (s, d) = clock.advance(insp_t.base.time_s * 1e6);
+        let (s, d) = clock.advance(insp_t.time_s * 1e6);
         sink.span(names::SPAN_INSPECTOR, "gpu", s, d);
-        let eager_cycles: f64 = inspector_results
+        // Folded from +0.0: an empty f64 `sum` is -0.0, which would
+        // export as `-0`.
+        let eager_cycles = inspector
             .iter()
-            .filter(|r| flags.eager_traceback && r.eager_ops.is_some())
-            .map(|r| r.counters.scalar_ops as f64)
-            .sum();
-        let eager_us = (eager_cycles / clock_hz * 1e6).min(d);
+            .filter(|r| self.resolved_in_inspector(r))
+            .fold(0.0, |acc, r| acc + r.counters.scalar_ops as f64);
+        let eager_us = (eager_cycles / self.clock_hz * 1e6).min(d);
         sink.span(names::SPAN_EAGER_TRACEBACK, "gpu", s, eager_us);
         // Slot 0 holds eager-sized problems run with the flag off — the
         // same kernel class as the smallest bin.
@@ -1150,77 +1280,31 @@ pub fn run_fastz_in_pool<S: MetricsSink>(
                 _ => None,
             }
         };
+        let exec_cap = memory_cap(device, report.executor_alloc_bytes);
         for bound in BIN_BOUNDS.iter().map(|&b| Some(b)).chain([None]) {
-            let group: Vec<KernelSpec> = executor_kernels
+            let group: Vec<KernelSpec> = report
+                .executor_kernels
                 .iter()
-                .zip(&executor_kernel_slots)
+                .zip(&report.executor_bin_slots)
                 .filter(|&(_, &slot)| slot_bound(slot) == bound)
                 .map(|(k, _)| k.clone())
                 .collect();
             if group.is_empty() {
                 continue;
             }
-            let t = time_stream_pipeline_capped(&cfg.device, &group, flags.streams, exec_cap);
+            let t = time_stream_pipeline_capped(device, &group, self.cfg.flags.streams, exec_cap);
             let (s, d) = clock.advance(t.time_s * 1e6);
             sink.span(names::executor_bin_span(bound), "gpu", s, d);
         }
-        let (s, d) = clock.advance((insp_t.base.launch_s + exec_t.base.launch_s) * 1e6);
+        let (s, d) = clock.advance((insp_t.launch_s + exec_t.launch_s) * 1e6);
         sink.span(names::SPAN_STREAM_DISPATCH, "host", s, d);
-        let (s, d) = clock.advance(other_s * 1e6);
+        let (s, d) = clock.advance(report.other_s * 1e6);
         sink.span(names::SPAN_OTHER, "host", s, d);
-        if res.overhead_s > 0.0 {
-            let (s, d) = clock.advance(res.overhead_s * 1e6);
+        let overhead_s = report.resilience.overhead_s;
+        if overhead_s > 0.0 {
+            let (s, d) = clock.advance(overhead_s * 1e6);
             sink.span(names::SPAN_RESILIENT_RETRY, "resilience", s, d);
         }
-    }
-
-    FastZReport {
-        alignments,
-        bin_counts,
-        modeled_time_s: timeline.total(),
-        timeline,
-        stats,
-        host_wall: wall_start.elapsed(),
-        inspector_kernels,
-        executor_kernels,
-        executor_bin_slots: executor_kernel_slots,
-        other_s,
-        inspector_alloc_bytes,
-        executor_alloc_bytes,
-        resilience: res,
-        sanitize: sanitize_report,
-    }
-}
-
-fn side_result(ext: WarpExtension) -> SideResult {
-    let task = price_task(&ext.counters);
-    SideResult {
-        score: ext.best_score,
-        best_i: ext.best_i,
-        best_j: ext.best_j,
-        explored_rows: ext.explored_rows,
-        explored_cols: ext.explored_cols,
-        eager_ops: ext.ops.or(ext.eager_ops),
-        task,
-        counters: ext.counters,
-        bitvec: BitvecStats::default(),
-    }
-}
-
-/// The bitvector engine always emits a complete edit script, so its
-/// sides are resolved in the inspector and never reach the executor.
-fn side_result_bitvec(ext: BitvecExtension) -> SideResult {
-    let task = price_task(&ext.counters);
-    SideResult {
-        score: ext.best_score,
-        best_i: ext.best_i,
-        best_j: ext.best_j,
-        explored_rows: ext.explored_rows,
-        explored_cols: ext.explored_cols,
-        eager_ops: Some(ext.ops),
-        task,
-        counters: ext.counters,
-        bitvec: ext.stats,
     }
 }
 

@@ -48,7 +48,7 @@
 use crate::bitvec::BitvecStats;
 use crate::pipeline::SideResult;
 use fastz_align::EditOp;
-use fastz_genome::{Scoring, Sequence};
+use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS};
 use fastz_gpu_sim::{FaultCounters, FaultPlan, WarpCounters, WarpTask, WatchdogPolicy};
 use fastz_seed::Anchor;
 use std::collections::{BTreeMap, BTreeSet};
@@ -232,15 +232,6 @@ impl ResilienceReport {
 // Checkpointing
 // ---------------------------------------------------------------------------
 
-/// FNV-1a accumulation helper.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Fingerprint of a pipeline workload: a checkpoint only resumes a run
 /// whose inputs and configuration hash to the same value.
 pub fn workload_fingerprint(
@@ -251,30 +242,30 @@ pub fn workload_fingerprint(
     scoring: &Scoring,
     flags_bits: u64,
 ) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    h = fnv(h, &(target.len() as u64).to_le_bytes());
-    h = fnv(h, &(query.len() as u64).to_le_bytes());
+    let mut h = FNV1A_BASIS;
+    h = fnv1a(h, &(target.len() as u64).to_le_bytes());
+    h = fnv1a(h, &(query.len() as u64).to_le_bytes());
     // Sequence content sample: full hashing of chromosome-scale inputs
     // would dominate startup; 4 KiB from each end catches truncation and
     // off-by-one edits, and the anchor list pins the seed layout.
     let sample = |s: &Sequence, h: u64| {
         let c = s.codes();
         let k = c.len().min(4096);
-        fnv(fnv(h, &c[..k]), &c[c.len() - k..])
+        fnv1a(fnv1a(h, &c[..k]), &c[c.len() - k..])
     };
     h = sample(target, h);
     h = sample(query, h);
     for a in anchors {
-        h = fnv(h, &a.target_pos.to_le_bytes());
-        h = fnv(h, &a.query_pos.to_le_bytes());
+        h = fnv1a(h, &a.target_pos.to_le_bytes());
+        h = fnv1a(h, &a.query_pos.to_le_bytes());
     }
-    h = fnv(h, &(seed_span as u64).to_le_bytes());
-    h = fnv(h, &scoring.ydrop.to_le_bytes());
-    h = fnv(h, &scoring.gapped_threshold.to_le_bytes());
-    h = fnv(h, &scoring.gaps.open.to_le_bytes());
-    h = fnv(h, &scoring.gaps.extend.to_le_bytes());
-    h = fnv(h, &scoring.subst.max_score().to_le_bytes());
-    h = fnv(h, &flags_bits.to_le_bytes());
+    h = fnv1a(h, &(seed_span as u64).to_le_bytes());
+    h = fnv1a(h, &scoring.ydrop.to_le_bytes());
+    h = fnv1a(h, &scoring.gapped_threshold.to_le_bytes());
+    h = fnv1a(h, &scoring.gaps.open.to_le_bytes());
+    h = fnv1a(h, &scoring.gaps.extend.to_le_bytes());
+    h = fnv1a(h, &scoring.subst.max_score().to_le_bytes());
+    h = fnv1a(h, &flags_bits.to_le_bytes());
     h
 }
 
@@ -286,7 +277,7 @@ pub fn combine_fingerprint(fp: u64, extra: u64) -> u64 {
     if extra == 0 {
         fp
     } else {
-        fnv(fp, &extra.to_le_bytes())
+        fnv1a(fp, &extra.to_le_bytes())
     }
 }
 

@@ -8,10 +8,11 @@
 //!
 //! CI runs this at a reduced case count via `FASTZ_PROP_CASES`.
 
-use fastz_core::{run_fastz_resilient, FastZConfig, HostDispatch, ResilienceConfig};
+use fastz_core::{run_fastz_observed, FastZConfig, HostDispatch, ResilienceConfig};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
+use fastz_obs::NoObs;
 use fastz_seed::{Anchor, Workload, WorkloadParams};
 use proptest::prelude::*;
 
@@ -69,7 +70,7 @@ fn fingerprint(
         host_dispatch: dispatch,
         ..FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere())
     };
-    let r = run_fastz_resilient(t, q, anchors, *span, &cfg, rcfg);
+    let r = run_fastz_observed(t, q, anchors, *span, &cfg, rcfg, &mut NoObs);
     Fingerprint {
         alignments: r.alignments,
         bin_counts: r.bin_counts,

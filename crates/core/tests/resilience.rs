@@ -5,12 +5,13 @@
 //! killed run.
 
 use fastz_core::{
-    run_fastz, run_fastz_multi_gpu_resilient, run_fastz_resilient, Checkpoint, FastZConfig,
-    OptFlags, Partition, ResilienceConfig,
+    run_fastz, run_fastz_multi_gpu, run_fastz_observed, Checkpoint, FastZConfig, OptFlags,
+    Partition, ResilienceConfig,
 };
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan, FaultRates, WatchdogPolicy};
+use fastz_obs::NoObs;
 use fastz_seed::{Anchor, Workload, WorkloadParams};
 use proptest::prelude::*;
 
@@ -54,7 +55,7 @@ proptest! {
         let cfg = config();
         let clean = run_fastz(&t, &q, &anchors, span, &cfg);
         let rcfg = ResilienceConfig::with_plan(FaultPlan::from_seed(fault_seed));
-        let faulted = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+        let faulted = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
         prop_assert_eq!(&faulted.alignments, &clean.alignments);
         prop_assert!(faulted.resilience.accounts_for_all_faults());
         prop_assert!(faulted.resilience.skipped_seeds.is_empty());
@@ -63,7 +64,7 @@ proptest! {
         // Multi-GPU under the same plan: device loss re-dispatches
         // exactly once, so the set is still identical.
         let devices = vec![DeviceSpec::rtx3080_ampere(); 3];
-        let multi = run_fastz_multi_gpu_resilient(
+        let multi = run_fastz_multi_gpu(
             &t, &q, &anchors, span, &cfg, &devices, Partition::Strided, &rcfg,
         );
         prop_assert_eq!(&multi.alignments, &clean.alignments);
@@ -110,7 +111,7 @@ fn adversarial_plan_skips_with_record_instead_of_panicking() {
         })
         .with_max_consecutive(1_000);
     let rcfg = ResilienceConfig::with_plan(plan);
-    let report = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let report = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert!(
         report.alignments.is_empty(),
         "skipped seeds must not splice"
@@ -140,7 +141,7 @@ fn fallback_rung_engages_between_retry_budget_and_max_consecutive() {
         })
         .with_max_consecutive(3);
     let rcfg = ResilienceConfig::with_plan(plan);
-    let report = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let report = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert_eq!(report.alignments, clean.alignments);
     assert_eq!(
         report.resilience.fallbacks,
@@ -167,7 +168,7 @@ fn checkpoint_resume_survives_a_killed_run() {
         checkpoint: Some(path.clone()),
         ..ResilienceConfig::disabled()
     };
-    let first = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let first = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert_eq!(first.alignments, clean.alignments);
     assert!(first.resilience.checkpoints_written >= 2);
     assert!(!first.resilience.resumed);
@@ -184,7 +185,7 @@ fn checkpoint_resume_survives_a_killed_run() {
 
     // The resumed run restores the inspector, recomputes the executor,
     // and matches the fault-free alignments.
-    let resumed = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let resumed = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert_eq!(resumed.alignments, clean.alignments);
     assert!(resumed.resilience.resumed);
     assert!(
@@ -193,7 +194,7 @@ fn checkpoint_resume_survives_a_killed_run() {
     );
 
     // A third run restores everything and recomputes nothing.
-    let third = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let third = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert_eq!(third.alignments, clean.alignments);
     assert_eq!(
         third.resilience.restored_problems,
@@ -204,7 +205,7 @@ fn checkpoint_resume_survives_a_killed_run() {
     // A different workload must ignore the foreign checkpoint.
     let (t2, q2, anchors2, span2) = workload(213);
     let clean2 = run_fastz(&t2, &q2, &anchors2, span2, &cfg);
-    let other = run_fastz_resilient(&t2, &q2, &anchors2, span2, &cfg, &rcfg);
+    let other = run_fastz_observed(&t2, &q2, &anchors2, span2, &cfg, &rcfg, &mut NoObs);
     assert_eq!(other.alignments, clean2.alignments);
     assert!(!other.resilience.resumed);
     assert_eq!(other.resilience.restored_problems, 0);
@@ -235,12 +236,12 @@ fn checkpoint_cannot_resume_across_index_versions() {
         index_fingerprint: 0xA11CE,
         ..cfg.clone()
     };
-    let first = run_fastz_resilient(&t, &q, &anchors, span, &cfg_a, &rcfg);
+    let first = run_fastz_observed(&t, &q, &anchors, span, &cfg_a, &rcfg, &mut NoObs);
     assert_eq!(first.alignments, clean.alignments);
     assert!(first.resilience.checkpoints_written >= 2);
 
     // Same workload, same index version: restores.
-    let same = run_fastz_resilient(&t, &q, &anchors, span, &cfg_a, &rcfg);
+    let same = run_fastz_observed(&t, &q, &anchors, span, &cfg_a, &rcfg, &mut NoObs);
     assert!(same.resilience.resumed);
 
     // Same workload, different index version: rejected with a recorded
@@ -249,7 +250,7 @@ fn checkpoint_cannot_resume_across_index_versions() {
         index_fingerprint: 0xB0B,
         ..cfg.clone()
     };
-    let crossed = run_fastz_resilient(&t, &q, &anchors, span, &cfg_b, &rcfg);
+    let crossed = run_fastz_observed(&t, &q, &anchors, span, &cfg_b, &rcfg, &mut NoObs);
     assert!(!crossed.resilience.resumed);
     assert_eq!(crossed.resilience.restored_problems, 0);
     assert!(
@@ -265,7 +266,7 @@ fn checkpoint_cannot_resume_across_index_versions() {
 
     // In-memory seeding (fingerprint 0) has its own identity, distinct
     // from both indexed runs.
-    let in_mem = run_fastz_resilient(&t, &q, &anchors, span, &cfg, &rcfg);
+    let in_mem = run_fastz_observed(&t, &q, &anchors, span, &cfg, &rcfg, &mut NoObs);
     assert!(!in_mem.resilience.resumed);
     assert_eq!(in_mem.alignments, clean.alignments);
 
@@ -277,8 +278,15 @@ fn fault_free_resilient_run_is_bit_identical_to_plain_run() {
     let (t, q, anchors, span) = workload(214);
     let cfg = config();
     let plain = run_fastz(&t, &q, &anchors, span, &cfg);
-    let resilient =
-        run_fastz_resilient(&t, &q, &anchors, span, &cfg, &ResilienceConfig::disabled());
+    let resilient = run_fastz_observed(
+        &t,
+        &q,
+        &anchors,
+        span,
+        &cfg,
+        &ResilienceConfig::disabled(),
+        &mut NoObs,
+    );
     assert_eq!(plain.alignments, resilient.alignments);
     assert_eq!(plain.modeled_time_s, resilient.modeled_time_s);
     assert_eq!(plain.timeline.entries().len(), 3, "no resilience phase");

@@ -14,6 +14,7 @@ pub mod alphabet;
 pub mod catalog;
 pub mod evolve;
 pub mod fasta;
+pub mod hash;
 pub mod scorefile;
 pub mod scoring;
 pub mod sequence;
@@ -22,6 +23,7 @@ pub use alphabet::{Base, ALPHABET_SIZE, N_CODE};
 pub use catalog::{cross_genus_pairs, find_pair, within_genus_pairs, CatalogPair, Genus, Scale};
 pub use evolve::{generate_pair, GenomePair, HomologyClass, MutationRates, PairParams};
 pub use fasta::{read_fasta, read_fasta_file, write_fasta, write_fasta_file, FastaError};
+pub use hash::{fnv1a, FNV1A_BASIS};
 pub use scorefile::{parse_score_file, write_score_file, ScoreFileError};
 pub use scoring::{GapPenalties, Scoring, SubstMatrix};
 pub use sequence::{PackedSeq, Sequence};

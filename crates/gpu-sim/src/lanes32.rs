@@ -14,15 +14,10 @@
 //! | per-lane `max` / `select`     | [`max`], [`select`] on lane masks      |
 //! | cyclic 3-row register buffer  | whole-vector assignment of `Lanes<i32>` |
 //!
-//! Two implementations sit behind one API:
-//!
-//! * the **portable fallback** (default): fixed-width `[i32; 32]` loops
-//!   that LLVM autovectorizes on stable Rust — no nightly, no new
-//!   dependencies;
-//! * the **`nightly-simd` feature**: the same operations expressed with
-//!   `std::simd` (`portable_simd`), for toolchains that have it.
-//!
-//! Both are bit-identical by construction (wrapping lane adds, `-1/0`
+//! The operations are fixed-width `[i32; 32]` loops that LLVM
+//! autovectorizes on stable Rust, at the vector width of the engine
+//! body they inline into. They are bit-identical to the scalar warp
+//! model by construction (wrapping lane adds, `-1/0`
 //! comparison masks, sign-bit movemask), which the unit tests pin
 //! against the scalar [`crate::warp`] primitives. Comparison masks are
 //! plain `Lanes<i32>` holding `-1` (true) or `0` (false) per lane, so
@@ -34,186 +29,84 @@ use crate::warp::{Lanes, WARP_SIZE};
 /// the scalar warp module).
 pub use crate::warp::splat;
 
-#[cfg(feature = "nightly-simd")]
-mod imp {
-    use super::{Lanes, WARP_SIZE};
-    use std::simd::cmp::{SimdOrd, SimdPartialOrd};
-    use std::simd::{Select, Simd};
-
-    type V = Simd<i32, WARP_SIZE>;
-
-    /// A `-1`/`0` lane mask from a `std::simd` boolean mask.
-    #[inline(always)]
-    fn to_lanes(m: std::simd::Mask<i32, WARP_SIZE>) -> Lanes<i32> {
-        m.select(V::splat(-1), V::splat(0)).to_array()
-    }
-
-    #[inline(always)]
-    pub fn add(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        // `std::simd` lane addition wraps, matching the portable path.
-        (V::from_array(*a) + V::from_array(*b)).to_array()
-    }
-
-    #[inline(always)]
-    pub fn max(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        V::from_array(*a).simd_max(V::from_array(*b)).to_array()
-    }
-
-    #[inline(always)]
-    pub fn ge(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        to_lanes(V::from_array(*a).simd_ge(V::from_array(*b)))
-    }
-
-    #[inline(always)]
-    pub fn gt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        to_lanes(V::from_array(*a).simd_gt(V::from_array(*b)))
-    }
-
-    #[inline(always)]
-    pub fn lt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        to_lanes(V::from_array(*a).simd_lt(V::from_array(*b)))
-    }
-
-    #[inline(always)]
-    pub fn and(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        (V::from_array(*a) & V::from_array(*b)).to_array()
-    }
-
-    #[inline(always)]
-    pub fn or(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        (V::from_array(*a) | V::from_array(*b)).to_array()
-    }
-
-    #[inline(always)]
-    pub fn select(m: &Lanes<i32>, a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let m = V::from_array(*m);
-        ((V::from_array(*a) & m) | (V::from_array(*b) & !m)).to_array()
-    }
-}
-
-#[cfg(not(feature = "nightly-simd"))]
-mod imp {
-    use super::{Lanes, WARP_SIZE};
-
-    #[inline(always)]
-    pub fn add(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = a[l].wrapping_add(b[l]);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn max(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = a[l].max(b[l]);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn ge(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = -((a[l] >= b[l]) as i32);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn gt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = -((a[l] > b[l]) as i32);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn lt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = -((a[l] < b[l]) as i32);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn and(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = a[l] & b[l];
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn or(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = a[l] | b[l];
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn select(m: &Lanes<i32>, a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-        let mut out = [0i32; WARP_SIZE];
-        for l in 0..WARP_SIZE {
-            out[l] = (a[l] & m[l]) | (b[l] & !m[l]);
-        }
-        out
-    }
-}
-
 /// Lane-wise wrapping addition.
 #[inline(always)]
 pub fn add(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::add(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = a[l].wrapping_add(b[l]);
+    }
+    out
 }
 
 /// Lane-wise maximum (the SIMT `max` instruction, whole warp at once).
 #[inline(always)]
 pub fn max(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::max(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = a[l].max(b[l]);
+    }
+    out
 }
 
 /// Lane-wise `a >= b` as a `-1`/`0` mask.
 #[inline(always)]
 pub fn ge(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::ge(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = -((a[l] >= b[l]) as i32);
+    }
+    out
 }
 
 /// Lane-wise `a > b` as a `-1`/`0` mask.
 #[inline(always)]
 pub fn gt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::gt(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = -((a[l] > b[l]) as i32);
+    }
+    out
 }
 
 /// Lane-wise `a < b` as a `-1`/`0` mask.
 #[inline(always)]
 pub fn lt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::lt(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = -((a[l] < b[l]) as i32);
+    }
+    out
 }
 
 /// Lane-wise bitwise AND (mask conjunction).
 #[inline(always)]
 pub fn and(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::and(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = a[l] & b[l];
+    }
+    out
 }
 
 /// Lane-wise bitwise OR (mask disjunction / flag merge).
 #[inline(always)]
 pub fn or(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::or(a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = a[l] | b[l];
+    }
+    out
 }
 
 /// Lane-wise `m ? a : b` for a `-1`/`0` mask `m` (predicated move).
 #[inline(always)]
 pub fn select(m: &Lanes<i32>, a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    imp::select(m, a, b)
+    let mut out = [0i32; WARP_SIZE];
+    for l in 0..WARP_SIZE {
+        out[l] = (a[l] & m[l]) | (b[l] & !m[l]);
+    }
+    out
 }
 
 /// `__ballot_sync` over a comparison mask: bit `l` set iff lane `l`'s

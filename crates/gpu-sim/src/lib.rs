@@ -13,7 +13,6 @@
 //!   model for the sequential/multicore LASTZ baselines.
 
 #![warn(missing_docs)]
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
 pub mod counters;
 pub mod device;

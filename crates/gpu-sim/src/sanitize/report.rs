@@ -7,6 +7,7 @@
 //! per-worker arenas can be drained into one pool-level report in any
 //! order and still produce deterministic output after [`SanitizeReport::sort`].
 
+use fastz_obs::export::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -243,11 +244,11 @@ impl SanitizeReport {
                 f.kind.name(),
                 f.offset
             ));
-            push_json_str(&mut out, f.phase);
+            json_escape(&mut out, f.phase);
             out.push_str(", \"stage\": ");
-            push_json_str(&mut out, f.stage);
+            json_escape(&mut out, f.stage);
             out.push_str(&format!(", \"problem\": {}, \"detail\": ", f.problem));
-            push_json_str(&mut out, &f.detail);
+            json_escape(&mut out, &f.detail);
             out.push('}');
         }
         out.push_str(&format!(
@@ -275,21 +276,6 @@ impl SanitizeReport {
         ));
         out
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -32,13 +32,16 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string — the escaper every
+/// JSON report in the workspace writes strings with.
+pub fn json_escape(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }

@@ -14,7 +14,7 @@
 //!
 //! then review the fixture diff like any other code change.
 
-use fastz_core::{run_fastz_observed, FastZConfig, OptFlags, ResilienceConfig};
+use fastz_core::{run_fastz_observed, ExtendBackend, FastZConfig, OptFlags, ResilienceConfig};
 use fastz_genome::evolve::{default_classes, generate_pair, PairParams};
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix};
 use fastz_gpu_sim::DeviceSpec;
@@ -34,6 +34,11 @@ fn golden_dir() -> PathBuf {
 /// One fixed workload: small enough to stay fast in debug builds, big
 /// enough to populate several bins and both pipeline phases.
 fn run_golden_workload() -> Recorder {
+    run_golden_workload_with(|_| {})
+}
+
+/// [`run_golden_workload`] with `tweak` applied to the configuration.
+fn run_golden_workload_with(tweak: impl FnOnce(&mut FastZConfig)) -> Recorder {
     let scoring = Scoring {
         subst: SubstMatrix::match_mismatch(10, -15),
         gaps: GapPenalties::new(30, 5),
@@ -62,6 +67,7 @@ fn run_golden_workload() -> Recorder {
     let mut cfg = FastZConfig::new(scoring, DeviceSpec::rtx3080_ampere());
     cfg.flags = OptFlags::fastz();
     cfg.sim_threads = 1;
+    tweak(&mut cfg);
     let rcfg = ResilienceConfig::disabled();
     let mut rec = Recorder::new();
     run_fastz_observed(
@@ -151,5 +157,43 @@ fn exports_are_byte_identical_across_invocations() {
         export::chrome_trace(&a.timeline),
         export::chrome_trace(&b.timeline),
         "Chrome trace differs across identical invocations"
+    );
+}
+
+/// The bitvector engine resolves every side by its own traceback, so the
+/// eager-traceback flag cannot change what it reports: the partition and
+/// the `eager_traceback` span must agree on which sides resolved early.
+#[test]
+fn bitvector_report_ignores_the_eager_flag() {
+    let run = |eager: bool| {
+        run_golden_workload_with(|cfg| {
+            cfg.extend_backend = ExtendBackend::Bitvector;
+            cfg.flags.eager_traceback = eager;
+        })
+    };
+    let (on, off) = (
+        export::json_report(&run(true)),
+        export::json_report(&run(false)),
+    );
+    for report in [&on, &off] {
+        assert!(
+            !report.contains("\"dur_us\": -"),
+            "negative span in {report}"
+        );
+    }
+    assert_eq!(on, off);
+}
+
+/// With eager traceback off nothing resolves in the inspector, and the
+/// empty `eager_traceback` span exports as `0`, not `-0`.
+#[test]
+fn empty_eager_span_is_not_negative_zero() {
+    let rec = run_golden_workload_with(|cfg| cfg.flags.eager_traceback = false);
+    let report = export::json_report(&rec);
+    assert!(
+        report.contains(
+            "{\"name\": \"eager_traceback\", \"cat\": \"gpu\", \"start_us\": 0, \"dur_us\": 0}"
+        ),
+        "{report}"
     );
 }

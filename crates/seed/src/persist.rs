@@ -33,7 +33,7 @@
 use crate::anchor::AnchorSource;
 use crate::index::{IndexBuildError, SeedIndex};
 use crate::shape::SeedShape;
-use fastz_genome::Sequence;
+use fastz_genome::{fnv1a, Sequence, FNV1A_BASIS};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -123,16 +123,6 @@ pub enum IndexOrigin {
     Built,
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A persistent, shard-by-target-interval seed index.
 pub struct ShardedSeedIndex {
     shape: SeedShape,
@@ -181,7 +171,7 @@ impl ShardedSeedIndex {
             shards,
             checksum: 0,
         };
-        idx.checksum = fnv1a(&idx.content_bytes());
+        idx.checksum = fnv1a(FNV1A_BASIS, &idx.content_bytes());
         Ok(idx)
     }
 
@@ -244,7 +234,7 @@ impl ShardedSeedIndex {
         bytes.extend_from_slice(INDEX_MAGIC);
         bytes.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&self.checksum.to_le_bytes());
-        let fp = fnv1a(&bytes);
+        let fp = fnv1a(FNV1A_BASIS, &bytes);
         if fp == 0 {
             1
         } else {
@@ -408,7 +398,7 @@ impl ShardedSeedIndex {
                 bytes.len() - r.at
             )));
         }
-        let computed = fnv1a(&bytes[..content_len]);
+        let computed = fnv1a(FNV1A_BASIS, &bytes[..content_len]);
         if stored != computed {
             return Err(PersistError::ChecksumMismatch { stored, computed });
         }
@@ -460,7 +450,7 @@ impl ShardedSeedIndex {
         let key = format!("{genome_id}\u{1f}{pat}\u{1f}{n_shards}");
         format!(
             "idx-{:016x}-{}of{}-s{}.fzsidx",
-            fnv1a(key.as_bytes()),
+            fnv1a(FNV1A_BASIS, key.as_bytes()),
             shape.weight(),
             shape.span(),
             n_shards.max(1),

@@ -154,7 +154,7 @@ fn masking_suppresses_a_planted_repeat_family() {
 
 #[test]
 fn multi_gpu_integration_with_heterogeneous_fleet() {
-    use fastz::core::{run_fastz_multi_gpu, FastZConfig, Partition};
+    use fastz::core::{run_fastz_multi_gpu, FastZConfig, Partition, ResilienceConfig};
     use fastz::gpu_sim::DeviceSpec;
 
     let pair = demo_pair();
@@ -180,6 +180,7 @@ fn multi_gpu_integration_with_heterogeneous_fleet() {
         &cfg,
         &fleet,
         Partition::Strided,
+        &ResilienceConfig::disabled(),
     );
     assert!(!multi.alignments.is_empty());
     assert_eq!(multi.per_device.len(), 3);
