@@ -52,14 +52,21 @@ fn main() {
 
     // Best-of-N host wall time per configuration (min damps scheduler
     // noise); modeled time must be identical across all three since the
-    // sink never feeds back into the timing model.
-    let mut rows: Vec<(&str, f64, Duration, usize)> = Vec::new();
-    for name in ["baseline", "noobs", "recorder"] {
-        let mut best_host = Duration::MAX;
-        let mut modeled = 0.0;
-        let mut metrics = 0;
-        for _ in 0..REPS {
-            let report = match name {
+    // sink never feeds back into the timing model. The configurations
+    // are interleaved within each round, in alternating order, so host
+    // drift over the run lands on all of them alike instead of reading
+    // as overhead of whichever ran later.
+    let names = ["baseline", "noobs", "recorder"];
+    let mut best_host = [Duration::MAX; 3];
+    let mut modeled = [0.0; 3];
+    let mut metrics = [0; 3];
+    for rep in 0..REPS {
+        let mut order = [0, 1, 2];
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for k in order {
+            let report = match names[k] {
                 "baseline" => run_fastz(&wl.target, &wl.query, &wl.anchors, wl.seed_span, &cfg),
                 "noobs" => run_fastz_observed(
                     &wl.target,
@@ -81,15 +88,17 @@ fn main() {
                         &rcfg,
                         &mut rec,
                     );
-                    metrics = rec.registry.len();
+                    metrics[k] = rec.registry.len();
                     report
                 }
             };
-            best_host = best_host.min(report.host_wall);
-            modeled = report.modeled_time_s;
+            best_host[k] = best_host[k].min(report.host_wall);
+            modeled[k] = report.modeled_time_s;
         }
-        rows.push((name, modeled, best_host, metrics));
     }
+    let rows: Vec<(&str, f64, Duration, usize)> = (0..names.len())
+        .map(|k| (names[k], modeled[k], best_host[k], metrics[k]))
+        .collect();
 
     let baseline_modeled = rows[0].1;
     let baseline_host = rows[0].2;

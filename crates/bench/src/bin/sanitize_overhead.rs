@@ -53,21 +53,29 @@ fn main() {
 
     // Best-of-N host wall time per configuration (min damps scheduler
     // noise); modeled time must be bit-identical across all three since
-    // the sanitizer never feeds back into the timing model.
-    let mut rows: Vec<(&str, f64, Duration, u64)> = Vec::new();
+    // the sanitizer never feeds back into the timing model. The
+    // configurations are interleaved within each round, in alternating
+    // order, so host drift over the run lands on all of them alike
+    // instead of reading as overhead of whichever ran later.
+    let names = ["baseline", "sanitize-off", "sanitize-on"];
+    let mut best_host = [Duration::MAX; 3];
+    let mut modeled = [0.0; 3];
+    let mut findings = [0; 3];
     let mut baseline_alignments = None;
-    for name in ["baseline", "sanitize-off", "sanitize-on"] {
-        let run_cfg = if name == "sanitize-on" { &cfg_on } else { &cfg };
-        let mut best_host = Duration::MAX;
-        let mut modeled = 0.0;
-        let mut findings = 0;
-        for _ in 0..REPS {
+    for rep in 0..REPS {
+        let mut order = [0, 1, 2];
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for k in order {
+            let name = names[k];
+            let run_cfg = if name == "sanitize-on" { &cfg_on } else { &cfg };
             let report = run_fastz(&wl.target, &wl.query, &wl.anchors, wl.seed_span, run_cfg);
-            best_host = best_host.min(report.host_wall);
-            modeled = report.modeled_time_s;
+            best_host[k] = best_host[k].min(report.host_wall);
+            modeled[k] = report.modeled_time_s;
             match (name, &report.sanitize) {
                 ("sanitize-on", Some(srep)) => {
-                    findings = srep.total_findings();
+                    findings[k] = srep.total_findings();
                     assert!(
                         srep.is_clean(),
                         "sanitizer found problems on the bench workload: {:?}",
@@ -84,8 +92,10 @@ fn main() {
                 Some(base) => assert_eq!(base, &report.alignments, "{name} changed the alignments"),
             }
         }
-        rows.push((name, modeled, best_host, findings));
     }
+    let rows: Vec<(&str, f64, Duration, u64)> = (0..names.len())
+        .map(|k| (names[k], modeled[k], best_host[k], findings[k]))
+        .collect();
 
     let baseline_modeled = rows[0].1;
     let baseline_host = rows[0].2;

@@ -317,9 +317,9 @@ fn main() {
 
     // Kernel-granularity microbench: the per-step kernels in isolation
     // (the engine's gather/bookkeeping/sanitizer costs are shared by
-    // both backends and dilute the end-to-end ratio above). Called
-    // directly, the kernels run at the build's baseline ISA, not in the
-    // dispatched engine body.
+    // both backends and dilute the end-to-end ratio above). `step_simd`
+    // runs the vector step on the lane type the dispatch picked, as the
+    // engine does; the interpreter is scalar at any level.
     let ksteps = if args.check { 400_000 } else { 4_000_000 };
     kernel_microbench(ksteps / 4, false);
     kernel_microbench(ksteps / 4, true);
@@ -346,13 +346,14 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // The engine body the runtime dispatch chose for this CPU (the
-    // build itself needs no target-cpu flag).
+    // The engine body and lane type the runtime dispatch chose for this
+    // CPU (the build itself needs no target-cpu flag).
     let target_isa = SimdIsa::dispatched().name();
+    let simd_path = SimdIsa::dispatched().lane_type();
     let json = format!(
         "{{\n  \"bench\": \"simd_wavefront\",\n  \"mode\": \"{}\",\n  \
          \"repeats\": {},\n  \"host_parallelism\": {},\n  \
-         \"simd_path\": \"portable fixed-array fallback (autovectorized)\",\n  \
+         \"simd_path\": \"{}\",\n  \
          \"target_isa\": \"{}\",\n  \
          \"corpus\": {{ \"pairs\": {}, \"pair_len\": {}, \"dp_cells\": {} }},\n  \
          \"identity\": {{ \"extensions\": {}, \"strip_widths\": {:?}, \
@@ -363,10 +364,11 @@ fn main() {
          \"speedup\": {:.3}, \"checksums_identical\": true }},\n  \
          \"speedup\": {:.3},\n  \"speedup_source\": \"measured end-to-end wall-clock \
          (per-thread vector speedup; valid on any core count)\",\n  \
-         \"methodology\": \"Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits) before any timing. End-to-end wall-clock is best-of-{} interleaved corpus runs at the full warp width after one warmup per backend, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal), called directly, so compiled for the build's baseline ISA rather than the dispatched body — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end).\"\n}}\n",
+         \"methodology\": \"Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits) before any timing. End-to-end wall-clock is best-of-{} interleaved corpus runs at the full warp width after one warmup per backend, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal); step_simd runs the vector step on the lane type the dispatch picked (simd_path), each call loading its array operands into that lane type and storing the outputs back — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end).\"\n}}\n",
         if args.check { "check" } else { "full" },
         repeats,
         cores,
+        simd_path,
         target_isa,
         pairs,
         args.len,

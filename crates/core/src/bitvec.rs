@@ -59,7 +59,7 @@ use fastz_gpu_sim::sanitize::stage as san_stage;
 use fastz_gpu_sim::{SharedMem, WarpCounters};
 use fastz_seed::Anchor;
 
-use crate::warp_engine::{IsaKernel, SimdIsa};
+use crate::lanes::{IsaKernel, LaneVec, SimdIsa};
 
 /// Which extension algorithm runs the one-sided problems.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -746,11 +746,12 @@ fn traceback(
 /// Dead-mask rows of a single bitvector window, exposed for the
 /// per-window differential proptest (`tests/bitvec_step.rs`).
 ///
-/// Returns, for each column `j in 0..=text.len()`, the `k+1` dead
-/// masks `R[d]` over a window holding all of `pattern`
+/// Returns one flat `(text.len() + 1) × (k + 1)` buffer: column `j in
+/// 0..=text.len()` holds the `k+1` dead masks `R[d]` at
+/// `j * (k + 1) + d`, over a window holding all of `pattern`
 /// (`pattern.len() <= 64`).
 #[doc(hidden)]
-pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> Vec<Vec<u64>> {
+pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> Vec<u64> {
     let wlen = pattern.len();
     assert!((1..=64).contains(&wlen) && (1..=63).contains(&k));
     let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
@@ -760,29 +761,34 @@ pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> Vec<Vec<u64>> {
         mat[(pc & 3) as usize] |= 1u64 << b;
     }
     let pm = [!mat[0], !mat[1], !mat[2], !mat[3]];
-    let mut cols = Vec::with_capacity(text.len() + 1);
-    let mut cur: Vec<u64> = (0..=k).map(|d| ((!0u64) << d) | beyond).collect();
-    cols.push(cur.clone());
-    for j in 1..=text.len() {
+    let rows = k + 1;
+    let mut masks = vec![0u64; (text.len() + 1) * rows];
+    // The previous column, kept on the stack (k + 1 <= 64 masks).
+    let mut cur = [0u64; 64];
+    for (d, r) in cur.iter_mut().enumerate().take(rows) {
+        *r = ((!0u64) << d) | beyond;
+    }
+    for (j, col) in masks.chunks_exact_mut(rows).enumerate() {
+        if j == 0 {
+            col.copy_from_slice(&cur[..rows]);
+            continue;
+        }
         // bound: 1 <= j <= text.len(); `& 3` caps the pm index at 3.
         let pmv = pm[(text[j - 1] & 3) as usize];
-        let mut new = vec![0u64; k + 1];
         for d in 0..=k {
             let m_term = ((cur[d] << 1) | u64::from(j - 1 > d)) | pmv;
-            let mut val = if d == 0 {
+            let val = if d == 0 {
                 m_term
             } else {
-                let s_term = (cur[d - 1] << 1) | u64::from(j - 1 > d - 1); // bound: d >= 1 in this arm, d <= k == cur.len() - 1
-                let d_term = (new[d - 1] << 1) | u64::from(j > d - 1); // bound: d >= 1, d <= k == new.len() - 1
+                let s_term = (cur[d - 1] << 1) | u64::from(j - 1 > d - 1); // bound: 1 <= d <= k < 64 == cur.len()
+                let d_term = (col[d - 1] << 1) | u64::from(j > d - 1); // bound: 1 <= d <= k < col.len()
                 m_term & s_term & cur[d - 1] & d_term // bound: as above
             };
-            val |= beyond;
-            new[d] = val;
+            col[d] = val | beyond;
         }
-        cols.push(new.clone());
-        cur = new;
+        cur[..rows].copy_from_slice(col);
     }
-    cols
+    masks
 }
 
 // ---------------------------------------------------------------------------
@@ -875,7 +881,7 @@ fn side_upper_bound_on(
     let bt = &text[..text.len().min(w + k)];
     let masks = window_masks(bt, &pattern[..w], k);
     let ebit = 1u64 << (w - 1);
-    if masks.iter().any(|rows| rows[k] & ebit == 0) {
+    if masks.chunks_exact(k + 1).any(|rows| rows[k] & ebit == 0) {
         return None;
     }
 
@@ -926,7 +932,7 @@ impl IsaKernel for MiniDp<'_> {
     type Output = Option<i64>;
 
     #[inline(always)]
-    fn run(self) -> Option<i64> {
+    fn run<V: LaneVec>(self) -> Option<i64> {
         let MiniDp {
             text,
             pattern,
@@ -1403,7 +1409,10 @@ mod tests {
         let w = p.min(64);
         let k = cfg.k.clamp(1, 63);
         let masks = window_masks(&text[..text.len().min(w + k)], &pattern[..w], k);
-        if masks.iter().any(|rows| rows[k] & (1u64 << (w - 1)) == 0) {
+        if masks
+            .chunks_exact(k + 1)
+            .any(|rows| rows[k] & (1u64 << (w - 1)) == 0)
+        {
             return None;
         }
         let neg = i64::MIN / 4;

@@ -13,6 +13,7 @@ pub mod binning;
 pub mod bitvec;
 pub mod cost;
 pub mod gpu_baseline;
+mod lanes;
 pub mod layout;
 pub mod multi_gpu;
 pub mod pipeline;
@@ -43,7 +44,7 @@ pub use resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
 pub use warp_engine::{
-    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_in, SimdIsa, WarpConfig,
-    WarpExtension, WavefrontBackend,
+    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_in, warp_extend_traced_on,
+    SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
 };
-pub use wavefront_step::{step_interpreter, step_simd, StepIn, StepOut};
+pub use wavefront_step::{step_interpreter, step_simd, step_simd_on, StepIn, StepOut};

@@ -22,17 +22,19 @@
 //! returns the same or an occasionally higher score (§3.4).
 
 use crate::ablation::OptFlags;
+use crate::lanes::{IsaKernel, LaneVec};
 use crate::wavefront_step::{
-    first_lane_at, profile_select, reduce_max, step_interpreter, step_simd, target_profile, StepIn,
+    first_lane_at, profile_select, step_lanes, target_profile, LaneIn, LaneOut,
 };
 use fastz_align::score;
 use fastz_align::trace::{CellScores, CellSink, NoTrace};
 use fastz_align::ydrop::{tb, NEG_INF};
 use fastz_align::{walk_traceback_with, EditOp};
-use fastz_genome::Scoring;
+use fastz_genome::{Scoring, ALPHABET_SIZE};
 use fastz_gpu_sim::sanitize::stage as san_stage;
-use fastz_gpu_sim::{lanes32, shfl_up, splat, Lanes, SharedMem, WarpCounters, WARP_SIZE};
-use std::sync::OnceLock;
+use fastz_gpu_sim::{SharedMem, WarpCounters, WARP_SIZE};
+
+pub use crate::lanes::SimdIsa;
 
 /// Which host realization of the 32-lane wavefront executes each step.
 ///
@@ -45,8 +47,8 @@ pub enum WavefrontBackend {
     /// Scalar lane-by-lane interpretation: the reference semantics, kept
     /// as the differential oracle that tests and conformance select.
     Interpreter,
-    /// 32-wide host-SIMD vectors via [`fastz_gpu_sim::lanes32`] (the
-    /// production path).
+    /// The vector step on the lane type of the [`SimdIsa`] level the
+    /// body runs at (the production path).
     #[default]
     Simd,
 }
@@ -169,6 +171,57 @@ const DEAD: Spill = Spill {
     i: NEG_INF,
 };
 
+/// Per-row maxima of one strip, carried with the rows through the lanes.
+///
+/// Lane ℓ works on row `lane0_row − ℓ`, the row lane ℓ−1 worked on one
+/// step earlier, so shifting an accumulator up one lane per step keeps
+/// each row's running maximum on the lane that works on it:
+/// `acc = max(shift_up1(acc, NEG_INF), s_store)`. The strip's last valid
+/// lane finishes one row per step, written out then; the rows still in
+/// flight when the strip loop exits are flushed once. Dead and inactive
+/// lanes store `NEG_INF`, which never raises a maximum.
+struct RowMaxima<V> {
+    acc: V,
+    /// The strip's last valid lane.
+    last: usize,
+    /// Lane 0's row at the last folded step (0 before the first).
+    lane0_row: usize,
+}
+
+impl<V: LaneVec> RowMaxima<V> {
+    #[inline(always)]
+    fn new(lanes_valid: usize) -> Self {
+        RowMaxima {
+            acc: V::splat(NEG_INF),
+            last: lanes_valid - 1,
+            lane0_row: 0,
+        }
+    }
+
+    /// Folds in one step's stores (lane 0 on row `lane0_row`) and writes
+    /// the row the last lane finished.
+    #[inline(always)]
+    fn push(&mut self, s_store: V, lane0_row: usize, row_max: &mut [i32]) {
+        self.acc = self.acc.shift_up1(NEG_INF).max(s_store);
+        self.lane0_row = lane0_row;
+        if let Some(r) = lane0_row.checked_sub(self.last) {
+            row_max[r] = self.acc.lane(self.last);
+        }
+    }
+
+    /// Folds the rows still in flight (lanes below the last) into
+    /// `row_max`; rows past its end hold only inactive lanes.
+    #[inline(always)]
+    fn flush(&self, row_max: &mut [i32]) {
+        for l in 0..self.last {
+            let row = self.lane0_row.checked_sub(l);
+            if let Some(m) = row.and_then(|r| row_max.get_mut(r)) {
+                *m = (*m).max(self.acc.lane(l));
+            }
+        }
+    }
+}
+
 /// Runs one warp extension of `query` against `target` (suffix slices in
 /// the extension direction). `shared` models the block's shared memory;
 /// the eager window lives there.
@@ -227,7 +280,7 @@ pub fn warp_extend_traced_in<K: CellSink>(
     tbm: &mut Vec<u8>,
     sink: &mut K,
 ) -> WarpExtension {
-    extend_on(
+    warp_extend_traced_on(
         SimdIsa::dispatched(),
         target,
         query,
@@ -237,147 +290,6 @@ pub fn warp_extend_traced_in<K: CellSink>(
         tbm,
         sink,
     )
-}
-
-/// Host instruction-set level an instantiation of the engine body is
-/// compiled for.
-///
-/// The body is one `#[inline(always)]` generic, instantiated once per
-/// level under `#[target_feature]`; [`SimdIsa::dispatched`] picks the
-/// widest level the CPU supports, once per process. Every level runs the
-/// same integer operations in the same order, so results are
-/// bit-identical across levels — only the vector width the compiler may
-/// use differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdIsa {
-    /// The build's baseline target features (SSE2 on x86-64), and the
-    /// only level on other architectures.
-    Portable,
-    /// x86-64 AVX2 (with BMI1/BMI2, LZCNT, POPCNT).
-    Avx2,
-    /// x86-64 AVX-512 F/BW/VL/DQ (with the AVX2-level extras).
-    Avx512,
-}
-
-impl SimdIsa {
-    /// Every level, narrowest first.
-    pub const ALL: [SimdIsa; 3] = [SimdIsa::Portable, SimdIsa::Avx2, SimdIsa::Avx512];
-
-    /// Short name (`portable`, `avx2`, `avx512`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdIsa::Portable => "portable",
-            SimdIsa::Avx2 => "avx2",
-            SimdIsa::Avx512 => "avx512",
-        }
-    }
-
-    /// Whether this CPU can run the level's instantiation. The feature
-    /// lists match the `#[target_feature]` attributes of the
-    /// instantiations below.
-    pub fn supported(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let avx2 = || {
-                is_x86_feature_detected!("avx2")
-                    && is_x86_feature_detected!("bmi1")
-                    && is_x86_feature_detected!("bmi2")
-                    && is_x86_feature_detected!("lzcnt")
-                    && is_x86_feature_detected!("popcnt")
-            };
-            match self {
-                SimdIsa::Portable => true,
-                SimdIsa::Avx2 => avx2(),
-                SimdIsa::Avx512 => {
-                    avx2()
-                        && is_x86_feature_detected!("avx512f")
-                        && is_x86_feature_detected!("avx512bw")
-                        && is_x86_feature_detected!("avx512vl")
-                        && is_x86_feature_detected!("avx512dq")
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self == SimdIsa::Portable
-        }
-    }
-
-    /// The widest supported level: detected on first use, then cached
-    /// for the life of the process.
-    pub fn dispatched() -> SimdIsa {
-        static LEVEL: OnceLock<SimdIsa> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            SimdIsa::ALL
-                .into_iter()
-                .rev()
-                .find(|isa| isa.supported())
-                .unwrap_or(SimdIsa::Portable)
-        })
-    }
-
-    /// Runs `kernel`'s body compiled for this level.
-    ///
-    /// # Panics
-    ///
-    /// When the CPU does not support the level (see
-    /// [`SimdIsa::supported`]).
-    pub(crate) fn run<K: IsaKernel>(self, kernel: K) -> K::Output {
-        assert!(
-            self.supported(),
-            "{} is not supported on this CPU",
-            self.name()
-        );
-        match self {
-            SimdIsa::Portable => kernel.run(),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `supported()` confirmed every feature the
-            // instantiation enables.
-            SimdIsa::Avx2 => unsafe { x86::run_avx2(kernel) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            SimdIsa::Avx512 => unsafe { x86::run_avx512(kernel) },
-            #[cfg(not(target_arch = "x86_64"))]
-            SimdIsa::Avx2 | SimdIsa::Avx512 => unreachable!("rejected by supported()"),
-        }
-    }
-}
-
-/// A hot loop compiled once per [`SimdIsa`] level.
-///
-/// Implementations mark [`IsaKernel::run`] `#[inline(always)]`, so its
-/// body is compiled into each `#[target_feature]` instantiation below
-/// and the compiler may vectorize it at that level's width.
-pub(crate) trait IsaKernel {
-    type Output;
-
-    /// The kernel body.
-    fn run(self) -> Self::Output;
-}
-
-/// The `#[target_feature]` instantiations behind [`SimdIsa::run`]. The
-/// feature lists match [`SimdIsa::supported`].
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::IsaKernel;
-
-    /// # Safety
-    ///
-    /// The CPU must support every enabled feature
-    /// (`SimdIsa::Avx2.supported()`).
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-    pub(super) unsafe fn run_avx2<K: IsaKernel>(kernel: K) -> K::Output {
-        kernel.run()
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support every enabled feature
-    /// (`SimdIsa::Avx512.supported()`).
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq,avx2,bmi1,bmi2,lzcnt,popcnt")]
-    pub(super) unsafe fn run_avx512<K: IsaKernel>(kernel: K) -> K::Output {
-        kernel.run()
-    }
 }
 
 /// The engine body's arguments, as one [`IsaKernel`].
@@ -395,7 +307,7 @@ impl<K: CellSink> IsaKernel for Extend<'_, K> {
     type Output = WarpExtension;
 
     #[inline(always)]
-    fn run(self) -> WarpExtension {
+    fn run<V: LaneVec>(self) -> WarpExtension {
         let Extend {
             target,
             query,
@@ -405,17 +317,29 @@ impl<K: CellSink> IsaKernel for Extend<'_, K> {
             tbm,
             sink,
         } = self;
-        extend_body(target, query, scoring, cfg, shared, tbm, sink)
+        // The backend is a compile-time choice of the body, not a
+        // per-step branch: each step's outputs then stay in registers.
+        match cfg.backend {
+            WavefrontBackend::Interpreter => {
+                extend_body::<V, K, true>(target, query, scoring, cfg, shared, tbm, sink)
+            }
+            WavefrontBackend::Simd => {
+                extend_body::<V, K, false>(target, query, scoring, cfg, shared, tbm, sink)
+            }
+        }
     }
 }
 
-/// Runs the engine body instantiated for `isa`.
+/// [`warp_extend_traced_in`] on the body instantiated for `isa` (the
+/// per-level differential tests' hook; production runs
+/// [`SimdIsa::dispatched`]).
 ///
 /// # Panics
 ///
 /// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_on<K: CellSink>(
+pub fn warp_extend_traced_on<K: CellSink>(
     isa: SimdIsa,
     target: &[u8],
     query: &[u8],
@@ -436,9 +360,12 @@ pub(crate) fn extend_on<K: CellSink>(
     })
 }
 
-/// The engine body, inlined into each [`SimdIsa`] instantiation.
+/// The engine body, inlined into each [`SimdIsa`] instantiation with that
+/// level's lane type `V`; `INTERPRETED` runs each step through
+/// [`step_interpreter`](crate::wavefront_step::step_interpreter) instead
+/// of the vector step ([`WavefrontBackend`]).
 #[inline(always)]
-fn extend_body<K: CellSink>(
+fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
     target: &[u8],
     query: &[u8],
     scoring: &Scoring,
@@ -592,20 +519,21 @@ fn extend_body<K: CellSink>(
         // (the row-0 boundary chain when starting at the top, dead
         // otherwise — cells of row `row_base` itself are dead or
         // boundary by construction).
-        let mut s_cur: Lanes<i32> = splat(NEG_INF);
-        let mut i_cur: Lanes<i32> = splat(NEG_INF);
-        let mut d_cur: Lanes<i32> = splat(NEG_INF);
-        let mut s_prev: Lanes<i32> = splat(NEG_INF);
+        let mut s_cur = V::splat(NEG_INF);
         if row_base == 0 {
-            for l in 0..lanes_valid {
-                let j = strip_base + l + 1;
-                s_cur[l] = r0(j);
-                i_cur[l] = r0(j);
+            let mut chain = [NEG_INF; WARP_SIZE];
+            for (l, s) in chain.iter_mut().enumerate().take(lanes_valid) {
+                *s = r0(strip_base + l + 1);
             }
+            s_cur = V::load(&chain);
         }
+        let mut i_cur = s_cur;
+        let mut d_cur = V::splat(NEG_INF);
+        let mut s_prev = V::splat(NEG_INF);
 
         row_max_strip.clear();
         row_max_strip.resize(row_cap + 1, NEG_INF);
+        let mut row_maxima = RowMaxima::<V>::new(lanes_valid);
 
         next_spill.clear();
         next_spill.resize(row_cap + 1, DEAD);
@@ -638,12 +566,12 @@ fn extend_body<K: CellSink>(
         // a select) and the row's prefix-best threshold source, which is
         // constant within a strip. Lanes that have not reached the
         // strip's first row hold fillers; they are inactive.
-        let profile = target_profile(
+        let profile: [V; ALPHABET_SIZE] = target_profile(
             &scoring.subst,
             &target[strip_base..strip_base + lanes_valid],
         );
-        let mut q_codes: Lanes<i32> = splat(0);
-        let mut row_best: Lanes<i32> = splat(NEG_INF);
+        let mut q_codes = V::splat(0);
+        let mut row_best = V::splat(NEG_INF);
 
         // the last lane finishes row row_cap at t_max - 2
         let rows_avail = row_cap - row_base;
@@ -652,24 +580,12 @@ fn extend_body<K: CellSink>(
         while t < t_max {
             let lane0_row = row_base + t + 1;
             // Shuffle in the left-neighbour values; lane 0 reads the
-            // strip-boundary spill. The SIMD backend realizes the same
-            // `__shfl_up_sync` as one whole-vector shift with edge-lane
-            // injection (bit-identical; pinned by the lanes32 tests).
+            // strip-boundary spill. `__shfl_up_sync` is one whole-vector
+            // lane shift with edge-lane injection (pinned to the scalar
+            // warp model by the lanes32 and lane-type tests).
             let sp = |r: usize| spill.get(r).copied().unwrap_or(DEAD);
             let fill = sp(lane0_row);
             let fill_diag = sp(lane0_row - 1).s;
-            let (s_left, i_left, s_diag_v) = match cfg.backend {
-                WavefrontBackend::Interpreter => (
-                    shfl_up(&s_cur, 1, fill.s),
-                    shfl_up(&i_cur, 1, fill.i),
-                    shfl_up(&s_prev, 1, fill_diag),
-                ),
-                WavefrontBackend::Simd => (
-                    lanes32::shift_up1(&s_cur, fill.s),
-                    lanes32::shift_up1(&i_cur, fill.i),
-                    lanes32::shift_up1(&s_prev, fill_diag),
-                ),
-            };
             counters.shuffles += 3;
             // One bank-conflict access group per wavefront step.
             shared.sanitize_tick();
@@ -689,32 +605,28 @@ fn extend_body<K: CellSink>(
             } else {
                 (0, NEG_INF)
             };
-            q_codes = lanes32::shift_up1(&q_codes, q_in);
-            row_best = lanes32::shift_up1(&row_best, best_in);
-            // The substitution score of each lane's cell and the
-            // LASTZ-order-safe pruning threshold (module docs).
-            let subst_v = profile_select(&profile, &q_codes);
-            let thresh_v = lanes32::add(
-                &lanes32::max(&row_best, &splat(lagged_best)),
-                &splat(-ydrop),
-            );
+            q_codes = q_codes.shift_up1(q_in);
+            row_best = row_best.shift_up1(best_in);
 
-            let step_in = StepIn {
-                s_left: &s_left,
-                i_left: &i_left,
-                s_diag: &s_diag_v,
-                s_cur: &s_cur,
-                d_cur: &d_cur,
-                subst: &subst_v,
-                threshold: &thresh_v,
+            let step_in = LaneIn {
+                s_left: s_cur.shift_up1(fill.s),
+                i_left: i_cur.shift_up1(fill.i),
+                s_diag: s_prev.shift_up1(fill_diag),
+                s_cur,
+                d_cur,
+                // The substitution score of each lane's cell and the
+                // LASTZ-order-safe pruning threshold (module docs).
+                subst: profile_select(&profile, q_codes),
+                threshold: row_best.max(V::splat(lagged_best)).add(V::splat(-ydrop)),
                 so_se,
                 se,
                 lo,
                 hi,
             };
-            let out = match cfg.backend {
-                WavefrontBackend::Interpreter => step_interpreter(&step_in),
-                WavefrontBackend::Simd => step_simd(&step_in),
+            let out = if INTERPRETED {
+                LaneOut::interpreted(&step_in)
+            } else {
+                step_lanes(&step_in)
             };
 
             if sanitizing {
@@ -738,7 +650,7 @@ fn extend_body<K: CellSink>(
             // step kernels, pinned per step by the differential tests).
             // Dead and inactive lanes store NEG_INF, so the lane maximum
             // of `s_store` is the step's best live S.
-            let step_max = reduce_max(&out.s_store);
+            let step_max = out.s_store.reduce_max();
             let live_this_step = out.live_mask != 0;
             if live_this_step {
                 strip_live = true;
@@ -748,7 +660,7 @@ fn extend_body<K: CellSink>(
                 if step_max > best_score {
                     // First lane of the maximum: the cell a lane-order
                     // scan with a strict `>` update would keep.
-                    let l = first_lane_at(&out.s_store, step_max);
+                    let l = first_lane_at(out.s_store, step_max);
                     best_score = step_max;
                     best_i = lane0_row - l;
                     best_j = strip_base + l + 1;
@@ -758,49 +670,46 @@ fn extend_body<K: CellSink>(
                     let l = live.trailing_zeros() as usize;
                     live &= live - 1;
                     let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
+                    let s = out.s_store.lane(l);
                     debug_assert!(
-                        out.s_store[l] > NEG_INF / 2,
-                        "live cell ({i_idx},{j_idx}) carries a sentinel-derived S value {}",
-                        out.s_store[l]
+                        s > NEG_INF / 2,
+                        "live cell ({i_idx},{j_idx}) carries a sentinel-derived S value {s}"
                     );
                     sink.record(
                         i_idx,
                         j_idx,
                         CellScores {
-                            s: out.s_store[l],
-                            i: out.i_store[l],
-                            d: out.d_store[l],
+                            s,
+                            i: out.i_store.lane(l),
+                            d: out.d_store.lane(l),
                         },
                     );
                 }
             }
-            // Row maxima over the active lanes' rows (lane `lo` is on the
-            // deepest); a dead lane's NEG_INF never raises one.
-            for (row_max, &s) in row_max_strip[lane0_row - hi..=lane0_row - lo]
-                .iter_mut()
-                .rev()
-                .zip(&out.s_store[lo..=hi])
-            {
-                *row_max = (*row_max).max(s);
-            }
+            row_maxima.push(out.s_store, lane0_row, &mut row_max_strip);
 
             // Traceback bytes (the kernel computes one for every active
-            // lane; S_ORIGIN source when pruned).
-            if cfg.record_traceback {
-                for l in lo..=hi {
-                    tbm[(lane0_row - l - 1) * n + (strip_base + l)] = out.tb[l] | TB_WRITTEN;
+            // lane; S_ORIGIN source when pruned), packed only on steps
+            // that write them: executor steps, and steps that reach the
+            // w×w eager window (its lowest active column and shallowest
+            // active row).
+            let in_window = w > 0 && strip_base + lo < w && lane0_row - hi <= w;
+            if cfg.record_traceback || in_window {
+                let tb_bytes = out.tb();
+                if cfg.record_traceback {
+                    for (l, &b) in tb_bytes.iter().enumerate().take(hi + 1).skip(lo) {
+                        tbm[(lane0_row - l - 1) * n + (strip_base + l)] = b | TB_WRITTEN;
+                    }
+                    counters.global_written += active_lanes; // 1 B/cell, staged
+                    counters.shared_bytes += 2 * active_lanes; //   through shared
                 }
-                counters.global_written += active_lanes; // 1 B/cell, staged
-                counters.shared_bytes += 2 * active_lanes; //   through shared
-            }
-            // Eager-window bytes, only on steps that reach the w×w window
-            // (its lowest active column and shallowest active row).
-            if w > 0 && strip_base + lo < w && lane0_row - hi <= w {
-                for l in lo..=hi {
-                    let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
-                    if i_idx <= w && j_idx <= w {
-                        shared.write_u8((i_idx - 1) * w + (j_idx - 1), out.tb[l]);
-                        counters.shared_bytes += 1;
+                if in_window {
+                    for (l, &b) in tb_bytes.iter().enumerate().take(hi + 1).skip(lo) {
+                        let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
+                        if i_idx <= w && j_idx <= w {
+                            shared.write_u8((i_idx - 1) * w + (j_idx - 1), b);
+                            counters.shared_bytes += 1;
+                        }
                     }
                 }
             }
@@ -809,17 +718,17 @@ fn extend_body<K: CellSink>(
             // active-lane select leaves finished and unstarted lanes'
             // registers untouched; with the whole warp active it is a
             // whole-vector rotation of the three-row buffer.
-            let active = lanes32::range_mask(lo, hi);
-            s_prev = lanes32::select(&active, &s_cur, &s_prev);
-            s_cur = lanes32::select(&active, &out.s_store, &s_cur);
-            i_cur = lanes32::select(&active, &out.i_store, &i_cur);
-            d_cur = lanes32::select(&active, &out.d_store, &d_cur);
+            let active = V::range_mask(lo, hi);
+            s_prev = V::select(active, s_cur, s_prev);
+            s_cur = V::select(active, out.s_store, s_cur);
+            i_cur = V::select(active, out.i_store, i_cur);
+            d_cur = V::select(active, out.d_store, d_cur);
 
             // The last lane spills the strip boundary for the next strip.
             if strip_base + width < n && (lo..=hi).contains(&(width - 1)) {
                 next_spill[lane0_row - (width - 1)] = Spill {
-                    s: out.s_store[width - 1],
-                    i: out.i_store[width - 1],
+                    s: out.s_store.lane(width - 1),
+                    i: out.i_store.lane(width - 1),
                 };
             }
 
@@ -875,6 +784,8 @@ fn extend_body<K: CellSink>(
             }
             t += 1;
         }
+
+        row_maxima.flush(&mut row_max_strip);
 
         if !strip_live {
             break;
@@ -1363,7 +1274,7 @@ mod tests {
     ) -> (WarpExtension, fastz_align::DenseTrace) {
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
         let mut trace = fastz_align::DenseTrace::default();
-        let ext = extend_on(
+        let ext = warp_extend_traced_on(
             isa,
             &c.t,
             &c.q,
@@ -1449,19 +1360,94 @@ mod tests {
         assert!(isas.contains(&SimdIsa::Portable));
     }
 
-    #[test]
-    fn dispatch_picks_the_widest_supported_level() {
-        let isa = SimdIsa::dispatched();
-        assert!(isa.supported());
-        let wider = SimdIsa::ALL.iter().skip_while(|&&l| l != isa).skip(1);
-        for &level in wider {
-            assert!(
-                !level.supported(),
-                "{} is supported but {} was chosen",
-                level.name(),
-                isa.name()
-            );
+    /// One synthetic strip through [`RowMaxima`] on lane type `V`,
+    /// stepped like the engine's strip loop: it stops when no lane is
+    /// active, or after step `stop` (the dead-window exit). Returns the
+    /// accumulator's row maxima and the per-lane scan's.
+    struct RowMaxStrip {
+        width: usize,
+        lanes_valid: usize,
+        row_base: usize,
+        row_cap: usize,
+        stop: Option<usize>,
+        seed: u64,
+    }
+
+    impl IsaKernel for RowMaxStrip {
+        type Output = (Vec<i32>, Vec<i32>);
+
+        #[inline(always)]
+        fn run<V: LaneVec>(self) -> (Vec<i32>, Vec<i32>) {
+            let mut rng = SmallRng::seed_from_u64(self.seed);
+            let mut got = vec![NEG_INF; self.row_cap + 1];
+            let mut want = got.clone();
+            let mut acc = RowMaxima::<V>::new(self.lanes_valid);
+            let rows_avail = self.row_cap - self.row_base;
+            for t in 0..rows_avail + self.width {
+                let lane0_row = self.row_base + t + 1;
+                let (lo, hi) = (
+                    (t + 1).saturating_sub(rows_avail),
+                    t.min(self.lanes_valid - 1),
+                );
+                if lo > hi {
+                    break; // no active lane
+                }
+                // Dead and inactive lanes store NEG_INF.
+                let mut s_store = [NEG_INF; WARP_SIZE];
+                for s in &mut s_store[lo..=hi] {
+                    if rng.gen_bool(0.8) {
+                        *s = rng.gen_range(-40..40);
+                    }
+                }
+                acc.push(V::load(&s_store), lane0_row, &mut got);
+                for (l, &s) in s_store.iter().enumerate().take(hi + 1).skip(lo) {
+                    want[lane0_row - l] = want[lane0_row - l].max(s);
+                }
+                if Some(t) == self.stop {
+                    break; // dead window, no live spill ahead
+                }
+            }
+            acc.flush(&mut got);
+            (got, want)
         }
-        assert_eq!(SimdIsa::dispatched(), isa, "the choice is cached");
+    }
+
+    #[test]
+    fn row_max_accumulator_matches_the_per_lane_scan() {
+        let mut seed = 0;
+        for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            for width in [1usize, 2, 7, 31, 32] {
+                // A full strip and a partial last strip.
+                for lanes_valid in [width, width.div_ceil(2)] {
+                    for (row_base, row_cap) in [(0, 0), (0, 1), (0, 40), (6, 9), (3, 90)] {
+                        let steps = row_cap - row_base + width;
+                        for stop in [
+                            None,
+                            Some(0),
+                            Some(steps / 3),
+                            Some(steps.saturating_sub(2)),
+                        ] {
+                            seed += 1;
+                            let case = RowMaxStrip {
+                                width,
+                                lanes_valid,
+                                row_base,
+                                row_cap,
+                                stop,
+                                seed,
+                            };
+                            let (got, want) = isa.run(case);
+                            assert_eq!(
+                                got,
+                                want,
+                                "{} width {width} lanes {lanes_valid} rows {row_base}..={row_cap} \
+                                 stop {stop:?}",
+                                isa.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,16 +1,17 @@
 //! The per-step wavefront kernels: one anti-diagonal of the warp
 //! engine's DP recurrence, factored out of the strip loop so the scalar
-//! interpreter and the host-SIMD backend are two interchangeable
-//! realizations of the *same* step.
+//! interpreter and the vector step are two interchangeable realizations
+//! of the *same* step.
 //!
 //! [`step_interpreter`] executes the 32 lanes one at a time — it is the
 //! reference semantics, lifted verbatim from the engine's original lane
-//! loop. [`step_simd`] computes the whole warp with 32-wide vector
-//! operations from [`fastz_gpu_sim::lanes32`]. Everything stateful —
-//! shuffles, traceback writes, counters, best-cell tracking, register
-//! rotation, spill — stays in the engine and is shared by both
-//! backends, so the two can only diverge inside this module; the
-//! differential tests pin them together per step, field by field.
+//! loop. `step_lanes` computes the whole warp with the operations of a
+//! `LaneVec`, the lane type of one [`SimdIsa`] level, so its register
+//! files stay in vector registers. Everything stateful — shuffles,
+//! traceback writes, counters, best-cell tracking, register rotation,
+//! spill — stays in the engine and is shared by both backends, so the
+//! two can only diverge inside this module; the differential tests pin
+//! them together per step, field by field, on every lane type.
 //!
 //! Both kernels write deterministic values for inactive lanes
 //! ([`NEG_INF`] stores, zero traceback bytes), so whole-struct equality
@@ -19,28 +20,32 @@
 //! The module also holds the whole-warp helpers the engine wraps around
 //! either kernel: the per-strip `target_profile` and its
 //! `profile_select` (the substitution gather as a vector select), and
-//! the step reductions `reduce_max` / `first_lane_at`. Both backends
+//! the step's first-lane-of-max rule `first_lane_at`. Both backends
 //! share them, so the step inputs and the bookkeeping over its outputs
 //! are the same vector code whichever kernel runs.
 
+use crate::lanes::{IsaKernel, LaneMask, LaneVec, SimdIsa};
 use fastz_align::score;
 use fastz_align::ydrop::{tb, NEG_INF};
 use fastz_genome::{SubstMatrix, ALPHABET_SIZE};
 use fastz_gpu_sim::{lanes32, splat, Lanes, WARP_SIZE};
 
-/// One strip's substitution scores by query code: `profile[c][l]` scores
-/// lane `l`'s target base (`strip_target[l]`) against query code `c`.
-/// Lanes past the end of `strip_target` (a partial last strip) score 0;
-/// they are never active.
-pub(crate) fn target_profile(
+/// One strip's substitution scores by query code: `profile[c]` lane `l`
+/// scores lane `l`'s target base (`strip_target[l]`) against query code
+/// `c`. Lanes past the end of `strip_target` (a partial last strip) score
+/// 0; they are never active.
+#[inline(always)]
+pub(crate) fn target_profile<V: LaneVec>(
     subst: &SubstMatrix,
     strip_target: &[u8],
-) -> [Lanes<i32>; ALPHABET_SIZE] {
-    let mut profile = [splat(0); ALPHABET_SIZE];
+) -> [V; ALPHABET_SIZE] {
+    let mut profile = [V::splat(0); ALPHABET_SIZE];
     for (c, row) in profile.iter_mut().enumerate() {
-        for (cell, &t) in row.iter_mut().zip(strip_target) {
+        let mut scores = [0i32; WARP_SIZE];
+        for (cell, &t) in scores.iter_mut().zip(strip_target) {
             *cell = subst.score(t, c as u8);
         }
+        *row = V::load(&scores);
     }
     profile
 }
@@ -51,23 +56,12 @@ pub(crate) fn target_profile(
 /// `ALPHABET_SIZE − 1` compare-and-select pairs and no memory lookups.
 /// Every code must lie in `0..ALPHABET_SIZE`.
 #[inline(always)]
-pub(crate) fn profile_select(
-    profile: &[Lanes<i32>; ALPHABET_SIZE],
-    codes: &Lanes<i32>,
-) -> Lanes<i32> {
+pub(crate) fn profile_select<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
     let mut out = profile[0];
-    for (c, row) in profile.iter().enumerate().skip(1) {
-        out = lanes32::select(&lanes32::ge(codes, &splat(c as i32)), row, &out);
+    for (c, &row) in profile.iter().enumerate().skip(1) {
+        out = V::select(codes.ge(V::splat(c as i32)), row, out);
     }
     out
-}
-
-/// Largest lane value (`NEG_INF` floors it). Over a step's `s_store`,
-/// whose dead and inactive lanes hold `NEG_INF`, this is the best live
-/// S of the step.
-#[inline(always)]
-pub(crate) fn reduce_max(v: &Lanes<i32>) -> i32 {
-    v.iter().fold(NEG_INF, |m, &x| m.max(x))
 }
 
 /// The first lane holding `max`, which must be the largest value of
@@ -75,8 +69,8 @@ pub(crate) fn reduce_max(v: &Lanes<i32>) -> i32 {
 /// lane wins ties, the same cell a lane-order scan with a strict `>`
 /// update keeps.
 #[inline(always)]
-pub(crate) fn first_lane_at(v: &Lanes<i32>, max: i32) -> usize {
-    lanes32::movemask(&lanes32::ge(v, &splat(max))).trailing_zeros() as usize
+pub(crate) fn first_lane_at<V: LaneVec>(v: V, max: i32) -> usize {
+    v.ge(V::splat(max)).bits().trailing_zeros() as usize
 }
 
 /// Inputs of one wavefront step, prepared by the engine and identical
@@ -219,94 +213,226 @@ pub fn step_interpreter(inp: &StepIn) -> StepOut {
     out
 }
 
-/// The vector step: the same recurrence as [`step_interpreter`], but the
-/// S/I/D register files are 32-wide i32 vectors and every lane decision
-/// is a mask (`shfl` already arrived vectorized in [`StepIn`]; ballots
-/// fall out of [`lanes32::movemask`]). Always inlined, so each
-/// ISA-specialized engine body compiles it for its own vector width.
-#[inline(always)]
-pub fn step_simd(inp: &StepIn) -> StepOut {
-    use lanes32 as v;
-    if inp.lo > inp.hi {
-        return StepOut::inactive();
+/// [`StepIn`] on a lane type: the same fields, held by value.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneIn<V> {
+    pub s_left: V,
+    pub i_left: V,
+    pub s_diag: V,
+    pub s_cur: V,
+    pub d_cur: V,
+    pub subst: V,
+    pub threshold: V,
+    pub so_se: i32,
+    pub se: i32,
+    pub lo: usize,
+    pub hi: usize,
+}
+
+impl<V: LaneVec> LaneIn<V> {
+    /// Loads the public array form.
+    #[inline(always)]
+    fn load(inp: &StepIn) -> LaneIn<V> {
+        LaneIn {
+            s_left: V::load(inp.s_left),
+            i_left: V::load(inp.i_left),
+            s_diag: V::load(inp.s_diag),
+            s_cur: V::load(inp.s_cur),
+            d_cur: V::load(inp.d_cur),
+            subst: V::load(inp.subst),
+            threshold: V::load(inp.threshold),
+            so_se: inp.so_se,
+            se: inp.se,
+            lo: inp.lo,
+            hi: inp.hi,
+        }
     }
-    let so_se = splat(inp.so_se);
-    let se = splat(inp.se);
+}
+
+/// [`StepOut`] on a lane type. The traceback bytes are packed only when
+/// asked for ([`LaneOut::tb`]): most inspector steps write none.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneOut<V: LaneVec> {
+    pub s_store: V,
+    pub i_store: V,
+    pub d_store: V,
+    pub live_mask: u32,
+    pub active_mask: u32,
+    tb: TbBytes<V::Mask>,
+}
+
+/// Where a [`LaneOut`]'s traceback bytes come from.
+#[derive(Clone, Copy)]
+enum TbBytes<M> {
+    /// Packed by the interpreter.
+    Packed(Lanes<u8>),
+    /// The vector step's lane decisions, packed on demand.
+    Masks {
+        alive: M,
+        from_i: M,
+        from_d: M,
+        i_ext: M,
+        d_ext: M,
+        active: M,
+    },
+}
+
+impl<V: LaneVec> LaneOut<V> {
+    /// Packed traceback byte per lane (0 for inactive lanes): the source
+    /// field (`S_ORIGIN` when pruned) plus the extend flags, which
+    /// occupy disjoint bits.
+    #[inline(always)]
+    pub(crate) fn tb(&self) -> Lanes<u8> {
+        match self.tb {
+            TbBytes::Packed(bytes) => bytes,
+            TbBytes::Masks {
+                alive,
+                from_i,
+                from_d,
+                i_ext,
+                d_ext,
+                active,
+            } => {
+                let k = |b: u8| V::splat(i32::from(b));
+                let src = V::select(
+                    from_d,
+                    k(tb::S_FROM_D),
+                    V::select(from_i, k(tb::S_FROM_I), k(tb::S_DIAG)),
+                );
+                let byte = V::select(alive, src, k(tb::S_ORIGIN))
+                    .add(V::select(i_ext, k(tb::I_EXTEND), k(0)))
+                    .add(V::select(d_ext, k(tb::D_EXTEND), k(0)));
+                V::select(active, byte, k(0)).to_bytes()
+            }
+        }
+    }
+
+    /// The public array form.
+    #[inline(always)]
+    fn store(&self) -> StepOut {
+        StepOut {
+            s_store: self.s_store.to_array(),
+            i_store: self.i_store.to_array(),
+            d_store: self.d_store.to_array(),
+            tb: self.tb(),
+            live_mask: self.live_mask,
+            active_mask: self.active_mask,
+        }
+    }
+
+    /// [`step_interpreter`] on lane-type operands (the oracle backend
+    /// inside the engine body).
+    #[inline(always)]
+    pub(crate) fn interpreted(inp: &LaneIn<V>) -> LaneOut<V> {
+        let out = step_interpreter(&StepIn {
+            s_left: &inp.s_left.to_array(),
+            i_left: &inp.i_left.to_array(),
+            s_diag: &inp.s_diag.to_array(),
+            s_cur: &inp.s_cur.to_array(),
+            d_cur: &inp.d_cur.to_array(),
+            subst: &inp.subst.to_array(),
+            threshold: &inp.threshold.to_array(),
+            so_se: inp.so_se,
+            se: inp.se,
+            lo: inp.lo,
+            hi: inp.hi,
+        });
+        LaneOut {
+            s_store: V::load(&out.s_store),
+            i_store: V::load(&out.i_store),
+            d_store: V::load(&out.d_store),
+            live_mask: out.live_mask,
+            active_mask: out.active_mask,
+            tb: TbBytes::Packed(out.tb),
+        }
+    }
+}
+
+/// The vector step: the same recurrence as [`step_interpreter`], but the
+/// S/I/D register files are lane vectors and every lane decision is a
+/// mask (`shfl` already arrived vectorized in [`LaneIn`]; ballots are
+/// the masks' bits). Always inlined, so each [`SimdIsa`] instantiation
+/// of the engine body compiles it on its own lane type. An empty window
+/// (`lo > hi`) needs no branch: the active mask is empty, so every lane
+/// takes the inactive defaults.
+#[inline(always)]
+pub(crate) fn step_lanes<V: LaneVec>(inp: &LaneIn<V>) -> LaneOut<V> {
+    let so_se = V::splat(inp.so_se);
+    let se = V::splat(inp.se);
 
     // I / D: open-vs-extend with the same `ext >= open` tie-break; the
     // ge masks double as the extend flags of the traceback byte.
-    let open_i = v::add(inp.s_left, &so_se);
-    let ext_i = v::add(inp.i_left, &se);
-    let m_i_ext = v::ge(&ext_i, &open_i);
-    let i_val = v::select(&m_i_ext, &ext_i, &open_i);
+    let open_i = inp.s_left.add(so_se);
+    let ext_i = inp.i_left.add(se);
+    let i_ext = ext_i.ge(open_i);
+    let i_val = V::select(i_ext, ext_i, open_i);
 
-    let open_d = v::add(inp.s_cur, &so_se);
-    let ext_d = v::add(inp.d_cur, &se);
-    let m_d_ext = v::ge(&ext_d, &open_d);
-    let d_val = v::select(&m_d_ext, &ext_d, &open_d);
+    let open_d = inp.s_cur.add(so_se);
+    let ext_d = inp.d_cur.add(se);
+    let d_ext = ext_d.ge(open_d);
+    let d_val = V::select(d_ext, ext_d, open_d);
 
-    let diag = v::add(inp.s_diag, inp.subst);
+    let diag = inp.s_diag.add(inp.subst);
 
     // Best source, diagonal first: two strict-greater selects reproduce
     // the interpreter's priority chain exactly.
-    let m_from_i = v::gt(&i_val, &diag);
-    let s_after_i = v::select(&m_from_i, &i_val, &diag);
-    let m_from_d = v::gt(&d_val, &s_after_i);
-    let s_val = v::select(&m_from_d, &d_val, &s_after_i);
-    let src = v::select(
-        &m_from_d,
-        &splat(tb::S_FROM_D as i32),
-        &v::select(
-            &m_from_i,
-            &splat(tb::S_FROM_I as i32),
-            &splat(tb::S_DIAG as i32),
-        ),
-    );
+    let from_i = i_val.gt(diag);
+    let s_after_i = V::select(from_i, i_val, diag);
+    let from_d = d_val.gt(s_after_i);
+    let s_val = V::select(from_d, d_val, s_after_i);
 
     // Prune: dead iff all three values fall below the lane's threshold.
-    let dead = v::and(
-        &v::and(&v::lt(&s_val, inp.threshold), &v::lt(&i_val, inp.threshold)),
-        &v::lt(&d_val, inp.threshold),
-    );
+    // `s_val` is the largest of the three, so that is `s_val < threshold`.
+    let alive = s_val.ge(inp.threshold);
 
-    // Stores: NEG_INF for pruned lanes, clamped values otherwise. The
-    // max-with-splat is the vector form of `score::clamp`.
-    let neg = splat(NEG_INF);
-    let active = v::range_mask(inp.lo, inp.hi);
-    let s_store = v::select(&dead, &neg, &s_val);
-    let i_store = v::select(&dead, &neg, &v::max(&i_val, &neg));
-    let d_store = v::select(&dead, &neg, &v::max(&d_val, &neg));
-
-    // Traceback byte: source field (S_ORIGIN when pruned) OR'd with the
-    // extend flags.
-    let byte = v::or(
-        &v::select(&dead, &splat(tb::S_ORIGIN as i32), &src),
-        &v::or(
-            &v::and(&m_i_ext, &splat(tb::I_EXTEND as i32)),
-            &v::and(&m_d_ext, &splat(tb::D_EXTEND as i32)),
-        ),
-    );
-
-    // Mask inactive lanes to the same defaults the interpreter leaves.
-    let s_store = v::select(&active, &s_store, &neg);
-    let i_store = v::select(&active, &i_store, &neg);
-    let d_store = v::select(&active, &d_store, &neg);
-    let byte = v::and(&active, &byte);
-
-    let active_mask = v::range_bits(inp.lo, inp.hi);
-    let live_mask = !v::movemask(&dead) & active_mask;
-
-    let mut tb_bytes = [0u8; WARP_SIZE];
-    for (l, b) in tb_bytes.iter_mut().enumerate() {
-        *b = byte[l] as u8;
+    // Stores: NEG_INF for pruned and inactive lanes, clamped values
+    // otherwise. The max-with-splat is the vector form of `score::clamp`.
+    let neg = V::splat(NEG_INF);
+    let active = V::range_mask(inp.lo, inp.hi);
+    let live = alive.and(active);
+    LaneOut {
+        s_store: V::select(live, s_val, neg),
+        i_store: V::select(live, i_val.max(neg), neg),
+        d_store: V::select(live, d_val.max(neg), neg),
+        live_mask: live.bits(),
+        active_mask: lanes32::range_bits(inp.lo, inp.hi),
+        tb: TbBytes::Masks {
+            alive,
+            from_i,
+            from_d,
+            i_ext,
+            d_ext,
+            active,
+        },
     }
-    StepOut {
-        s_store,
-        i_store,
-        d_store,
-        tb: tb_bytes,
-        live_mask,
-        active_mask,
+}
+
+/// The vector step on the lane type [`SimdIsa::dispatched`] picks — the
+/// kernel production runs — on the public array form.
+pub fn step_simd(inp: &StepIn) -> StepOut {
+    step_simd_on(SimdIsa::dispatched(), inp)
+}
+
+/// [`step_simd`] on `isa`'s lane type (the per-lane-type differential
+/// tests' hook).
+///
+/// # Panics
+///
+/// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
+#[doc(hidden)]
+pub fn step_simd_on(isa: SimdIsa, inp: &StepIn) -> StepOut {
+    isa.run(VectorStep(inp))
+}
+
+/// [`step_lanes`] as an [`IsaKernel`].
+struct VectorStep<'a, 'b>(&'a StepIn<'b>);
+
+impl IsaKernel for VectorStep<'_, '_> {
+    type Output = StepOut;
+
+    #[inline(always)]
+    fn run<V: LaneVec>(self) -> StepOut {
+        step_lanes(&LaneIn::<V>::load(self.0)).store()
     }
 }
 
@@ -335,12 +461,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         for len in [1usize, 7, 31, 32] {
             let target: Vec<u8> = (0..len).map(|_| rng.gen_range(0..5)).collect();
-            let profile = target_profile(&m, &target);
+            let profile: [Lanes<i32>; ALPHABET_SIZE] = target_profile(&m, &target);
             let mut codes = [0i32; WARP_SIZE];
             for c in codes.iter_mut() {
                 *c = rng.gen_range(0..ALPHABET_SIZE as i32);
             }
-            let got = profile_select(&profile, &codes);
+            let got = profile_select(&profile, codes);
             for (l, &t) in target.iter().enumerate() {
                 assert_eq!(got[l], m.score(t, codes[l] as u8), "len {len} lane {l}");
             }
@@ -365,11 +491,11 @@ mod tests {
                     (best, lane) = (x, l);
                 }
             }
-            assert_eq!(reduce_max(&v), best);
+            assert_eq!(v.reduce_max(), best);
             if lane < WARP_SIZE {
-                assert_eq!(first_lane_at(&v, best), lane);
+                assert_eq!(first_lane_at(v, best), lane);
             }
         }
-        assert_eq!(reduce_max(&splat(NEG_INF)), NEG_INF);
+        assert_eq!(splat(NEG_INF).reduce_max(), NEG_INF);
     }
 }

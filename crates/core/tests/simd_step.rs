@@ -1,18 +1,22 @@
 //! Differential pinning of the SIMD wavefront kernel to the
 //! interpreter, per step and per engine run.
 //!
-//! The per-step property drives both kernels with adversarial register
-//! files — values across the full engine range including exact
-//! `NEG_INF` sentinels, every `[lo, hi]` lane window, thresholds from
-//! prune-nothing to prune-everything — and demands whole-struct
-//! equality of [`StepOut`]: S/I/D stores, packed traceback bytes, and
-//! both ballots. The engine-level property then runs full extensions
+//! The per-step property drives the interpreter and the vector step on
+//! every lane type this CPU supports (one per [`SimdIsa`] level) with
+//! adversarial register files — values across the full engine range
+//! including exact `NEG_INF` sentinels, every `[lo, hi]` lane window,
+//! thresholds from prune-nothing to prune-everything — and demands
+//! whole-struct equality of [`StepOut`]: S/I/D stores, packed traceback
+//! bytes, and both ballots. The engine-level property then runs full extensions
 //! under each backend at every strip width and compares results and
 //! cell traces, so the shared bookkeeping around the kernels is pinned
 //! too.
 
 use fastz_align::DenseTrace;
-use fastz_core::{step_interpreter, step_simd, OptFlags, StepIn, WarpConfig, WavefrontBackend};
+use fastz_core::{
+    step_interpreter, step_simd, step_simd_on, OptFlags, SimdIsa, StepIn, WarpConfig,
+    WavefrontBackend,
+};
 use fastz_genome::evolve::random_codes;
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix};
 use fastz_gpu_sim::{Lanes, SharedMem, WARP_SIZE};
@@ -42,8 +46,9 @@ fn register_file(rng: &mut SmallRng) -> Lanes<i32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// One wavefront step: `step_simd` must equal `step_interpreter`
-    /// field for field on arbitrary register files and lane windows.
+    /// One wavefront step: the vector step on every supported lane type
+    /// must equal `step_interpreter` field for field on arbitrary
+    /// register files and lane windows.
     #[test]
     fn simd_step_matches_interpreter_step(
         seed in any::<u64>(),
@@ -84,7 +89,12 @@ proptest! {
             lo,
             hi,
         };
-        prop_assert_eq!(step_interpreter(&inp), step_simd(&inp));
+        let want = step_interpreter(&inp);
+        for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let got = step_simd_on(isa, &inp);
+            prop_assert_eq!(want, got, "{} lane type", isa.name());
+        }
+        prop_assert_eq!(want, step_simd(&inp), "dispatched lane type");
     }
 }
 

@@ -3,9 +3,10 @@
 //!
 //! The warp engine's interpreter executes the 32 lanes of a wavefront
 //! step one at a time; this module provides the same step as whole-warp
-//! vector operations so the engine's SIMD backend can keep the S/I/D
-//! register files in 32-wide vectors. The mapping to the CUDA warp
-//! primitives the kernels are written against:
+//! vector operations. They are the engine's portable lane type, and the
+//! definition its AVX2 and AVX-512 lane types (in `fastz-core`) are
+//! tested against. The mapping to the CUDA warp primitives the kernels
+//! are written against:
 //!
 //! | CUDA / [`crate::warp`]        | lanes32                                |
 //! |-------------------------------|----------------------------------------|
@@ -21,7 +22,7 @@
 //! comparison masks, sign-bit movemask), which the unit tests pin
 //! against the scalar [`crate::warp`] primitives. Comparison masks are
 //! plain `Lanes<i32>` holding `-1` (true) or `0` (false) per lane, so
-//! they compose with [`select`]/[`and`]/[`or`] as bitwise operations.
+//! they compose with [`select`]/[`and`] as bitwise operations.
 
 use crate::warp::{Lanes, WARP_SIZE};
 
@@ -69,32 +70,12 @@ pub fn gt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
     out
 }
 
-/// Lane-wise `a < b` as a `-1`/`0` mask.
-#[inline(always)]
-pub fn lt(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    let mut out = [0i32; WARP_SIZE];
-    for l in 0..WARP_SIZE {
-        out[l] = -((a[l] < b[l]) as i32);
-    }
-    out
-}
-
 /// Lane-wise bitwise AND (mask conjunction).
 #[inline(always)]
 pub fn and(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
     let mut out = [0i32; WARP_SIZE];
     for l in 0..WARP_SIZE {
         out[l] = a[l] & b[l];
-    }
-    out
-}
-
-/// Lane-wise bitwise OR (mask disjunction / flag merge).
-#[inline(always)]
-pub fn or(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
-    let mut out = [0i32; WARP_SIZE];
-    for l in 0..WARP_SIZE {
-        out[l] = a[l] | b[l];
     }
     out
 }
@@ -194,7 +175,7 @@ mod tests {
     fn comparison_masks_are_minus_one_or_zero() {
         let a = iota(0);
         let b = splat(10);
-        let m = lt(&a, &b);
+        let m = gt(&b, &a);
         for (l, &bit) in m.iter().enumerate() {
             assert_eq!(bit, if (l as i32) < 10 { -1 } else { 0 }, "lane {l}");
         }
@@ -225,7 +206,7 @@ mod tests {
     fn movemask_matches_ballot_on_the_same_predicate() {
         let a = iota(0);
         let b = splat(20);
-        let m = lt(&a, &b);
+        let m = gt(&b, &a);
         let pred: Lanes<bool> = {
             let mut p = [false; WARP_SIZE];
             for l in 0..WARP_SIZE {

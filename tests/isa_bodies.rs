@@ -1,0 +1,98 @@
+//! Per-ISA differential over the warp engine body.
+//!
+//! The engine body is one generic compiled once per `SimdIsa` level,
+//! each on its own lane type; production runs only the widest level the
+//! CPU supports. This test runs every supported level's vector body
+//! against the interpreter on the portable body — whole `WarpExtension`
+//! and every traced cell, in inspector and trimmed-executor mode — so
+//! the narrower bodies stay covered on hosts that never dispatch them.
+
+use fastz::align::{CellScores, DenseTrace};
+use fastz::core::{
+    warp_extend_traced_on, OptFlags, SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
+};
+use fastz::genome::{GapPenalties, Scoring, SubstMatrix};
+use fastz::gpu_sim::SharedMem;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+fn scoring() -> Scoring {
+    Scoring {
+        subst: SubstMatrix::match_mismatch(10, -15),
+        gaps: GapPenalties::new(30, 5),
+        ydrop: 120,
+        xdrop: 40,
+        hsp_threshold: 50,
+        gapped_threshold: 50,
+    }
+}
+
+/// A homologous pair: ~6% substitutions and a short deletion.
+fn pair(len: usize, rng: &mut SmallRng) -> (Vec<u8>, Vec<u8>) {
+    let t: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+    let mut q: Vec<u8> = t
+        .iter()
+        .map(|&b| {
+            if rng.gen_bool(0.06) {
+                (b + rng.gen_range(1..4)) & 3
+            } else {
+                b
+            }
+        })
+        .collect();
+    let cut = rng.gen_range(1..len - 4);
+    q.drain(cut..cut + 3);
+    (t, q)
+}
+
+fn run(
+    isa: SimdIsa,
+    t: &[u8],
+    q: &[u8],
+    cfg: &WarpConfig,
+) -> (WarpExtension, BTreeMap<(usize, usize), CellScores>) {
+    let mut shared = SharedMem::new(96 * 1024);
+    let mut trace = DenseTrace::default();
+    let ext = warp_extend_traced_on(
+        isa,
+        t,
+        q,
+        &scoring(),
+        cfg,
+        &mut shared,
+        &mut Vec::new(),
+        &mut trace,
+    );
+    (ext, trace.cells)
+}
+
+#[test]
+fn every_supported_isa_body_matches_the_interpreter() {
+    let mut rng = SmallRng::seed_from_u64(0x15A_B0D1);
+    let isas: Vec<SimdIsa> = SimdIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect();
+    assert!(isas.contains(&SimdIsa::Portable));
+    for len in [9usize, 40, 75, 140] {
+        let (t, q) = pair(len, &mut rng);
+        for width in [7usize, 32] {
+            let inspector = WarpConfig::inspector(&OptFlags::fastz()).with_strip_width(width);
+            let oracle = WavefrontBackend::Interpreter;
+            let want = run(SimdIsa::Portable, &t, &q, &inspector.with_backend(oracle));
+            let executor = WarpConfig::executor(&OptFlags::fastz(), want.0.best_i, want.0.best_j)
+                .with_strip_width(width);
+            let want_exec = run(SimdIsa::Portable, &t, &q, &executor.with_backend(oracle));
+            assert!(want_exec.0.ops.is_some());
+            for &isa in &isas {
+                let simd = WavefrontBackend::Simd;
+                let ctx = format!("{} / {len} bp / width {width}", isa.name());
+                let got = run(isa, &t, &q, &inspector.with_backend(simd));
+                assert_eq!(got, want, "{ctx} (inspector)");
+                let got = run(isa, &t, &q, &executor.with_backend(simd));
+                assert_eq!(got, want_exec, "{ctx} (executor)");
+            }
+        }
+    }
+}
