@@ -915,9 +915,9 @@ impl<'a> Run<'a> {
                         exec_cfg.max_rows = insp.explored_rows;
                         exec_cfg.max_cols = insp.explored_cols;
                     }
-                    // The bin's arena traceback buffer, leased by slot: the
-                    // engine zero-resizes it to the trimmed cell count, so the
-                    // first problem of a class allocates and the rest reuse.
+                    // The arena's traceback buffer, leased by bin slot and
+                    // accounted on the trimmed rectangle; the engine clears
+                    // it and stores only the band it explores.
                     let rows = q.len().min(exec_cfg.max_rows);
                     let cols = t.len().min(exec_cfg.max_cols);
                     let tbm = arena.tb.lease(slot, rows.saturating_mul(cols));

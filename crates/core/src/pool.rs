@@ -15,16 +15,16 @@
 //!
 //! Each worker owns an [`Arena`] that persists across problems *and*
 //! phases: the device-sized [`SharedMem`] scratchpad, the left-side
-//! reversal buffers, and one traceback matrix per executor bin slot
-//! (keyed like [`crate::binning::bin_allocation`] — problems of one bin
-//! have similar extents, so the buffer converges after the first lease
-//! and subsequent problems reuse it without reallocating).
+//! reversal buffers, and one executor traceback buffer whose leases are
+//! accounted per executor bin slot (keyed like
+//! [`crate::binning::bin_allocation`]), so subsequent problems reuse it
+//! without reallocating.
 //!
 //! # Determinism contract
 //!
 //! Results are returned in problem order regardless of which worker ran
 //! what, every buffer handed to a problem is in the same state a fresh
-//! allocation would be (cleared scratchpad, zeroed traceback cells), and
+//! allocation would be (cleared scratchpad, cleared traceback band), and
 //! modeled GPU time derives from per-problem work counters alone —
 //! so alignments, bin counts, and modeled time are **bit-identical**
 //! for any worker count or dispatch mode. Only host wall-clock (and the
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Scope;
 
-/// Number of traceback-buffer classes: one per executor bin slot
+/// Number of traceback lease classes: one per executor bin slot
 /// (slot 0 = eager-sized problems run with the flag off, then the four
 /// §3.3 bins, then overflow).
 pub const TB_CLASSES: usize = BIN_BOUNDS.len() + 2;
@@ -58,31 +58,40 @@ pub enum HostDispatch {
     Static,
 }
 
-/// Bin-class-keyed traceback matrices with reuse accounting.
+/// The worker's executor traceback buffer, with per-bin reuse accounting.
 ///
 /// Separate from [`Arena`]'s public fields so a lease can coexist with
-/// mutable borrows of the scratchpad and reversal buffers.
+/// mutable borrows of the scratchpad and reversal buffers. One physical
+/// buffer serves every bin: the engine stores only the explored band
+/// (see [`crate::warp_engine::warp_extend_in`]), so its size follows the
+/// steps a problem ran, not the bin's rectangle. Hits and misses are
+/// counted on the requested trimmed rectangle against a per-slot
+/// high-water mark that grows the way a `Vec<u8>` reserving that many
+/// bytes would, so the telemetry does not depend on the strip width.
 #[derive(Debug, Default)]
 pub struct TbArena {
-    bufs: [Vec<u8>; TB_CLASSES],
+    buf: Vec<u8>,
+    high_water: [usize; TB_CLASSES],
     hits: u64,
     misses: u64,
 }
 
 impl TbArena {
-    /// Leases the traceback buffer for bin `slot`, expecting roughly
-    /// `cells` bytes. Counts a hit when the buffer's existing capacity
-    /// already covers the request (no reallocation), a miss otherwise.
-    /// The caller (the warp engine) clears and zero-fills to its exact
-    /// size, so reuse is invisible to the DP.
+    /// Leases the traceback buffer for a problem of bin `slot` whose
+    /// trimmed rectangle holds `cells` cells. Counts a hit when the
+    /// slot's high-water mark already covers `cells`, a miss (which
+    /// raises the mark) otherwise. The engine clears the buffer before
+    /// use, so reuse is invisible to the DP.
     pub fn lease(&mut self, slot: usize, cells: usize) -> &mut Vec<u8> {
-        let buf = &mut self.bufs[slot];
-        if buf.capacity() >= cells {
+        let mark = &mut self.high_water[slot];
+        if *mark >= cells {
             self.hits += 1;
         } else {
             self.misses += 1;
+            // `Vec`'s amortized growth: at least double, at least 8 bytes.
+            *mark = cells.max(mark.saturating_mul(2)).max(8);
         }
-        buf
+        &mut self.buf
     }
 
     /// Drains the (hits, misses) accumulated since the last call.
@@ -107,7 +116,7 @@ pub struct Arena {
     /// Throwaway traceback scratch for phases that record nothing (the
     /// inspector); stays empty.
     pub scratch: Vec<u8>,
-    /// Executor traceback matrices keyed by bin slot.
+    /// Executor traceback buffer, leased by bin slot.
     pub tb: TbArena,
 }
 
@@ -141,9 +150,10 @@ pub struct PoolStats {
     pub steals: u64,
     /// Worker-phase participations that ran at least one task.
     pub busy_turns: u64,
-    /// Traceback leases served from an already-large-enough buffer.
+    /// Traceback leases whose rectangle the bin slot's high-water mark
+    /// already covered (see [`TbArena::lease`]).
     pub tb_hits: u64,
-    /// Traceback leases that had to grow the buffer.
+    /// Traceback leases that raised the bin slot's high-water mark.
     pub tb_misses: u64,
 }
 
@@ -641,6 +651,41 @@ mod tests {
             assert_eq!(s.tb_misses, 1, "only the first lease allocates");
             assert_eq!(s.tb_hits, 5);
         });
+    }
+
+    #[test]
+    fn lease_accounting_follows_a_per_slot_vec() {
+        // Each slot counts hits and misses the way a `Vec<u8>` resized
+        // to every requested rectangle would grow: at least doubling, so
+        // 1500 after 1000 misses but leaves room for 1900. Slots are
+        // independent.
+        let mut arena = TbArena::default();
+        let mut model: [Vec<u8>; TB_CLASSES] = Default::default();
+        let leases = [
+            (1, 1000),
+            (1, 1500),
+            (1, 1900),
+            (1, 2100),
+            (2, 5),
+            (2, 8),
+            (2, 9),
+            (1, 0),
+            (3, 0),
+        ];
+        let mut want = (0, 0);
+        for (slot, cells) in leases {
+            let v = &mut model[slot];
+            if v.capacity() >= cells {
+                want.0 += 1;
+            } else {
+                want.1 += 1;
+            }
+            v.clear();
+            v.resize(cells, 0);
+            arena.lease(slot, cells);
+        }
+        assert_eq!(arena.take_delta(), want);
+        assert_eq!(want, (4, 5));
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct WarpConfig {
     /// kept in shared memory; alignments that end inside it finish in the
     /// inspector (§3.1.2).
     pub eager_window: usize,
-    /// Record a full packed traceback matrix and walk it (executor mode).
+    /// Record the packed traceback of every executed step and walk it
+    /// (executor mode).
     pub record_traceback: bool,
     /// Row bound (query extent); `usize::MAX` = full search.
     pub max_rows: usize,
@@ -222,6 +223,89 @@ impl<V: LaneVec> RowMaxima<V> {
     }
 }
 
+/// Marker bit of a recorded traceback byte: a cell whose byte lacks it
+/// was never computed and reads back as `S_ORIGIN`.
+const TB_WRITTEN: u8 = 0x80;
+
+/// The executor's traceback, stored step-major over the explored band.
+///
+/// Each executed (strip, step) appends one contiguous `width`-byte chunk
+/// — the host form of the kernel's coalesced per-anti-diagonal store —
+/// holding the step's traceback bytes with [`TB_WRITTEN`] set on the
+/// active lanes and 0 on the others. Each strip records the row lane 0
+/// started from and its first chunk, so lane `l` of step `t` in strip
+/// `s` holds cell `(row_base_s + t + 1 − l, s·width + l + 1)`. Storage
+/// grows with the steps explored, never with the bounding rectangle.
+struct TbBand<'a> {
+    bytes: &'a mut Vec<u8>,
+    width: usize,
+    /// Per strip: (row_base, first chunk).
+    strips: Vec<(usize, usize)>,
+}
+
+impl<'a> TbBand<'a> {
+    /// An empty band over `bytes` (cleared, never zero-filled).
+    fn new(bytes: &'a mut Vec<u8>, width: usize) -> Self {
+        bytes.clear();
+        TbBand {
+            bytes,
+            width,
+            strips: Vec::new(),
+        }
+    }
+
+    /// Opens the next strip, whose lane 0 starts below row `row_base`.
+    fn begin_strip(&mut self, row_base: usize) {
+        let first = self.bytes.len() / self.width;
+        self.strips.push((row_base, first));
+    }
+
+    /// Appends one step's chunk: lanes `lo..=hi` carry `tb` and the
+    /// written marker, the others 0.
+    #[inline(always)]
+    fn push_step(&mut self, tb: &[u8; WARP_SIZE], lo: usize, hi: usize) {
+        let mut chunk = [0u8; WARP_SIZE];
+        for (l, (c, &b)) in chunk.iter_mut().zip(tb).enumerate() {
+            *c = if (lo..=hi).contains(&l) {
+                b | TB_WRITTEN
+            } else {
+                0
+            };
+        }
+        self.bytes
+            .extend_from_slice(chunk.get(..self.width).unwrap_or(&chunk));
+    }
+
+    /// The traceback byte of cell `(i, j)`, `i, j ≥ 1`: its low nibble
+    /// when recorded, `S_ORIGIN` for a cell outside the recorded strips
+    /// and steps or never written.
+    fn lookup(&self, i: usize, j: usize) -> u8 {
+        let col = j.wrapping_sub(1);
+        let (s, l) = (col / self.width, col % self.width);
+        let Some(&(row_base, first)) = self.strips.get(s) else {
+            return tb::S_ORIGIN;
+        };
+        // Lane `l` reaches row `i` at step `i + l − row_base − 1`; rows at
+        // or above `row_base` were never computed in this strip.
+        let Some(t) = (i + l).checked_sub(row_base + 1) else {
+            return tb::S_ORIGIN;
+        };
+        let chunks = self.bytes.len() / self.width;
+        // bound: `get` yields None past the last strip, whose steps end
+        // at the last chunk.
+        let end = self.strips.get(s + 1).map_or(chunks, |&(_, f)| f);
+        if first + t >= end {
+            return tb::S_ORIGIN;
+        }
+        // bound: first + t < end ≤ chunks, and l < width, so the offset
+        // lies inside the recorded chunks.
+        match self.bytes.get((first + t) * self.width + l) {
+            Some(&b) if b & TB_WRITTEN != 0 => b & 0x0F,
+            _ => tb::S_ORIGIN,
+        }
+    }
+}
+
 /// Runs one warp extension of `query` against `target` (suffix slices in
 /// the extension direction). `shared` models the block's shared memory;
 /// the eager window lives there.
@@ -235,13 +319,15 @@ pub fn warp_extend(
     warp_extend_traced(target, query, scoring, cfg, shared, &mut NoTrace)
 }
 
-/// [`warp_extend`] with an externally owned traceback matrix buffer.
+/// [`warp_extend`] with an externally owned traceback buffer.
 ///
-/// `tbm` is cleared and zero-resized to exactly the trimmed `m×n` cell
-/// count before use (only in executor mode; non-recording calls never
-/// touch it), so a buffer reused across problems — e.g. from a
-/// [`crate::pool::Arena`] — produces bit-identical results to a fresh
-/// allocation while skipping the per-problem allocation entirely.
+/// In executor mode `tbm` is cleared and then holds the step-major band
+/// of traceback bytes: one `strip_width`-byte chunk per executed step,
+/// so its length is at most `strip_width × counters.steps` whatever the
+/// trimmed rectangle's size. Non-recording calls never touch it. A
+/// buffer reused across problems — e.g. from a [`crate::pool::Arena`] —
+/// produces bit-identical results to a fresh allocation while keeping
+/// its capacity.
 pub fn warp_extend_in(
     target: &[u8],
     query: &[u8],
@@ -433,22 +519,8 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
     let delta =
         width + ((ydrop + width as i32 * max_match).max(0) / scoring.gaps.extend.max(1)) as usize;
 
-    // Executor traceback matrix (trimmed to m×n by construction). The
-    // buffer is zeroed to exactly the cell count (a fresh allocation is
-    // lazily paged by the OS — the same way a cudaMalloc'd bin
-    // allocation costs nothing until written; a reused arena buffer
-    // keeps its capacity); written bytes carry a marker bit so untouched
-    // cells read back as unreachable.
-    const TB_WRITTEN: u8 = 0x80;
-    if cfg.record_traceback {
-        let cells = m.checked_mul(n).expect("traceback matrix size overflow");
-        assert!(
-            cells <= 8 << 30,
-            "executor traceback of {m}x{n} cells exceeds the model's allocation cap"
-        );
-        tbm.clear();
-        tbm.resize(cells, 0);
-    }
+    // Executor traceback: one chunk per executed step, in `tbm`.
+    let mut band = cfg.record_traceback.then(|| TbBand::new(tbm, width));
 
     // Spill buffer: boundary column state per row. Strip 0's boundary is
     // matrix column 0 (analytic gap chain).
@@ -514,6 +586,9 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
                 None => break, // no live input anywhere: done
             }
         };
+        if let Some(band) = band.as_mut() {
+            band.begin_strip(row_base);
+        }
 
         // Per-lane cyclic register state, initialized to row `row_base`
         // (the row-0 boundary chain when starting at the top, dead
@@ -694,12 +769,10 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             // w×w eager window (its lowest active column and shallowest
             // active row).
             let in_window = w > 0 && strip_base + lo < w && lane0_row - hi <= w;
-            if cfg.record_traceback || in_window {
+            if band.is_some() || in_window {
                 let tb_bytes = out.tb();
-                if cfg.record_traceback {
-                    for (l, &b) in tb_bytes.iter().enumerate().take(hi + 1).skip(lo) {
-                        tbm[(lane0_row - l - 1) * n + (strip_base + l)] = b | TB_WRITTEN;
-                    }
+                if let Some(band) = band.as_mut() {
+                    band.push_step(&tb_bytes, lo, hi);
                     counters.global_written += active_lanes; // 1 B/cell, staged
                     counters.shared_bytes += 2 * active_lanes; //   through shared
                 }
@@ -852,7 +925,7 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
     };
 
     // Executor traceback walk (single lane; inter-seed parallelism only).
-    let ops = if cfg.record_traceback {
+    let ops = if let Some(band) = band {
         let get = |i: usize, j: usize| -> u8 {
             if i == 0 && j == 0 {
                 tb::S_ORIGIN
@@ -861,12 +934,7 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             } else if j == 0 {
                 tb::S_FROM_D | if i > 1 { tb::D_EXTEND } else { 0 }
             } else {
-                let b = tbm[(i - 1) * n + (j - 1)];
-                if b & TB_WRITTEN == 0 {
-                    tb::S_ORIGIN
-                } else {
-                    b & 0x0F
-                }
+                band.lookup(i, j)
             }
         };
         let ops = walk_traceback_with(get, best_i, best_j);
@@ -1158,6 +1226,43 @@ mod tests {
             trimmed.counters.cells,
             untrimmed.counters.cells
         );
+    }
+
+    #[test]
+    fn traceback_band_maps_cells_to_strip_step_lane() {
+        // Width 3: strip 0 from row 0 with two steps, strip 1 (columns
+        // 4..=6) from row 5 with one step, whose lanes 1 and 2 are not
+        // active. Each byte encodes its own (step, lane).
+        let mut bytes = vec![0xFF; 64];
+        let mut band = TbBand::new(&mut bytes, 3);
+        let step = |t: u8| -> [u8; WARP_SIZE] {
+            let mut tb = [0u8; WARP_SIZE];
+            for (l, b) in tb.iter_mut().enumerate() {
+                *b = (t * 4 + l as u8) & 0x0F;
+            }
+            tb
+        };
+        band.begin_strip(0);
+        band.push_step(&step(0), 0, 0);
+        band.push_step(&step(1), 0, 1);
+        band.begin_strip(5);
+        band.push_step(&step(2), 0, 0);
+        assert_eq!(band.bytes.len(), 3 * 3, "one width-byte chunk per step");
+        // Lane l of step t holds cell (row_base + t + 1 - l, strip·3 + l + 1).
+        assert_eq!(band.lookup(1, 1), 0); // step 0, lane 0
+        assert_eq!(band.lookup(2, 1), 4); // step 1, lane 0
+        assert_eq!(band.lookup(1, 2), 5); // step 1, lane 1
+        assert_eq!(band.lookup(6, 4), 8); // strip 1, step 0, lane 0
+        for (i, j) in [
+            (3, 1),  // past strip 0's last step
+            (5, 4),  // strip 1's row_base: above its first row
+            (5, 5),  // strip 1, step 0, lane 1: recorded but inactive
+            (7, 4),  // past the band's last step
+            (6, 7),  // no strip 2
+            (1, 40), // far past the strips
+        ] {
+            assert_eq!(band.lookup(i, j), tb::S_ORIGIN, "cell ({i}, {j})");
+        }
     }
 
     #[test]

@@ -33,6 +33,13 @@ const BITVEC_FNS: &[&str] = &[
     "window_masks",
 ];
 
+/// Function-scoped: the executor's step-major traceback store, written
+/// once per wavefront step and read by the traceback walk (the rest of
+/// the file still asserts on caller errors, such as a strip width
+/// outside `1..=WARP_SIZE`).
+const WARP_ENGINE: &str = "crates/core/src/warp_engine.rs";
+const TB_BAND_FNS: &[&str] = &["begin_strip", "push_step", "lookup"];
+
 /// Panic-family macro names (each flagged when followed by `!`).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -42,12 +49,17 @@ fn in_scope(f: &SourceFile, line: u32) -> bool {
     }
     match f.path.as_str() {
         WAVEFRONT => true,
-        BITVEC => f
-            .fn_at(line)
-            .map(|s| BITVEC_FNS.contains(&s.name.as_str()))
-            .unwrap_or(false),
+        BITVEC => in_fns(f, line, BITVEC_FNS),
+        WARP_ENGINE => in_fns(f, line, TB_BAND_FNS),
         _ => false,
     }
+}
+
+/// Is `line` inside one of the functions named in `fns`?
+fn in_fns(f: &SourceFile, line: u32, fns: &[&str]) -> bool {
+    f.fn_at(line)
+        .map(|s| fns.contains(&s.name.as_str()))
+        .unwrap_or(false)
 }
 
 pub struct KernelNoPanic;
@@ -67,7 +79,7 @@ impl Rule for KernelNoPanic {
         for f in ws
             .files
             .iter()
-            .filter(|f| f.path == WAVEFRONT || f.path == BITVEC)
+            .filter(|f| [WAVEFRONT, BITVEC, WARP_ENGINE].contains(&f.path.as_str()))
         {
             let toks = f.toks();
             for (i, t) in toks.iter().enumerate() {

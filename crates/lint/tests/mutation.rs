@@ -222,6 +222,34 @@ fn catches_unwrap_and_unnoted_index_in_kernel() {
         .all(|f| f.provenance.contains("kernel contract")));
 }
 
+#[test]
+fn traceback_band_store_is_kernel_scoped() {
+    // The band store's push and lookup are in scope; the engine's host
+    // driver code in the same file is not.
+    let engine = |note: &str| {
+        format!(
+            "impl TbBand {{\n    \
+             fn lookup(&self, t: usize, l: usize) -> u8 {{\n        \
+             {note}\n        \
+             self.bytes[t * self.width + l]\n    }}\n    \
+             fn push_step(&mut self, tb: &[u8]) {{\n        \
+             self.bytes.extend_from_slice(tb.get(..self.width).unwrap());\n    }}\n}}\n\
+             fn extend_body(v: &[u8], i: usize) -> u8 {{\n    \
+             v[i + 1] + v.first().copied().unwrap()\n}}\n"
+        )
+    };
+    let rep = lint(&[("crates/core/src/warp_engine.rs", &engine(""))]);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+    assert!(rep.findings.iter().all(|f| f.rule == "kernel-no-panic"));
+    assert!(rep.findings[0].message.contains("bound:"));
+    assert!(rep.findings[1].message.contains("unwrap"));
+
+    let noted = engine("// bound: t < chunks and l < width");
+    let rep = lint(&[("crates/core/src/warp_engine.rs", &noted)]);
+    assert_eq!(rep.findings.len(), 1, "{:#?}", rep.findings);
+    assert!(rep.findings[0].message.contains("unwrap"));
+}
+
 // ---------------------------------------------------------------------------
 // Suppression accounting.
 // ---------------------------------------------------------------------------
