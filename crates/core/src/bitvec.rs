@@ -47,11 +47,23 @@
 //!   so the sweep stops early and the remaining columns are skipped;
 //!   a window with no live end-bit candidate at all stops the whole
 //!   extension. Both are counted in [`BitvecStats::sene_skips`].
-//! * **DENT — discard entirely-negative traceback rows.** All-dead
-//!   rows are never written to the shared-memory traceback store; the
-//!   traceback walk treats an absent row as all-dead. Lossless by
+//! * **DENT — discard entirely-negative traceback rows.** Aliveness is
+//!   monotone in `d`, so a column's all-dead rows are a prefix of
+//!   budgets. The sweep records that prefix's length per column and
+//!   stores only the rows above it, in one bulk write; the traceback
+//!   walk reads a row inside the prefix as all-dead. Lossless by
 //!   construction (the walk only ever queries alive bits), and counted
 //!   in [`BitvecStats::dent_discards`].
+//!
+//! # The live band
+//!
+//! The dead prefix also bounds the work. Row `d` stays all-dead at
+//! column `j` when rows `d` and `d − 1` were all-dead at `j − 1`, row
+//! `d − 1` is all-dead at `j`, and `j > d + 1`, so column `j` starts
+//! its sweep at `min(lo[j − 1], j − 1)` with `!0` as the row below the
+//! start (`band_start`). Every row the sweep skips is one DENT would
+//! have discarded, so results, counters and the stored rows are the
+//! same as a sweep over every budget.
 
 use fastz_align::{push_op, score, EditOp};
 use fastz_genome::{Scoring, Sequence};
@@ -267,7 +279,7 @@ const U_INS: u8 = 2;
 /// Consumes pattern only (query base against a gap in the target).
 const U_DEL: u8 = 3;
 
-fn units_to_ops(units: &[u8]) -> Vec<EditOp> {
+fn units_to_ops<'a>(units: impl IntoIterator<Item = &'a u8>) -> Vec<EditOp> {
     let mut ops = Vec::new();
     for &u in units {
         let op = match u {
@@ -285,6 +297,10 @@ pub fn bitvec_extend(text: &[u8], pattern: &[u8], cfg: &BitvecConfig) -> BitvecE
     let mut shared = SharedMem::new((cfg.window + cfg.k + 1) * (cfg.k + 1) * 8);
     bitvec_extend_in(text, pattern, cfg, &mut shared)
 }
+
+/// Text columns one window can sweep: `0..=wlen + k`, with `wlen ≤ 64`
+/// and `k ≤ 63`.
+const MAX_COLS: usize = 64 + 63 + 1;
 
 /// One-sided windowed bitvector extension from the origin.
 ///
@@ -311,15 +327,29 @@ pub fn bitvec_extend_in(
     }
     let k = cfg.effective_k(shared.capacity());
     let kp1 = k + 1;
+    // The live-band start relies on the faithful shift-in bits and the
+    // faithful discard rule; the planted bugs that break either sweep
+    // every budget row.
+    let full_sweep = matches!(
+        mu,
+        BitvecMutation::WrongShiftInBit | BitvecMutation::DentDropsReal
+    );
 
     // Committed path state: the greedy window chain from the origin.
     let mut pbase = 0usize;
     let mut tbase = 0usize;
     let mut ed_acc = 0u32;
     let mut committed: Vec<u8> = Vec::new();
+    // The best cell's script: how much of `committed` precedes it, and
+    // its window's unit steps. Encoded once, after the last window.
+    let mut best_script: Option<(usize, Vec<u8>)> = None;
 
-    let mut cur = vec![0u64; kp1];
-    let mut new = vec![0u64; kp1];
+    let mut cur = [0u64; 64];
+    let mut new = [0u64; 64];
+    // Per column of the current window: its dead-prefix length, the
+    // rows DENT discarded (reused across windows; entries past the
+    // swept columns are stale and never read).
+    let mut lo = [0u8; MAX_COLS];
 
     while pbase < m {
         let wlen = cfg.window.min(m - pbase);
@@ -333,50 +363,28 @@ pub fn bitvec_extend_in(
         let last = pbase + wlen == m;
         out.explored_rows = out.explored_rows.max(pbase + wlen);
 
-        // Pattern mismatch masks: pm[c] bit b = 1 iff pattern[b] != c.
-        let mut mat = [0u64; 4];
         // bound: pbase + wlen <= m == pattern.len() — wlen is clamped
         // to the remaining pattern when the window is cut.
-        for (b, &pc) in pattern[pbase..pbase + wlen].iter().enumerate() {
-            let bit = if mu == BitvecMutation::ReversedPatternMask {
-                wlen - 1 - b
-            } else {
-                b
-            };
-            mat[(pc & 3) as usize] |= 1u64 << bit;
-        }
-        let pm = [!mat[0], !mat[1], !mat[2], !mat[3]];
+        let pm = pattern_masks(&pattern[pbase..pbase + wlen], mu);
         out.counters.global_read += (wlen + tlen) as u64;
 
         let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
         let beyond = !window_mask;
         let ebit = 1u64 << (wlen - 1);
-        let rows_total = (tlen + 1) * kp1;
-        shared.reserve(rows_total * 8);
-        // Host-side presence bitmap for DENT: the traceback never reads
-        // a row that was discarded (the sanitizer's initcheck would —
-        // correctly — flag such a read).
-        let mut written = vec![false; rows_total];
+        // DENT discards a row when these bits are all dead.
+        let dent_mask = if mu == BitvecMutation::DentDropsReal {
+            ebit
+        } else {
+            window_mask
+        };
+        shared.reserve((tlen + 1) * kp1 * 8);
 
         // Column 0: prefix i costs i deletions, so bit b is dead at
         // budget d iff b >= d.
-        for (d, slot) in cur.iter_mut().enumerate() {
+        for (d, slot) in cur.iter_mut().enumerate().take(kp1) {
             *slot = ((!0u64) << d) | beyond;
         }
-        for (d, &row) in cur.iter().enumerate() {
-            store_row(
-                shared,
-                &mut written,
-                &mut out,
-                kp1,
-                0,
-                d,
-                row,
-                window_mask,
-                ebit,
-                mu,
-            );
-        }
+        lo[0] = store_column(shared, &mut out, &cur, 0, kp1, 0, dent_mask);
         shared.sanitize_tick();
 
         // Best candidate found inside this window (window coordinates).
@@ -385,6 +393,7 @@ pub fn bitvec_extend_in(
         let mut end_hit: Option<(usize, usize)> = None;
         scan_column(
             &cur,
+            0,
             kp1,
             window_mask,
             0,
@@ -407,40 +416,25 @@ pub fn bitvec_extend_in(
             // bound: tbase + tlen <= text.len() and 1 <= j <= tlen;
             // `& 3` caps the pm index at 3.
             let pmv = pm[(text[tbase + j - 1] & 3) as usize];
-            for d in 0..kp1 {
-                // Shift-in bits encode the analytic prefix-0 row:
-                // prefix 0 at column j' is dead at budget d' iff j' > d'.
-                let si_m = if mu == BitvecMutation::WrongShiftInBit {
-                    u64::from(j <= d)
-                } else {
-                    u64::from(j - 1 > d)
-                };
-                let m_term = ((cur[d] << 1) | si_m) | pmv;
-                let mut val = if d == 0 {
-                    m_term
-                } else {
-                    let s_term = (cur[d - 1] << 1) | u64::from(j - 1 > d - 1); // bound: d >= 1 in this arm, d < kp1 == cur.len()
-                    let i_term = cur[d - 1]; // bound: as above
-                    let d_term = (new[d - 1] << 1) | u64::from(j > d - 1); // bound: d >= 1, d < kp1 == new.len()
-                    m_term & s_term & i_term & d_term
-                };
-                val |= beyond;
-                new[d] = val;
-                store_row(
-                    shared,
-                    &mut written,
-                    &mut out,
-                    kp1,
-                    j,
-                    d,
-                    val,
-                    window_mask,
-                    ebit,
-                    mu,
-                );
-            }
+            let start = if full_sweep {
+                0
+            } else {
+                band_start(usize::from(lo[j - 1]), j) // bound: 1 <= j <= tlen < MAX_COLS
+            };
+            column_step(
+                &cur,
+                &mut new,
+                start,
+                kp1,
+                j,
+                pmv,
+                beyond,
+                mu == BitvecMutation::WrongShiftInBit,
+            );
+            lo[j] = store_column(shared, &mut out, &new, start, kp1, j, dent_mask);
             scan_column(
                 &new,
+                start,
                 kp1,
                 window_mask,
                 j,
@@ -451,7 +445,7 @@ pub fn bitvec_extend_in(
                 &mut out,
                 &mut wbest,
             );
-            if let Some(d) = (0..kp1).find(|&d| new[d] & ebit == 0) {
+            if let Some(d) = (start..kp1).find(|&d| new[d] & ebit == 0) {
                 match end_hit {
                     Some((_, bd)) if d > bd => {}
                     // `j` ascends, so `d <= bd` prefers the latest
@@ -463,12 +457,13 @@ pub fn bitvec_extend_in(
             shared.sanitize_tick();
             // SENE: an all-dead column at the full budget can never
             // revive (it forces j > k, closing the prefix-0 escape row).
-            let dead_probe = if mu == BitvecMutation::SeneSkipsLive {
-                cur[0]
+            // A probe row below the start was skipped as all-dead.
+            let probe = if mu == BitvecMutation::SeneSkipsLive {
+                0
             } else {
-                cur[k]
+                k
             };
-            if (dead_probe & window_mask) == window_mask {
+            if probe < start || (cur[probe] & window_mask) == window_mask {
                 out.stats.sene_skips += (tlen - j) as u64;
                 cols_done = j;
                 break;
@@ -484,7 +479,7 @@ pub fn bitvec_extend_in(
         if let Some((bw, jw, dw)) = wbest {
             let units = traceback(
                 shared,
-                &written,
+                &lo,
                 kp1,
                 text,
                 pattern,
@@ -501,10 +496,7 @@ pub fn bitvec_extend_in(
             out.best_i = gi;
             out.best_j = gj;
             out.edit_distance = ed_acc + dw as u32;
-            out.ops = units_to_ops(&committed);
-            for op in units_to_ops(&units) {
-                push_op(&mut out.ops, op);
-            }
+            best_script = Some((committed.len(), units));
         }
 
         let Some((je, de)) = end_hit else {
@@ -515,7 +507,7 @@ pub fn bitvec_extend_in(
         };
         let units = traceback(
             shared,
-            &written,
+            &lo,
             kp1,
             text,
             pattern,
@@ -571,7 +563,118 @@ pub fn bitvec_extend_in(
         shared.sanitize_barrier();
         shared.sanitize_stage(san_stage::BITVECTOR);
     }
+    if let Some((len, units)) = best_script {
+        // bound: `len` was `committed.len()` when recorded, and
+        // `committed` only grows.
+        out.ops = units_to_ops(committed[..len].iter().chain(&units));
+    }
     out
+}
+
+/// Pattern mismatch masks of one window: bit `b` of `pm[c]` is 1 iff
+/// `window[b] != c`.
+fn pattern_masks(window: &[u8], mu: BitvecMutation) -> [u64; 4] {
+    let mut mat = [0u64; 4];
+    for (b, &pc) in window.iter().enumerate() {
+        let bit = if mu == BitvecMutation::ReversedPatternMask {
+            window.len() - 1 - b
+        } else {
+            b
+        };
+        mat[(pc & 3) as usize] |= 1u64 << bit;
+    }
+    [!mat[0], !mat[1], !mat[2], !mat[3]]
+}
+
+/// First budget row column `j` must compute, given the dead-prefix
+/// length `lo_prev` of column `j − 1`.
+///
+/// Row `d` is all-dead at column `j` whenever rows `d` and `d − 1` were
+/// all-dead at `j − 1`, row `d − 1` is all-dead at `j`, and `j > d + 1`
+/// (so the prefix-0 shift-in bits are 1): every term of the recurrence
+/// is then all ones. By induction on `d`, every row below
+/// `min(lo_prev, j − 1)` is all-dead, and the row below the start reads
+/// as `!0`.
+#[inline(always)]
+fn band_start(lo_prev: usize, j: usize) -> usize {
+    lo_prev.min(j - 1)
+}
+
+/// One column of the dead-mask recurrence: rows `start..kp1` of column
+/// `j ≥ 1` into `new`, from column `j − 1` in `cur`.
+///
+/// Rows below `start` must be all-dead in both columns (see
+/// [`band_start`]); they are neither read nor written, and the row
+/// below the start enters the budget chain as `!0`. With `start = 0`
+/// that seed makes row 0 the match term alone, as the recurrence has
+/// it. `wrong_shift` plants the `WrongShiftInBit` bug.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn column_step(
+    cur: &[u64; 64],
+    new: &mut [u64; 64],
+    start: usize,
+    kp1: usize,
+    j: usize,
+    pmv: u64,
+    beyond: u64,
+    wrong_shift: bool,
+) {
+    // R[d − 1] at columns j − 1 and j, carried down the budget chain.
+    let mut up_cur = !0u64;
+    let mut up_new = !0u64;
+    // bound: start <= kp1 <= 64 (band_start caps it at a dead-prefix
+    // length, at most kp1).
+    let rows = cur[start..kp1].iter().zip(&mut new[start..kp1]);
+    for (d, (&c, slot)) in (start..).zip(rows) {
+        // Shift-in bits encode the analytic prefix-0 row: prefix 0 at
+        // column j' is dead at budget d' iff j' > d'.
+        let si_m = if wrong_shift { j <= d } else { j - 1 > d };
+        let m_term = (c << 1) | u64::from(si_m) | pmv;
+        let s_term = (up_cur << 1) | u64::from(j > d);
+        let d_term = (up_new << 1) | u64::from(j >= d);
+        let val = (m_term & s_term & up_cur & d_term) | beyond;
+        *slot = val;
+        up_cur = c;
+        up_new = val;
+    }
+}
+
+/// Length of the prefix of rows `0..kp1` whose `dent_mask` bits are
+/// all dead, given that rows below `start` are all-dead.
+fn dead_prefix(rows: &[u64; 64], start: usize, kp1: usize, dent_mask: u64) -> usize {
+    // bound: start <= kp1 <= 64, as in `column_step`.
+    let band = &rows[start..kp1];
+    start
+        + band
+            .iter()
+            .take_while(|&&r| r & dent_mask == dent_mask)
+            .count()
+}
+
+/// Stores column `j`'s live rows into the shared traceback store and
+/// returns its dead-prefix length.
+///
+/// Aliveness is monotone in the budget, so a column's discardable rows
+/// (all of `dent_mask` dead) are a prefix; rows below `start` are
+/// all-dead already. DENT counts the prefix and stores rows
+/// `lo..kp1` with one bulk write at their row slots `j·(k+1) + d`.
+fn store_column(
+    shared: &mut SharedMem,
+    out: &mut BitvecExtension,
+    rows: &[u64; 64],
+    start: usize,
+    kp1: usize,
+    j: usize,
+    dent_mask: u64,
+) -> u8 {
+    let lo = dead_prefix(rows, start, kp1, dent_mask);
+    // bound: lo <= kp1 <= 64.
+    let live = &rows[lo..kp1];
+    out.stats.dent_discards += lo as u64;
+    out.counters.shared_bytes += 8 * live.len() as u64;
+    shared.write_u64s((j * kp1 + lo) * 8, live);
+    lo as u8
 }
 
 /// Unit-regime candidate score at global cell `(gi, gj)` with `ed` edits.
@@ -590,10 +693,12 @@ fn candidate_score(gi: usize, gj: usize, ed: u32, mu: BitvecMutation) -> i32 {
 /// A cell that is alive at budget `d` but dead at `d-1` has exact
 /// window edit distance `d`; among newly-alive bits of one `(j, d)`
 /// the top bit dominates (the unit score grows with the pattern
-/// extent), so one `leading_zeros` per budget row suffices.
+/// extent), so one `leading_zeros` per budget row suffices. Rows below
+/// `start` are all-dead and hold no such cell.
 #[allow(clippy::too_many_arguments)]
 fn scan_column(
-    rows: &[u64],
+    rows: &[u64; 64],
+    start: usize,
     kp1: usize,
     window_mask: u64,
     j: usize,
@@ -604,70 +709,46 @@ fn scan_column(
     out: &mut BitvecExtension,
     wbest: &mut Option<(usize, usize, usize)>,
 ) {
-    for d in 0..kp1 {
-        let fresh = (!rows[d]) & (if d == 0 { !0u64 } else { rows[d - 1] }) & window_mask; // bound: d >= 1 in this arm, d < kp1 == rows.len()
+    // R[d − 1]; all-dead below the start.
+    let mut up = !0u64;
+    // bound: start <= kp1 <= 64, as in `column_step`.
+    for (d, &row) in (start..).zip(&rows[start..kp1]) {
+        let fresh = !row & up & window_mask;
+        up = row;
         if fresh == 0 {
             continue;
         }
         let b = 63 - fresh.leading_zeros() as usize;
         let sc = candidate_score(pbase + b + 1, tbase + j, ed_acc + d as u32, mu);
         if sc > out.best_score {
-            // Stage the coordinates; the ops snapshot happens once per
-            // window, after the rows are stored.
+            // Stage the coordinates; the window's traceback runs once,
+            // after its rows are stored.
             out.best_score = sc;
             *wbest = Some((b, j, d));
         }
     }
 }
 
-/// Writes one dead-mask row into the shared traceback store unless
-/// DENT discards it.
-#[allow(clippy::too_many_arguments)]
-fn store_row(
-    shared: &mut SharedMem,
-    written: &mut [bool],
-    out: &mut BitvecExtension,
-    kp1: usize,
-    j: usize,
-    d: usize,
-    value: u64,
-    window_mask: u64,
-    ebit: u64,
-    mu: BitvecMutation,
-) {
-    let discard = if mu == BitvecMutation::DentDropsReal {
-        value & ebit != 0
-    } else {
-        (value & window_mask) == window_mask
-    };
-    if discard {
-        out.stats.dent_discards += 1;
-        return;
-    }
-    let idx = j * kp1 + d;
-    shared.write_u32(idx * 8, value as u32);
-    shared.write_u32(idx * 8 + 4, (value >> 32) as u32);
-    written[idx] = true;
-    out.counters.shared_bytes += 8;
-}
-
+/// Reads stored row `d` of column `j`; rows in the column's dead
+/// prefix were never stored and read as all-dead.
 fn tb_row(
     shared: &SharedMem,
-    written: &[bool],
+    lo: &[u8; MAX_COLS],
     kp1: usize,
     j: usize,
     d: usize,
     counters: &mut WarpCounters,
 ) -> u64 {
-    let idx = j * kp1 + d;
-    if !written[idx] {
-        // DENT discarded this row: it was entirely dead.
+    // bound: the walk starts at a swept column and only moves left,
+    // so j <= tlen < MAX_COLS.
+    if d < usize::from(lo[j]) {
         return !0u64;
     }
     counters.shared_bytes += 8;
-    let lo = shared.read_u32(idx * 8) as u64;
-    let hi = shared.read_u32(idx * 8 + 4) as u64;
-    lo | (hi << 32)
+    let idx = j * kp1 + d;
+    let low = shared.read_u32(idx * 8) as u64;
+    let high = shared.read_u32(idx * 8 + 4) as u64;
+    low | (high << 32)
 }
 
 /// Walks the stored rows from window cell `(b0, j0, d0)` back to the
@@ -682,7 +763,7 @@ fn tb_row(
 #[allow(clippy::too_many_arguments)]
 fn traceback(
     shared: &SharedMem,
-    written: &[bool],
+    lo: &[u8; MAX_COLS],
     kp1: usize,
     text: &[u8],
     pattern: &[u8],
@@ -701,7 +782,7 @@ fn traceback(
         if b < 0 {
             return j <= d;
         }
-        tb_row(shared, written, kp1, j, d, counters) & (1u64 << b) == 0
+        tb_row(shared, lo, kp1, j, d, counters) & (1u64 << b) == 0
     };
     while b >= 0 {
         counters.scalar_ops += 1;
@@ -743,52 +824,56 @@ fn traceback(
     units
 }
 
-/// Dead-mask rows of a single bitvector window, exposed for the
-/// per-window differential proptest (`tests/bitvec_step.rs`).
-///
-/// Returns one flat `(text.len() + 1) × (k + 1)` buffer: column `j in
-/// 0..=text.len()` holds the `k+1` dead masks `R[d]` at
-/// `j * (k + 1) + d`, over a window holding all of `pattern`
-/// (`pattern.len() <= 64`).
+/// Dead masks of a single bitvector window, swept by the engine's
+/// column step, exposed for the per-window differential proptest
+/// (`tests/bitvec_step.rs`) and the pre-filter's quick-accept tier.
 #[doc(hidden)]
-pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> Vec<u64> {
+pub struct WindowMasks {
+    /// One flat `(text.len() + 1) × (k + 1)` buffer: column `j` holds
+    /// the `k + 1` dead masks `R[d]` at `j * (k + 1) + d`. Rows below
+    /// a column's start were skipped by the sweep and read `!0`.
+    pub masks: Vec<u64>,
+    /// The first row the sweep computed in each column.
+    pub starts: Vec<usize>,
+}
+
+/// Sweeps one window holding all of `pattern` (`pattern.len() <= 64`)
+/// over every column of `text` at budget `k`, exactly as
+/// [`bitvec_extend_in`] sweeps a window: the same column step and the
+/// same live-band start.
+#[doc(hidden)]
+pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> WindowMasks {
     let wlen = pattern.len();
     assert!((1..=64).contains(&wlen) && (1..=63).contains(&k));
     let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
     let beyond = !window_mask;
-    let mut mat = [0u64; 4];
-    for (b, &pc) in pattern.iter().enumerate() {
-        mat[(pc & 3) as usize] |= 1u64 << b;
-    }
-    let pm = [!mat[0], !mat[1], !mat[2], !mat[3]];
-    let rows = k + 1;
-    let mut masks = vec![0u64; (text.len() + 1) * rows];
-    // The previous column, kept on the stack (k + 1 <= 64 masks).
+    let pm = pattern_masks(pattern, BitvecMutation::None);
+    let kp1 = k + 1;
+    let mut masks = vec![!0u64; (text.len() + 1) * kp1];
+    let mut starts = vec![0usize; text.len() + 1];
     let mut cur = [0u64; 64];
-    for (d, r) in cur.iter_mut().enumerate().take(rows) {
+    let mut new = [0u64; 64];
+    for (d, r) in cur.iter_mut().enumerate().take(kp1) {
         *r = ((!0u64) << d) | beyond;
     }
-    for (j, col) in masks.chunks_exact_mut(rows).enumerate() {
-        if j == 0 {
-            col.copy_from_slice(&cur[..rows]);
-            continue;
-        }
+    masks[..kp1].copy_from_slice(&cur[..kp1]);
+    let mut lo = dead_prefix(&cur, 0, kp1, window_mask);
+    for (j, (col, start)) in masks
+        .chunks_exact_mut(kp1)
+        .zip(starts.iter_mut())
+        .enumerate()
+        .skip(1)
+    {
         // bound: 1 <= j <= text.len(); `& 3` caps the pm index at 3.
         let pmv = pm[(text[j - 1] & 3) as usize];
-        for d in 0..=k {
-            let m_term = ((cur[d] << 1) | u64::from(j - 1 > d)) | pmv;
-            let val = if d == 0 {
-                m_term
-            } else {
-                let s_term = (cur[d - 1] << 1) | u64::from(j - 1 > d - 1); // bound: 1 <= d <= k < 64 == cur.len()
-                let d_term = (col[d - 1] << 1) | u64::from(j > d - 1); // bound: 1 <= d <= k < col.len()
-                m_term & s_term & cur[d - 1] & d_term // bound: as above
-            };
-            col[d] = val | beyond;
-        }
-        cur[..rows].copy_from_slice(col);
+        *start = band_start(lo, j);
+        column_step(&cur, &mut new, *start, kp1, j, pmv, beyond, false);
+        lo = dead_prefix(&new, *start, kp1, window_mask);
+        // bound: start <= kp1 == col.len().
+        col[*start..].copy_from_slice(&new[*start..kp1]);
+        std::mem::swap(&mut cur, &mut new);
     }
-    masks
+    WindowMasks { masks, starts }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,9 +964,13 @@ fn side_upper_bound_on(
     let w = p.min(64);
     let k = cfg.k.clamp(1, 63);
     let bt = &text[..text.len().min(w + k)];
-    let masks = window_masks(bt, &pattern[..w], k);
+    let sweep = window_masks(bt, &pattern[..w], k);
     let ebit = 1u64 << (w - 1);
-    if masks.chunks_exact(k + 1).any(|rows| rows[k] & ebit == 0) {
+    if sweep
+        .masks
+        .chunks_exact(k + 1)
+        .any(|rows| rows[k] & ebit == 0)
+    {
         return None;
     }
 
@@ -1408,8 +1497,9 @@ mod tests {
         let cc = text.len().min(cfg.cols);
         let w = p.min(64);
         let k = cfg.k.clamp(1, 63);
-        let masks = window_masks(&text[..text.len().min(w + k)], &pattern[..w], k);
-        if masks
+        let sweep = window_masks(&text[..text.len().min(w + k)], &pattern[..w], k);
+        if sweep
+            .masks
             .chunks_exact(k + 1)
             .any(|rows| rows[k] & (1u64 << (w - 1)) == 0)
         {

@@ -1,8 +1,9 @@
 //! Differential pinning of the bitvector window step to a dense
 //! edit-distance reference, mirroring `simd_step.rs`.
 //!
-//! The per-window property drives [`fastz_core::bitvec::window_masks`]
-//! with adversarial windows — every pattern length 1..=64, text runs
+//! The per-window property drives [`fastz_core::bitvec::window_masks`],
+//! which runs the engine's own column step and live-band start, with
+//! adversarial windows — every pattern length 1..=64, text runs
 //! past the reachable diagonal, *every* edit budget `k in 1..=63` — and
 //! demands bit-for-bit equality of the dead masks against a dense
 //! Levenshtein DP: bit `b` of `R[d]` at column `j` is set exactly when
@@ -91,7 +92,8 @@ proptest! {
 
     /// One window, every budget: the bit-parallel dead masks must equal
     /// the dense Levenshtein reference bit for bit, for every `k` the
-    /// representation admits.
+    /// representation admits, and every row below a column's live-band
+    /// start (never computed, read as `!0`) must be all-dead there.
     #[test]
     fn window_masks_match_dense_edit_dp(
         wlen in 1usize..=64,
@@ -103,9 +105,23 @@ proptest! {
         let ed = dense_edit(&text, &pattern);
         let cols = text.len() + 1;
         let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
+        let mut skipped = 0usize;
         for k in 1usize..=63 {
-            let masks = window_masks(&text, &pattern, k);
+            let sweep = window_masks(&text, &pattern, k);
+            let masks = sweep.masks;
             prop_assert_eq!(masks.len(), cols * (k + 1));
+            prop_assert_eq!(sweep.starts.len(), cols);
+            for (j, &start) in sweep.starts.iter().enumerate() {
+                // The live band skips only dead rows: row d is all-dead
+                // iff every pattern prefix's edit distance exceeds d.
+                let nearest = (1..=wlen).map(|b| ed[b * cols + j]).min().unwrap_or(0);
+                prop_assert!(nearest >= start as u32,
+                    "k={} j={}: start {} skips a row with a prefix at ED {}",
+                    k, j, start, nearest);
+                prop_assert!(start <= k + 1 && (j == 0 || start < j),
+                    "k={} j={}: start {}", k, j, start);
+                skipped += start;
+            }
             for (j, rows) in masks.chunks_exact(k + 1).enumerate() {
                 for (d, &row) in rows.iter().enumerate() {
                     // Beyond-window bits are always dead.
@@ -120,6 +136,11 @@ proptest! {
                     }
                 }
             }
+        }
+        // Correlated windows over long texts skip rows, so the start
+        // check above has something to hold.
+        if wlen >= 8 && extra >= 40 && noise < 0.3 {
+            prop_assert!(skipped > 0, "no row skipped");
         }
     }
 }

@@ -98,6 +98,26 @@ impl SharedMem {
         self.data[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
     }
 
+    /// Writes `words` as consecutive little-endian u64s from `offset`,
+    /// with one reservation and one copy.
+    ///
+    /// An attached sanitizer sees each word as two 4-byte writes, low
+    /// half first: the same accesses, in the same order, as a pair of
+    /// [`SharedMem::write_u32`] calls per word.
+    pub fn write_u64s(&mut self, offset: usize, words: &[u64]) {
+        if let Some(s) = &self.sanitize {
+            for w in 0..words.len() {
+                s.on_write(offset + 8 * w, 4);
+                s.on_write(offset + 8 * w + 4, 4);
+            }
+        }
+        let end = offset + 8 * words.len();
+        self.reserve(end);
+        for (dst, w) in self.data[offset..end].chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
     /// Reads a little-endian u32.
     ///
     /// Extent handling is explicit: a read fully inside the current
@@ -308,6 +328,75 @@ mod tests {
             report.is_clean(),
             "shadow history must not leak into clones"
         );
+    }
+
+    /// Stores `rows` on a sanitized scratchpad, in bulk or as one
+    /// `write_u32` per 4-byte half, calling `between` after each row,
+    /// and returns the sanitizer's report.
+    fn sanitized_store(
+        rows: &[(usize, Vec<u64>)],
+        bulk: bool,
+        between: impl Fn(&mut SharedMem),
+    ) -> SanitizeReport {
+        let mut sm = SharedMem::new(4096);
+        sm.attach_sanitizer();
+        sm.sanitize_context("bitvector", 1);
+        sm.sanitize_stage("store");
+        for (offset, words) in rows {
+            if bulk {
+                sm.write_u64s(*offset, words);
+            } else {
+                for (w, &v) in words.iter().enumerate() {
+                    sm.write_u32(offset + 8 * w, v as u32);
+                    sm.write_u32(offset + 8 * w + 4, (v >> 32) as u32);
+                }
+            }
+            sm.sanitize_tick();
+            between(&mut sm);
+        }
+        sm.take_sanitize_report().expect("sanitizer attached")
+    }
+
+    #[test]
+    fn bulk_u64_store_matches_paired_u32_writes_under_the_sanitizer() {
+        use crate::sanitize::FindingKind;
+        // Strided rows, rows sharing banks, and an empty store.
+        let rows = vec![
+            (0, vec![1, 2, 3]),
+            (256, (0..32).map(|w| w * 0x0101_0101_0101).collect()),
+            (64, vec![]),
+            (1024, vec![u64::MAX; 5]),
+        ];
+        let bulk = sanitized_store(&rows, true, |_| {});
+        assert_eq!(bulk, sanitized_store(&rows, false, |_| {}));
+        assert!(bulk.is_clean());
+        assert_eq!(bulk.shared_writes, 2 * (3 + 32 + 5));
+
+        // WAR hazard: another stage reads a stored row, and the store
+        // stage overwrites it with no barrier in between.
+        let again = vec![(0, vec![7, 8]), (0, vec![9, 10])];
+        let read_back = |sm: &mut SharedMem| {
+            sm.sanitize_stage("walk");
+            let _ = sm.read_u32(4);
+            sm.sanitize_stage("store");
+        };
+        let bulk = sanitized_store(&again, true, read_back);
+        assert_eq!(bulk, sanitized_store(&again, false, read_back));
+        assert_eq!(bulk.count(FindingKind::WarHazard), 4);
+        assert_eq!(bulk.findings[0].offset, 4);
+    }
+
+    #[test]
+    fn bulk_u64_store_round_trips_through_u32_reads() {
+        let mut sm = SharedMem::new(1024);
+        let words = [0x0123_4567_89AB_CDEF, 0, u64::MAX, 1 << 63];
+        sm.write_u64s(40, &words);
+        assert_eq!(sm.high_water(), 40 + 8 * words.len());
+        for (w, &v) in words.iter().enumerate() {
+            assert_eq!(sm.read_u32(40 + 8 * w), v as u32);
+            assert_eq!(sm.read_u32(40 + 8 * w + 4), (v >> 32) as u32);
+        }
+        assert_eq!(sm.read_u32(36), 0, "bytes before the store stay zero");
     }
 
     #[test]

@@ -26,8 +26,12 @@ const WAVEFRONT: &str = "crates/core/src/wavefront_step.rs";
 const BITVEC: &str = "crates/core/src/bitvec.rs";
 const BITVEC_FNS: &[&str] = &[
     "bitvec_extend_in",
+    "pattern_masks",
+    "band_start",
+    "column_step",
+    "dead_prefix",
+    "store_column",
     "scan_column",
-    "store_row",
     "tb_row",
     "traceback",
     "window_masks",

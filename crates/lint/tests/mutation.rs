@@ -250,6 +250,33 @@ fn traceback_band_store_is_kernel_scoped() {
     assert!(rep.findings[0].message.contains("unwrap"));
 }
 
+#[test]
+fn bitvec_column_step_and_store_are_kernel_scoped() {
+    // The column step and the column store are in scope; the host-side
+    // pre-filter code in the same file is not.
+    let bitvec = |note: &str| {
+        format!(
+            "fn column_step(cur: &[u64; 64], new: &mut [u64; 64], d: usize) {{\n    \
+             {note}\n    \
+             new[d] = cur[d - 1] << 1;\n}}\n\
+             fn store_column(rows: &[u64; 64], lo: usize) -> u64 {{\n    \
+             rows.get(lo).copied().expect(\"stored row\")\n}}\n\
+             fn side_upper_bound(v: &[i64], i: usize) -> i64 {{\n    \
+             v[i + 1] + v.first().copied().unwrap()\n}}\n"
+        )
+    };
+    let rep = lint(&[("crates/core/src/bitvec.rs", &bitvec(""))]);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+    assert!(rep.findings.iter().all(|f| f.rule == "kernel-no-panic"));
+    assert!(rep.findings[0].message.contains("bound:"));
+    assert!(rep.findings[1].message.contains("expect"));
+
+    let noted = bitvec("// bound: 1 <= d < kp1 <= 64");
+    let rep = lint(&[("crates/core/src/bitvec.rs", &noted)]);
+    assert_eq!(rep.findings.len(), 1, "{:#?}", rep.findings);
+    assert!(rep.findings[0].message.contains("expect"));
+}
+
 // ---------------------------------------------------------------------------
 // Suppression accounting.
 // ---------------------------------------------------------------------------
