@@ -2,13 +2,15 @@
 //!
 //! Builds a deliberately imbalanced corpus — a handful of long 32768-bin
 //! seeds clustered at the *front* of the anchor list, followed by
-//! hundreds of eager-class seeds — so the legacy static chunking strands
-//! every expensive problem in worker 0's home chunk while the remaining
-//! workers idle. The harness then:
+//! hundreds of eager-class seeds — so static chunking strands every
+//! expensive problem in worker 0's home chunk while the remaining
+//! workers idle. Every run goes through `run_fastz_in_pool` on a
+//! `HostPool` built with the dispatch mode under test; the stealing
+//! pool is the one `run_fastz` builds. The harness then:
 //!
 //! 1. verifies the determinism contract: the report — alignments, bin
 //!    counts, work counters, and the modeled GPU time's exact bits — is
-//!    identical across `sim_threads` ∈ {1, N} and both dispatch modes;
+//!    identical across pool sizes ∈ {1, N} and both dispatch modes;
 //! 2. measures host wall-clock for `HostDispatch::Static` against
 //!    `HostDispatch::Stealing` at the same thread count (best-of-N,
 //!    interleaved repeats);
@@ -28,10 +30,12 @@ use std::time::Instant;
 
 use fastz_bench::{args_or_exit, flag_number};
 use fastz_core::{
-    run_fastz, warp_extend_in, FastZConfig, FastZReport, HostDispatch, OptFlags, WarpConfig,
+    run_fastz_in_pool, warp_extend_in, FastZConfig, FastZReport, HostDispatch, HostPool, OptFlags,
+    ResilienceConfig, WarpConfig,
 };
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, SharedMem};
+use fastz_obs::NoObs;
 use fastz_seed::Anchor;
 
 /// Repeat-region length shared verbatim by target and query; heavy
@@ -128,10 +132,9 @@ fn corpus(heavy: usize, light: usize) -> (Sequence, Sequence, Vec<Anchor>) {
 /// 32768 bin (extent > 8192) without leaving the repeat region.
 const MAX_EXTENSION: usize = 9_000;
 
-fn config(threads: usize, dispatch: HostDispatch) -> FastZConfig {
+fn config(threads: usize) -> FastZConfig {
     FastZConfig {
         sim_threads: threads,
-        host_dispatch: dispatch,
         max_extension: MAX_EXTENSION,
         ..FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere())
     }
@@ -163,8 +166,13 @@ fn run_once(
     threads: usize,
     dispatch: HostDispatch,
 ) -> (FastZReport, f64) {
+    let cfg = config(threads);
     let start = Instant::now();
-    let report = run_fastz(t, q, anchors, SEED_SPAN, &config(threads, dispatch));
+    let report = std::thread::scope(|scope| {
+        let pool = HostPool::new(scope, threads, &cfg.device, dispatch, cfg.sanitize);
+        let rcfg = ResilienceConfig::disabled();
+        run_fastz_in_pool(t, q, anchors, SEED_SPAN, &cfg, &rcfg, &mut NoObs, &pool)
+    });
     (report, start.elapsed().as_secs_f64())
 }
 
@@ -349,7 +357,7 @@ fn main() {
          \"basis\": \"greedy list schedule of measured serial per-task times at {} workers\" }},\n  \
          \"speedup\": {:.3},\n  \"speedup_source\": \"{}\",\n  \
          \"reports_identical\": true,\n  \
-         \"methodology\": \"Imbalanced corpus: {} seeds whose optimal extent lands in the 32768 bin sit at the front of the anchor list over a period-4 repeat region, followed by {} eager-class seeds over unrelated sequence, so HostDispatch::Static (the legacy per-phase chunking, reproduced in-process by the pool) strands every expensive problem in worker 0's home chunk while HostDispatch::Stealing redistributes them. Reports (alignments, bin counts, counters, modeled-time bits) verified identical across sim_threads in {{1, {}}} and both dispatch modes before timing; only host wall-clock may differ. Wall-clock is best-of-{} interleaved runs of run_fastz after one warmup per mode. The projection times every pool task serially with the pipeline's own engine calls and compares the busiest static home chunk against a greedy list schedule — what the stealing dispatcher executes — at {} workers; it is the headline figure only when the host cannot run the workers in parallel, in which case the measured ratio necessarily sits near 1.0 and the CI gate only rejects regressions (pooled > 1.10x static).\"\n}}\n",
+         \"methodology\": \"Imbalanced corpus: {} seeds whose optimal extent lands in the 32768 bin sit at the front of the anchor list over a period-4 repeat region, followed by {} eager-class seeds over unrelated sequence, so HostDispatch::Static (per-phase contiguous chunks, one per worker) strands every expensive problem in worker 0's home chunk while HostDispatch::Stealing redistributes them. Reports (alignments, bin counts, counters, modeled-time bits) verified identical across pool sizes in {{1, {}}} and both dispatch modes before timing; only host wall-clock may differ. Wall-clock is best-of-{} interleaved runs of run_fastz_in_pool (one pool per run, as run_fastz builds) after one warmup per mode. The projection times every pool task serially with the pipeline's own engine calls and compares the busiest static home chunk against a greedy list schedule — what the stealing dispatcher executes — at {} workers; it is the headline figure only when the host cannot run the workers in parallel, in which case the measured ratio necessarily sits near 1.0 and the CI gate only rejects regressions (pooled > 1.10x static).\"\n}}\n",
         if args.check { "check" } else { "full" },
         args.threads,
         repeats,

@@ -173,7 +173,6 @@ fn main() {
             let mut cache = IndexCache::new(IndexCacheConfig {
                 dir: Some(dir.clone()),
                 shards: args.shards,
-                device_speeds: vec![1.0; 3],
             });
             let t0 = Instant::now();
             for r in 0..requests {
@@ -223,7 +222,7 @@ fn main() {
          target-interval shards. Cold is load_or_build with the artifact removed (build + \
          checksummed atomic save), best of {}. For each request count, warm acquires the index \
          once per request through the serve IndexCache over a saved artifact (one validated disk \
-         load, then resident hits, each acquire re-running the locality-aware shard rebalance), \
+         load, then resident hits), \
          while rebuild constructs the sharded index per request — the pre-persistence behaviour. \
          Anchors through the loaded index are checksum-verified against a fresh in-memory index \
          before timing. Peak build bytes compare the single-table counting-sort build (one u32 \

@@ -9,13 +9,13 @@
 //!    anchor (raw counts, filtered counts, order).
 //! 2. **Pipeline bit identity** — the full pipeline over both workloads
 //!    produces identical alignments, identical bin counts, and
-//!    bit-identical modeled GPU time, across `sim_threads` values and
-//!    both host dispatch modes (the knobs documented as wall-clock-only
-//!    must stay wall-clock-only when anchors come off disk).
+//!    bit-identical modeled GPU time, across `sim_threads` values (a
+//!    knob documented as wall-clock-only must stay wall-clock-only when
+//!    anchors come off disk).
 //! 3. **Shard-count invariance** — the loaded index's lookups are the
 //!    same whole-index sequence at every shard count.
 
-use fastz_core::{run_fastz, FastZConfig, HostDispatch, OptFlags};
+use fastz_core::{run_fastz, FastZConfig, OptFlags};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::DeviceSpec;
 use fastz_seed::{SeedIndex, SeedShape, ShardedSeedIndex, Workload, WorkloadParams};
@@ -159,15 +159,10 @@ pub fn check_index_persist(seed: u64, scoring: &Scoring) -> (usize, Vec<Divergen
         // 2. Pipeline bit identity across the wall-clock-only knobs.
         let span = wl_mem.shape.span();
         let mut reference: Option<(Vec<_>, _, u64)> = None;
-        for (sim_threads, dispatch) in [
-            (1usize, HostDispatch::Static),
-            (2, HostDispatch::Stealing),
-            (0, HostDispatch::Stealing),
-        ] {
+        for sim_threads in [1usize, 2, 0] {
             let mut cfg = FastZConfig::new(scoring.clone(), DeviceSpec::rtx3080_ampere());
             cfg.flags = OptFlags::fastz();
             cfg.sim_threads = sim_threads;
-            cfg.host_dispatch = dispatch;
             let mem = run_fastz(&target, &query, &wl_mem.anchors, span, &cfg);
             let disk = run_fastz(&target, &query, &wl_disk.anchors, span, &cfg);
             checks += 3;
@@ -177,7 +172,7 @@ pub fn check_index_persist(seed: u64, scoring: &Scoring) -> (usize, Vec<Divergen
                     case_seed,
                     "index-pipeline-alignments",
                     format!(
-                        "{} vs {} alignments (sim_threads {sim_threads}, {dispatch:?})",
+                        "{} vs {} alignments (sim_threads {sim_threads})",
                         mem.alignments.len(),
                         disk.alignments.len()
                     ),
@@ -189,7 +184,7 @@ pub fn check_index_persist(seed: u64, scoring: &Scoring) -> (usize, Vec<Divergen
                     case_seed,
                     "index-pipeline-bins",
                     format!(
-                        "bin counts {:?} vs {:?} (sim_threads {sim_threads}, {dispatch:?})",
+                        "bin counts {:?} vs {:?} (sim_threads {sim_threads})",
                         mem.bin_counts, disk.bin_counts
                     ),
                 ));
@@ -200,14 +195,13 @@ pub fn check_index_persist(seed: u64, scoring: &Scoring) -> (usize, Vec<Divergen
                     case_seed,
                     "index-pipeline-modeled-bits",
                     format!(
-                        "modeled {:.9e} s vs {:.9e} s (sim_threads {sim_threads}, {dispatch:?})",
+                        "modeled {:.9e} s vs {:.9e} s (sim_threads {sim_threads})",
                         mem.modeled_time_s, disk.modeled_time_s
                     ),
                 ));
             }
-            // The knobs themselves must stay wall-clock-only on the
-            // persisted path: every (sim_threads, dispatch) combination
-            // agrees with the first.
+            // The knob itself must stay wall-clock-only on the persisted
+            // path: every sim_threads value agrees with the first.
             checks += 1;
             match &reference {
                 None => {
@@ -226,10 +220,7 @@ pub fn check_index_persist(seed: u64, scoring: &Scoring) -> (usize, Vec<Divergen
                             category,
                             case_seed,
                             "index-knob-invariance",
-                            format!(
-                                "persisted-path results vary with sim_threads {sim_threads} / \
-                                 {dispatch:?}"
-                            ),
+                            format!("persisted-path results vary with sim_threads {sim_threads}"),
                         ));
                     }
                 }

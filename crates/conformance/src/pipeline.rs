@@ -6,8 +6,7 @@
 //! plus complete fault accounting.
 
 use fastz_core::{
-    run_fastz, run_fastz_multi_gpu, run_fastz_observed, FastZConfig, OptFlags, Partition,
-    ResilienceConfig,
+    run_fastz, run_fastz_multi_gpu, run_fastz_observed, FastZConfig, OptFlags, ResilienceConfig,
 };
 use fastz_genome::evolve::{default_classes, generate_pair, PairParams};
 use fastz_genome::Scoring;
@@ -408,7 +407,6 @@ pub fn check_pipeline_resilient(
         span,
         &cfg,
         &devices,
-        Partition::Strided,
         &rcfg,
     );
     checks += 1;

@@ -200,7 +200,7 @@ impl BitvecConfig {
 
     /// Largest edit budget whose traceback store fits `capacity` bytes
     /// of shared memory at this window size.
-    fn effective_k(&self, capacity: usize) -> usize {
+    pub(crate) fn effective_k(&self, capacity: usize) -> usize {
         let mut k = self.k;
         while k > 1 && (self.window + k + 1) * (k + 1) * 8 > capacity {
             k -= 1;

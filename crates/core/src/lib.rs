@@ -32,10 +32,7 @@ pub use bitvec::{
     BitvecMutation, BitvecStats, ExtendBackend, PrefilterConfig,
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
-pub use multi_gpu::{
-    device_speed, partition_anchors, rebalance_shards, run_fastz_multi_gpu, straggler_index,
-    MultiGpuReport, Partition, ShardSchedule, SHARD_MOVE_COST_S,
-};
+pub use multi_gpu::{partition_anchors, run_fastz_multi_gpu, straggler_index, MultiGpuReport};
 pub use pipeline::{
     run_fastz, run_fastz_in_pool, run_fastz_observed, FastZConfig, FastZReport, FastZStats,
 };

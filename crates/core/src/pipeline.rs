@@ -49,6 +49,11 @@ mod host {
     pub const FIXED_S: f64 = 2e-4;
 }
 
+/// Warp tasks per modeled kernel launch: the inspector and every
+/// executor bin split their task lists into launches of this size.
+/// Launch count shapes modeled time, so this is fixed, not a knob.
+const LAUNCH_BATCH: usize = 2048;
+
 /// FastZ pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct FastZConfig {
@@ -60,17 +65,10 @@ pub struct FastZConfig {
     pub device: DeviceSpec,
     /// Cap on one-sided extension reach (matches the scalar drivers).
     pub max_extension: usize,
-    /// Warp tasks per inspector kernel launch.
-    pub inspector_batch: usize,
     /// Host threads for the functional simulation (0 = all available).
     /// Affects host wall-clock only: alignments, bin counts, and
     /// modeled GPU time are bit-identical for every value.
     pub sim_threads: usize,
-    /// How the host pool hands problems to its workers
-    /// ([`HostDispatch::Stealing`] by default; [`HostDispatch::Static`]
-    /// reproduces the legacy per-phase chunking as a baseline). Results
-    /// are identical either way — only wall-clock changes.
-    pub host_dispatch: HostDispatch,
     /// Lanes per strip in the warp engine, clamped to `1..=32`. The
     /// default is the full warp; width 1 runs the pipeline on the scalar
     /// engine, which the strip-width invariance property guarantees to
@@ -117,9 +115,7 @@ impl FastZConfig {
             flags: OptFlags::fastz(),
             device,
             max_extension: 40_000,
-            inspector_batch: 2048,
             sim_threads: 0,
-            host_dispatch: HostDispatch::default(),
             strip_width: WARP_SIZE,
             backend: WavefrontBackend::default(),
             sanitize: false,
@@ -281,12 +277,6 @@ pub(crate) fn sim_threads(cfg: &FastZConfig) -> usize {
     }
 }
 
-// Phase execution lives in `crate::pool`: a persistent work-stealing
-// worker set with per-worker buffer arenas replaces the old
-// spawn-per-phase static chunking (`run_phase`). Problems are claimed
-// through an atomic index, results come back in problem order, and a
-// worker panic is re-raised with its original payload.
-
 /// Runs the FastZ pipeline over `anchors` (fault-free, no checkpoint,
 /// unobserved).
 pub fn run_fastz(
@@ -350,12 +340,10 @@ fn config_identity(cfg: &FastZConfig, strip_width: usize) -> u64 {
     let FastZConfig {
         scoring: _, // not fingerprinted: workload_fingerprint folds the scoring scheme itself
         flags,
-        device: _, // not fingerprinted: the device model shapes modeled timing, never results
+        device, // shapes results only through the bitvector budget clamp, folded by bitvec_identity
         max_extension,
-        inspector_batch: _, // not fingerprinted: launch batching is wall-clock only
-        sim_threads: _,     // not fingerprinted: host parallelism is wall-clock only
-        host_dispatch: _,   // not fingerprinted: dispatch policy is wall-clock only
-        strip_width: _, // not fingerprinted as declared: the clamped effective width is folded instead
+        sim_threads: _, // not fingerprinted: host parallelism is wall-clock only
+        strip_width: _, // not fingerprinted: the declared width; the clamped one is folded instead
         backend: _,     // not fingerprinted: interpreter and SIMD are bit-identical by contract
         sanitize: _,    // not fingerprinted: the sanitizer never touches results
         extend_backend,
@@ -373,23 +361,28 @@ fn config_identity(cfg: &FastZConfig, strip_width: usize) -> u64 {
         strip_width as u64,
         backend_bit,
         *max_extension as u64,
-        bitvec_identity(bitvec),
+        bitvec_identity(bitvec, device),
     ]
     .iter()
     .fold(FNV1A_BASIS, |w, v| fnv1a(w, &v.to_le_bytes()))
 }
 
-/// Identity of the bitvector geometry. A semantic axis when the
-/// bitvector backend is active; folded unconditionally so the config
-/// word is a total function of the config, not itself config-dependent.
+/// Identity of the bitvector geometry as it runs on `device`. A
+/// semantic axis when the bitvector backend is active; folded
+/// unconditionally so the config word is a total function of the
+/// config, not itself config-dependent. The edit budget is folded as
+/// the engine runs it: `bitvec_extend_in` clamps `k` to what the
+/// device's shared memory holds, so one declared `k` runs a smaller
+/// budget on a small-scratchpad device.
 // fastz-lint: fingerprint(BitvecConfig)
-fn bitvec_identity(bv: &BitvecConfig) -> u64 {
+fn bitvec_identity(bv: &BitvecConfig, device: &DeviceSpec) -> u64 {
     let BitvecConfig {
         window,
         overlap,
-        k,
+        k: _, // not fingerprinted: the declared budget; the device-clamped one is folded instead
         mutation,
     } = *bv;
+    let k = bv.effective_k(SharedMem::for_device(device).capacity());
     [window as u64, overlap as u64, k as u64, mutation as u64]
         .iter()
         .fold(FNV1A_BASIS, |w, v| fnv1a(w, &v.to_le_bytes()))
@@ -426,7 +419,7 @@ pub fn run_fastz_observed<S: MetricsSink>(
             scope,
             sim_threads(cfg),
             &cfg.device,
-            cfg.host_dispatch,
+            HostDispatch::Stealing,
             cfg.sanitize,
         );
         run_fastz_in_pool(target, query, anchors, seed_span, cfg, rcfg, sink, &pool)
@@ -846,7 +839,7 @@ impl<'a> Run<'a> {
                 || self.cfg.extend_backend == ExtendBackend::Bitvector)
     }
 
-    /// Partition phase: Table 2 classifies each seed by its optimal
+    /// The partition phase: Table 2 classifies each seed by its optimal
     /// extent; problems not resolved in the inspector go to the
     /// executor's length bins (§3.3), in problem order within a bin.
     fn partition<S: MetricsSink>(
@@ -930,7 +923,7 @@ impl<'a> Run<'a> {
             for (&idx, r) in bin.iter().zip(results) {
                 executed.results[idx] = Some(r);
             }
-            for (b, chunk) in tasks.chunks(self.cfg.inspector_batch).enumerate() {
+            for (b, chunk) in tasks.chunks(LAUNCH_BATCH).enumerate() {
                 executed.kernels.push(KernelSpec::new(
                     format!("executor-bin{slot}-{b}"),
                     chunk.to_vec(),
@@ -1027,7 +1020,7 @@ impl<'a> Run<'a> {
         let cfg = self.cfg;
         let flags = cfg.flags;
         let inspector_kernels: Vec<KernelSpec> = inspector
-            .chunks(cfg.inspector_batch)
+            .chunks(LAUNCH_BATCH)
             .enumerate()
             .map(|(b, chunk)| {
                 KernelSpec::new(
@@ -1387,20 +1380,19 @@ mod tests {
     #[test]
     fn sanitized_report_is_invariant_across_sim_threads() {
         let (t, q, anchors, span) = demo(104);
-        let run = |threads: usize, dispatch: HostDispatch| {
+        let run = |threads: usize| {
             let cfg = FastZConfig {
                 sanitize: true,
                 sim_threads: threads,
-                host_dispatch: dispatch,
                 ..config()
             };
             run_fastz(&t, &q, &anchors, span, &cfg)
                 .sanitize
                 .expect("report")
         };
-        let reference = run(1, HostDispatch::Stealing);
-        assert_eq!(reference, run(4, HostDispatch::Stealing));
-        assert_eq!(reference, run(3, HostDispatch::Static));
+        let reference = run(1);
+        assert_eq!(reference, run(4));
+        assert_eq!(reference, run(3));
     }
 
     #[test]
@@ -1551,57 +1543,45 @@ mod tests {
     }
 
     #[test]
-    fn report_is_invariant_across_sim_threads_and_dispatch() {
+    fn report_is_invariant_across_sim_threads() {
         // The pool's determinism contract at unit scale (the proptest
         // widens the corpus sweep): alignments, bin counts, and the
-        // modeled time's exact bits never depend on worker count or
-        // dispatch mode.
+        // modeled time's exact bits never depend on worker count.
         let (t, q, anchors, span) = demo(108);
-        let run_with = |threads: usize, dispatch: crate::pool::HostDispatch| {
+        let run_with = |threads: usize| {
             let cfg = FastZConfig {
                 sim_threads: threads,
-                host_dispatch: dispatch,
                 ..config()
             };
             run_fastz(&t, &q, &anchors, span, &cfg)
         };
-        let reference = run_with(1, crate::pool::HostDispatch::Stealing);
+        let reference = run_with(1);
         for threads in [2, 7, 0] {
-            for dispatch in [
-                crate::pool::HostDispatch::Stealing,
-                crate::pool::HostDispatch::Static,
-            ] {
-                let r = run_with(threads, dispatch);
-                assert_eq!(r.alignments, reference.alignments);
-                assert_eq!(r.bin_counts, reference.bin_counts);
-                assert_eq!(
-                    r.modeled_time_s.to_bits(),
-                    reference.modeled_time_s.to_bits(),
-                    "modeled time drifted at {threads} threads / {dispatch:?}"
-                );
-            }
+            let r = run_with(threads);
+            assert_eq!(r.alignments, reference.alignments);
+            assert_eq!(r.bin_counts, reference.bin_counts);
+            assert_eq!(
+                r.modeled_time_s.to_bits(),
+                reference.modeled_time_s.to_bits(),
+                "modeled time drifted at {threads} threads"
+            );
         }
     }
 
     #[test]
     fn report_is_invariant_across_wavefront_backends() {
-        // The SIMD backend's contract mirrors sim_threads/dispatch: a
-        // pure wall-clock knob. Everything observable in the report —
+        // The SIMD backend's contract mirrors sim_threads: a pure
+        // wall-clock knob. Everything observable in the report —
         // alignments, bin counts, per-kernel counter totals, and the
         // modeled time's exact bits — matches the interpreter, across
-        // thread counts, dispatch modes, and strip widths.
+        // thread counts and strip widths.
         let (t, q, anchors, span) = demo(108);
         let reference = run_fastz(&t, &q, &anchors, span, &config());
-        for (threads, dispatch) in [
-            (1, crate::pool::HostDispatch::Stealing),
-            (0, crate::pool::HostDispatch::Stealing),
-            (0, crate::pool::HostDispatch::Static),
-        ] {
+        for threads in [1, 0] {
             for strip_width in [32usize, 5] {
                 let cfg = FastZConfig {
                     backend: WavefrontBackend::Simd,
                     sim_threads: threads,
-                    host_dispatch: dispatch,
                     strip_width,
                     ..config()
                 };
@@ -1626,7 +1606,7 @@ mod tests {
                 assert_eq!(
                     simd.modeled_time_s.to_bits(),
                     interp.modeled_time_s.to_bits(),
-                    "modeled time drifted at {threads} threads / {dispatch:?} / width {strip_width}"
+                    "modeled time drifted at {threads} threads / width {strip_width}"
                 );
                 if strip_width == 32 && threads == 1 {
                     assert_eq!(simd.alignments, reference.alignments);
@@ -1677,9 +1657,9 @@ mod tests {
             }
             assert_eq!(unit, a.score, "{a}");
         }
-        // Same determinism contract as y-drop: worker count and dispatch
-        // mode never reach the results.
-        for (threads, dispatch) in [(4, HostDispatch::Stealing), (3, HostDispatch::Static)] {
+        // Same determinism contract as y-drop: worker count never
+        // reaches the results.
+        for threads in [4, 3] {
             let run = run_fastz(
                 &t,
                 &q,
@@ -1687,7 +1667,6 @@ mod tests {
                 span,
                 &FastZConfig {
                     sim_threads: threads,
-                    host_dispatch: dispatch,
                     ..cfg.clone()
                 },
             );

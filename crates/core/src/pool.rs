@@ -2,16 +2,13 @@
 //! arenas.
 //!
 //! The pipeline's functional simulation runs one seed-extension problem
-//! per task on host threads. The legacy scheme spawned a fresh thread
-//! set per phase and carved the problem list into static contiguous
-//! chunks — so one chunk that lands the 32768-bin alignments serialized
-//! the whole phase, exactly the imbalance the paper's length binning
-//! (§3.3) exists to avoid on the device. [`HostPool`] replaces that
-//! with one scoped worker set per `run_fastz*` call and an atomic-index
+//! per task on host threads. [`HostPool`] is one scoped worker set per
+//! `run_fastz*` call (or per service run) with an atomic-index
 //! dispatcher: every worker claims the next unclaimed problem, so a
 //! worker that drew a long alignment simply stops claiming while the
-//! others drain the rest. A claim outside the worker's home (static)
-//! chunk is counted as a steal.
+//! others drain the rest — on the host, the imbalance the paper's
+//! length binning (§3.3) exists to avoid on the device. A claim outside
+//! the worker's home (static) chunk is counted as a steal.
 //!
 //! Each worker owns an [`Arena`] that persists across problems *and*
 //! phases: the device-sized [`SharedMem`] scratchpad, the left-side
@@ -45,16 +42,16 @@ use std::thread::Scope;
 /// §3.3 bins, then overflow).
 pub const TB_CLASSES: usize = BIN_BOUNDS.len() + 2;
 
-/// How a phase's problems are handed to the workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How a phase's problems are handed to the workers. The pipeline and
+/// the service always steal; [`HostDispatch::Static`] exists as the
+/// baseline the `host_throughput` bench times through
+/// [`crate::run_fastz_in_pool`], and as a test oracle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HostDispatch {
     /// Atomic-index claiming over the problem list: idle workers pull
-    /// the next unclaimed problem (work stealing). The default.
-    #[default]
+    /// the next unclaimed problem (work stealing).
     Stealing,
-    /// Static contiguous chunks — the legacy `run_phase` layout, kept
-    /// as the baseline the `host_throughput` bench and CI gate compare
-    /// against.
+    /// Static contiguous chunks: worker `w` runs exactly its home chunk.
     Static,
 }
 
@@ -103,8 +100,8 @@ impl TbArena {
     }
 }
 
-/// Per-worker reusable buffers: everything a problem needs that the
-/// legacy path allocated per problem (or per chunk).
+/// Per-worker reusable buffers: everything a problem needs, reused
+/// from one problem to the next.
 #[derive(Debug)]
 pub struct Arena {
     /// Block shared-memory scratchpad, sized from the modeled device's
@@ -229,7 +226,6 @@ struct PoolShared {
 pub struct HostPool<'scope> {
     shared: Arc<PoolShared>,
     workers: usize,
-    mode: HostDispatch,
     sanitizing: bool,
     _scope: std::marker::PhantomData<&'scope ()>,
 }
@@ -271,7 +267,6 @@ impl<'scope> HostPool<'scope> {
         HostPool {
             shared,
             workers,
-            mode,
             sanitizing: sanitize,
             _scope: std::marker::PhantomData,
         }
@@ -293,11 +288,6 @@ impl<'scope> HostPool<'scope> {
     /// Worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The dispatch mode the pool was built with.
-    pub fn mode(&self) -> HostDispatch {
-        self.mode
     }
 
     /// Runs `work` over problems `0..n` on the worker set and returns

@@ -3,12 +3,18 @@
 //! The pool's determinism contract: the `FastZReport` — alignments
 //! (scores and edit scripts), bin counts, work counters, and the
 //! modeled GPU time's exact bits — must be identical for every
-//! `sim_threads` value and both dispatch modes, fault-free and under a
-//! `FaultPlan` alike. Only host wall-clock may change.
+//! `sim_threads` value, fault-free and under a `FaultPlan` alike. Only
+//! host wall-clock may change. One case per property also runs the
+//! pipeline in a static-chunking pool through `run_fastz_in_pool`: the
+//! `host_throughput` bench times that pool as its baseline, and its
+//! gate means nothing unless both pools compute the same report.
 //!
 //! CI runs this at a reduced case count via `FASTZ_PROP_CASES`.
 
-use fastz_core::{run_fastz_observed, FastZConfig, HostDispatch, ResilienceConfig};
+use fastz_core::{
+    run_fastz_in_pool, run_fastz_observed, FastZConfig, FastZReport, HostDispatch, HostPool,
+    ResilienceConfig,
+};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
@@ -58,19 +64,40 @@ struct Fingerprint {
     overhead_bits: u64,
 }
 
-fn fingerprint(
-    corpus: &(Sequence, Sequence, Vec<Anchor>, usize),
-    threads: usize,
-    dispatch: HostDispatch,
-    rcfg: &ResilienceConfig,
-) -> Fingerprint {
-    let (t, q, anchors, span) = corpus;
-    let cfg = FastZConfig {
+type Corpus = (Sequence, Sequence, Vec<Anchor>, usize);
+
+fn config(threads: usize) -> FastZConfig {
+    FastZConfig {
         sim_threads: threads,
-        host_dispatch: dispatch,
         ..FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere())
-    };
-    let r = run_fastz_observed(t, q, anchors, *span, &cfg, rcfg, &mut NoObs);
+    }
+}
+
+/// The fingerprint of a run on the pipeline's own (stealing) pool.
+fn fingerprint(corpus: &Corpus, threads: usize, rcfg: &ResilienceConfig) -> Fingerprint {
+    let (t, q, anchors, span) = corpus;
+    digest(run_fastz_observed(
+        t,
+        q,
+        anchors,
+        *span,
+        &config(threads),
+        rcfg,
+        &mut NoObs,
+    ))
+}
+
+/// The fingerprint of a run on a static-chunking pool of `threads` workers.
+fn static_fingerprint(corpus: &Corpus, threads: usize, rcfg: &ResilienceConfig) -> Fingerprint {
+    let (t, q, anchors, span) = corpus;
+    let cfg = config(threads);
+    digest(std::thread::scope(|scope| {
+        let pool = HostPool::new(scope, threads, &cfg.device, HostDispatch::Static, false);
+        run_fastz_in_pool(t, q, anchors, *span, &cfg, rcfg, &mut NoObs, &pool)
+    }))
+}
+
+fn digest(r: FastZReport) -> Fingerprint {
     Fingerprint {
         alignments: r.alignments,
         bin_counts: r.bin_counts,
@@ -88,7 +115,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Fault-free runs: identical reports for sim_threads ∈
-    /// {1, 2, 7, all-available} under both dispatch modes.
+    /// {1, 2, 7, all-available}, and on a 3-worker static pool.
     #[test]
     fn report_is_invariant_across_sim_threads(
         seed in any::<u64>(),
@@ -96,17 +123,14 @@ proptest! {
     ) {
         let c = corpus(seed, segments);
         let rcfg = ResilienceConfig::disabled();
-        let reference = fingerprint(&c, 1, HostDispatch::Stealing, &rcfg);
+        let reference = fingerprint(&c, 1, &rcfg);
         prop_assert!(reference.bin_counts.total() > 0);
         for threads in [2usize, 7, 0] {
-            for dispatch in [HostDispatch::Stealing, HostDispatch::Static] {
-                let got = fingerprint(&c, threads, dispatch, &rcfg);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "threads {} / {:?} diverged", threads, dispatch
-                );
-            }
+            let got = fingerprint(&c, threads, &rcfg);
+            prop_assert_eq!(&got, &reference, "threads {} diverged", threads);
         }
+        let got = static_fingerprint(&c, 3, &rcfg);
+        prop_assert_eq!(&got, &reference, "static pool diverged");
     }
 
     /// The same invariance under an injected fault schedule: the
@@ -119,15 +143,12 @@ proptest! {
     ) {
         let c = corpus(seed, 16);
         let rcfg = ResilienceConfig::with_plan(FaultPlan::from_seed(plan_seed));
-        let reference = fingerprint(&c, 1, HostDispatch::Stealing, &rcfg);
+        let reference = fingerprint(&c, 1, &rcfg);
         for threads in [2usize, 7, 0] {
-            for dispatch in [HostDispatch::Stealing, HostDispatch::Static] {
-                let got = fingerprint(&c, threads, dispatch, &rcfg);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "faulted run at threads {} / {:?} diverged", threads, dispatch
-                );
-            }
+            let got = fingerprint(&c, threads, &rcfg);
+            prop_assert_eq!(&got, &reference, "faulted run at threads {} diverged", threads);
         }
+        let got = static_fingerprint(&c, 3, &rcfg);
+        prop_assert_eq!(&got, &reference, "faulted run on a static pool diverged");
     }
 }

@@ -6,7 +6,7 @@
 
 use fastz_core::{
     run_fastz, run_fastz_multi_gpu, run_fastz_observed, Checkpoint, FastZConfig, OptFlags,
-    Partition, ResilienceConfig,
+    ResilienceConfig,
 };
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
@@ -65,7 +65,7 @@ proptest! {
         // exactly once, so the set is still identical.
         let devices = vec![DeviceSpec::rtx3080_ampere(); 3];
         let multi = run_fastz_multi_gpu(
-            &t, &q, &anchors, span, &cfg, &devices, Partition::Strided, &rcfg,
+            &t, &q, &anchors, span, &cfg, &devices, &rcfg,
         );
         prop_assert_eq!(&multi.alignments, &clean.alignments);
         prop_assert!(multi.resilience.accounts_for_all_faults());

@@ -4,7 +4,7 @@
 //! The workspace has no crates.io access, so there is no `syn` to lean
 //! on; this lexer plus the structural pass in [`crate::source`] vendor
 //! the fraction of its surface the rules actually consume (the same
-//! pattern as the `rand`/`proptest`/`criterion` shims). Fidelity
+//! pattern as the `rand`/`proptest` shims). Fidelity
 //! matters: PR 4's `partial_cmp().unwrap()` lives on in a dozen
 //! comments that a grep-based checker would re-flag forever.
 

@@ -7,8 +7,7 @@
 //! paths, and panicking step kernels. The workspace vendors no
 //! dependencies, so parsing is a small in-crate lexer plus a
 //! structural pass (`lex`/`source`) rather than `syn` — the same
-//! vendor-what-you-need pattern as the `rand`/`proptest`/`criterion`
-//! shims.
+//! vendor-what-you-need pattern as the `rand`/`proptest` shims.
 //!
 //! Findings are suppressible inline:
 //!
@@ -38,7 +37,7 @@ use std::path::Path;
 /// reproduce external API surface (not this project's invariants), and
 /// the lint crate itself — its rule tables and fixtures contain
 /// exactly the tokens the rules hunt for.
-const EXCLUDED_CRATES: &[&str] = &["criterion", "lint", "proptest", "rand"];
+const EXCLUDED_CRATES: &[&str] = &["lint", "proptest", "rand"];
 
 /// The parsed file set a lint run operates on.
 pub struct Workspace {

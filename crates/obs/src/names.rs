@@ -223,7 +223,7 @@ pub const SERVE_BIN_FILL_HIST: &str = "fastz_serve_bin_fill_ratio";
 pub const SERVE_BIN_FILL_BUCKETS: [f64; 5] = [0.25, 0.5, 0.75, 0.9, 1.0];
 
 // ---------------------------------------------------------------------------
-// Persistent seed index cache + shard residency (`fastz-serve`). Same
+// Persistent seed index cache (`fastz-serve`). Same
 // zero-emission discipline as the service series: every series appears
 // on every observed run, zeros when no cache is attached.
 // ---------------------------------------------------------------------------
@@ -234,17 +234,8 @@ pub const INDEX_CACHE_HITS_TOTAL: &str = "fastz_index_cache_hits_total";
 pub const INDEX_CACHE_DISK_LOADS_TOTAL: &str = "fastz_index_cache_disk_loads_total";
 /// Index acquisitions that had to build from the sequence (cold).
 pub const INDEX_CACHE_BUILDS_TOTAL: &str = "fastz_index_cache_builds_total";
-/// Shard placements kept on the device the shard was already resident
-/// on (no migration charge).
-pub const INDEX_SHARDS_REUSED_TOTAL: &str = "fastz_index_shards_reused_total";
-/// Shard placements that moved a shard onto a new device (cold load or
-/// migration, each paying the modeled move cost).
-pub const INDEX_SHARDS_MOVED_TOTAL: &str = "fastz_index_shards_moved_total";
-/// Shards currently resident across the simulated fleet (gauge).
+/// Shards of every index resident in the cache's memory (gauge).
 pub const INDEX_RESIDENT_SHARDS: &str = "fastz_index_resident_shards";
-/// Makespan of the most recent shard rebalance in modeled seconds
-/// (gauge; straggler device completion time).
-pub const INDEX_REBALANCE_MAKESPAN_SECONDS: &str = "fastz_index_rebalance_makespan_seconds";
 
 // ---------------------------------------------------------------------------
 // Histograms
@@ -355,10 +346,7 @@ pub const SERVICE: &[&str] = &[
     INDEX_CACHE_HITS_TOTAL,
     INDEX_CACHE_DISK_LOADS_TOTAL,
     INDEX_CACHE_BUILDS_TOTAL,
-    INDEX_SHARDS_REUSED_TOTAL,
-    INDEX_SHARDS_MOVED_TOTAL,
     INDEX_RESIDENT_SHARDS,
-    INDEX_REBALANCE_MAKESPAN_SECONDS,
 ];
 
 /// The full registry: every declared `fastz_` name, exactly once.
@@ -436,10 +424,7 @@ pub const ALL: &[&str] = &[
     INDEX_CACHE_HITS_TOTAL,
     INDEX_CACHE_DISK_LOADS_TOTAL,
     INDEX_CACHE_BUILDS_TOTAL,
-    INDEX_SHARDS_REUSED_TOTAL,
-    INDEX_SHARDS_MOVED_TOTAL,
     INDEX_RESIDENT_SHARDS,
-    INDEX_REBALANCE_MAKESPAN_SECONDS,
     SEED_EXTENT_HIST,
     TASK_CYCLES_INSPECTOR_HIST,
     TASK_CYCLES_EXECUTOR_HIST,

@@ -137,7 +137,7 @@ fn chrome_trace_matches_golden() {
 }
 
 /// Two back-to-back invocations of the same seed must produce
-/// byte-identical exports — the acceptance criterion for the
+/// byte-identical exports — the acceptance test for the
 /// logical-clock design (no wall time anywhere in the export path).
 #[test]
 fn exports_are_byte_identical_across_invocations() {

@@ -9,9 +9,8 @@
 //! - **Sharding by target interval.** The target's window positions are
 //!   split into `n_shards` contiguous intervals; each shard is an
 //!   independent bucket table + flat entries array
-//!   ([`SeedIndex::try_build_interval`]), so shards can be placed on
-//!   different devices by the multi-GPU rebalancer and loaded/validated
-//!   independently. Because every bucket stores positions in ascending
+//!   ([`SeedIndex::try_build_interval`]), so shards build, load and
+//!   validate independently. Because every bucket stores positions in ascending
 //!   order and shards partition the position space in order,
 //!   concatenating shard lookups yields *exactly* the sequence the
 //!   whole-target index yields — bit-identical anchors, drilled by the
@@ -208,11 +207,6 @@ impl ShardedSeedIndex {
     /// True if no windows were indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entry count per shard — the rebalancer's load model input.
-    pub fn shard_loads(&self) -> Vec<f64> {
-        self.shards.iter().map(|s| s.len() as f64).collect()
     }
 
     /// Resident heap bytes across all shards.

@@ -1,4 +1,4 @@
-//! Shared seed-index cache with multi-tenant shard residency.
+//! Shared seed-index cache: in-memory residency and persistence.
 //!
 //! A service front end seeds every request against the same registered
 //! target genome; rebuilding the k-mer index per request is the tall
@@ -13,11 +13,6 @@
 //!   go through [`ShardedSeedIndex::load_or_build`]: a validated
 //!   artifact on disk is a warm load; otherwise the build is saved for
 //!   the next process.
-//! * **Shard scheduling** — each acquisition re-places the index's
-//!   target-interval shards across the simulated device fleet with the
-//!   locality-aware rebalancer ([`rebalance_shards`]): shards already
-//!   resident on a device stay put unless balance demands a move, and
-//!   the reuse/move counts and rebalance makespan are tracked.
 //!
 //! Counters surface through `obs::names` with the service's
 //! zero-emission discipline: [`AlignService`](crate::AlignService)
@@ -25,7 +20,6 @@
 //! [`IndexCache::record_metrics`] overlays the real values when a cache
 //! is in play — the exported series set never depends on configuration.
 
-use fastz_core::{rebalance_shards, ShardSchedule};
 use fastz_genome::Sequence;
 use fastz_obs::{names, MetricsSink};
 use fastz_seed::{IndexOrigin, PersistError, SeedShape, ShardedSeedIndex};
@@ -39,9 +33,6 @@ pub struct IndexCacheConfig {
     pub dir: Option<PathBuf>,
     /// Target-interval shards per index (clamped to ≥ 1).
     pub shards: usize,
-    /// Relative speed of each device in the simulated fleet the shards
-    /// are scheduled across (see `fastz_core::device_speed`).
-    pub device_speeds: Vec<f64>,
 }
 
 impl Default for IndexCacheConfig {
@@ -49,12 +40,11 @@ impl Default for IndexCacheConfig {
         IndexCacheConfig {
             dir: None,
             shards: 4,
-            device_speeds: vec![1.0],
         }
     }
 }
 
-/// Running acquisition and placement statistics.
+/// Running acquisition statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IndexCacheStats {
     /// Acquisitions served by a resident in-memory index.
@@ -63,20 +53,6 @@ pub struct IndexCacheStats {
     pub disk_loads: u64,
     /// Acquisitions that built the index from the sequence.
     pub builds: u64,
-    /// Shard placements kept on their resident device.
-    pub shards_reused: u64,
-    /// Shard placements that paid a move (cold load or migration).
-    pub shards_moved: u64,
-    /// Makespan of the most recent rebalance, modeled seconds.
-    pub last_makespan_s: f64,
-}
-
-/// One resident index plus its current fleet placement.
-struct Resident {
-    index: ShardedSeedIndex,
-    /// Device each shard currently lives on (input residency for the
-    /// next rebalance).
-    placement: Vec<Option<usize>>,
 }
 
 /// A shared seed-index cache keyed by `(genome id, shape, shards)`.
@@ -85,19 +61,17 @@ pub struct IndexCache {
     // BTreeMap, not HashMap: resident_shards() iterates the values, and
     // the bit-identity contract wants that walk (and any future series
     // derived from it) in key order.
-    resident: BTreeMap<String, Resident>,
+    resident: BTreeMap<String, ShardedSeedIndex>,
     stats: IndexCacheStats,
 }
 
-/// What one acquisition produced: a borrowed resident index, where it
-/// came from, and the shard schedule chosen for this request.
+/// What one acquisition produced: a borrowed resident index and where
+/// it came from.
 pub struct Acquired<'c> {
     /// The resident sharded index.
     pub index: &'c ShardedSeedIndex,
     /// Hit / disk load / cold build for this acquisition.
     pub origin: AcquireOrigin,
-    /// The placement the rebalancer chose for this request.
-    pub schedule: ShardSchedule,
 }
 
 /// Where an acquisition was satisfied from.
@@ -136,19 +110,13 @@ impl IndexCache {
         self.resident.len()
     }
 
-    /// Shards resident across the fleet (every shard of every resident
-    /// index that has a device placement).
+    /// Shards resident in memory: every shard of every resident index.
     pub fn resident_shards(&self) -> usize {
-        self.resident
-            .values()
-            .map(|r| r.placement.iter().filter(|p| p.is_some()).count())
-            .sum()
+        self.resident.values().map(|i| i.n_shards()).sum()
     }
 
     /// Acquires the index for `target` under `shape`, building or
-    /// loading it on the first use and reusing the resident copy after,
-    /// then schedules its shards across the fleet (preferring the
-    /// devices they are already resident on).
+    /// loading it on the first use and reusing the resident copy after.
     pub fn acquire(
         &mut self,
         target: &Sequence,
@@ -167,9 +135,7 @@ impl IndexCache {
                     IndexOrigin::Built,
                 ),
             };
-            let placement = vec![None; index.n_shards()];
-            self.resident
-                .insert(key.clone(), Resident { index, placement });
+            self.resident.insert(key.clone(), index);
             match from {
                 IndexOrigin::LoadedFromDisk => {
                     self.stats.disk_loads += 1;
@@ -182,20 +148,9 @@ impl IndexCache {
             }
         };
 
-        let entry = self.resident.get_mut(&key).expect("just inserted");
-        let schedule = rebalance_shards(
-            &entry.index.shard_loads(),
-            &self.cfg.device_speeds,
-            &entry.placement,
-        );
-        entry.placement = schedule.assignments.iter().map(|&d| Some(d)).collect();
-        self.stats.shards_reused += schedule.reused as u64;
-        self.stats.shards_moved += schedule.moved as u64;
-        self.stats.last_makespan_s = schedule.makespan_s;
         Ok(Acquired {
-            index: &self.resident.get(&key).expect("resident").index,
+            index: &self.resident[&key],
             origin,
-            schedule,
         })
     }
 
@@ -209,13 +164,7 @@ impl IndexCache {
         sink.counter_add(names::INDEX_CACHE_HITS_TOTAL, self.stats.hits);
         sink.counter_add(names::INDEX_CACHE_DISK_LOADS_TOTAL, self.stats.disk_loads);
         sink.counter_add(names::INDEX_CACHE_BUILDS_TOTAL, self.stats.builds);
-        sink.counter_add(names::INDEX_SHARDS_REUSED_TOTAL, self.stats.shards_reused);
-        sink.counter_add(names::INDEX_SHARDS_MOVED_TOTAL, self.stats.shards_moved);
         sink.gauge_set(names::INDEX_RESIDENT_SHARDS, self.resident_shards() as f64);
-        sink.gauge_set(
-            names::INDEX_REBALANCE_MAKESPAN_SECONDS,
-            self.stats.last_makespan_s,
-        );
     }
 }
 
@@ -236,27 +185,20 @@ mod tests {
         let t = random_sequence("svc-genome", 4_000, 0.5, 9);
         let mut cache = IndexCache::new(IndexCacheConfig {
             shards: 6,
-            device_speeds: vec![1.0; 3],
             ..IndexCacheConfig::default()
         });
         let first = cache.acquire(&t, SeedShape::lastz_12of19()).unwrap();
         assert_eq!(first.origin, AcquireOrigin::Built);
-        assert_eq!(first.schedule.reused, 0);
-        let first_assign = first.schedule.assignments.clone();
+        let fp = first.index.fingerprint();
         for _ in 0..7 {
             let again = cache.acquire(&t, SeedShape::lastz_12of19()).unwrap();
             assert_eq!(again.origin, AcquireOrigin::Resident);
-            // With stable loads the warm rebalance keeps every shard on
-            // its resident device.
-            assert_eq!(again.schedule.moved, 0, "warm rebalance moved shards");
-            assert_eq!(again.schedule.assignments, first_assign);
+            assert_eq!(again.index.fingerprint(), fp);
         }
         let s = cache.stats();
         assert_eq!(s.builds, 1);
         assert_eq!(s.hits, 7);
         assert_eq!(s.disk_loads, 0);
-        assert_eq!(s.shards_moved, 6, "only the cold placement moved shards");
-        assert_eq!(s.shards_reused, 7 * 6);
         assert_eq!(cache.resident_shards(), 6);
     }
 
@@ -267,7 +209,6 @@ mod tests {
         let cfg = IndexCacheConfig {
             dir: Some(dir.clone()),
             shards: 3,
-            device_speeds: vec![1.0; 2],
         };
         // First process: builds and saves.
         let mut warmup = IndexCache::new(cfg.clone());

@@ -174,7 +174,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Stable classification label (the chaos-soak test compares these
-    /// across `sim_threads` and dispatch modes).
+    /// across `sim_threads`).
     pub fn class(&self) -> &'static str {
         match self {
             Outcome::Completed => "completed",

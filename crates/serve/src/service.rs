@@ -6,7 +6,7 @@
 //! pure function of the request sequence and *modeled* values (queue
 //! depth, modeled GPU seconds, the seeded fault plan). Wall clock never
 //! enters a decision, so the full outcome record is bit-identical
-//! across `sim_threads`, host dispatch modes, and wavefront backends;
+//! across `sim_threads` and wavefront backends;
 //! the chaos-soak test asserts exactly that.
 //!
 //! Requests dispatch in *waves* of up to [`ServeConfig::wave`] queued
@@ -20,8 +20,8 @@
 use crate::queue::{AdmissionPolicy, AdmissionQueue, Queued};
 use crate::request::{AlignRequest, DegradeRecord, Outcome, Priority, RequestRecord, ShedReason};
 use fastz_core::{
-    prefilter_anchors, run_fastz_in_pool, BinPacker, FastZConfig, FastZReport, HostPool,
-    MergedLaunch, PrefilterConfig, ResilienceConfig, ResilienceReport,
+    prefilter_anchors, run_fastz_in_pool, BinPacker, FastZConfig, FastZReport, HostDispatch,
+    HostPool, MergedLaunch, PrefilterConfig, ResilienceConfig, ResilienceReport,
 };
 use fastz_genome::Sequence;
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultPlan, FaultSite};
@@ -252,7 +252,7 @@ impl<'g> AlignService<'g> {
                 scope,
                 threads,
                 &cfg.pipeline.device,
-                cfg.pipeline.host_dispatch,
+                HostDispatch::Stealing,
                 cfg.pipeline.sanitize,
             );
             self.event_loop(requests, &pool)
@@ -544,9 +544,6 @@ impl<'g> AlignService<'g> {
         sink.counter_add(names::INDEX_CACHE_HITS_TOTAL, 0);
         sink.counter_add(names::INDEX_CACHE_DISK_LOADS_TOTAL, 0);
         sink.counter_add(names::INDEX_CACHE_BUILDS_TOTAL, 0);
-        sink.counter_add(names::INDEX_SHARDS_REUSED_TOTAL, 0);
-        sink.counter_add(names::INDEX_SHARDS_MOVED_TOTAL, 0);
         sink.gauge_set(names::INDEX_RESIDENT_SHARDS, 0.0);
-        sink.gauge_set(names::INDEX_REBALANCE_MAKESPAN_SECONDS, 0.0);
     }
 }

@@ -7,8 +7,8 @@
 //! rejected host-side before dispatch; with the rung off, the pipeline
 //! extends them and drops the sub-threshold results itself. The
 //! soundness contract under test: the served alignment set is
-//! *identical* either way — across `sim_threads` and host dispatch
-//! modes, under a seeded [`FaultPlan`] — and the reject counts surface
+//! *identical* either way — across `sim_threads`, under a seeded
+//! [`FaultPlan`] — and the reject counts surface
 //! through `obs::names` with zero-emission discipline (the series
 //! exists, at zero, even when the rung is off).
 //!
@@ -20,7 +20,7 @@
 //! `skipped_seeds` stayed empty — making alignment-set identity exactly
 //! the no-false-reject claim.
 
-use fastz_core::{FastZConfig, HostDispatch, OptFlags, PrefilterConfig};
+use fastz_core::{FastZConfig, OptFlags, PrefilterConfig};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
@@ -67,11 +67,10 @@ fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize, usize) {
     (pair.target, pair.query, anchors, span, garbage)
 }
 
-fn pipeline_cfg(sim_threads: usize, dispatch: HostDispatch) -> FastZConfig {
+fn pipeline_cfg(sim_threads: usize) -> FastZConfig {
     let mut cfg = FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere());
     cfg.flags = OptFlags::fastz();
     cfg.sim_threads = sim_threads;
-    cfg.host_dispatch = dispatch;
     // The probe is conclusive only when its rectangle covers the whole
     // flank (`PrefilterConfig` docs): cap extensions at the default
     // probe size so hopeless anchors are provably hopeless.
@@ -82,9 +81,9 @@ fn pipeline_cfg(sim_threads: usize, dispatch: HostDispatch) -> FastZConfig {
 /// A quiet service (huge queue, no overload shedding) with the seeded
 /// chaos plan: soundness must hold with faults firing, not just on the
 /// happy path.
-fn serve_cfg(sim_threads: usize, dispatch: HostDispatch, prefilter: bool) -> ServeConfig {
-    let mut cfg = ServeConfig::new(pipeline_cfg(sim_threads, dispatch))
-        .with_chaos(FaultPlan::from_seed(0xB17F));
+fn serve_cfg(sim_threads: usize, prefilter: bool) -> ServeConfig {
+    let mut cfg =
+        ServeConfig::new(pipeline_cfg(sim_threads)).with_chaos(FaultPlan::from_seed(0xB17F));
     cfg.admission.queue_cap = 1024;
     cfg.wave = 3;
     if prefilter {
@@ -112,8 +111,7 @@ fn prefilter_rung_never_changes_the_alignment_set() {
     let reqs = requests(&anchors, span, 8);
 
     // Rung off: the reference alignment set, with the same chaos seed.
-    let off =
-        AlignService::new(&target, &query, serve_cfg(2, HostDispatch::Stealing, false)).run(&reqs);
+    let off = AlignService::new(&target, &query, serve_cfg(2, false)).run(&reqs);
     assert_eq!(off.prefilter_probed, 0, "rung off probes nothing");
     assert_eq!(off.prefilter_rejected, 0);
     assert!(
@@ -124,12 +122,8 @@ fn prefilter_rung_never_changes_the_alignment_set() {
     assert!(off.records.iter().all(|r| r.prefiltered == 0));
 
     let mut base: Option<fastz_serve::ServeReport> = None;
-    for (threads, dispatch) in [
-        (1, HostDispatch::Stealing),
-        (2, HostDispatch::Stealing),
-        (3, HostDispatch::Static),
-    ] {
-        let on = AlignService::new(&target, &query, serve_cfg(threads, dispatch, true)).run(&reqs);
+    for threads in [1, 2, 3] {
+        let on = AlignService::new(&target, &query, serve_cfg(threads, true)).run(&reqs);
 
         // The rung actually fired: every dispatched anchor was probed
         // and the garbage population was rejected.
@@ -160,7 +154,7 @@ fn prefilter_rung_never_changes_the_alignment_set() {
         }
 
         // And the rung-on runs are bit-identical among themselves,
-        // across sim_threads and dispatch modes.
+        // across sim_threads.
         match &base {
             None => base = Some(on),
             Some(b) => {
@@ -197,8 +191,7 @@ fn prefilter_counters_surface_with_zero_emission_discipline() {
     // Rung off: both series are still emitted — at zero — so the
     // exported metric set never depends on configuration.
     let mut quiet = Recorder::new();
-    AlignService::new(&target, &query, serve_cfg(2, HostDispatch::Stealing, false))
-        .run_observed(&reqs, &mut quiet);
+    AlignService::new(&target, &query, serve_cfg(2, false)).run_observed(&reqs, &mut quiet);
     assert_eq!(
         quiet.registry.counter(names::SERVE_PREFILTER_PROBED_TOTAL),
         Some(0)
@@ -212,8 +205,8 @@ fn prefilter_counters_surface_with_zero_emission_discipline() {
 
     // Rung on: the counters carry the report's exact tallies.
     let mut rec = Recorder::new();
-    let report = AlignService::new(&target, &query, serve_cfg(2, HostDispatch::Stealing, true))
-        .run_observed(&reqs, &mut rec);
+    let report =
+        AlignService::new(&target, &query, serve_cfg(2, true)).run_observed(&reqs, &mut rec);
     assert!(report.prefilter_rejected > 0);
     assert_eq!(
         rec.registry.counter(names::SERVE_PREFILTER_PROBED_TOTAL),

@@ -6,11 +6,11 @@
 //! * the fault-accounting identity `injected == detected + tolerated`
 //!   holds end to end (per-request pipelines plus service-level chaos);
 //! * the whole outcome record — classes, alignments, and modeled-time
-//!   bits — is identical across `sim_threads` and host dispatch modes;
+//!   bits — is identical across `sim_threads`;
 //! * a request's alignments and modeled-GPU-time bits are identical
 //!   whether it was served solo or co-batched with other requests.
 
-use fastz_core::{FastZConfig, HostDispatch, OptFlags};
+use fastz_core::{FastZConfig, OptFlags};
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
@@ -39,11 +39,10 @@ fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize) {
     (pair.target, pair.query, wl.anchors, span)
 }
 
-fn pipeline_cfg(sim_threads: usize, dispatch: HostDispatch) -> FastZConfig {
+fn pipeline_cfg(sim_threads: usize) -> FastZConfig {
     let mut cfg = FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere());
     cfg.flags = OptFlags::fastz();
     cfg.sim_threads = sim_threads;
-    cfg.host_dispatch = dispatch;
     cfg
 }
 
@@ -64,8 +63,8 @@ fn requests(anchors: &[Anchor], seed_span: usize, n: usize, spacing_s: f64) -> V
         .collect()
 }
 
-fn overload_cfg(sim_threads: usize, dispatch: HostDispatch, chaos: FaultPlan) -> ServeConfig {
-    let mut cfg = ServeConfig::new(pipeline_cfg(sim_threads, dispatch)).with_chaos(chaos);
+fn overload_cfg(sim_threads: usize, chaos: FaultPlan) -> ServeConfig {
+    let mut cfg = ServeConfig::new(pipeline_cfg(sim_threads)).with_chaos(chaos);
     cfg.admission = AdmissionPolicy {
         queue_cap: 5,
         work_budget: 1e9,
@@ -77,14 +76,14 @@ fn overload_cfg(sim_threads: usize, dispatch: HostDispatch, chaos: FaultPlan) ->
 /// Measures one request's solo service time, to calibrate a ≥4×
 /// overload arrival rate (deterministic: modeled time, not wall clock).
 fn solo_service_s(target: &Sequence, query: &Sequence, reqs: &[AlignRequest]) -> f64 {
-    let cfg = overload_cfg(1, HostDispatch::Stealing, FaultPlan::none());
+    let cfg = overload_cfg(1, FaultPlan::none());
     let service = AlignService::new(target, query, cfg);
     let probe = service.run(&reqs[..1]);
     assert!(probe.makespan_s > 0.0);
     probe.makespan_s
 }
 
-fn soak(sim_threads: usize, dispatch: HostDispatch) -> (ServeReport, usize) {
+fn soak(sim_threads: usize) -> (ServeReport, usize) {
     let (target, query, anchors, span) = corpus();
     let reqs = requests(&anchors, span, 16, 0.0);
     // Sustained ≥4× overload: requests arrive 4× faster than one can be
@@ -92,13 +91,13 @@ fn soak(sim_threads: usize, dispatch: HostDispatch) -> (ServeReport, usize) {
     let spacing = solo_service_s(&target, &query, &reqs) / 4.0;
     let reqs = requests(&anchors, span, 16, spacing);
     let n = reqs.len();
-    let cfg = overload_cfg(sim_threads, dispatch, FaultPlan::from_seed(0xC4A05));
+    let cfg = overload_cfg(sim_threads, FaultPlan::from_seed(0xC4A05));
     (AlignService::new(&target, &query, cfg).run(&reqs), n)
 }
 
 #[test]
 fn chaos_soak_no_request_lost_and_faults_account() {
-    let (report, n) = soak(1, HostDispatch::Stealing);
+    let (report, n) = soak(1);
     assert!(n >= 8, "corpus produced a real request stream");
 
     // Exactly one terminal record per submitted request.
@@ -143,12 +142,9 @@ fn chaos_soak_no_request_lost_and_faults_account() {
 }
 
 #[test]
-fn outcomes_bit_identical_across_sim_threads_and_dispatch() {
-    let (base, _) = soak(1, HostDispatch::Stealing);
-    for (report, _) in [
-        soak(2, HostDispatch::Stealing),
-        soak(3, HostDispatch::Static),
-    ] {
+fn outcomes_bit_identical_across_sim_threads() {
+    let (base, _) = soak(1);
+    for (report, _) in [soak(2), soak(3)] {
         assert_eq!(report.outcome_classes(), base.outcome_classes());
         assert_eq!(report.records.len(), base.records.len());
         for (a, b) in report.records.iter().zip(&base.records) {
@@ -175,7 +171,7 @@ fn solo_and_cobatched_requests_have_identical_bits() {
     let reqs = requests(&anchors, span, 6, 0.0);
     // No overload (huge queue), chaos on: the per-request fault plan is
     // keyed by request id, so co-scheduling cannot change any bit.
-    let mut cfg = overload_cfg(2, HostDispatch::Stealing, FaultPlan::from_seed(77));
+    let mut cfg = overload_cfg(2, FaultPlan::from_seed(77));
     cfg.admission.queue_cap = 1024;
     let service = AlignService::new(&target, &query, cfg.clone());
     let batched = service.run(&reqs);
@@ -207,7 +203,7 @@ fn solo_and_cobatched_requests_have_identical_bits() {
 fn streaming_front_end_delivers_chunks_then_done() {
     let (target, query, anchors, span) = corpus();
     let reqs = requests(&anchors, span, 4, 0.0);
-    let cfg = ServeConfig::new(pipeline_cfg(2, HostDispatch::Stealing));
+    let cfg = ServeConfig::new(pipeline_cfg(2));
     let handle = fastz_serve::spawn(target, query, cfg, 3);
 
     let streams: Vec<_> = reqs.iter().map(|r| handle.submit(r.clone())).collect();

@@ -154,7 +154,7 @@ fn masking_suppresses_a_planted_repeat_family() {
 
 #[test]
 fn multi_gpu_integration_with_heterogeneous_fleet() {
-    use fastz::core::{run_fastz_multi_gpu, FastZConfig, Partition, ResilienceConfig};
+    use fastz::core::{run_fastz_multi_gpu, FastZConfig, ResilienceConfig};
     use fastz::gpu_sim::DeviceSpec;
 
     let pair = demo_pair();
@@ -179,7 +179,6 @@ fn multi_gpu_integration_with_heterogeneous_fleet() {
         wl.shape.span(),
         &cfg,
         &fleet,
-        Partition::Strided,
         &ResilienceConfig::disabled(),
     );
     assert!(!multi.alignments.is_empty());
