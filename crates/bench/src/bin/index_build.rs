@@ -22,9 +22,9 @@
 //! in-memory index before any timing is reported. Results land in
 //! `BENCH_index.json`.
 
-use std::time::Instant;
-
-use fastz_bench::{args_or_exit, flag_number, fnv1a};
+use fastz_bench::fnv1a;
+use fastz_bench::gate::{at_least, best_of, write_report, Arm, INDEX_BUILD};
+use fastz_bench::json_obj;
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::Sequence;
 use fastz_seed::{
@@ -36,32 +36,6 @@ use fastz_serve::{AcquireOrigin, IndexCache, IndexCacheConfig};
 /// Required warm-path speedup over per-run rebuilds at 8+ requests:
 /// the promised 5× with a 10% regression margin.
 const WARM_GATE: f64 = 5.0 * 0.9;
-
-struct Args {
-    repeats: usize,
-    shards: usize,
-    out: String,
-}
-
-const USAGE: &str = "usage: index_build [--repeats N] [--shards N] [--out FILE]";
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        repeats: 3,
-        shards: 4,
-        out: "BENCH_index.json".to_string(),
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--repeats" => args.repeats = flag_number(a, it.next())?,
-            "--shards" => args.shards = flag_number(a, it.next())?,
-            "--out" => args.out = it.next().ok_or("--out needs a value")?.clone(),
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
 
 fn corpus() -> (Sequence, Sequence) {
     let pair = generate_pair(&PairParams {
@@ -83,7 +57,8 @@ fn checksum(anchors: &[Anchor]) -> u64 {
 }
 
 fn main() {
-    let args = args_or_exit(parse_args, USAGE);
+    let args = INDEX_BUILD.from_env();
+    let shards = args.get("--shards").unwrap_or(4);
     let (target, query) = corpus();
     let shape = SeedShape::lastz_12of19();
     let params = WorkloadParams::default();
@@ -93,7 +68,7 @@ fn main() {
     eprintln!(
         "index_build: {} bp target, {} shards, best of {}",
         target.len(),
-        args.shards,
+        shards,
         args.repeats,
     );
 
@@ -101,17 +76,14 @@ fn main() {
     // equal anchors through a fresh in-memory index.
     let fresh = SeedIndex::build(&target, shape.clone());
     let wl_mem = Workload::build_with_index(&fresh, &query, &params);
-    let built = ShardedSeedIndex::build(&target, shape.clone(), args.shards).expect("build");
+    let built = ShardedSeedIndex::build(&target, shape.clone(), shards).expect("build");
     built
         .save(&ShardedSeedIndex::artifact_path(
-            &dir,
-            &target,
-            &shape,
-            args.shards,
+            &dir, &target, &shape, shards,
         ))
         .expect("save");
     let (loaded, origin) =
-        ShardedSeedIndex::load_or_build(&dir, &target, shape.clone(), args.shards).expect("load");
+        ShardedSeedIndex::load_or_build(&dir, &target, shape.clone(), shards).expect("load");
     assert_eq!(origin, IndexOrigin::LoadedFromDisk, "artifact not reused");
     let wl_disk = Workload::build_with_index(&loaded, &query, &params);
     let mem_sum = checksum(&wl_mem.anchors);
@@ -144,111 +116,96 @@ fn main() {
         peak_before as f64 / peak_now as f64,
     );
 
-    // 1. Cold build+save, best of N (artifact removed each repeat).
-    let artifact = ShardedSeedIndex::artifact_path(&dir, &target, &shape, args.shards);
-    let mut cold_s = f64::INFINITY;
-    for _ in 0..args.repeats.max(1) {
-        let _ = std::fs::remove_file(&artifact);
-        let t0 = Instant::now();
-        let (idx, origin) =
-            ShardedSeedIndex::load_or_build(&dir, &target, shape.clone(), args.shards)
-                .expect("cold build");
-        assert_eq!(origin, IndexOrigin::Built);
-        std::hint::black_box(idx.len());
-        cold_s = cold_s.min(t0.elapsed().as_secs_f64());
-    }
+    // 1. Cold build+save, the artifact removed before each run.
+    let artifact = ShardedSeedIndex::artifact_path(&dir, &target, &shape, shards);
+    let cold_s = best_of(
+        args.repeats,
+        &mut [Arm::new("cold", || {
+            let _ = std::fs::remove_file(&artifact);
+            let (idx, origin) =
+                ShardedSeedIndex::load_or_build(&dir, &target, shape.clone(), shards)
+                    .expect("cold build");
+            assert_eq!(origin, IndexOrigin::Built);
+            std::hint::black_box(idx.len());
+        })],
+        |_, ()| {},
+    )[0];
 
     // 2. Warm service vs per-run rebuild across request counts. The warm
     // side acquires through the IndexCache (first acquire loads the
-    // artifact, the rest hit the resident index); the rebuild side
-    // reconstructs the sharded index for every request, which is exactly
-    // what every run paid before persistence.
-    let request_counts = [1usize, 4, 8, 16];
+    // artifact the last cold run saved, the rest hit the resident
+    // index); the rebuild side reconstructs the sharded index for every
+    // request, which is exactly what every run paid before persistence.
     let mut rows = Vec::new();
     let mut gate_failed = false;
-    for &requests in &request_counts {
-        let mut warm_s = f64::INFINITY;
-        let mut rebuild_s = f64::INFINITY;
-        for _ in 0..args.repeats.max(1) {
-            let mut cache = IndexCache::new(IndexCacheConfig {
-                dir: Some(dir.clone()),
-                shards: args.shards,
-            });
-            let t0 = Instant::now();
-            for r in 0..requests {
-                let got = cache.acquire(&target, shape.clone()).expect("acquire");
-                assert_eq!(
-                    got.origin,
-                    if r == 0 {
-                        AcquireOrigin::LoadedFromDisk
-                    } else {
-                        AcquireOrigin::Resident
+    for requests in [1usize, 4, 8, 16] {
+        let walls = best_of(
+            args.repeats,
+            &mut [
+                Arm::new("warm", || {
+                    let mut cache = IndexCache::new(IndexCacheConfig {
+                        dir: Some(dir.clone()),
+                        shards,
+                    });
+                    for r in 0..requests {
+                        let got = cache.acquire(&target, shape.clone()).expect("acquire");
+                        assert_eq!(
+                            got.origin,
+                            if r == 0 {
+                                AcquireOrigin::LoadedFromDisk
+                            } else {
+                                AcquireOrigin::Resident
+                            }
+                        );
+                        std::hint::black_box(got.index.len());
                     }
-                );
-                std::hint::black_box(got.index.len());
-            }
-            warm_s = warm_s.min(t0.elapsed().as_secs_f64());
-
-            let t1 = Instant::now();
-            for _ in 0..requests {
-                let idx =
-                    ShardedSeedIndex::build(&target, shape.clone(), args.shards).expect("rebuild");
-                std::hint::black_box(idx.len());
-            }
-            rebuild_s = rebuild_s.min(t1.elapsed().as_secs_f64());
-        }
+                }),
+                Arm::new("rebuild", || {
+                    for _ in 0..requests {
+                        let idx = ShardedSeedIndex::build(&target, shape.clone(), shards)
+                            .expect("rebuild");
+                        std::hint::black_box(idx.len());
+                    }
+                }),
+            ],
+            |_, ()| {},
+        );
+        let (warm_s, rebuild_s) = (walls[0], walls[1]);
         let speedup = rebuild_s / warm_s;
         eprintln!(
             "{requests:>3} requests: warm {warm_s:.6} s vs rebuild {rebuild_s:.6} s \
              ({speedup:.1}x)"
         );
-        if requests >= 8 && speedup < WARM_GATE {
+        if requests >= 8 && !at_least(speedup, WARM_GATE) {
             gate_failed = true;
         }
-        rows.push(format!(
-            "{{ \"requests\": {requests}, \"warm_s\": {warm_s:.9}, \
-             \"rebuild_s\": {rebuild_s:.9}, \"speedup\": {speedup:.3} }}"
-        ));
+        rows.push(json_obj! {
+            "requests" => requests, "warm_s" => warm_s,
+            "rebuild_s" => rebuild_s, "speedup" => speedup,
+        });
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"index_build\",\n  \"shards\": {},\n  \"repeats\": {},\n  \
-         \"corpus\": {{ \"target_bp\": {}, \"query_bp\": {}, \"index_entries\": {}, \
-         \"anchors\": {} }},\n  \"checksum\": \"{:016x}\",\n  \
-         \"cold_build_s\": {:.9},\n  \"requests\": [\n    {}\n  ],\n  \
-         \"build_peak_bytes\": {{ \"single_table\": {}, \"staged\": {}, \"ratio\": {:.4} }},\n  \
-         \"gate\": {{ \"min_warm_speedup_at_8_requests\": {:.2}, \"passed\": {} }},\n  \
-         \"methodology\": \"Seeded {} bp genome indexed under the 12-of-19 shape into {} \
-         target-interval shards. Cold is load_or_build with the artifact removed (build + \
-         checksummed atomic save), best of {}. For each request count, warm acquires the index \
-         once per request through the serve IndexCache over a saved artifact (one validated disk \
-         load, then resident hits), \
-         while rebuild constructs the sharded index per request — the pre-persistence behaviour. \
-         Anchors through the loaded index are checksum-verified against a fresh in-memory index \
-         before timing. Peak build bytes compare the single-table counting-sort build (one u32 \
-         table + entries) with the replaced staged build (word staging buffer + three tables) on \
-         the same dimensions; the gate fails if the warm speedup at 8+ requests drops below \
-         {:.2}x or the new peak is not strictly smaller.\"\n}}\n",
-        args.shards,
-        args.repeats,
-        target.len(),
-        query.len(),
-        loaded.len(),
-        wl_mem.anchors.len(),
-        mem_sum,
-        cold_s,
-        rows.join(",\n    "),
-        peak_now,
-        peak_before,
-        peak_now as f64 / peak_before as f64,
-        WARM_GATE,
-        !gate_failed,
-        target.len(),
-        args.shards,
-        args.repeats,
-        WARM_GATE,
-    );
-    std::fs::write(&args.out, &json).expect("write BENCH_index.json");
+    let report = json_obj! {
+        "bench" => "index_build",
+        "shards" => shards,
+        "repeats" => args.repeats,
+        "corpus" => json_obj! {
+            "target_bp" => target.len(), "query_bp" => query.len(),
+            "index_entries" => loaded.len(), "anchors" => wl_mem.anchors.len(),
+        },
+        "checksum" => format!("{mem_sum:016x}"),
+        "cold_build_s" => cold_s,
+        "requests" => rows[..],
+        "build_peak_bytes" => json_obj! {
+            "single_table" => peak_now, "staged" => peak_before,
+            "ratio" => peak_now as f64 / peak_before as f64,
+        },
+        "gate" => json_obj! {
+            "min_warm_speedup_at_8_requests" => WARM_GATE, "passed" => !gate_failed,
+        },
+        "methodology" => format!("Seeded {} bp genome indexed under the 12-of-19 shape into {shards} target-interval shards. Cold is load_or_build with the artifact removed at the start of each timed run (build + checksummed atomic save), best of {}. For each request count, warm acquires the index once per request through the serve IndexCache over a saved artifact (one validated disk load, then resident hits), while rebuild constructs the sharded index per request — the pre-persistence behaviour; both are best of {} after one warmup each, in rounds that alternate their order. Anchors through the loaded index are checksum-verified against a fresh in-memory index before timing. Peak build bytes compare the single-table counting-sort build (one u32 table + entries) with the replaced staged build (word staging buffer + three tables) on the same dimensions; the gate fails if the warm speedup at 8+ requests drops below {WARM_GATE:.2}x or the new peak is not strictly smaller.", target.len(), args.repeats, args.repeats),
+    };
+    write_report(&args.out, &report);
     println!(
         "cold build {cold_s:.4} s; warm gate {} (>= {WARM_GATE:.2}x at 8+ requests)  -> {}",
         if gate_failed { "FAILED" } else { "passed" },
@@ -259,36 +216,5 @@ fn main() {
     if gate_failed {
         eprintln!("FAIL: warm index loads below the {WARM_GATE:.2}x speedup gate");
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn flags_parse_or_report_an_error() {
-        let a = parse_args(&argv(&[
-            "--repeats",
-            "2",
-            "--shards",
-            "8",
-            "--out",
-            "x.json",
-        ]))
-        .unwrap();
-        assert_eq!((a.repeats, a.shards, a.out.as_str()), (2, 8, "x.json"));
-        for bad in [
-            &["--repeats"][..],
-            &["--shards", "many"],
-            &["--out"],
-            &["--bogus"],
-        ] {
-            assert!(parse_args(&argv(bad)).is_err(), "{bad:?}");
-        }
     }
 }

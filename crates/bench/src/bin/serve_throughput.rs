@@ -20,73 +20,29 @@
 //!
 //! Results land in `BENCH_serve.json`.
 
-use std::time::Instant;
-
 use fastz_align::{dedupe_alignments, Alignment};
 use fastz_bench::alignment_checksum;
+use fastz_bench::gate::{
+    at_least, best_of, homologous_workload, within, write_report, Arm, SERVE_THROUGHPUT,
+};
+use fastz_bench::json_obj;
 use fastz_core::{run_fastz, FastZConfig};
-use fastz_genome::evolve::{generate_pair, PairParams};
-use fastz_genome::{Scoring, Sequence};
+use fastz_genome::Scoring;
 use fastz_gpu_sim::DeviceSpec;
-use fastz_seed::{Anchor, Workload, WorkloadParams};
 use fastz_serve::{AlignRequest, AlignService, ServeConfig};
 
 const GATE: f64 = 0.02;
 
-struct Args {
-    repeats: usize,
-    requests: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        repeats: 5,
-        requests: 12,
-        out: "BENCH_serve.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut grab = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--repeats" => args.repeats = grab().parse().expect("--repeats"),
-            "--requests" => args.requests = grab().parse().expect("--requests"),
-            "--out" => args.out = grab(),
-            other => panic!("unknown argument {other} (see --repeats/--requests/--out)"),
-        }
-    }
-    args
-}
-
-fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize) {
-    let pair = generate_pair(&PairParams {
-        target_len: 48_000,
-        query_len: 48_000,
-        segments: 96,
-        ..PairParams::small_demo("serve-bench", 23)
-    });
-    let wl = Workload::build(
-        &pair.target,
-        &pair.query,
-        &WorkloadParams {
-            max_anchors: 600,
-            ..WorkloadParams::default()
-        },
-    );
-    let span = wl.shape.span();
-    (pair.target, pair.query, wl.anchors, span)
-}
-
 fn main() {
-    let args = parse_args();
-    let (target, query, anchors, span) = corpus();
+    let args = SERVE_THROUGHPUT.from_env();
+    let n_requests = args.get("--requests").unwrap_or(12);
+    let (target, query, anchors, span) = homologous_workload("serve-bench", 23);
     let cfg = FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere());
     eprintln!(
-        "serve_throughput: {} anchors over {} + {} bp, {} requests, best of {}",
+        "serve_throughput: {} anchors over {} + {} bp, {n_requests} requests, best of {}",
         anchors.len(),
         target.len(),
         query.len(),
-        args.requests,
         args.repeats,
     );
 
@@ -94,10 +50,10 @@ fn main() {
     // the only difference between the two executor columns is the
     // schedule itself.
     let mut scfg = ServeConfig::new(cfg.clone());
-    scfg.admission.queue_cap = args.requests.max(scfg.admission.queue_cap);
+    scfg.admission.queue_cap = n_requests.max(scfg.admission.queue_cap);
     scfg.admission.work_budget = f64::INFINITY;
-    scfg.wave = args.requests.max(1);
-    let per = anchors.len().div_ceil(args.requests).max(1);
+    scfg.wave = n_requests;
+    let per = anchors.len().div_ceil(n_requests).max(1);
     let requests: Vec<AlignRequest> = anchors
         .chunks(per)
         .enumerate()
@@ -130,71 +86,59 @@ fn main() {
     // every request dispatching its own ragged launches. Deterministic —
     // one run is exact.
     let batching_speedup = split.solo_exec_s / split.batched_exec_s;
+    let mean_bin_fill = split.bin_fills.iter().sum::<f64>() / split.bin_fills.len().max(1) as f64;
     eprintln!(
         "executor schedule: batched {:.6} s vs per-request {:.6} s ({batching_speedup:.3}x, \
-         mean bin fill {:.2})",
-        split.batched_exec_s,
-        split.solo_exec_s,
-        split.bin_fills.iter().sum::<f64>() / split.bin_fills.len().max(1) as f64,
+         mean bin fill {mean_bin_fill:.2})",
+        split.batched_exec_s, split.solo_exec_s,
     );
 
     // 2. Fault-free overhead: the whole corpus as ONE request through
     // the service vs plain run_fastz — a like-for-like measure of the
-    // service machinery. Best-of-N min damps scheduler noise; one
-    // untimed warmup per side.
+    // service machinery. The service must not change the modeled time.
     let single = [AlignRequest::new(0, anchors.clone(), span)];
     let solo_service = AlignService::new(&target, &query, scfg.clone());
-    run_fastz(&target, &query, &anchors, span, &cfg);
-    solo_service.run(&single);
-    let mut direct_wall = f64::INFINITY;
-    let mut serve_wall = f64::INFINITY;
-    for rep in 0..args.repeats.max(1) {
-        let t0 = Instant::now();
-        let d = run_fastz(&target, &query, &anchors, span, &cfg);
-        let wd = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let s = solo_service.run(&single);
-        let ws = t1.elapsed().as_secs_f64();
-        assert_eq!(
-            d.modeled_time_s.to_bits(),
-            s.records[0].modeled_time_s.to_bits(),
-            "service changed the modeled time"
-        );
-        direct_wall = direct_wall.min(wd);
-        serve_wall = serve_wall.min(ws);
-        eprintln!("  rep {rep}: direct {wd:.3}s  service {ws:.3}s");
-    }
+    let walls = best_of(
+        args.repeats,
+        &mut [
+            Arm::new("direct", || {
+                run_fastz(&target, &query, &anchors, span, &cfg).modeled_time_s
+            }),
+            Arm::new("service", || {
+                solo_service.run(&single).records[0].modeled_time_s
+            }),
+        ],
+        |_, modeled| {
+            assert_eq!(
+                modeled.to_bits(),
+                direct.modeled_time_s.to_bits(),
+                "service changed the modeled time"
+            )
+        },
+    );
+    let (direct_wall, serve_wall) = (walls[0], walls[1]);
     let overhead = serve_wall / direct_wall - 1.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"requests\": {},\n  \"repeats\": {},\n  \
-         \"corpus\": {{ \"anchors\": {}, \"target_bp\": {}, \"query_bp\": {} }},\n  \
-         \"checksum\": \"{:016x}\",\n  \
-         \"executor_schedule\": {{ \"batched_s\": {:.9}, \"per_request_s\": {:.9}, \
-         \"speedup\": {:.4}, \"merged_launches\": {}, \"mean_bin_fill\": {:.4} }},\n  \
-         \"overhead\": {{ \"direct_wall_s\": {:.6}, \"service_wall_s\": {:.6}, \
-         \"fraction\": {:.5}, \"gate\": {:.2} }},\n  \
-         \"methodology\": \"Seeded 48 kbp homologous pair, {} anchors. The corpus splits into {} requests served in one wave; solo_exec_s re-times every request's own executor launches while batched_exec_s times the wave's tasks merged into shared per-bin launches (same tasks, same device model, stream-pipelined either way) — the speedup is pure schedule, results are checksum-verified against a direct run_fastz first. Overhead is best-of-{} wall clock of the whole corpus as one request through AlignService vs plain run_fastz, with bit-identical modeled time asserted every repeat; the gate fails the run above 2%.\"\n}}\n",
-        args.requests,
-        args.repeats,
-        anchors.len(),
-        target.len(),
-        query.len(),
-        served_sum,
-        split.batched_exec_s,
-        split.solo_exec_s,
-        batching_speedup,
-        split.merged_launches,
-        split.bin_fills.iter().sum::<f64>() / split.bin_fills.len().max(1) as f64,
-        direct_wall,
-        serve_wall,
-        overhead,
-        GATE,
-        anchors.len(),
-        requests.len(),
-        args.repeats,
-    );
-    std::fs::write(&args.out, json).expect("write BENCH_serve.json");
+    let report = json_obj! {
+        "bench" => "serve_throughput",
+        "requests" => n_requests,
+        "repeats" => args.repeats,
+        "corpus" => json_obj! {
+            "anchors" => anchors.len(), "target_bp" => target.len(), "query_bp" => query.len(),
+        },
+        "checksum" => format!("{served_sum:016x}"),
+        "executor_schedule" => json_obj! {
+            "batched_s" => split.batched_exec_s, "per_request_s" => split.solo_exec_s,
+            "speedup" => batching_speedup,
+            "merged_launches" => split.merged_launches, "mean_bin_fill" => mean_bin_fill,
+        },
+        "overhead" => json_obj! {
+            "direct_wall_s" => direct_wall, "service_wall_s" => serve_wall,
+            "fraction" => overhead, "gate" => GATE,
+        },
+        "methodology" => format!("Seeded 48 kbp homologous pair, {} anchors. The corpus splits into {} requests served in one wave; solo_exec_s re-times every request's own executor launches while batched_exec_s times the wave's tasks merged into shared per-bin launches (same tasks, same device model, stream-pipelined either way) — the speedup is pure schedule, results are checksum-verified against a direct run_fastz first. Overhead is best-of-{} wall clock of the whole corpus as one request through AlignService vs plain run_fastz, after one warmup each, in rounds that alternate the two sides' order, with bit-identical modeled time asserted on every run; the gate fails the run above 2%.", anchors.len(), requests.len(), args.repeats),
+    };
+    write_report(&args.out, &report);
     println!(
         "batched binning {batching_speedup:.2}x vs per-request dispatch; service overhead \
          {:+.2}% (gate {:.0}%)  -> {}",
@@ -203,11 +147,11 @@ fn main() {
         args.out
     );
 
-    if batching_speedup < 1.0 {
+    if !at_least(batching_speedup, 1.0) {
         eprintln!("FAIL: batched binning slower than per-request dispatch");
         std::process::exit(1);
     }
-    if overhead > GATE {
+    if !within(serve_wall, direct_wall, GATE) {
         eprintln!(
             "FAIL: fault-free service overhead {:.2}% exceeds the {:.0}% gate",
             overhead * 100.0,

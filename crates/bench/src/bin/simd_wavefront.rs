@@ -20,8 +20,10 @@
 //! corpus shrinks and the run fails if the SIMD backend *regresses*
 //! more than 10% against the interpreter.
 
-use std::time::Instant;
-
+use fastz_bench::gate::{
+    best_of, random_codes, report_fingerprint, within, write_report, xorshift, Arm, SIMD_WAVEFRONT,
+};
+use fastz_bench::json_obj;
 use fastz_core::{
     run_fastz, step_interpreter, step_simd, warp_extend_in, FastZConfig, FastZReport, OptFlags,
     SimdIsa, StepIn, WarpConfig, WarpExtension, WavefrontBackend,
@@ -35,54 +37,6 @@ use fastz_seed::Anchor;
 const WIDTHS: [usize; 3] = [1, 8, 32];
 /// Anchor window span handed to the pipeline in the report drill.
 const SEED_SPAN: usize = 16;
-
-struct Args {
-    check: bool,
-    pairs: usize,
-    len: usize,
-    repeats: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        check: false,
-        pairs: 0, // 0 = pick by mode below
-        len: 4_096,
-        repeats: 5,
-        out: "BENCH_simd.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut grab = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--check" => args.check = true,
-            "--pairs" => args.pairs = grab().parse().expect("--pairs"),
-            "--len" => args.len = grab().parse().expect("--len"),
-            "--repeats" => args.repeats = grab().parse().expect("--repeats"),
-            "--out" => args.out = grab(),
-            other => panic!("unknown argument {other} (see --check/--pairs/--len/--repeats/--out)"),
-        }
-    }
-    args
-}
-
-/// `xorshift64*` — deterministic corpus without any RNG dependency.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-fn random_codes(len: usize, seed: u64) -> Vec<u8> {
-    let mut state = seed | 1;
-    (0..len)
-        .map(|_| ((xorshift(&mut state) >> 33) & 3) as u8)
-        .collect()
-}
 
 /// A homologous pair at ~98% identity: the extension stays deep for the
 /// whole length, so the wavefront kernel dominates the run.
@@ -113,19 +67,6 @@ fn ext_fingerprint(r: &WarpExtension) -> String {
     )
 }
 
-/// Everything observable in a pipeline report except host wall-clock.
-fn report_fingerprint(r: &FastZReport) -> String {
-    format!(
-        "alignments={:?} bins={:?} modeled_bits={} stats={:?} ikernels={:?} ekernels={:?}",
-        r.alignments,
-        r.bin_counts,
-        r.modeled_time_s.to_bits(),
-        r.stats,
-        r.inspector_kernels,
-        r.executor_kernels,
-    )
-}
-
 struct Corpus {
     pairs: Vec<(Vec<u8>, Vec<u8>)>,
 }
@@ -141,9 +82,9 @@ impl Corpus {
 }
 
 /// Runs the whole corpus under `backend` (inspector + trimmed executor,
-/// the pipeline's own call pattern) and returns (wall seconds, total DP
-/// cells, per-extension fingerprints).
-fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (f64, u64, Vec<String>) {
+/// the pipeline's own call pattern) and returns (total DP cells,
+/// per-extension fingerprints).
+fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (u64, Vec<String>) {
     let scoring = Scoring::bench_scaled();
     let flags = OptFlags::fastz();
     let insp_cfg = WarpConfig::inspector(&flags)
@@ -153,7 +94,6 @@ fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (f64,
     let mut tbm = Vec::new();
     let mut fingerprints = Vec::with_capacity(corpus.pairs.len() * 2);
     let mut cells = 0u64;
-    let start = Instant::now();
     for (t, q) in &corpus.pairs {
         shared.clear();
         let insp = warp_extend_in(t, q, &scoring, &insp_cfg, &mut shared, &mut tbm);
@@ -168,7 +108,7 @@ fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (f64,
         cells += exec.counters.cells;
         fingerprints.push(ext_fingerprint(&exec));
     }
-    (start.elapsed().as_secs_f64(), cells, fingerprints)
+    (cells, fingerprints)
 }
 
 /// One `run_fastz` over an anchored slice of the corpus — the
@@ -193,12 +133,12 @@ fn run_pipeline(corpus: &Corpus, backend: WavefrontBackend) -> FastZReport {
     )
 }
 
-/// Times `steps` invocations of one step kernel on rotating synthetic
-/// register files (full 32-lane window, live-score values), returning
-/// (wall seconds, checksum). The checksum feeds the caller so the work
-/// cannot be optimized away, and doubles as a cross-backend identity
-/// check at the kernel granularity.
-fn kernel_microbench(steps: usize, simd: bool) -> (f64, i64) {
+/// Runs `steps` invocations of one step kernel on rotating synthetic
+/// register files (full 32-lane window, live-score values), returning a
+/// checksum. The checksum feeds the caller so the work cannot be
+/// optimized away, and doubles as a cross-backend identity check at the
+/// kernel granularity.
+fn kernel_microbench(steps: usize, simd: bool) -> i64 {
     let mut state = 0x5EEDu64;
     let mut file = || -> Lanes<i32> {
         let mut v = [0i32; WARP_SIZE];
@@ -220,7 +160,6 @@ fn kernel_microbench(steps: usize, simd: bool) -> (f64, i64) {
         })
         .collect();
     let mut checksum = 0i64;
-    let start = Instant::now();
     for k in 0..steps {
         let [s_left, i_left, s_diag, s_cur, d_cur, subst, threshold] = &bank[k % BANK];
         let inp = StepIn {
@@ -248,38 +187,36 @@ fn kernel_microbench(steps: usize, simd: bool) -> (f64, i64) {
             .wrapping_add(out.s_store[k % WARP_SIZE] as i64)
             .wrapping_add(out.live_mask as i64);
     }
-    (start.elapsed().as_secs_f64(), checksum)
+    checksum
 }
 
 fn main() {
-    let args = parse_args();
-    let pairs = match (args.pairs, args.check) {
+    let args = SIMD_WAVEFRONT.from_env();
+    let pairs = match (args.get("--pairs").unwrap_or(0), args.check) {
         (0, true) => 6,
         (0, false) => 24,
         (n, _) => n,
     };
+    let len = args.get("--len").unwrap_or(4_096);
     let repeats = if args.check {
         args.repeats.min(3)
     } else {
         args.repeats
     };
-    let corpus = Corpus::build(pairs, args.len);
+    let corpus = Corpus::build(pairs, len);
 
     eprintln!(
-        "simd_wavefront: {} pairs x {} bp, {} repeats, {} engine body{}",
-        pairs,
-        args.len,
-        repeats,
+        "simd_wavefront: {pairs} pairs x {len} bp, {repeats} repeats, {} engine body ({} mode)",
         SimdIsa::dispatched().name(),
-        if args.check { " (check mode)" } else { "" },
+        args.mode(),
     );
 
     // Identity contract first: every observable byte of every extension
     // must match across backends at every strip width, and the pipeline
     // report must fingerprint identically, before timings mean anything.
     for width in WIDTHS {
-        let (_, cells_i, fp_i) = run_corpus(&corpus, WavefrontBackend::Interpreter, width);
-        let (_, cells_s, fp_s) = run_corpus(&corpus, WavefrontBackend::Simd, width);
+        let (cells_i, fp_i) = run_corpus(&corpus, WavefrontBackend::Interpreter, width);
+        let (cells_s, fp_s) = run_corpus(&corpus, WavefrontBackend::Simd, width);
         assert_eq!(cells_i, cells_s, "cell counters diverged at width {width}");
         assert_eq!(fp_i, fp_s, "extensions diverged at width {width}");
     }
@@ -291,26 +228,23 @@ fn main() {
         "pipeline reports diverged across backends"
     );
     eprintln!(
-        "identity: OK ({} extensions x widths {:?} + pipeline report byte-identical)",
+        "identity: OK ({} extensions x widths {WIDTHS:?} + pipeline report byte-identical)",
         pairs * 2,
-        WIDTHS,
     );
 
-    // Interleaved best-of-N wall clock at the full warp width, one
-    // untimed warmup per backend.
-    run_corpus(&corpus, WavefrontBackend::Interpreter, 32);
-    run_corpus(&corpus, WavefrontBackend::Simd, 32);
-    let mut interp_wall = f64::INFINITY;
-    let mut simd_wall = f64::INFINITY;
+    // End-to-end wall clock at the full warp width.
     let mut cells = 0u64;
-    for rep in 0..repeats {
-        let (wi, c, _) = run_corpus(&corpus, WavefrontBackend::Interpreter, 32);
-        let (ws, _, _) = run_corpus(&corpus, WavefrontBackend::Simd, 32);
-        cells = c;
-        interp_wall = interp_wall.min(wi);
-        simd_wall = simd_wall.min(ws);
-        eprintln!("  rep {rep}: interpreter {wi:.3}s  simd {ws:.3}s");
-    }
+    let walls = best_of(
+        repeats,
+        &mut [
+            Arm::new("interpreter", || {
+                run_corpus(&corpus, WavefrontBackend::Interpreter, 32).0
+            }),
+            Arm::new("simd", || run_corpus(&corpus, WavefrontBackend::Simd, 32).0),
+        ],
+        |_, c| cells = c,
+    );
+    let (interp_wall, simd_wall) = (walls[0], walls[1]);
     let speedup = interp_wall / simd_wall;
     let interp_gcups = cells as f64 / interp_wall / 1e9;
     let simd_gcups = cells as f64 / simd_wall / 1e9;
@@ -321,22 +255,20 @@ fn main() {
     // runs the vector step on the lane type the dispatch picked, as the
     // engine does; the interpreter is scalar at any level.
     let ksteps = if args.check { 400_000 } else { 4_000_000 };
-    kernel_microbench(ksteps / 4, false);
-    kernel_microbench(ksteps / 4, true);
-    let mut kinterp_wall = f64::INFINITY;
-    let mut ksimd_wall = f64::INFINITY;
-    let mut kck = (0i64, 0i64);
-    for _ in 0..repeats {
-        let (wi, ci) = kernel_microbench(ksteps, false);
-        let (ws, cs) = kernel_microbench(ksteps, true);
-        kck = (ci, cs);
-        kinterp_wall = kinterp_wall.min(wi);
-        ksimd_wall = ksimd_wall.min(ws);
-    }
+    let mut kck = [0i64; 2];
+    let kwalls = best_of(
+        repeats,
+        &mut [
+            Arm::new("kernel interpreter", || kernel_microbench(ksteps, false)),
+            Arm::new("kernel simd", || kernel_microbench(ksteps, true)),
+        ],
+        |k, ck| kck[k] = ck,
+    );
     assert_eq!(
-        kck.0, kck.1,
+        kck[0], kck[1],
         "kernel microbench checksums diverged across backends"
     );
+    let (kinterp_wall, ksimd_wall) = (kwalls[0], kwalls[1]);
     let kernel_speedup = kinterp_wall / ksimd_wall;
     eprintln!(
         "kernel microbench: {ksteps} steps, interpreter {kinterp_wall:.3}s  simd {ksimd_wall:.3}s  \
@@ -348,53 +280,38 @@ fn main() {
         .unwrap_or(1);
     // The engine body and lane type the runtime dispatch chose for this
     // CPU (the build itself needs no target-cpu flag).
-    let target_isa = SimdIsa::dispatched().name();
-    let simd_path = SimdIsa::dispatched().lane_type();
-    let json = format!(
-        "{{\n  \"bench\": \"simd_wavefront\",\n  \"mode\": \"{}\",\n  \
-         \"repeats\": {},\n  \"host_parallelism\": {},\n  \
-         \"simd_path\": \"{}\",\n  \
-         \"target_isa\": \"{}\",\n  \
-         \"corpus\": {{ \"pairs\": {}, \"pair_len\": {}, \"dp_cells\": {} }},\n  \
-         \"identity\": {{ \"extensions\": {}, \"strip_widths\": {:?}, \
-         \"pipeline_report\": true, \"identical\": true }},\n  \
-         \"measured\": {{ \"interpreter_wall_s\": {:.6}, \"simd_wall_s\": {:.6}, \
-         \"interpreter_gcups\": {:.4}, \"simd_gcups\": {:.4} }},\n  \
-         \"kernel\": {{ \"steps\": {}, \"interpreter_wall_s\": {:.6}, \"simd_wall_s\": {:.6}, \
-         \"speedup\": {:.3}, \"checksums_identical\": true }},\n  \
-         \"speedup\": {:.3},\n  \"speedup_source\": \"measured end-to-end wall-clock \
-         (per-thread vector speedup; valid on any core count)\",\n  \
-         \"methodology\": \"Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits) before any timing. End-to-end wall-clock is best-of-{} interleaved corpus runs at the full warp width after one warmup per backend, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal); step_simd runs the vector step on the lane type the dispatch picked (simd_path), each call loading its array operands into that lane type and storing the outputs back — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end).\"\n}}\n",
-        if args.check { "check" } else { "full" },
-        repeats,
-        cores,
-        simd_path,
-        target_isa,
-        pairs,
-        args.len,
-        cells,
-        pairs * 2,
-        WIDTHS,
-        interp_wall,
-        simd_wall,
-        interp_gcups,
-        simd_gcups,
-        ksteps,
-        kinterp_wall,
-        ksimd_wall,
-        kernel_speedup,
-        speedup,
-        WIDTHS,
-        repeats,
-    );
-    std::fs::write(&args.out, json).expect("write BENCH_simd.json");
+    let report = json_obj! {
+        "bench" => "simd_wavefront",
+        "mode" => args.mode(),
+        "repeats" => repeats,
+        "host_parallelism" => cores,
+        "simd_path" => SimdIsa::dispatched().lane_type(),
+        "target_isa" => SimdIsa::dispatched().name(),
+        "corpus" => json_obj! { "pairs" => pairs, "pair_len" => len, "dp_cells" => cells },
+        "identity" => json_obj! {
+            "extensions" => pairs * 2, "strip_widths" => WIDTHS[..],
+            "pipeline_report" => true, "identical" => true,
+        },
+        "measured" => json_obj! {
+            "interpreter_wall_s" => interp_wall, "simd_wall_s" => simd_wall,
+            "interpreter_gcups" => interp_gcups, "simd_gcups" => simd_gcups,
+        },
+        "kernel" => json_obj! {
+            "steps" => ksteps, "interpreter_wall_s" => kinterp_wall, "simd_wall_s" => ksimd_wall,
+            "speedup" => kernel_speedup, "checksums_identical" => true,
+        },
+        "speedup" => speedup,
+        "speedup_source" => "measured end-to-end wall-clock (per-thread vector speedup; valid on any core count)",
+        "methodology" => format!("Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {WIDTHS:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits, timeline, kernels, allocation bytes) before any timing. End-to-end wall-clock is best-of-{repeats} corpus runs at the full warp width after one warmup per backend, in rounds that alternate the two backends' order, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation, by the same protocol, on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal); step_simd runs the vector step on the lane type the dispatch picked (simd_path), each call loading its array operands into that lane type and storing the outputs back — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end)."),
+    };
+    write_report(&args.out, &report);
     println!(
         "measured {speedup:.2}x end-to-end (interpreter {interp_wall:.3}s / simd {simd_wall:.3}s, \
          {interp_gcups:.3} -> {simd_gcups:.3} GCUPS), {kernel_speedup:.2}x kernel  -> {}",
         args.out
     );
 
-    if args.check && simd_wall > interp_wall * 1.10 {
+    if args.check && !within(simd_wall, interp_wall, 0.10) {
         eprintln!(
             "FAIL: SIMD backend regressed {:.1}% vs interpreter (gate: 10%)",
             (simd_wall / interp_wall - 1.0) * 100.0

@@ -1,25 +1,61 @@
 //! Command-line options shared by all harness binaries.
 
+use std::fmt;
 use std::str::FromStr;
 
 use fastz_genome::Scale;
 
+/// Why a harness command line was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FlagError {
+    /// An argument that is not one of the binary's flags.
+    Unknown(String),
+    /// A flag given without its value.
+    Missing(String),
+    /// A flag given a value it cannot take: (flag, value).
+    Invalid(String, String),
+    /// A count below the flag's minimum: (flag, minimum, value). A
+    /// `--repeats 0` would time nothing.
+    TooSmall(String, usize, usize),
+}
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlagError::Unknown(arg) => write!(f, "unknown argument {arg}"),
+            FlagError::Missing(flag) => write!(f, "{flag} needs a value"),
+            FlagError::Invalid(flag, value) => write!(f, "{flag} cannot take {value:?}"),
+            FlagError::TooSmall(flag, min, got) => {
+                write!(f, "{flag} must be at least {min}, got {got}")
+            }
+        }
+    }
+}
+
 /// Parses the process arguments with `parse`; on an error prints it and
 /// `usage` to standard error and exits with status 2.
-pub fn args_or_exit<A>(parse: impl FnOnce(&[String]) -> Result<A, String>, usage: &str) -> A {
+pub fn args_or_exit<A, E: fmt::Display>(
+    parse: impl FnOnce(&[String]) -> Result<A, E>,
+    usage: &str,
+) -> A {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse(&args).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
+    parse(&args).unwrap_or_else(|err| {
+        eprintln!("{err}");
         eprintln!("{usage}");
         std::process::exit(2);
     })
 }
 
+/// The value after `flag`, which must be present.
+pub fn flag_value<'a>(flag: &str, value: Option<&'a String>) -> Result<&'a String, FlagError> {
+    value.ok_or_else(|| FlagError::Missing(flag.to_string()))
+}
+
 /// The numeric value of `flag` (`value` is the argument after it).
-pub fn flag_number<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+pub fn flag_number<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, FlagError> {
+    let v = flag_value(flag, value)?;
     v.parse()
-        .map_err(|_| format!("{flag} must be a number, got {v:?}"))
+        .map_err(|_| FlagError::Invalid(flag.to_string(), v.clone()))
 }
 
 /// Parsed harness options.
@@ -62,29 +98,29 @@ impl HarnessOpts {
     }
 
     /// Parses an argument list.
-    pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
+    pub fn parse(args: &[String]) -> Result<HarnessOpts, FlagError> {
         let mut opts = HarnessOpts::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--scale" => {
-                    let v = it.next().ok_or("--scale needs a value")?;
+                    let v = flag_value(arg, it.next())?;
                     opts.scale = match v.as_str() {
                         "test" => Scale::TEST,
                         "bench" => Scale::BENCH,
                         "large" => Scale::LARGE,
-                        other => return Err(format!("unknown scale {other}")),
+                        _ => return Err(FlagError::Invalid(arg.clone(), v.clone())),
                     };
                 }
                 "--max-anchors" => opts.max_anchors = flag_number(arg, it.next())?,
                 "--pairs" => {
                     // Pair labels contain commas (C1_1,1), so the list
                     // separator is '+': --pairs C1_1,1+A1_X,X
-                    let v = it.next().ok_or("--pairs needs a value")?;
+                    let v = flag_value(arg, it.next())?;
                     opts.pairs = v.split('+').map(str::to_string).collect();
                 }
                 "--verbose" => opts.verbose = true,
-                other => return Err(format!("unknown option {other}")),
+                other => return Err(FlagError::Unknown(other.to_string())),
             }
         }
         Ok(opts)

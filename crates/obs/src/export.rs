@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// JSON-safe f64: finite values print with Rust's shortest round-trip
 /// formatting; non-finite values become `null` (JSON has no Inf/NaN).
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
