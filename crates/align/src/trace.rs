@@ -26,6 +26,11 @@ pub struct CellScores {
 /// (unpruned) cell with matrix coordinates `(i, j)` — `i` query bases
 /// and `j` target bases consumed.
 pub trait CellSink {
+    /// Whether `record` does anything. Engines skip their per-cell walk
+    /// when it is `false`, so a no-op sink costs nothing even where the
+    /// walk itself (finding each live lane) is not free.
+    const RECORDS: bool = true;
+
     /// Records one live cell.
     fn record(&mut self, i: usize, j: usize, cell: CellScores);
 }
@@ -35,6 +40,8 @@ pub trait CellSink {
 pub struct NoTrace;
 
 impl CellSink for NoTrace {
+    const RECORDS: bool = false;
+
     #[inline(always)]
     fn record(&mut self, _i: usize, _j: usize, _cell: CellScores) {}
 }

@@ -826,7 +826,7 @@ fn traceback(
 
 /// Dead masks of a single bitvector window, swept by the engine's
 /// column step, exposed for the per-window differential proptest
-/// (`tests/bitvec_step.rs`) and the pre-filter's quick-accept tier.
+/// (`tests/bitvec_step.rs`).
 #[doc(hidden)]
 pub struct WindowMasks {
     /// One flat `(text.len() + 1) × (k + 1)` buffer: column `j` holds
@@ -843,37 +843,56 @@ pub struct WindowMasks {
 /// same live-band start.
 #[doc(hidden)]
 pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> WindowMasks {
+    let kp1 = k + 1;
+    let mut masks = vec![!0u64; (text.len() + 1) * kp1];
+    let mut starts = vec![0usize; text.len() + 1];
+    sweep_window(text, pattern, k, |j, start, col| {
+        // bound: j <= text.len() and start <= kp1, so both ranges lie
+        // inside column j's `kp1` masks.
+        masks[j * kp1 + start..(j + 1) * kp1].copy_from_slice(&col[start..kp1]);
+        // bound: j <= text.len() < starts.len().
+        starts[j] = start;
+        true
+    });
+    WindowMasks { masks, starts }
+}
+
+/// The column sweep behind [`window_masks`], keeping only the current
+/// column: `visit(j, start, column)` sees column `j`'s masks, of which
+/// rows `start..=k` were computed (the rows below are all dead), and
+/// returns whether to go on.
+fn sweep_window(
+    text: &[u8],
+    pattern: &[u8],
+    k: usize,
+    mut visit: impl FnMut(usize, usize, &[u64; 64]) -> bool,
+) {
     let wlen = pattern.len();
     assert!((1..=64).contains(&wlen) && (1..=63).contains(&k));
     let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
     let beyond = !window_mask;
     let pm = pattern_masks(pattern, BitvecMutation::None);
     let kp1 = k + 1;
-    let mut masks = vec![!0u64; (text.len() + 1) * kp1];
-    let mut starts = vec![0usize; text.len() + 1];
     let mut cur = [0u64; 64];
     let mut new = [0u64; 64];
     for (d, r) in cur.iter_mut().enumerate().take(kp1) {
         *r = ((!0u64) << d) | beyond;
     }
-    masks[..kp1].copy_from_slice(&cur[..kp1]);
+    if !visit(0, 0, &cur) {
+        return;
+    }
     let mut lo = dead_prefix(&cur, 0, kp1, window_mask);
-    for (j, (col, start)) in masks
-        .chunks_exact_mut(kp1)
-        .zip(starts.iter_mut())
-        .enumerate()
-        .skip(1)
-    {
-        // bound: 1 <= j <= text.len(); `& 3` caps the pm index at 3.
-        let pmv = pm[(text[j - 1] & 3) as usize];
-        *start = band_start(lo, j);
-        column_step(&cur, &mut new, *start, kp1, j, pmv, beyond, false);
-        lo = dead_prefix(&new, *start, kp1, window_mask);
-        // bound: start <= kp1 == col.len().
-        col[*start..].copy_from_slice(&new[*start..kp1]);
+    for (j, &t) in (1..).zip(text) {
+        // `& 3` caps the pm index at 3.
+        let pmv = pm[(t & 3) as usize];
+        let start = band_start(lo, j);
+        column_step(&cur, &mut new, start, kp1, j, pmv, beyond, false);
+        lo = dead_prefix(&new, start, kp1, window_mask);
+        if !visit(j, start, &new) {
+            return;
+        }
         std::mem::swap(&mut cur, &mut new);
     }
-    WindowMasks { masks, starts }
 }
 
 // ---------------------------------------------------------------------------
@@ -896,6 +915,16 @@ pub struct PrefilterConfig {
     pub cols: usize,
     /// Edit budget of the bitvector quick-accept tier (≤ 63).
     pub k: usize,
+}
+
+impl PrefilterConfig {
+    /// How many text and pattern bases of a flank the probe can read:
+    /// its rectangle or tier 1's window (`64 + k` text columns),
+    /// whichever is wider, plus one base past each edge.
+    fn reach(&self) -> (usize, usize) {
+        let k = self.k.clamp(1, 63);
+        (self.cols.max(64 + k) + 1, self.rows.max(1) + 1)
+    }
 }
 
 impl Default for PrefilterConfig {
@@ -964,13 +993,16 @@ fn side_upper_bound_on(
     let w = p.min(64);
     let k = cfg.k.clamp(1, 63);
     let bt = &text[..text.len().min(w + k)];
-    let sweep = window_masks(bt, &pattern[..w], k);
     let ebit = 1u64 << (w - 1);
-    if sweep
-        .masks
-        .chunks_exact(k + 1)
-        .any(|rows| rows[k] & ebit == 0)
-    {
+    let mut end_alive = false;
+    sweep_window(bt, &pattern[..w], k, |_, start, col| {
+        // Rows below `start` are dead; row k's end bit alive ends the
+        // sweep. A column whose rows are all dead (`start > k`) has only
+        // all-dead columns after it, so that ends the sweep too.
+        end_alive = start <= k && col[k] & ebit == 0;
+        !end_alive && start <= k
+    });
+    if end_alive {
         return None;
     }
 
@@ -1032,31 +1064,38 @@ impl IsaKernel for MiniDp<'_> {
         } = self;
         let ydrop = i64::from(scoring.ydrop);
         let tail_live = cc < text.len();
+        // A row is dead when every lane of its maximum lies below
+        // `-ydrop`; past i32 (`ydrop = i32::MIN`) every row is.
+        let floor = i32::try_from(-ydrop).unwrap_or(i32::MAX);
         let mut rows = ProbeRows::new(text, cc, scoring);
         // Each step finishes row i and starts row i + 1 (a flush past
         // the last probed row); the first step finishes row 0.
         let (_, s_cc) = rows.step(1, pattern[0]);
         // Frontier recurrence: f(i) = max(f(i-1) + Mm, S(i, C)).
         let mut frontier = i64::from(s_cc);
+        // The side bound is the largest row bound up to the cut, kept as
+        // the lane-wise maximum of the rows and the largest frontier.
+        let mut side_rows = [i32::MIN; PROBE_LANES];
         let mut side = 0i64;
         let mut cut = false;
         for i in 1..=p {
             let next = pattern[..p].get(i).copied().unwrap_or(0);
-            let (row_max, s_cc) = rows.step(i + 1, next);
+            let (best, s_cc) = rows.step(i + 1, next);
             frontier = (frontier + mm).max(i64::from(s_cc));
-            let bound = if tail_live {
-                row_max.max(frontier)
-            } else {
-                row_max
-            };
-            side = side.max(bound);
-            if bound < -ydrop {
+            side_rows = lanes::max(side_rows, best);
+            if tail_live {
+                side = side.max(frontier);
+            }
+            let live_lanes =
+                (0..PROBE_LANES).fold(0u32, |m, l| m | u32::from(best[l] >= floor) << l);
+            if live_lanes == 0 && (!tail_live || frontier < -ydrop) {
                 cut = true;
                 break;
             }
         }
+        let side = side.max(i64::from(side_rows.into_iter().fold(i32::MIN, i32::max)));
         if cut || p == pattern.len() {
-            Some(side.max(0))
+            Some(side)
         } else {
             None
         }
@@ -1144,6 +1183,9 @@ struct ProbeRows {
     col0: i32,
     /// `j·g` per column.
     ramp: Vec<Stripe>,
+    /// `j·g + open − g` per column:
+    /// `Ix(j) = max_{k<j}(H(k) − k·g) + ramp_shift(j)`.
+    ramp_shift: Vec<Stripe>,
     /// `i32::MAX` on real columns (`j ≤ cc`), [`NEG_I32`] on padding:
     /// the row maximum takes `min(S, cap)`.
     cap: Vec<Stripe>,
@@ -1155,8 +1197,6 @@ struct ProbeRows {
     seg: usize,
     open: i32,
     extend: i32,
-    /// `open − g`: `Ix(j) = max_{k<j}(H(k) − k·g) + j·g + shift`.
-    shift: i32,
 }
 
 impl ProbeRows {
@@ -1168,30 +1208,32 @@ impl ProbeRows {
         let gap = open.max(extend);
         let seg = cc.div_ceil(PROBE_LANES);
         // Column `j ≥ 1` of stripe `t`, lane `l`.
-        let stripes = |f: &dyn Fn(usize) -> i32| -> Vec<Stripe> {
+        fn stripes(seg: usize, f: impl Fn(usize) -> i32) -> Vec<Stripe> {
             (0..seg)
                 .map(|t| std::array::from_fn(|l| f(l * seg + t + 1)))
                 .collect()
-        };
-        let mut profile = Vec::with_capacity(5 * seg);
-        for c in 0..5u8 {
-            let sub = |j: usize| {
-                text[..cc]
-                    .get(j - 1)
-                    .map_or(0, |&t| scoring.subst.score(t, c))
-            };
-            profile.extend(stripes(&sub));
+        }
+        // Text column `j` sits in lane `j / seg` of stripe `j % seg`, so
+        // each lane's columns are one contiguous chunk; padding scores 0.
+        let mut profile = vec![[0i32; PROBE_LANES]; 5 * seg];
+        for (l, lane_text) in text[..cc].chunks(seg.max(1)).enumerate() {
+            for (t, &b) in lane_text.iter().enumerate() {
+                for c in 0..5 {
+                    profile[c * seg + t][l] = scoring.subst.score(b, c as u8);
+                }
+            }
         }
         // Row 0 has no horizontal gaps: S = H and the running maxima
         // sit at minus infinity.
         ProbeRows {
-            h: stripes(&|j| open + extend * (j as i32 - 1)),
+            h: stripes(seg, |j| open + extend * (j as i32 - 1)),
             pre: vec![[NEG_I32; PROBE_LANES]; seg],
             carry: [NEG_I32; PROBE_LANES],
             iy: vec![[NEG_I32; PROBE_LANES]; seg],
             col0: 0,
-            ramp: stripes(&|j| j as i32 * gap),
-            cap: stripes(&|j| if j <= cc { i32::MAX } else { NEG_I32 }),
+            ramp: stripes(seg, |j| j as i32 * gap),
+            ramp_shift: stripes(seg, |j| j as i32 * gap + open - gap),
+            cap: stripes(seg, |j| if j <= cc { i32::MAX } else { NEG_I32 }),
             profile,
             last: match cc {
                 0 => (0, 0),
@@ -1200,16 +1242,15 @@ impl ProbeRows {
             seg,
             open,
             extend,
-            shift: open - gap,
         }
     }
 
     /// Finishes the stored row `i − 1`, starts row `i` (pattern code
     /// `code`) from it, and returns the finished row's maximum over
-    /// columns `1..=cc` (`i64::MIN / 4` when there are none) and its
-    /// `S` at column `cc`.
+    /// columns `1..=cc` lane by lane (every lane `i32::MIN` when there
+    /// are none) and its `S` at column `cc`.
     #[inline(always)]
-    fn step(&mut self, i: usize, code: u8) -> (i64, i32) {
+    fn step(&mut self, i: usize, code: u8) -> (Stripe, i32) {
         let ProbeRows {
             h,
             pre,
@@ -1217,38 +1258,31 @@ impl ProbeRows {
             iy,
             col0,
             ramp,
+            ramp_shift,
             cap,
             profile,
             last,
             seg,
             open,
             extend,
-            shift,
         } = self;
         let (seg, open, extend) = (*seg, *open, *extend);
-        let (shift_v, open_v, extend_v) = (
-            [*shift; PROBE_LANES],
-            [open; PROBE_LANES],
-            [extend; PROBE_LANES],
-        );
+        let (open_v, extend_v) = ([open; PROBE_LANES], [extend; PROBE_LANES]);
         let col0_prev = *col0;
         *col0 = open + extend * (i as i32 - 1);
         if seg == 0 {
-            return (i64::MIN / 4, col0_prev);
+            return ([i32::MIN; PROBE_LANES], col0_prev);
         }
         // S of the finished row from its stored form.
-        let finish = |h: Stripe, pre: Stripe, ramp: Stripe| {
-            lanes::max(
-                h,
-                lanes::add(lanes::add(lanes::max(pre, *carry), ramp), shift_v),
-            )
+        let finish = |h: Stripe, pre: Stripe, ramp_shift: Stripe| {
+            lanes::max(h, lanes::add(lanes::max(pre, *carry), ramp_shift))
         };
         let (t_cc, l_cc) = *last;
-        let s_cc = finish(h[t_cc], pre[t_cc], ramp[t_cc])[l_cc];
+        let s_cc = finish(h[t_cc], pre[t_cc], ramp_shift[t_cc])[l_cc];
         // The diagonal of a segment's first column is the previous
         // segment's last one: the last stripe shifted up one lane,
         // column 0 entering lane 0.
-        let tail = finish(h[seg - 1], pre[seg - 1], ramp[seg - 1]);
+        let tail = finish(h[seg - 1], pre[seg - 1], ramp_shift[seg - 1]);
         let mut diag: Stripe =
             std::array::from_fn(|l| if l == 0 { col0_prev } else { tail[l - 1] });
         // `code` is a sequence code (< 5) and the profile holds five
@@ -1256,11 +1290,11 @@ impl ProbeRows {
         // the loop indexes in bounds.
         let sub = &profile[code as usize * seg..(code as usize + 1) * seg];
         let (h, pre, iy) = (&mut h[..seg], &mut pre[..seg], &mut iy[..seg]);
-        let (ramp, cap) = (&ramp[..seg], &cap[..seg]);
+        let (ramp, ramp_shift, cap) = (&ramp[..seg], &ramp_shift[..seg], &cap[..seg]);
         let mut best = [NEG_I32; PROBE_LANES];
         let mut run = [NEG_I32; PROBE_LANES];
         for t in 0..seg {
-            let up = finish(h[t], pre[t], ramp[t]);
+            let up = finish(h[t], pre[t], ramp_shift[t]);
             best = lanes::max(best, lanes::min(up, cap[t]));
             let y = lanes::max(lanes::add(up, open_v), lanes::add(iy[t], extend_v));
             let h_t = lanes::max(lanes::add(diag, sub[t]), y);
@@ -1275,8 +1309,7 @@ impl ProbeRows {
         for l in 1..PROBE_LANES {
             carry[l] = carry[l - 1].max(run[l - 1]);
         }
-        let row_max = best.into_iter().fold(NEG_I32, i32::max);
-        (i64::from(row_max), s_cc)
+        (best, s_cc)
     }
 }
 
@@ -1303,6 +1336,11 @@ pub fn prefilter_anchors(
     let qc = query.codes();
     let mut kept = Vec::with_capacity(anchors.len());
     let mut rejected = 0usize;
+    // The left flanks are probed reversed. `side_upper_bound` reads at
+    // most `max(cols, 64 + k) + 1` text and `rows + 1` pattern bases (the
+    // one past each probe edge only to learn whether the flank goes on),
+    // so only those are copied, whatever `max_extension` is.
+    let (text_reach, pattern_reach) = cfg.reach();
     let mut rev_t = Vec::new();
     let mut rev_q = Vec::new();
     for &a in anchors {
@@ -1316,8 +1354,8 @@ pub fn prefilter_anchors(
         let qs = q0.saturating_sub(max_extension);
         rev_t.clear();
         rev_q.clear();
-        rev_t.extend(tc[ts..t0].iter().rev());
-        rev_q.extend(qc[qs..q0].iter().rev());
+        rev_t.extend(tc[ts..t0].iter().rev().take(text_reach));
+        rev_q.extend(qc[qs..q0].iter().rev().take(pattern_reach));
         let left = side_upper_bound(&rev_t, &rev_q, scoring, cfg);
         let te = tc.len().min(t0 + seed_span + max_extension);
         let qe = qc.len().min(q0 + seed_span + max_extension);

@@ -13,13 +13,84 @@
 //! | [`SimdIsa::Avx2`] | four `__m256i` | four `-1/0` vectors | `vpermd` + `vpblendd` | `vmovmskps` |
 //! | [`SimdIsa::Portable`] | `[i32; 32]` | `[i32; 32]` of `-1/0` | array copy | sign bits |
 //!
+//! Each level also picks how a step gathers its substitution scores
+//! ([`LaneVec::subst`]): AVX-512 looks every lane up in the flattened
+//! 25-entry [`SubstTable`] with one `vpermi2d` per half. The narrower
+//! levels keep a per-strip profile and a compare-and-select chain: an
+//! AVX2 `vpermd` reaches only 8 entries, and its memory gather is slow
+//! on many of the hosts that run the AVX2 body (DESIGN §SIMD wavefront).
+//!
 //! Every impl performs the same wrapping `i32` lane operations, so the
 //! levels are bit-identical; the portable one is
 //! [`fastz_gpu_sim::lanes32`] unchanged, which its unit tests pin to the
 //! scalar warp primitives.
 
+use fastz_genome::{SubstMatrix, ALPHABET_SIZE, N_CODE};
 use fastz_gpu_sim::{lanes32, splat, Lanes, WARP_SIZE};
 use std::sync::OnceLock;
+
+/// A substitution matrix flattened for the lane lookups: entry
+/// `ALPHABET_SIZE·t + q` scores target code `t` against query code `q`.
+/// The 25 entries fit in one warp's worth of lanes; the rest are 0.
+#[derive(Clone, Copy)]
+pub(crate) struct SubstTable(Lanes<i32>);
+
+impl SubstTable {
+    pub(crate) fn new(subst: &SubstMatrix) -> SubstTable {
+        let mut flat = [0i32; WARP_SIZE];
+        for (k, x) in flat
+            .iter_mut()
+            .take(ALPHABET_SIZE * ALPHABET_SIZE)
+            .enumerate()
+        {
+            *x = subst.score((k / ALPHABET_SIZE) as u8, (k % ALPHABET_SIZE) as u8);
+        }
+        SubstTable(flat)
+    }
+
+    /// Lane `l` holds `ALPHABET_SIZE × strip_target[l]`, the row of the
+    /// table lane `l` reads; lanes past the strip (a partial last strip,
+    /// never active) read row 0. Codes above [`N_CODE`] read as `N`.
+    #[inline(always)]
+    fn rows(strip_target: &[u8]) -> Lanes<i32> {
+        let mut rows = [0i32; WARP_SIZE];
+        for (r, &t) in rows.iter_mut().zip(strip_target) {
+            *r = ALPHABET_SIZE as i32 * i32::from(t.min(N_CODE));
+        }
+        rows
+    }
+
+    /// The select-chain profile: `profile[q]` lane `l` scores lane
+    /// `l`'s target base against query code `q`.
+    #[inline(always)]
+    fn profile<V: LaneVec>(&self, strip_target: &[u8]) -> [V; ALPHABET_SIZE] {
+        let rows = SubstTable::rows(strip_target);
+        let mut profile = [V::splat(0); ALPHABET_SIZE];
+        for (q, p) in profile.iter_mut().enumerate() {
+            let mut scores = [0i32; WARP_SIZE];
+            for (x, &r) in scores.iter_mut().zip(&rows) {
+                // bound: r ≤ 5·N_CODE and q < 5, so r + q < 25 < WARP_SIZE.
+                *x = self.0[r as usize + q];
+            }
+            *p = V::load(&scores);
+        }
+        profile
+    }
+}
+
+/// The substitution score of every lane's cell from a select-chain
+/// profile: lane `l` takes `profile[codes[l]][l]`. A chain of
+/// `codes >= q` selects in ascending `q` leaves each lane on its own
+/// code's row, so the gather costs `ALPHABET_SIZE − 1` compare-and-select
+/// pairs and no memory lookups. Codes above `N` read as `N`.
+#[inline(always)]
+fn select_chain<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
+    let mut out = profile[0];
+    for (q, &row) in profile.iter().enumerate().skip(1) {
+        out = V::select(codes.ge(V::splat(q as i32)), row, out);
+    }
+    out
+}
 
 /// One warp's worth of `i32` lanes, as the lane type of one [`SimdIsa`]
 /// level. All operations are lane-wise and wrapping, exactly as
@@ -55,6 +126,16 @@ pub(crate) trait LaneVec: Copy {
     fn to_bytes(self) -> Lanes<u8>;
     /// The mask of the contiguous lanes `lo..=hi` (empty when `lo > hi`).
     fn range_mask(lo: usize, hi: usize) -> Self::Mask;
+
+    /// One strip's substitution scores in this level's lookup form,
+    /// built once per strip from the strip's target codes.
+    type Subst: Copy;
+    /// The lookup form of `table` for the target codes `strip_target`
+    /// (lane `l` holds column `strip_target[l]`).
+    fn subst_profile(table: &SubstTable, strip_target: &[u8]) -> Self::Subst;
+    /// The substitution score of every lane's cell: lane `l` scores its
+    /// target code against query code `codes[l]` (`0..=N_CODE`).
+    fn subst(profile: &Self::Subst, codes: Self) -> Self;
 }
 
 /// A per-lane predicate of a [`LaneVec`].
@@ -125,6 +206,16 @@ impl LaneVec for Lanes<i32> {
     #[inline(always)]
     fn range_mask(lo: usize, hi: usize) -> Self {
         lanes32::range_mask(lo, hi)
+    }
+
+    type Subst = [Self; ALPHABET_SIZE];
+    #[inline(always)]
+    fn subst_profile(table: &SubstTable, strip_target: &[u8]) -> Self::Subst {
+        table.profile(strip_target)
+    }
+    #[inline(always)]
+    fn subst(profile: &Self::Subst, codes: Self) -> Self {
+        select_chain(profile, codes)
     }
 }
 
@@ -283,7 +374,8 @@ pub(crate) trait IsaKernel {
 /// the invariant every `unsafe` intrinsic call below relies on.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{IsaKernel, LaneMask, LaneVec};
+    use super::{select_chain, IsaKernel, LaneMask, LaneVec, SubstTable};
+    use fastz_genome::ALPHABET_SIZE;
     use fastz_gpu_sim::{lanes32, Lanes, WARP_SIZE};
     use std::arch::x86_64::*;
 
@@ -435,6 +527,31 @@ mod x86 {
         fn range_mask(lo: usize, hi: usize) -> Avx512Mask {
             let bits = lanes32::range_bits(lo, hi);
             Avx512Mask(bits as u16, (bits >> 16) as u16)
+        }
+
+        /// The whole table (entries 0–15, 16–31) plus each lane's table
+        /// row: four registers, against ten for a five-row profile.
+        type Subst = (Avx512Lanes, Avx512Lanes);
+        #[inline(always)]
+        fn subst_profile(table: &SubstTable, strip_target: &[u8]) -> Self::Subst {
+            (
+                Avx512Lanes::load(&table.0),
+                Avx512Lanes::load(&SubstTable::rows(strip_target)),
+            )
+        }
+        #[inline(always)]
+        fn subst(profile: &Self::Subst, codes: Self) -> Self {
+            let (table, rows) = *profile;
+            let idx = rows.add(codes);
+            // `vpermi2d` reads entry `idx & 31` of the 32-entry table the
+            // two halves form; every index is below 25.
+            // SAFETY: AVX-512 body only (module docs, `SimdIsa::supported`).
+            unsafe {
+                Avx512Lanes(
+                    _mm512_permutex2var_epi32(table.0, idx.0, table.1),
+                    _mm512_permutex2var_epi32(table.0, idx.1, table.1),
+                )
+            }
         }
     }
 
@@ -609,6 +726,16 @@ mod x86 {
                 }))
             }
         }
+
+        type Subst = [Self; ALPHABET_SIZE];
+        #[inline(always)]
+        fn subst_profile(table: &SubstTable, strip_target: &[u8]) -> Self::Subst {
+            table.profile(strip_target)
+        }
+        #[inline(always)]
+        fn subst(profile: &Self::Subst, codes: Self) -> Self {
+            select_chain(profile, codes)
+        }
     }
 
     impl LaneMask for Avx2Mask {
@@ -687,6 +814,50 @@ mod tests {
                 assert_eq!(got, lanes32::range_bits(lo, hi), "range {lo}..={hi}");
             }
             assert_eq!(V::splat(-7).to_array(), splat(-7));
+        }
+    }
+
+    /// Every lane type's substitution lookup, checked against the
+    /// matrix: an asymmetric one, so a transposed table shows.
+    struct SubstAgrees(u64);
+
+    impl IsaKernel for SubstAgrees {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<V: LaneVec>(self) {
+            let m = SubstMatrix::from_acgt(
+                [
+                    [12, -9, -3, -17],
+                    [-6, 10, -14, -2],
+                    [-1, -13, 11, -8],
+                    [-15, -4, -7, 9],
+                ],
+                -40,
+            );
+            let table = SubstTable::new(&m);
+            let mut rng = SmallRng::seed_from_u64(self.0);
+            for len in [1usize, 7, 31, 32] {
+                let target: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=N_CODE)).collect();
+                let profile = V::subst_profile(&table, &target);
+                for _ in 0..20 {
+                    let mut codes = [0i32; WARP_SIZE];
+                    for c in codes.iter_mut() {
+                        *c = rng.gen_range(0..=i32::from(N_CODE));
+                    }
+                    let got = V::subst(&profile, V::load(&codes)).to_array();
+                    for (l, &t) in target.iter().enumerate() {
+                        assert_eq!(got[l], m.score(t, codes[l] as u8), "len {len} lane {l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_type_looks_up_the_substitution_score() {
+        for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            isa.run(SubstAgrees(5));
         }
     }
 

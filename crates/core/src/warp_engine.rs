@@ -22,15 +22,13 @@
 //! returns the same or an occasionally higher score (§3.4).
 
 use crate::ablation::OptFlags;
-use crate::lanes::{IsaKernel, LaneVec};
-use crate::wavefront_step::{
-    first_lane_at, profile_select, step_lanes, target_profile, LaneIn, LaneOut,
-};
+use crate::lanes::{IsaKernel, LaneVec, SubstTable};
+use crate::wavefront_step::{first_lane_at, step_lanes, LaneIn, LaneOut};
 use fastz_align::score;
 use fastz_align::trace::{CellScores, CellSink, NoTrace};
 use fastz_align::ydrop::{tb, NEG_INF};
 use fastz_align::{walk_traceback_with, EditOp};
-use fastz_genome::{Scoring, ALPHABET_SIZE};
+use fastz_genome::{Scoring, N_CODE};
 use fastz_gpu_sim::sanitize::stage as san_stage;
 use fastz_gpu_sim::{SharedMem, WarpCounters, WARP_SIZE};
 
@@ -172,6 +170,105 @@ const DEAD: Spill = Spill {
     i: NEG_INF,
 };
 
+/// One strip boundary's spill column: row `r` holds the boundary
+/// column's (S, I) at row `r`. A strip's last lane writes one
+/// contiguous run of rows, so apart from row 0 (the row-0 chain) only
+/// the `written` rows can hold anything but [`DEAD`]. Resetting and
+/// scanning the column walk those rows, not every row up to the cap.
+struct SpillCol {
+    rows: Vec<Spill>,
+    /// Rows `written.0..=written.1` (none when `.0 > .1`).
+    written: (usize, usize),
+}
+
+impl SpillCol {
+    /// Readies the column for the next strip: `len` rows, row 0 `top`,
+    /// every other row [`DEAD`].
+    fn reset(&mut self, len: usize, top: Spill) {
+        let (lo, hi) = self.written;
+        for sp in self.rows.iter_mut().take(hi + 1).skip(lo) {
+            *sp = DEAD;
+        }
+        self.rows.resize(len, DEAD);
+        if let Some(sp) = self.rows.first_mut() {
+            *sp = top;
+        }
+        self.written = (1, 0);
+    }
+
+    /// The entry of row `r` (`DEAD` past the column).
+    #[inline(always)]
+    fn get(&self, r: usize) -> Spill {
+        self.rows.get(r).copied().unwrap_or(DEAD)
+    }
+
+    /// The first row at or after `from` whose entry `dead` judges live.
+    ///
+    /// `dead(r, DEAD)` must hold at every row after the first row ≥ 1
+    /// where it holds (the engine's entry test compares with the row's
+    /// prefix maximum, which never falls with the row), so a run of
+    /// `DEAD` rows is live only if its first row is.
+    #[inline(always)]
+    fn first_live(&self, from: usize, dead: impl Fn(usize, Spill) -> bool) -> Option<usize> {
+        let (lo, hi) = self.written;
+        let mut r = from;
+        while let Some(&sp) = self.rows.get(r) {
+            if r == 0 || (lo..=hi).contains(&r) {
+                if !dead(r, sp) {
+                    return Some(r);
+                }
+                r += 1;
+            } else if !dead(r, DEAD) {
+                return Some(r);
+            } else if r < lo {
+                r = lo;
+            } else {
+                break;
+            }
+        }
+        None
+    }
+}
+
+/// The largest eager window whose bytes an unsanitized sweep stages
+/// locally; its offsets fit a `u8`.
+const STAGED_WINDOW: usize = 16;
+
+/// The eager-window bytes of an unsanitized sweep, in the order the
+/// sweep produced them, written to shared memory after it.
+///
+/// A sweep computes each cell once, so the `w × w ≤ 256` window cells
+/// fill at most every slot.
+struct WindowStage {
+    cells: [(u8, u8); STAGED_WINDOW * STAGED_WINDOW],
+    len: usize,
+}
+
+impl WindowStage {
+    fn new() -> Self {
+        WindowStage {
+            cells: [(0, 0); STAGED_WINDOW * STAGED_WINDOW],
+            len: 0,
+        }
+    }
+
+    /// Stages `byte` for window offset `offset` (`< 256`).
+    #[inline(always)]
+    fn push(&mut self, offset: usize, byte: u8) {
+        if let Some(cell) = self.cells.get_mut(self.len) {
+            *cell = (offset as u8, byte);
+            self.len += 1;
+        }
+    }
+
+    /// Writes the staged bytes to `shared`, in staging order.
+    fn flush(&self, shared: &mut SharedMem) {
+        for &(offset, byte) in self.cells.iter().take(self.len) {
+            shared.write_u8(usize::from(offset), byte);
+        }
+    }
+}
+
 /// Per-row maxima of one strip, carried with the rows through the lanes.
 ///
 /// Lane ℓ works on row `lane0_row − ℓ`, the row lane ℓ−1 worked on one
@@ -210,14 +307,17 @@ impl<V: LaneVec> RowMaxima<V> {
         }
     }
 
-    /// Folds the rows still in flight (lanes below the last) into
-    /// `row_max`; rows past its end hold only inactive lanes.
+    /// Writes the rows still in flight (lanes below the last) to
+    /// `row_max`; rows past its end hold only inactive lanes. No row is
+    /// both pushed and flushed, so every row from the strip's first
+    /// pushed one to its last computed one is written, and `row_max`
+    /// needs no reset between strips.
     #[inline(always)]
     fn flush(&self, row_max: &mut [i32]) {
         for l in 0..self.last {
             let row = self.lane0_row.checked_sub(l);
             if let Some(m) = row.and_then(|r| row_max.get_mut(r)) {
-                *m = (*m).max(self.acc.lane(l));
+                *m = self.acc.lane(l);
             }
         }
     }
@@ -394,24 +494,22 @@ impl<K: CellSink> IsaKernel for Extend<'_, K> {
 
     #[inline(always)]
     fn run<V: LaneVec>(self) -> WarpExtension {
-        let Extend {
-            target,
-            query,
-            scoring,
-            cfg,
-            shared,
-            tbm,
-            sink,
-        } = self;
-        // The backend is a compile-time choice of the body, not a
-        // per-step branch: each step's outputs then stay in registers.
-        match cfg.backend {
-            WavefrontBackend::Interpreter => {
-                extend_body::<V, K, true>(target, query, scoring, cfg, shared, tbm, sink)
-            }
-            WavefrontBackend::Simd => {
-                extend_body::<V, K, false>(target, query, scoring, cfg, shared, tbm, sink)
-            }
+        use WavefrontBackend::{Interpreter, Simd};
+        // The backend, the traceback band and the shared-memory hooks
+        // are compile-time choices of the body, not per-step branches:
+        // each step's outputs then stay in registers, and no call sits
+        // in the step path of the production (unsanitized inspector)
+        // body. The interpreter always runs the hooked body, so the
+        // oracle writes the eager window the direct way; a window too
+        // large to stage does too.
+        let hooked = self.shared.sanitizer().is_some() || self.cfg.eager_window > STAGED_WINDOW;
+        match (self.cfg.backend, self.cfg.record_traceback, hooked) {
+            (Interpreter, false, _) => extend_body::<V, K, true, false, true>(self),
+            (Interpreter, true, _) => extend_body::<V, K, true, true, true>(self),
+            (Simd, false, false) => extend_body::<V, K, false, false, false>(self),
+            (Simd, false, true) => extend_body::<V, K, false, false, true>(self),
+            (Simd, true, false) => extend_body::<V, K, false, true, false>(self),
+            (Simd, true, true) => extend_body::<V, K, false, true, true>(self),
         }
     }
 }
@@ -447,19 +545,38 @@ pub fn warp_extend_traced_on<K: CellSink>(
 }
 
 /// The engine body, inlined into each [`SimdIsa`] instantiation with that
-/// level's lane type `V`; `INTERPRETED` runs each step through
-/// [`step_interpreter`](crate::wavefront_step::step_interpreter) instead
-/// of the vector step ([`WavefrontBackend`]).
+/// level's lane type `V`. Three compile-time switches pick what the step
+/// loop contains:
+///
+/// * `INTERPRETED` runs each step through
+///   [`step_interpreter`](crate::wavefront_step::step_interpreter)
+///   instead of the vector step ([`WavefrontBackend`]);
+/// * `RECORD` appends each step's traceback bytes to the executor band
+///   (`cfg.record_traceback`);
+/// * `HOOKED` runs the shared-memory hooks inside the step: the
+///   sanitizer's access-group tick, ballot check and divergence note,
+///   and direct eager-window writes. Without it the window bytes are
+///   staged locally and written after the sweep, in the same order, so
+///   the scratchpad ends identical.
 #[inline(always)]
-fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    cfg: &WarpConfig,
-    shared: &mut SharedMem,
-    tbm: &mut Vec<u8>,
-    sink: &mut K,
+fn extend_body<
+    V: LaneVec,
+    K: CellSink,
+    const INTERPRETED: bool,
+    const RECORD: bool,
+    const HOOKED: bool,
+>(
+    args: Extend<'_, K>,
 ) -> WarpExtension {
+    let Extend {
+        target,
+        query,
+        scoring,
+        cfg,
+        shared,
+        tbm,
+        sink,
+    } = args;
     let so_se = scoring.gaps.open_score();
     let se = scoring.gaps.extend_score();
     let ydrop = scoring.ydrop;
@@ -482,7 +599,6 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
     // sanitizer is attached to the scratchpad). The sanitizer never
     // touches `counters`, so modeled time is bit-identical either way.
     shared.sanitize_stage(san_stage::WAVEFRONT);
-    let sanitizing = shared.sanitizer().is_some();
 
     if n == 0 || m == 0 {
         // Pure gap chains score negative; the origin is optimal.
@@ -519,35 +635,51 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
     let delta =
         width + ((ydrop + width as i32 * max_match).max(0) / scoring.gaps.extend.max(1)) as usize;
 
-    // Executor traceback: one chunk per executed step, in `tbm`.
-    let mut band = cfg.record_traceback.then(|| TbBand::new(tbm, width));
+    // Executor traceback: one chunk per executed step, in `tbm`. Every
+    // use filters on `RECORD`: the band's own calls hide from the
+    // compiler that a non-recording body's band stays `None`.
+    let mut band = RECORD.then(|| TbBand::new(tbm, width));
+    // Eager-window bytes of an unhooked sweep.
+    let mut stage = WindowStage::new();
 
     // Spill buffer: boundary column state per row. Strip 0's boundary is
-    // matrix column 0 (analytic gap chain).
+    // matrix column 0 (analytic gap chain), every row written.
     let mut row_cap = m.min(delta);
-    let mut spill: Vec<Spill> = (0..=row_cap)
-        .map(|i| {
-            if i == 0 {
-                Spill { s: 0, i: NEG_INF }
-            } else {
-                Spill {
-                    s: score::gap_chain(so_se, se, i as i32 - 1),
-                    i: NEG_INF,
+    let mut spill = SpillCol {
+        rows: (0..=row_cap)
+            .map(|i| {
+                if i == 0 {
+                    Spill { s: 0, i: NEG_INF }
+                } else {
+                    Spill {
+                        s: score::gap_chain(so_se, se, i as i32 - 1),
+                        i: NEG_INF,
+                    }
                 }
-            }
-        })
-        .collect();
+            })
+            .collect(),
+        written: (1, row_cap),
+    };
     // The next strip's boundary, filled by this strip's last lane; the
     // two buffers swap at every strip boundary.
-    let mut next_spill: Vec<Spill> = Vec::new();
+    let mut next_spill = SpillCol {
+        rows: Vec::new(),
+        written: (1, 0),
+    };
 
     // Per-row maxima of completed strips (LASTZ-order-safe threshold
-    // source b), kept as prefix maxima over rows.
+    // source b), kept as prefix maxima over rows. After the first strip
+    // they never fall with the row (row 0 holds the origin until then,
+    // every other row NEG_INF).
     let mut row_prefix_best: Vec<i32> = vec![NEG_INF; row_cap + 1];
     row_prefix_best[0] = 0; // the origin
     let mut row_max_strip: Vec<i32> = vec![NEG_INF; row_cap + 1];
     let mut explored_rows = 0usize;
     let mut explored_cols = 0usize;
+
+    // The substitution matrix in the lane types' lookup form. Query codes
+    // above N read as N, as the lookups' target side does.
+    let subst_table = SubstTable::new(&scoring.subst);
 
     let mut strip_base = 0usize;
     loop {
@@ -570,23 +702,25 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
         // conformance suite's warp-superset invariant). `max_match`
         // covers the one diagonal gain a spill value contributes to the
         // row beneath it, whose prefix threshold may be higher.
-        let entry_dead = |r: usize, s: i32, i: i32| -> bool {
-            s.max(i) + max_match < row_prefix_best[r.min(row_cap)] - ydrop
+        let entry_dead = |r: usize, sp: Spill| -> bool {
+            sp.s.max(sp.i) + max_match < row_prefix_best[r.min(row_cap)] - ydrop
         };
-        let row0_alive = !entry_dead(1, r0(strip_base), NEG_INF);
+        let row0_alive = !entry_dead(
+            1,
+            Spill {
+                s: r0(strip_base),
+                i: NEG_INF,
+            },
+        );
         let row_base = if row0_alive {
             0
         } else {
-            match spill
-                .iter()
-                .enumerate()
-                .position(|(r, sp)| !entry_dead(r, sp.s, sp.i))
-            {
+            match spill.first_live(0, entry_dead) {
                 Some(first_live) => first_live.saturating_sub(1),
                 None => break, // no live input anywhere: done
             }
         };
-        if let Some(band) = band.as_mut() {
+        if let Some(band) = band.as_mut().filter(|_| RECORD) {
             band.begin_strip(row_base);
         }
 
@@ -606,19 +740,22 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
         let mut d_cur = V::splat(NEG_INF);
         let mut s_prev = V::splat(NEG_INF);
 
-        row_max_strip.clear();
+        // Every row the strip computes is written before the fold reads
+        // it (`RowMaxima::flush`), so the buffer only grows with the cap.
         row_max_strip.resize(row_cap + 1, NEG_INF);
         let mut row_maxima = RowMaxima::<V>::new(lanes_valid);
 
-        next_spill.clear();
-        next_spill.resize(row_cap + 1, DEAD);
-        if strip_base + width < n {
+        let spills_next = strip_base + width < n;
+        let top = if spills_next {
             let boundary = strip_base + width;
-            next_spill[0] = Spill {
+            Spill {
                 s: r0(boundary),
                 i: r0(boundary),
-            };
-        }
+            }
+        } else {
+            DEAD
+        };
+        next_spill.reset(row_cap + 1, top);
 
         // Lagged anti-diagonal maxima (threshold source a): ring of the
         // last `width` step maxima plus the running max of anything
@@ -637,14 +774,12 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
         // Shifted-vector gathers. Lane ℓ at step t+1 works on the row
         // lane ℓ−1 worked on at step t, so each row-indexed input enters
         // at lane 0 and moves up one lane per step: the query code of
-        // the lane's row (resolved against the strip's target profile by
-        // a select) and the row's prefix-best threshold source, which is
-        // constant within a strip. Lanes that have not reached the
-        // strip's first row hold fillers; they are inactive.
-        let profile: [V; ALPHABET_SIZE] = target_profile(
-            &scoring.subst,
-            &target[strip_base..strip_base + lanes_valid],
-        );
+        // the lane's row (scored against the lane's target base by the
+        // lane type's substitution lookup) and the row's prefix-best
+        // threshold source, which is constant within a strip. Lanes that
+        // have not reached the strip's first row hold fillers; they are
+        // inactive.
+        let profile = V::subst_profile(&subst_table, &target[strip_base..strip_base + lanes_valid]);
         let mut q_codes = V::splat(0);
         let mut row_best = V::splat(NEG_INF);
 
@@ -658,12 +793,13 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             // strip-boundary spill. `__shfl_up_sync` is one whole-vector
             // lane shift with edge-lane injection (pinned to the scalar
             // warp model by the lanes32 and lane-type tests).
-            let sp = |r: usize| spill.get(r).copied().unwrap_or(DEAD);
-            let fill = sp(lane0_row);
-            let fill_diag = sp(lane0_row - 1).s;
+            let fill = spill.get(lane0_row);
+            let fill_diag = spill.get(lane0_row - 1).s;
             counters.shuffles += 3;
-            // One bank-conflict access group per wavefront step.
-            shared.sanitize_tick();
+            if HOOKED {
+                // One bank-conflict access group per wavefront step.
+                shared.sanitize_tick();
+            }
 
             // Contiguous active-lane window of this step: lane ℓ computes
             // row `lane0_row − ℓ`, so lanes above `hi` have not started
@@ -676,7 +812,10 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             // Lane 0 enters row `lane0_row`; past `row_cap` it is
             // inactive and takes fillers.
             let (q_in, best_in) = if lane0_row <= row_cap {
-                (i32::from(query[lane0_row - 1]), row_prefix_best[lane0_row])
+                (
+                    i32::from(query[lane0_row - 1].min(N_CODE)),
+                    row_prefix_best[lane0_row],
+                )
             } else {
                 (0, NEG_INF)
             };
@@ -691,7 +830,7 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
                 d_cur,
                 // The substitution score of each lane's cell and the
                 // LASTZ-order-safe pruning threshold (module docs).
-                subst: profile_select(&profile, q_codes),
+                subst: V::subst(&profile, q_codes),
                 threshold: row_best.max(V::splat(lagged_best)).add(V::splat(-ydrop)),
                 so_se,
                 se,
@@ -704,7 +843,7 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
                 step_lanes(&step_in)
             };
 
-            if sanitizing {
+            if HOOKED {
                 if let Some(s) = shared.sanitizer() {
                     // Ballot-mask / active-lane consistency: a step may
                     // only activate lanes inside the strip's valid set.
@@ -740,7 +879,7 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
                     best_i = lane0_row - l;
                     best_j = strip_base + l + 1;
                 }
-                let mut live = out.live_mask;
+                let mut live = if K::RECORDS { out.live_mask } else { 0 };
                 while live != 0 {
                     let l = live.trailing_zeros() as usize;
                     live &= live - 1;
@@ -769,18 +908,23 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             // w×w eager window (its lowest active column and shallowest
             // active row).
             let in_window = w > 0 && strip_base + lo < w && lane0_row - hi <= w;
-            if band.is_some() || in_window {
+            if RECORD || in_window {
                 let tb_bytes = out.tb();
-                if let Some(band) = band.as_mut() {
+                if let Some(band) = band.as_mut().filter(|_| RECORD) {
                     band.push_step(&tb_bytes, lo, hi);
                     counters.global_written += active_lanes; // 1 B/cell, staged
                     counters.shared_bytes += 2 * active_lanes; //   through shared
                 }
-                if in_window {
-                    for (l, &b) in tb_bytes.iter().enumerate().take(hi + 1).skip(lo) {
+                if let Some(bytes) = tb_bytes.get(lo..=hi).filter(|_| in_window) {
+                    for (l, &b) in (lo..).zip(bytes) {
                         let (i_idx, j_idx) = (lane0_row - l, strip_base + l + 1);
                         if i_idx <= w && j_idx <= w {
-                            shared.write_u8((i_idx - 1) * w + (j_idx - 1), b);
+                            let offset = (i_idx - 1) * w + (j_idx - 1);
+                            if HOOKED {
+                                shared.write_u8(offset, b);
+                            } else {
+                                stage.push(offset, b);
+                            }
                             counters.shared_bytes += 1;
                         }
                     }
@@ -797,12 +941,15 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             i_cur = V::select(active, out.i_store, i_cur);
             d_cur = V::select(active, out.d_store, d_cur);
 
-            // The last lane spills the strip boundary for the next strip.
-            if strip_base + width < n && (lo..=hi).contains(&(width - 1)) {
-                next_spill[lane0_row - (width - 1)] = Spill {
+            // The last lane spills the strip boundary for the next strip,
+            // one row per step from row `row_base + 1` on.
+            if spills_next && (lo..=hi).contains(&(width - 1)) {
+                let r = lane0_row - (width - 1);
+                next_spill.rows[r] = Spill {
                     s: out.s_store.lane(width - 1),
                     i: out.i_store.lane(width - 1),
                 };
+                next_spill.written = (row_base + 1, r);
             }
 
             counters.steps += 1;
@@ -811,13 +958,15 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             let any_dead = out.active_mask & !out.live_mask != 0;
             if any_dead && out.live_mask != 0 {
                 counters.divergent_steps += 1;
-                if let Some(s) = shared.sanitizer() {
-                    s.note_divergent_step();
+                if HOOKED {
+                    if let Some(s) = shared.sanitizer() {
+                        s.note_divergent_step();
+                    }
                 }
             }
             if cfg.cyclic_buffers {
                 // Only the boundary lane writes scores (12 B: S, I, D).
-                if strip_base + width < n {
+                if spills_next {
                     counters.global_written += 12;
                 }
             } else {
@@ -840,19 +989,9 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
                 // input remains ahead of lane 0, nothing downstream can
                 // revive. Judged with the same order-safe entry threshold
                 // as the strip-start window scan.
-                let spill_rows = spill.len() - 1;
-                while spill_live_ptr <= spill_rows
-                    && (spill_live_ptr <= lane0_row
-                        || entry_dead(
-                            spill_live_ptr,
-                            spill[spill_live_ptr].s,
-                            spill[spill_live_ptr].i,
-                        ))
-                {
-                    spill_live_ptr += 1;
-                }
-                if spill_live_ptr > spill_rows {
-                    break;
+                match spill.first_live(spill_live_ptr.max(lane0_row + 1), entry_dead) {
+                    Some(r) => spill_live_ptr = r,
+                    None => break,
                 }
             }
             t += 1;
@@ -864,15 +1003,24 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
             break;
         }
 
-        // Fold this strip's row maxima into the prefix-best array.
+        // Fold this strip's row maxima into the prefix-best array. Rows
+        // above the strip's first row hold no maxima and, once the
+        // prefix is monotone, stay as they are; past the last computed
+        // row the fold only carries `running` down, so it stops at the
+        // first row already at or above both `running` and the row
+        // before it. The first strip's fold walks from row 1.
+        let first_row = if strip_base == 0 { 1 } else { row_base + 1 };
+        let last_row = row_maxima.lane0_row.min(row_cap);
         let mut running = NEG_INF;
-        for i in 0..=row_cap {
-            running = running.max(row_max_strip[i]);
-            row_prefix_best[i] = row_prefix_best[i].max(running).max(if i > 0 {
-                row_prefix_best[i - 1]
-            } else {
-                NEG_INF
-            });
+        for i in first_row..=row_cap {
+            if i <= last_row {
+                running = running.max(row_max_strip[i]);
+            }
+            let folded = row_prefix_best[i].max(running).max(row_prefix_best[i - 1]);
+            if i > last_row && folded == row_prefix_best[i] {
+                break;
+            }
+            row_prefix_best[i] = folded;
         }
 
         // Grow the row cap for the next strip from this strip's deepest
@@ -893,6 +1041,10 @@ fn extend_body<V: LaneVec, K: CellSink, const INTERPRETED: bool>(
         // strip, so the reload hits L2 — like the paper's §6 accounting we
         // charge only the 12 B/step write side to DRAM.
         std::mem::swap(&mut spill, &mut next_spill);
+    }
+
+    if !HOOKED {
+        stage.flush(shared);
     }
 
     // Eager traceback: finish in the inspector if the optimum fits the
@@ -1262,6 +1414,48 @@ mod tests {
             (1, 40), // far past the strips
         ] {
             assert_eq!(band.lookup(i, j), tb::S_ORIGIN, "cell ({i}, {j})");
+        }
+    }
+
+    #[test]
+    fn spill_scan_matches_a_scan_of_every_row() {
+        // Columns of 12 rows: row 0 and a written run hold values, the
+        // rest DEAD. The entry test is dead below a threshold that never
+        // falls with the row, as the engine's prefix maxima; a low
+        // threshold makes DEAD rows live too.
+        let mut rng = SmallRng::seed_from_u64(17);
+        for case in 0..400 {
+            let len = 12;
+            let (lo, hi) = match case % 4 {
+                0 => (1, 0),
+                _ => {
+                    let lo = rng.gen_range(1..len);
+                    (lo, rng.gen_range(lo..len))
+                }
+            };
+            let mut col = SpillCol {
+                rows: vec![DEAD; len],
+                written: (lo, hi),
+            };
+            for r in (lo..=hi).chain([0]) {
+                if rng.gen_bool(0.7) {
+                    col.rows[r] = Spill {
+                        s: rng.gen_range(-50..50),
+                        i: rng.gen_range(-50..50),
+                    };
+                }
+            }
+            let mut threshold = vec![0i32; len];
+            let mut t = if case % 3 == 0 { NEG_INF } else { -60 };
+            for th in &mut threshold {
+                t += rng.gen_range(0..2) * rng.gen_range(0..40);
+                *th = t;
+            }
+            let dead = |r: usize, sp: Spill| sp.s.max(sp.i) < threshold[r];
+            for from in 0..=len {
+                let want = (from..len).find(|&r| !dead(r, col.rows[r]));
+                assert_eq!(col.first_live(from, dead), want, "case {case} from {from}");
+            }
         }
     }
 

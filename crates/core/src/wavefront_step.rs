@@ -17,52 +17,17 @@
 //! ([`NEG_INF`] stores, zero traceback bytes), so whole-struct equality
 //! of [`StepOut`] is meaningful.
 //!
-//! The module also holds the whole-warp helpers the engine wraps around
-//! either kernel: the per-strip `target_profile` and its
-//! `profile_select` (the substitution gather as a vector select), and
-//! the step's first-lane-of-max rule `first_lane_at`. Both backends
-//! share them, so the step inputs and the bookkeeping over its outputs
-//! are the same vector code whichever kernel runs.
+//! The module also holds the step's first-lane-of-max rule
+//! `first_lane_at`, which the engine applies to either kernel's
+//! outputs. The substitution gather feeding both kernels is the lane
+//! type's own lookup (`LaneVec::subst`), so the step inputs and the
+//! bookkeeping over its outputs are the same vector code whichever
+//! kernel runs.
 
 use crate::lanes::{IsaKernel, LaneMask, LaneVec, SimdIsa};
 use fastz_align::score;
 use fastz_align::ydrop::{tb, NEG_INF};
-use fastz_genome::{SubstMatrix, ALPHABET_SIZE};
 use fastz_gpu_sim::{lanes32, splat, Lanes, WARP_SIZE};
-
-/// One strip's substitution scores by query code: `profile[c]` lane `l`
-/// scores lane `l`'s target base (`strip_target[l]`) against query code
-/// `c`. Lanes past the end of `strip_target` (a partial last strip) score
-/// 0; they are never active.
-#[inline(always)]
-pub(crate) fn target_profile<V: LaneVec>(
-    subst: &SubstMatrix,
-    strip_target: &[u8],
-) -> [V; ALPHABET_SIZE] {
-    let mut profile = [V::splat(0); ALPHABET_SIZE];
-    for (c, row) in profile.iter_mut().enumerate() {
-        let mut scores = [0i32; WARP_SIZE];
-        for (cell, &t) in scores.iter_mut().zip(strip_target) {
-            *cell = subst.score(t, c as u8);
-        }
-        *row = V::load(&scores);
-    }
-    profile
-}
-
-/// The substitution score of every lane's cell: lane `l` picks
-/// `profile[codes[l]][l]`. A chain of `codes >= c` selects in ascending
-/// `c` leaves each lane on its own code's row, so the gather costs
-/// `ALPHABET_SIZE − 1` compare-and-select pairs and no memory lookups.
-/// Every code must lie in `0..ALPHABET_SIZE`.
-#[inline(always)]
-pub(crate) fn profile_select<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
-    let mut out = profile[0];
-    for (c, &row) in profile.iter().enumerate().skip(1) {
-        out = V::select(codes.ge(V::splat(c as i32)), row, out);
-    }
-    out
-}
 
 /// The first lane holding `max`, which must be the largest value of
 /// `v`: lanes `>= max` are exactly the lanes equal to it. The lowest
@@ -441,37 +406,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    /// A matrix whose transpose differs, so a swapped profile shows.
-    fn asymmetric() -> SubstMatrix {
-        SubstMatrix::from_acgt(
-            [
-                [12, -9, -3, -17],
-                [-6, 10, -14, -2],
-                [-1, -13, 11, -8],
-                [-15, -4, -7, 9],
-            ],
-            -40,
-        )
-    }
-
-    #[test]
-    fn profile_select_matches_the_scalar_gather() {
-        let m = asymmetric();
-        let mut rng = SmallRng::seed_from_u64(5);
-        for len in [1usize, 7, 31, 32] {
-            let target: Vec<u8> = (0..len).map(|_| rng.gen_range(0..5)).collect();
-            let profile: [Lanes<i32>; ALPHABET_SIZE] = target_profile(&m, &target);
-            let mut codes = [0i32; WARP_SIZE];
-            for c in codes.iter_mut() {
-                *c = rng.gen_range(0..ALPHABET_SIZE as i32);
-            }
-            let got = profile_select(&profile, codes);
-            for (l, &t) in target.iter().enumerate() {
-                assert_eq!(got[l], m.score(t, codes[l] as u8), "len {len} lane {l}");
-            }
-        }
-    }
 
     #[test]
     fn step_reductions_match_a_strict_lane_scan() {

@@ -35,6 +35,7 @@ const BITVEC_FNS: &[&str] = &[
     "tb_row",
     "traceback",
     "window_masks",
+    "sweep_window",
 ];
 
 /// Function-scoped: the executor's step-major traceback store, written

@@ -1,5 +1,7 @@
 //! Pins the executor's results: edit scripts, optima, work counters and
-//! explored extents over a fixed corpus, hashed with the shared FNV-1a.
+//! explored extents over a fixed corpus, hashed with the shared FNV-1a;
+//! and the inspector's, with the eager-window bytes it leaves in shared
+//! memory.
 //!
 //! The engine-vs-engine differentials (`isa_bodies`, the core crate's
 //! `every_isa` test) compare bodies that share one traceback store, so
@@ -10,7 +12,10 @@
 //! The corpus covers strip widths 1, 7 and 32 with partial last strips,
 //! long alignments whose later strips start below row 0, homologies
 //! that run into unrelated sequence (strips that end on the dead-window
-//! break), and trimmed and untrimmed executor configurations.
+//! break), and trimmed and untrimmed executor configurations. The
+//! inspector pin adds short homologies whose optimum falls inside the
+//! eager window, and an asymmetric substitution matrix, whose transpose
+//! scores differently.
 
 use fastz::align::EditOp;
 use fastz::core::{
@@ -112,17 +117,7 @@ fn fold_extension(mut h: u64, e: &WarpExtension) -> u64 {
     h = fold_u64(h, e.explored_rows as u64);
     h = fold_u64(h, e.explored_cols as u64);
     h = fold_u64(h, u64::from(e.eager_ops.is_some()));
-    let ops = e.ops.as_ref().expect("executor edit script");
-    h = fold_u64(h, ops.len() as u64);
-    for op in ops {
-        let (tag, k) = match *op {
-            EditOp::Diag(k) => (0u8, k),
-            EditOp::GapQ(k) => (1, k),
-            EditOp::GapT(k) => (2, k),
-        };
-        h = fnv1a(h, &[tag]);
-        h = fnv1a(h, &k.to_le_bytes());
-    }
+    h = fold_ops(h, e.ops.as_ref().expect("executor edit script"));
     fold_counters(h, &e.counters)
 }
 
@@ -172,6 +167,97 @@ fn executor_hash(backend: WavefrontBackend) -> u64 {
         }
     }
     h
+}
+
+/// A matrix whose transpose differs, so a swapped substitution lookup
+/// shows.
+fn asymmetric() -> Scoring {
+    Scoring {
+        subst: SubstMatrix::from_acgt(
+            [
+                [12, -9, -3, -17],
+                [-6, 10, -14, -2],
+                [-1, -13, 11, -8],
+                [-15, -4, -7, 9],
+            ],
+            -40,
+        ),
+        ..scoring()
+    }
+}
+
+/// Folds an edit script (length, then each op) into `h`.
+fn fold_ops(mut h: u64, ops: &[EditOp]) -> u64 {
+    h = fold_u64(h, ops.len() as u64);
+    for op in ops {
+        let (tag, k) = match *op {
+            EditOp::Diag(k) => (0u8, k),
+            EditOp::GapQ(k) => (1, k),
+            EditOp::GapT(k) => (2, k),
+        };
+        h = fnv1a(h, &[tag]);
+        h = fnv1a(h, &k.to_le_bytes());
+    }
+    h
+}
+
+/// Hash of every inspector run over the corpus plus short homologies
+/// that end inside the eager window, on `backend`: optimum, extents,
+/// eager script, counters and the window's shared-memory bytes.
+fn inspector_hash(backend: WavefrontBackend) -> u64 {
+    let mut cases = corpus();
+    let mut rng = SmallRng::seed_from_u64(0x1_E6E5);
+    for hom in [3usize, 9, 14, 16] {
+        let mut t = random_codes(hom, 0.5, &mut rng);
+        let mut q = mutate(&t, 0.08, &mut rng);
+        t.extend(random_codes(60, 0.5, &mut rng));
+        q.extend(random_codes(53, 0.5, &mut rng));
+        cases.push((format!("{hom}-bp homology"), t, q));
+    }
+    let cfg = WarpConfig::inspector(&OptFlags::fastz());
+    let window = cfg.eager_window * cfg.eager_window;
+    let mut shared = SharedMem::new(96 * 1024);
+    let mut h = FNV1A_BASIS;
+    for sc in [scoring(), asymmetric()] {
+        for (_, t, q) in &cases {
+            for width in [1usize, 7, 32] {
+                shared.clear();
+                let e = warp_extend(
+                    t,
+                    q,
+                    &sc,
+                    &cfg.with_strip_width(width).with_backend(backend),
+                    &mut shared,
+                );
+                for v in [e.best_score as i64 as u64, e.best_i as u64, e.best_j as u64] {
+                    h = fold_u64(h, v);
+                }
+                h = fold_u64(h, e.explored_rows as u64);
+                h = fold_u64(h, e.explored_cols as u64);
+                h = fold_u64(h, u64::from(e.ops.is_some()));
+                h = match &e.eager_ops {
+                    Some(ops) => fold_ops(fold_u64(h, 1), ops),
+                    None => fold_u64(h, 0),
+                };
+                h = fold_counters(h, &e.counters);
+                let bytes: Vec<u8> = (0..window).map(|o| shared.read_u8(o)).collect();
+                h = fnv1a(h, &bytes);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn inspector_results_are_pinned() {
+    const PINNED: u64 = 0xd998_8b8c_3e57_30e1;
+    for backend in [WavefrontBackend::Simd, WavefrontBackend::Interpreter] {
+        assert_eq!(
+            inspector_hash(backend),
+            PINNED,
+            "inspector results changed on the {backend:?} backend"
+        );
+    }
 }
 
 #[test]

@@ -3,11 +3,19 @@
 //! The engine body is one generic compiled once per `SimdIsa` level,
 //! each on its own lane type; production runs only the widest level the
 //! CPU supports. This test runs every supported level's vector body
-//! against the interpreter on the portable body — whole `WarpExtension`
-//! and every traced cell, in inspector and trimmed-executor mode — so
-//! the narrower bodies stay covered on hosts that never dispatch them.
+//! against the interpreter on the portable body — whole `WarpExtension`,
+//! every traced cell and the eager-window bytes left in shared memory,
+//! in inspector and trimmed-executor mode — so the narrower bodies stay
+//! covered on hosts that never dispatch them.
+//!
+//! The sink and an attached sanitizer pick compile-time variants of the
+//! body: a traced run compiles the per-cell walk in, a `NoTrace` run
+//! (the one production makes) compiles it out, and a sanitized run
+//! writes the eager window straight to shared memory where the others
+//! stage it. Each level's `NoTrace` and sanitized runs must match its
+//! traced run exactly.
 
-use fastz::align::{CellScores, DenseTrace};
+use fastz::align::{CellScores, CellSink, DenseTrace, NoTrace};
 use fastz::core::{
     warp_extend_traced_on, OptFlags, SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
 };
@@ -46,14 +54,26 @@ fn pair(len: usize, rng: &mut SmallRng) -> (Vec<u8>, Vec<u8>) {
     (t, q)
 }
 
-fn run(
+/// The eager-window bytes of `cfg` in `shared`.
+fn window(shared: &SharedMem, cfg: &WarpConfig) -> Vec<u8> {
+    let w = cfg.eager_window;
+    (0..w * w).map(|o| shared.read_u8(o)).collect()
+}
+
+/// One run on `isa` into `sink`, with a sanitizer attached when
+/// `sanitize`: the extension and the eager-window bytes.
+fn run_into<K: CellSink>(
     isa: SimdIsa,
     t: &[u8],
     q: &[u8],
     cfg: &WarpConfig,
-) -> (WarpExtension, BTreeMap<(usize, usize), CellScores>) {
+    sanitize: bool,
+    sink: &mut K,
+) -> (WarpExtension, Vec<u8>) {
     let mut shared = SharedMem::new(96 * 1024);
-    let mut trace = DenseTrace::default();
+    if sanitize {
+        shared.attach_sanitizer();
+    }
     let ext = warp_extend_traced_on(
         isa,
         t,
@@ -62,9 +82,42 @@ fn run(
         cfg,
         &mut shared,
         &mut Vec::new(),
-        &mut trace,
+        sink,
     );
-    (ext, trace.cells)
+    if let Some(report) = shared.take_sanitize_report() {
+        assert!(
+            report.is_clean(),
+            "{}: sanitizer findings {report:?}",
+            isa.name()
+        );
+    }
+    (ext, window(&shared, cfg))
+}
+
+type Traced = (WarpExtension, BTreeMap<(usize, usize), CellScores>, Vec<u8>);
+
+/// A traced run: the extension, every live cell and the window bytes.
+fn run(isa: SimdIsa, t: &[u8], q: &[u8], cfg: &WarpConfig) -> Traced {
+    let mut trace = DenseTrace::default();
+    let (ext, bytes) = run_into(isa, t, q, cfg, false, &mut trace);
+    (ext, trace.cells, bytes)
+}
+
+/// Checks `isa`'s `NoTrace` and sanitized runs of `cfg` against its
+/// traced run `traced`.
+fn untraced_runs_match(
+    isa: SimdIsa,
+    t: &[u8],
+    q: &[u8],
+    cfg: &WarpConfig,
+    traced: &Traced,
+    ctx: &str,
+) {
+    let want = (traced.0.clone(), traced.2.clone());
+    let plain = run_into(isa, t, q, cfg, false, &mut NoTrace);
+    assert_eq!(plain, want, "{ctx} (NoTrace)");
+    let sanitized = run_into(isa, t, q, cfg, true, &mut NoTrace);
+    assert_eq!(sanitized, want, "{ctx} (sanitized)");
 }
 
 #[test]
@@ -88,10 +141,14 @@ fn every_supported_isa_body_matches_the_interpreter() {
             for &isa in &isas {
                 let simd = WavefrontBackend::Simd;
                 let ctx = format!("{} / {len} bp / width {width}", isa.name());
-                let got = run(isa, &t, &q, &inspector.with_backend(simd));
+                let cfg = inspector.with_backend(simd);
+                let got = run(isa, &t, &q, &cfg);
                 assert_eq!(got, want, "{ctx} (inspector)");
-                let got = run(isa, &t, &q, &executor.with_backend(simd));
+                untraced_runs_match(isa, &t, &q, &cfg, &got, &format!("{ctx} (inspector)"));
+                let cfg = executor.with_backend(simd);
+                let got = run(isa, &t, &q, &cfg);
                 assert_eq!(got, want_exec, "{ctx} (executor)");
+                untraced_runs_match(isa, &t, &q, &cfg, &got, &format!("{ctx} (executor)"));
             }
         }
     }
