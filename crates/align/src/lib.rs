@@ -11,7 +11,6 @@
 
 pub mod alignment;
 pub mod banded;
-pub mod chain;
 pub mod driver;
 pub mod extend;
 pub mod format;
@@ -25,7 +24,6 @@ pub mod ydrop;
 
 pub use alignment::{push_op, Alignment, EditOp};
 pub use banded::banded_extend;
-pub use chain::{all_chains, best_chain, Chain, ChainPenalties};
 pub use driver::{
     dedupe_alignments, sequential_banded, sequential_gapped, sequential_ungapped_filtered,
     DriverConfig, DriverReport, DriverStats, ExtensionRecord,
@@ -33,7 +31,7 @@ pub use driver::{
 pub use extend::{gapped_extend, ExtendConfig, GappedExtension};
 pub use format::{gapped_rows, write_general, write_maf};
 pub use multicore::multicore_gapped;
-pub use stats::{score_exceedance, summarize, AlignmentSummary, LengthHistogram};
+pub use stats::{summarize, AlignmentSummary};
 pub use strand::{sequential_gapped_both_strands, BothStrandsReport, Strand, StrandedAlignment};
 pub use trace::{CellScores, CellSink, DenseTrace, NoTrace};
 pub use ungapped::{xdrop_extend, Hsp};

@@ -1,5 +1,5 @@
-//! Alignment-set statistics: summaries and histograms backing Figure 2's
-//! scatter analysis and the harnesses' reporting.
+//! Alignment-set summary statistics: count, score and length figures
+//! for one alignment set.
 
 use crate::alignment::Alignment;
 
@@ -40,90 +40,6 @@ pub fn summarize(alignments: &[Alignment]) -> AlignmentSummary {
     }
 }
 
-/// Counts alignments with score strictly above each threshold.
-pub fn score_exceedance(alignments: &[Alignment], thresholds: &[i32]) -> Vec<usize> {
-    thresholds
-        .iter()
-        .map(|&t| alignments.iter().filter(|a| a.score > t).count())
-        .collect()
-}
-
-/// A log₂-binned length histogram: bucket `i` counts alignments with
-/// `2^i <= length < 2^(i+1)` (bucket 0 also holds lengths 0 and 1).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LengthHistogram {
-    /// Counts per log₂ bucket.
-    pub buckets: Vec<usize>,
-}
-
-impl LengthHistogram {
-    /// Builds the histogram.
-    pub fn build(alignments: &[Alignment]) -> LengthHistogram {
-        let mut buckets = Vec::new();
-        for a in alignments {
-            let b = usize::BITS as usize - 1 - a.length().max(1).leading_zeros() as usize;
-            if buckets.len() <= b {
-                buckets.resize(b + 1, 0);
-            }
-            buckets[b] += 1;
-        }
-        LengthHistogram { buckets }
-    }
-
-    /// Total count.
-    pub fn total(&self) -> usize {
-        self.buckets.iter().sum()
-    }
-
-    /// Renders one line per non-empty bucket (`[lo, hi): count`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                out.push_str(&format!(
-                    "[{:>7}, {:>7}): {n}\n",
-                    1usize << b,
-                    1usize << (b + 1)
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Fraction of `reference`'s target bases covered by any alignment in
-/// `candidate` (simple interval-union coverage over the target).
-pub fn target_coverage_fraction(reference: &[Alignment], candidate: &[Alignment]) -> f64 {
-    let ref_bp: usize = reference.iter().map(|a| a.target_len()).sum();
-    if ref_bp == 0 {
-        return 1.0;
-    }
-    // Build candidate's merged target intervals.
-    let mut ivs: Vec<(usize, usize)> = candidate
-        .iter()
-        .map(|a| (a.target_start, a.target_end))
-        .collect();
-    ivs.sort_unstable();
-    let mut merged: Vec<(usize, usize)> = Vec::new();
-    for (s, e) in ivs {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
-        }
-    }
-    let overlap = |s: usize, e: usize| -> usize {
-        merged
-            .iter()
-            .map(|&(ms, me)| e.min(me).saturating_sub(s.max(ms)))
-            .sum()
-    };
-    let covered: usize = reference
-        .iter()
-        .map(|a| overlap(a.target_start, a.target_end))
-        .sum();
-    covered as f64 / ref_bp as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,34 +73,5 @@ mod tests {
         assert_eq!(s.max_length, 100);
         assert_eq!(s.aligned_bp, 140);
         assert!((s.mean_length - 140.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exceedance_counts() {
-        let set = [a(0, 1, 100), a(0, 1, 5000), a(0, 1, 12_000)];
-        assert_eq!(score_exceedance(&set, &[0, 1000, 10_000]), vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let set = [a(0, 1, 0), a(0, 3, 0), a(0, 100, 0), a(0, 120, 0)];
-        let h = LengthHistogram::build(&set);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.buckets[0], 1); // length 1
-        assert_eq!(h.buckets[1], 1); // length 3
-        assert_eq!(h.buckets[6], 2); // lengths 100 and 120
-        assert!(h.render().contains("[     64,     128): 2"));
-    }
-
-    #[test]
-    fn coverage_fraction() {
-        let reference = [a(0, 100, 0)];
-        let full = [a(0, 100, 0)];
-        let half = [a(0, 50, 0)];
-        let split = [a(0, 30, 0), a(20, 60, 0)]; // overlapping: union [0,60)
-        assert!((target_coverage_fraction(&reference, &full) - 1.0).abs() < 1e-12);
-        assert!((target_coverage_fraction(&reference, &half) - 0.5).abs() < 1e-12);
-        assert!((target_coverage_fraction(&reference, &split) - 0.6).abs() < 1e-12);
-        assert_eq!(target_coverage_fraction(&[], &full), 1.0);
     }
 }

@@ -40,7 +40,7 @@ fn usage() -> ! {
          seed). --corrupt adds DELTA to the warp engine's match score to\n\
          demonstrate the report end to end. --fault-seed drills the\n\
          resilient pipeline under a seeded fault plan (hangs, bit flips,\n\
-         stalls, shmem pressure, device loss) and demands fault-free\n\
+         stalls, shmem pressure) and demands fault-free\n\
          results with complete fault accounting. --metrics-out re-runs\n\
          the metrics engine-invariance drill (warp vs scalar strip\n\
          widths, identical semantic counters) and writes the warp run's\n\

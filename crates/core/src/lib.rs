@@ -14,8 +14,6 @@ pub mod bitvec;
 pub mod cost;
 pub mod gpu_baseline;
 mod lanes;
-pub mod layout;
-pub mod multi_gpu;
 pub mod pipeline;
 pub mod pool;
 pub mod resilient;
@@ -32,7 +30,6 @@ pub use bitvec::{
     BitvecMutation, BitvecStats, ExtendBackend, PrefilterConfig,
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
-pub use multi_gpu::{partition_anchors, run_fastz_multi_gpu, straggler_index, MultiGpuReport};
 pub use pipeline::{
     run_fastz, run_fastz_in_pool, run_fastz_observed, FastZConfig, FastZReport, FastZStats,
 };
@@ -41,7 +38,7 @@ pub use resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
 pub use warp_engine::{
-    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_in, warp_extend_traced_on,
-    SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
+    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on, SimdIsa, WarpConfig,
+    WarpExtension, WavefrontBackend,
 };
 pub use wavefront_step::{step_interpreter, step_simd, step_simd_on, StepIn, StepOut};

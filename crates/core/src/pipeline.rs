@@ -738,7 +738,7 @@ impl<'a> Run<'a> {
         if rcfg.plan.is_none() {
             return (attempt(shared, tbm, false), log);
         }
-        let site = FaultSite::new(rcfg.device_ord, scope::PROBLEM, unit);
+        let site = FaultSite::new(0, scope::PROBLEM, unit);
         let budget = rcfg.attempt_budget();
         let mut attempt_no = 0u32;
         loop {
@@ -1109,7 +1109,6 @@ impl<'a> Run<'a> {
             cfg.flags.streams,
             memory_cap(&cfg.device, alloc_bytes),
             &rcfg.plan,
-            rcfg.device_ord,
             site_scope,
             &rcfg.watchdog,
         );

@@ -1,9 +1,8 @@
 //! Resilient dispatch: retry policy, degradation ladder, and
 //! checkpoint/resume for the FastZ pipeline.
 //!
-//! The pipeline (`run_fastz`) and the multi-GPU dispatcher
-//! (`run_fastz_multi_gpu`) are hardened against the fault classes the
-//! simulator can inject (`fastz_gpu_sim::fault`):
+//! The pipeline (`run_fastz` and its siblings) is hardened against the
+//! fault classes the simulator can inject (`fastz_gpu_sim::fault`):
 //!
 //! * **Kernel hangs** — a per-kernel watchdog deadline (derived from the
 //!   kernel's expected time, which scales with its length bin) detects
@@ -20,9 +19,11 @@
 //!   [`ResilienceReport::skipped_seeds`] — rather than poisoning the run.
 //! * **Stream stalls / shared-memory pressure** — absorbed as modeled
 //!   latency, counted as tolerated.
-//! * **Device loss** — a lost device's unfinished anchor chunks are
-//!   re-dispatched round-robin to surviving devices (exactly-once:
-//!   completed chunks are kept, unfinished chunks move wholesale).
+//! * **Device loss** — probed by the alignment service (`fastz-serve`)
+//!   once per request: the request re-runs wholesale on a replacement
+//!   device, charged as a second service time and counted in
+//!   [`ResilienceReport::devices_lost`]. The pipeline itself runs on one
+//!   device and never loses it.
 //!
 //! Invariant (checked by the conformance drill and a property test):
 //! under any fault schedule the final deduped alignment set is
@@ -71,12 +72,6 @@ pub struct ResilienceConfig {
     pub max_fallback_retries: u32,
     /// Checkpoint file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
-    /// Device ordinal for fault sites (multi-GPU runs give each device
-    /// its own injection coordinates).
-    pub device_ord: u32,
-    /// Chunks each device's anchor partition is dispatched in; the
-    /// granularity at which a lost device's unfinished work re-dispatches.
-    pub dispatch_chunks: usize,
 }
 
 impl ResilienceConfig {
@@ -93,8 +88,6 @@ impl ResilienceConfig {
             max_problem_retries: 2,
             max_fallback_retries: 4,
             checkpoint: None,
-            device_ord: 0,
-            dispatch_chunks: 2,
         }
     }
 
@@ -123,8 +116,8 @@ impl Default for ResilienceConfig {
 pub struct ResilienceReport {
     /// Every fault the plan injected.
     pub injected: FaultCounters,
-    /// Faults that forced a retry, fallback, or re-dispatch (hangs,
-    /// bit flips, device losses).
+    /// Faults that forced a retry, fallback, or re-run (hangs, bit
+    /// flips, device losses).
     pub detected: FaultCounters,
     /// Faults absorbed in place without retrying (stalls, pressure).
     pub tolerated: FaultCounters,
@@ -134,7 +127,7 @@ pub struct ResilienceReport {
     pub fallbacks: u64,
     /// Seeds dropped by the skip-with-record rung (anchor indices).
     pub skipped_seeds: Vec<usize>,
-    /// Anchors re-dispatched away from lost devices.
+    /// Anchors re-run on a replacement after a device loss.
     pub redispatched_anchors: usize,
     /// Devices lost during the run.
     pub devices_lost: usize,
@@ -162,7 +155,7 @@ impl ResilienceReport {
         self.injected == self.detected.plus(&self.tolerated)
     }
 
-    /// Merges another report (multi-GPU aggregation).
+    /// Merges another report (the service sums its requests' reports).
     pub fn merge(&mut self, other: &ResilienceReport) {
         self.injected.merge(&other.injected);
         self.detected.merge(&other.detected);

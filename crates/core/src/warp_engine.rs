@@ -436,7 +436,16 @@ pub fn warp_extend_in(
     shared: &mut SharedMem,
     tbm: &mut Vec<u8>,
 ) -> WarpExtension {
-    warp_extend_traced_in(target, query, scoring, cfg, shared, tbm, &mut NoTrace)
+    warp_extend_traced_on(
+        SimdIsa::dispatched(),
+        target,
+        query,
+        scoring,
+        cfg,
+        shared,
+        tbm,
+        &mut NoTrace,
+    )
 }
 
 /// [`warp_extend`] that additionally reports every live cell to `sink`
@@ -451,21 +460,6 @@ pub fn warp_extend_traced<K: CellSink>(
     sink: &mut K,
 ) -> WarpExtension {
     let mut tbm = Vec::new();
-    warp_extend_traced_in(target, query, scoring, cfg, shared, &mut tbm, sink)
-}
-
-/// [`warp_extend_traced`] with an externally owned traceback buffer
-/// (see [`warp_extend_in`]). Runs the engine body compiled for
-/// [`SimdIsa::dispatched`].
-pub fn warp_extend_traced_in<K: CellSink>(
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    cfg: &WarpConfig,
-    shared: &mut SharedMem,
-    tbm: &mut Vec<u8>,
-    sink: &mut K,
-) -> WarpExtension {
     warp_extend_traced_on(
         SimdIsa::dispatched(),
         target,
@@ -473,7 +467,7 @@ pub fn warp_extend_traced_in<K: CellSink>(
         scoring,
         cfg,
         shared,
-        tbm,
+        &mut tbm,
         sink,
     )
 }
@@ -514,9 +508,10 @@ impl<K: CellSink> IsaKernel for Extend<'_, K> {
     }
 }
 
-/// [`warp_extend_traced_in`] on the body instantiated for `isa` (the
-/// per-level differential tests' hook; production runs
-/// [`SimdIsa::dispatched`]).
+/// [`warp_extend_traced`] with an externally owned traceback buffer
+/// (see [`warp_extend_in`]), on the body instantiated for `isa`.
+/// Production runs [`SimdIsa::dispatched`]; the per-level differential
+/// tests pass each supported level.
 ///
 /// # Panics
 ///

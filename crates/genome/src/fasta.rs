@@ -33,6 +33,11 @@ pub enum FastaError {
         /// 1-based line number of the offending header.
         line: usize,
     },
+    /// A header whose name is not valid UTF-8.
+    BadName {
+        /// 1-based line number of the offending header.
+        line: usize,
+    },
 }
 
 impl fmt::Display for FastaError {
@@ -46,6 +51,7 @@ impl fmt::Display for FastaError {
                 write!(f, "line {line}: invalid sequence character {ch:?}")
             }
             FastaError::EmptyName { line } => write!(f, "line {line}: empty record name"),
+            FastaError::BadName { line } => write!(f, "line {line}: record name is not UTF-8"),
         }
     }
 }
@@ -59,33 +65,52 @@ impl From<io::Error> for FastaError {
 }
 
 /// Parses all records from a reader.
-pub fn read_fasta<R: BufRead>(reader: R) -> Result<Vec<Sequence>, FastaError> {
+///
+/// Input is split on `\n` bytes, not decoded as text: a byte that is not
+/// a base (non-UTF-8 ones included) is a [`FastaError::BadCharacter`] on
+/// its line, and a record name that is not UTF-8 is a
+/// [`FastaError::BadName`].
+pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<Vec<Sequence>, FastaError> {
     let mut records: Vec<Sequence> = Vec::new();
     let mut name: Option<String> = None;
     let mut codes: Vec<u8> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut line_no = 0usize;
 
-    for (idx, line) in reader.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line?;
-        let line = line.trim_end_matches(['\r', '\n']);
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        line_no += 1;
+        let mut line = buf.as_slice();
+        while let [rest @ .., b'\r' | b'\n'] = line {
+            line = rest;
+        }
         if line.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix('>') {
+        if let Some(header) = line.strip_prefix(b">") {
             if let Some(n) = name.take() {
                 records.push(Sequence::from_codes(n, std::mem::take(&mut codes)));
             }
-            // FASTA convention: the name is the first whitespace-delimited token.
-            let token = header.split_whitespace().next().unwrap_or("");
+            // FASTA convention: the name is the first whitespace-delimited
+            // token (ASCII whitespace, vertical tab included).
+            let token = header
+                .split(|&b| b.is_ascii_whitespace() || b == 0x0B)
+                .find(|t| !t.is_empty())
+                .unwrap_or(&[]);
             if token.is_empty() {
                 return Err(FastaError::EmptyName { line: line_no });
             }
+            let token =
+                std::str::from_utf8(token).map_err(|_| FastaError::BadName { line: line_no })?;
             name = Some(token.to_string());
         } else {
             if name.is_none() {
                 return Err(FastaError::MissingHeader { line: line_no });
             }
-            for &ch in line.as_bytes() {
+            for &ch in line {
                 match crate::alphabet::Base::from_ascii(ch) {
                     Some(b) => codes.push(b.code()),
                     None => {
@@ -187,6 +212,32 @@ mod tests {
             parse(">a\nAC1T\n"),
             Err(FastaError::BadCharacter { line: 2, ch: '1' })
         ));
+    }
+
+    #[test]
+    fn non_utf8_byte_in_sequence_is_bad_character() {
+        let input = b">a\nACGT\nAC\xFFT\n";
+        assert!(matches!(
+            read_fasta(Cursor::new(&input[..])),
+            Err(FastaError::BadCharacter {
+                line: 3,
+                ch: '\u{FF}'
+            })
+        ));
+    }
+
+    #[test]
+    fn non_utf8_byte_in_header() {
+        let name = b">chr\xFF1 desc\nACGT\n";
+        assert!(matches!(
+            read_fasta(Cursor::new(&name[..])),
+            Err(FastaError::BadName { line: 1 })
+        ));
+        // Description bytes after the name are not part of the record.
+        let desc = b">chr1 caf\xE9\nACGT\n";
+        let recs = read_fasta(Cursor::new(&desc[..])).unwrap();
+        assert_eq!(recs[0].name(), "chr1");
+        assert_eq!(recs[0].to_ascii(), b"ACGT");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the GPU simulator.
 //!
 //! A production whole-genome-alignment service runs millions of seed
-//! extensions across multi-GPU fleets and must survive the failures the
-//! paper's evaluation hardware quietly assumes away: hung kernels,
+//! extensions and must survive the failures the paper's evaluation
+//! hardware quietly assumes away: hung kernels,
 //! transient memory corruption, stream stalls, shared-memory capacity
 //! pressure, and whole-device loss. The simulator is the ideal place to
 //! inject those failures *deterministically*: a [`FaultPlan`] is a pure
@@ -22,8 +22,8 @@
 //! * **Functional-level** (consumed by `fastz-core`'s resilient
 //!   dispatcher): transient score-cell bit-flips corrupt one extension
 //!   attempt's result, which ECC detects and the dispatcher discards and
-//!   retries; device loss removes a device mid-run and its unfinished
-//!   anchor partition is re-dispatched to survivors.
+//!   retries; device loss (probed by `fastz-serve` per request) loses the
+//!   device serving a request, which re-runs on a replacement.
 //!
 //! Convergence guarantee: a plan never fires the same fault kind at the
 //! same site more than [`FaultPlan::max_consecutive`] attempts in a row,
@@ -50,7 +50,7 @@ pub enum FaultKind {
     /// occupancy (modeled as a slowed rerun); absorbed without retry.
     SharedMemPressure,
     /// The whole device is lost (falls off the bus). Its unfinished work
-    /// must be re-dispatched to surviving devices.
+    /// must re-run on another device.
     DeviceLoss,
 }
 
@@ -88,17 +88,18 @@ impl FaultKind {
 
 /// Where a fault may strike: a (device, scope, unit) coordinate. The
 /// scope distinguishes injection domains (inspector kernels, executor
-/// kernels, functional problems, device lifecycle); the unit is the
-/// kernel or problem index within the scope. Sites are position-keyed —
-/// never call-order-keyed — so injection decisions are independent of
-/// host thread interleaving.
+/// kernels, functional problems, service requests); the unit is the
+/// kernel, problem or request index within the scope. Sites are
+/// position-keyed — never call-order-keyed — so injection decisions are
+/// independent of host thread interleaving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FaultSite {
-    /// Device ordinal (0 for single-GPU runs).
+    /// Device ordinal. Every dispatcher runs on one device and passes
+    /// 0; the field stays part of the site hash, so schedules are stable.
     pub device: u32,
     /// Injection domain (see [`scope`]).
     pub scope: u32,
-    /// Kernel / problem / chunk index within the scope.
+    /// Kernel / problem / request index within the scope.
     pub unit: u64,
 }
 
@@ -110,8 +111,6 @@ pub mod scope {
     pub const EXECUTOR_KERNEL: u32 = 1;
     /// One functional extension problem (unit = problem index).
     pub const PROBLEM: u32 = 2;
-    /// Device lifecycle (unit = dispatch chunk index).
-    pub const DEVICE: u32 = 3;
     /// Service-level events in `fastz-serve` (unit = request id):
     /// device loss during a request's dispatch, merged-launch hangs.
     pub const SERVICE: u32 = 4;
@@ -139,7 +138,7 @@ pub struct FaultRates {
     pub stall: f64,
     /// Shared-memory pressure probability per kernel.
     pub shmem_pressure: f64,
-    /// Device-loss probability per dispatch chunk.
+    /// Device-loss probability per service request dispatch.
     pub device_loss: f64,
 }
 
@@ -188,7 +187,7 @@ pub struct FaultPlan {
     /// Upper bound on consecutive faults of one kind at one site: from
     /// this attempt number on, `fires` always returns `false`, so any
     /// retry budget `> max_consecutive` converges. (Device loss is
-    /// permanent and ignores this bound — survivors absorb the work.)
+    /// permanent and ignores this bound — a replacement absorbs the work.)
     pub max_consecutive: u32,
 }
 
@@ -276,23 +275,6 @@ impl FaultPlan {
             attempt as u64,
         );
         (h as f64 / u64::MAX as f64) < rate
-    }
-
-    /// Deterministic auxiliary value for a fault at `site` (e.g. which
-    /// bit a [`FaultKind::BitFlip`] flips, or where in a dispatch chunk
-    /// a device dies), uniform in `0..bound`.
-    pub fn aux(&self, kind: FaultKind, site: FaultSite, bound: u64) -> u64 {
-        let h = mix(
-            self.seed ^ kind.salt().rotate_left(17),
-            ((site.device as u64) << 32) | site.scope as u64,
-            site.unit,
-            0xa5a5,
-        );
-        if bound == 0 {
-            0
-        } else {
-            h % bound
-        }
     }
 }
 
@@ -498,7 +480,7 @@ mod tests {
             },
             ..FaultPlan::from_seed(5)
         };
-        let s = FaultSite::new(1, scope::DEVICE, 0);
+        let s = FaultSite::new(0, scope::SERVICE, 0);
         for attempt in 0..8 {
             assert!(
                 plan.fires(FaultKind::DeviceLoss, s, attempt),

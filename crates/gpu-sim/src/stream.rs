@@ -162,17 +162,15 @@ impl ResilientPipelineTiming {
 /// [`time_stream_pipeline_capped`] under a [`FaultPlan`]: each kernel is
 /// probed for hangs (watchdog deadline + exponential backoff per
 /// relaunch), stream stalls, and shared-memory pressure at the site
-/// `(device_ord, scope, kernel_index)`; the recovery cost is summed into
+/// `(device 0, scope, kernel_index)`; the recovery cost is summed into
 /// `overhead_s` on top of the fault-free pipeline time. Deadlines derive
 /// from each kernel's expected time, which scales with its bin size.
-#[allow(clippy::too_many_arguments)]
 pub fn time_stream_pipeline_resilient(
     device: &DeviceSpec,
     kernels: &[KernelSpec],
     streams: usize,
     max_concurrent_tasks: Option<usize>,
     plan: &FaultPlan,
-    device_ord: u32,
     scope: u32,
     watchdog: &WatchdogPolicy,
 ) -> ResilientPipelineTiming {
@@ -185,7 +183,7 @@ pub fn time_stream_pipeline_resilient(
         return out;
     }
     for (idx, spec) in kernels.iter().enumerate() {
-        let site = FaultSite::new(device_ord, scope, idx as u64);
+        let site = FaultSite::new(0, scope, idx as u64);
         let t = time_kernel_resilient(device, spec, plan, site, watchdog);
         out.overhead_s += t.overhead_s;
         out.backoff_s += t.backoff_s;
@@ -288,13 +286,12 @@ mod tests {
             None,
             &FaultPlan::none(),
             0,
-            0,
             &watchdog,
         );
         assert_eq!(free.overhead_s, 0.0);
         assert_eq!(free.faults.total(), 0);
         let faulty =
-            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, 0, &watchdog);
+            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, &watchdog);
         assert_eq!(
             faulty.base.time_s, free.base.time_s,
             "base timing unchanged"
@@ -306,8 +303,7 @@ mod tests {
         assert!(faulty.overhead_s > 0.0);
         assert!((faulty.time_s() - (faulty.base.time_s + faulty.overhead_s)).abs() < 1e-15);
         // Deterministic across calls.
-        let again =
-            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, 0, &watchdog);
+        let again = time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, &watchdog);
         assert_eq!(again.faults, faulty.faults);
         assert_eq!(again.overhead_s, faulty.overhead_s);
         // Hang rate 1.0: every kernel retries max_consecutive times.
@@ -316,7 +312,7 @@ mod tests {
             ..FaultRates::NONE
         });
         let hung =
-            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &all_hang, 0, 0, &watchdog);
+            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &all_hang, 0, &watchdog);
         assert_eq!(hung.retries, 2 * kernels.len() as u64);
         assert_eq!(hung.faults.hangs, hung.retries);
     }

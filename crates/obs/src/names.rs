@@ -96,9 +96,9 @@ pub const CHECKPOINTS_WRITTEN_TOTAL: &str = "fastz_checkpoints_written_total";
 pub const CHECKPOINTS_REJECTED_TOTAL: &str = "fastz_checkpoints_rejected_total";
 /// Problems restored from a checkpoint.
 pub const RESTORED_PROBLEMS_TOTAL: &str = "fastz_restored_problems_total";
-/// Anchors re-dispatched away from lost devices.
+/// Anchors re-run on a replacement after a service-scope device loss.
 pub const REDISPATCHED_ANCHORS_TOTAL: &str = "fastz_redispatched_anchors_total";
-/// Devices lost mid-run.
+/// Devices lost mid-run (service chaos mode).
 pub const DEVICES_LOST_TOTAL: &str = "fastz_devices_lost_total";
 
 // ---------------------------------------------------------------------------
@@ -127,10 +127,6 @@ pub const PIPELINE_COMPUTE_SECONDS: &str = "fastz_pipeline_compute_seconds";
 pub const PIPELINE_MEMORY_SECONDS: &str = "fastz_pipeline_memory_seconds";
 /// Pipeline launch overhead in seconds (label `phase`).
 pub const PIPELINE_LAUNCH_SECONDS: &str = "fastz_pipeline_launch_seconds";
-/// Per-device modeled seconds in a multi-GPU run (label `device`).
-pub const DEVICE_MODELED_SECONDS: &str = "fastz_device_modeled_seconds";
-/// Straggler device ordinal in a multi-GPU run.
-pub const STRAGGLER_DEVICE: &str = "fastz_straggler_device";
 
 // ---------------------------------------------------------------------------
 // Host execution pool (wall-clock-side telemetry; the modeled GPU time
@@ -198,7 +194,7 @@ pub const SERVE_QUEUE_DEPTH_PEAK: &str = "fastz_serve_queue_depth_peak";
 /// Requests admitted past admission control (label `priority`).
 pub const SERVE_ADMITTED_TOTAL: &str = "fastz_serve_admitted_total";
 /// Requests shed — rejected at admission or dropped under overload
-/// (labels `priority`, `reason` ∈ queue-full|budget|overload).
+/// (labels `priority`, `reason` ∈ queue-full|budget|overload|bad-anchor).
 pub const SERVE_SHED_TOTAL: &str = "fastz_serve_shed_total";
 /// Admitted requests whose deadline expired before completion
 /// (label `priority`).
@@ -325,9 +321,6 @@ pub const PIPELINE: &[&str] = &[
     TASK_CYCLES_EXECUTOR_HIST,
 ];
 
-/// Series only a multi-GPU run adds (per-device fan-out).
-pub const MULTI_GPU: &[&str] = &[DEVICE_MODELED_SECONDS, STRAGGLER_DEVICE];
-
 /// Series the alignment service and its index cache add on service
 /// runs (zero-emission discipline: all of them, zeros included, on
 /// every service run).
@@ -352,7 +345,7 @@ pub const SERVICE: &[&str] = &[
 /// The full registry: every declared `fastz_` name, exactly once.
 /// Const slices cannot be concatenated on stable, so the union is
 /// written out; the registry test pins `ALL` to the disjoint union of
-/// [`PIPELINE`], [`MULTI_GPU`], and [`SERVICE`].
+/// [`PIPELINE`] and [`SERVICE`].
 pub const ALL: &[&str] = &[
     SEEDS_TOTAL,
     PROBLEMS_TOTAL,
@@ -392,8 +385,6 @@ pub const ALL: &[&str] = &[
     PIPELINE_COMPUTE_SECONDS,
     PIPELINE_MEMORY_SECONDS,
     PIPELINE_LAUNCH_SECONDS,
-    DEVICE_MODELED_SECONDS,
-    STRAGGLER_DEVICE,
     POOL_WORKERS,
     POOL_PHASES_TOTAL,
     POOL_TASKS_TOTAL,

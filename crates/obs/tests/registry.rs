@@ -50,14 +50,14 @@ fn pipeline_partition_matches_golden_fixture() {
 fn all_is_the_disjoint_union_of_the_partitions() {
     let mut union: BTreeSet<&str> = BTreeSet::new();
     let mut total = 0usize;
-    for part in [names::PIPELINE, names::MULTI_GPU, names::SERVICE] {
+    for part in [names::PIPELINE, names::SERVICE] {
         total += part.len();
         union.extend(part.iter().copied());
     }
     assert_eq!(total, union.len(), "partitions overlap");
     let all: BTreeSet<&str> = names::ALL.iter().copied().collect();
     assert_eq!(all.len(), names::ALL.len(), "names::ALL has duplicates");
-    assert_eq!(all, union, "ALL != PIPELINE ∪ MULTI_GPU ∪ SERVICE");
+    assert_eq!(all, union, "ALL != PIPELINE ∪ SERVICE");
 }
 
 #[test]

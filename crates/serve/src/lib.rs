@@ -8,7 +8,8 @@
 //!
 //! * **Admission control** ([`AdmissionQueue`]): a bounded queue (depth
 //!   cap + modeled-work budget); rejected requests get a structured
-//!   [`ShedReason`], never silence.
+//!   [`ShedReason`], never silence. A request with an anchor whose seed
+//!   window runs past either sequence is shed before it is queued.
 //! * **Deadlines**: per-request, derived from the watchdog policy (the
 //!   same machinery that detects hung kernels) or set explicitly;
 //!   enforced on the *virtual* modeled-time clock.

@@ -99,6 +99,20 @@ impl AlignRequest {
     pub fn work_units(&self) -> f64 {
         self.anchors.len() as f64
     }
+
+    /// Index of the first anchor whose seed window (`pos + seed_span`)
+    /// runs past the end of a `target_len`-bp target or a `query_len`-bp
+    /// query; `None` when every anchor fits.
+    pub(crate) fn first_bad_anchor(&self, target_len: usize, query_len: usize) -> Option<usize> {
+        let fits = |pos: u32, len: usize| {
+            (pos as usize)
+                .checked_add(self.seed_span)
+                .is_some_and(|end| end <= len)
+        };
+        self.anchors
+            .iter()
+            .position(|a| !fits(a.target_pos, target_len) || !fits(a.query_pos, query_len))
+    }
 }
 
 /// Why a request was shed instead of served.
@@ -124,6 +138,12 @@ pub enum ShedReason {
     /// Dropped at dispatch time: low-priority work under saturation
     /// pressure (the shed rung of the degradation ladder).
     Overload,
+    /// Rejected at admission: an anchor's seed window runs past the end
+    /// of the target or the query, so the request cannot be extended.
+    BadAnchor {
+        /// Index of the first such anchor in the request.
+        anchor: usize,
+    },
 }
 
 impl ShedReason {
@@ -133,11 +153,12 @@ impl ShedReason {
             ShedReason::QueueFull { .. } => "queue-full",
             ShedReason::WorkBudget { .. } => "budget",
             ShedReason::Overload => "overload",
+            ShedReason::BadAnchor { .. } => "bad-anchor",
         }
     }
 
     /// All label names (zero-emission discipline enumerates them).
-    pub const NAMES: [&'static str; 3] = ["queue-full", "budget", "overload"];
+    pub const NAMES: [&'static str; 4] = ["queue-full", "budget", "overload", "bad-anchor"];
 }
 
 /// What the degraded path did to a request.

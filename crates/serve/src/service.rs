@@ -291,7 +291,13 @@ impl<'g> AlignService<'g> {
                 next += 1;
                 let deadline = cfg.deadline_abs_s(&req);
                 let (id, priority) = (req.id, req.priority);
-                if let Err(reason) = queue.try_admit(req, deadline) {
+                // A request the pipeline cannot index is shed here, so it
+                // never reaches (and panics) a pool worker.
+                let admitted = match req.first_bad_anchor(self.target.len(), self.query.len()) {
+                    Some(anchor) => Err(ShedReason::BadAnchor { anchor }),
+                    None => queue.try_admit(req, deadline),
+                };
+                if let Err(reason) = admitted {
                     out.records.push(RequestRecord {
                         id,
                         priority,

@@ -4,11 +4,14 @@
 //! * no request is lost — every submitted request terminates in exactly
 //!   one of {completed, degraded-with-record, deadline-error, shed-error};
 //! * the fault-accounting identity `injected == detected + tolerated`
-//!   holds end to end (per-request pipelines plus service-level chaos);
+//!   holds end to end (per-request pipelines plus service-level chaos),
+//!   and every service-scope device loss is detected and counted;
 //! * the whole outcome record — classes, alignments, and modeled-time
 //!   bits — is identical across `sim_threads`;
 //! * a request's alignments and modeled-GPU-time bits are identical
-//!   whether it was served solo or co-batched with other requests.
+//!   whether it was served solo or co-batched with other requests;
+//! * a request with an anchor whose seed window runs past either
+//!   sequence is shed at admission and leaves the others untouched.
 
 use fastz_core::{FastZConfig, OptFlags};
 use fastz_genome::evolve::{generate_pair, PairParams};
@@ -17,7 +20,7 @@ use fastz_gpu_sim::{DeviceSpec, FaultPlan};
 use fastz_seed::{Anchor, Workload, WorkloadParams};
 use fastz_serve::{
     AdmissionPolicy, AlignRequest, AlignService, Delivery, Outcome, Priority, ServeConfig,
-    ServeReport,
+    ServeReport, ShedReason,
 };
 
 fn corpus() -> (Sequence, Sequence, Vec<Anchor>, usize) {
@@ -139,6 +142,17 @@ fn chaos_soak_no_request_lost_and_faults_account() {
         report.resilience.injected.total() > 0,
         "the chaos plan actually fired"
     );
+
+    // Device loss is probed once per request at service scope: a lost
+    // device is detected, the request re-runs on a replacement, and the
+    // loss is counted exactly once.
+    let res = &report.resilience;
+    assert!(
+        res.injected.device_losses > 0,
+        "the chaos plan lost a device"
+    );
+    assert_eq!(res.detected.device_losses, res.injected.device_losses);
+    assert_eq!(res.devices_lost as u64, res.injected.device_losses);
 }
 
 #[test]
@@ -196,6 +210,34 @@ fn solo_and_cobatched_requests_have_identical_bits() {
         let br = &batched.reports[&req.id];
         assert_eq!(sr.bin_counts, br.bin_counts);
         assert_eq!(sr.stats.executor_problems, br.stats.executor_problems);
+    }
+}
+
+#[test]
+fn out_of_bounds_anchor_is_shed_and_spares_the_good_request() {
+    let (target, query, anchors, span) = corpus();
+    let service = AlignService::new(&target, &query, ServeConfig::new(pipeline_cfg(1)));
+    let good = AlignRequest::new(0, anchors.clone(), span);
+    let solo = service.run(std::slice::from_ref(&good));
+    assert!(!solo.records[0].alignments.is_empty());
+    // An anchor far past the target (second in its request), and a seed
+    // window that starts in the query but ends one base past it.
+    let far = Anchor {
+        target_pos: 1_000_000,
+        query_pos: 0,
+    };
+    let overhang = Anchor {
+        target_pos: 0,
+        query_pos: (query.len() - span + 1) as u32,
+    };
+    for (bad, at) in [(vec![anchors[0], far], 1), (vec![overhang], 0)] {
+        let report = service.run(&[AlignRequest::new(1, bad, span), good.clone()]);
+        assert_eq!(
+            report.records[0].outcome,
+            Outcome::ShedError(ShedReason::BadAnchor { anchor: at })
+        );
+        assert_eq!(report.records[1].outcome, Outcome::Completed);
+        assert_eq!(report.records[1].alignments, solo.records[0].alignments);
     }
 }
 

@@ -1,15 +1,14 @@
 //! Integration tests for the extension features built on top of the
-//! paper's core: chaining, both-strand alignment, seed masking, and
-//! output formats, exercised together on synthetic workloads.
+//! paper's core: both-strand alignment, seed masking, output formats and
+//! summary statistics, exercised together on synthetic workloads.
 
 use fastz::align::{
-    all_chains, best_chain, sequential_gapped, sequential_gapped_both_strands, summarize,
-    write_general, write_maf, ChainPenalties, DriverConfig, Strand,
+    sequential_gapped_both_strands, summarize, write_general, write_maf, DriverConfig, Strand,
 };
 use fastz::genome::evolve::{generate_pair, random_sequence, PairParams};
 use fastz::genome::{Scoring, Sequence};
 use fastz::seed::{
-    find_anchors, find_anchors_masked, SeedIndex, SeedShape, WordMask, Workload, WorkloadParams,
+    find_anchors, find_anchors_masked, SeedIndex, SeedShape, WordMask, WorkloadParams,
 };
 
 fn demo_pair() -> fastz::genome::GenomePair {
@@ -19,45 +18,6 @@ fn demo_pair() -> fastz::genome::GenomePair {
         segments: 40,
         ..PairParams::small_demo("ext", 909)
     })
-}
-
-#[test]
-fn chaining_links_colinear_segment_alignments() {
-    let pair = demo_pair();
-    let wl = Workload::build(&pair.target, &pair.query, &WorkloadParams::default());
-    let report = sequential_gapped(
-        &pair.target,
-        &pair.query,
-        &wl.anchors,
-        wl.shape.span(),
-        &DriverConfig::gapped(Scoring::bench_scaled()),
-    );
-    assert!(report.alignments.len() >= 3);
-
-    let chain = best_chain(&report.alignments, &ChainPenalties::default()).unwrap();
-    // The mosaic is collinear by construction: the best chain should link
-    // several planted segments.
-    assert!(
-        chain.members.len() >= 2,
-        "chain linked only {} members",
-        chain.members.len()
-    );
-    // Members are strictly colinear.
-    for w in chain.members.windows(2) {
-        let a = &report.alignments[w[0]];
-        let b = &report.alignments[w[1]];
-        assert!(a.target_end <= b.target_start);
-        assert!(a.query_end <= b.query_start);
-    }
-    // Greedy multi-chain extraction partitions without duplicates.
-    let chains = all_chains(&report.alignments, &ChainPenalties::default());
-    let mut seen = std::collections::HashSet::new();
-    for c in &chains {
-        for &m in &c.members {
-            assert!(seen.insert(m), "alignment {m} in two chains");
-        }
-    }
-    assert!(chains[0].score >= chains.last().unwrap().score);
 }
 
 #[test]
@@ -150,47 +110,4 @@ fn masking_suppresses_a_planted_repeat_family() {
             .any(|a| a.target_pos >= 7_500 && a.target_pos < 7_800),
         "masking lost the single-copy gene anchors"
     );
-}
-
-#[test]
-fn multi_gpu_integration_with_heterogeneous_fleet() {
-    use fastz::core::{run_fastz_multi_gpu, FastZConfig, ResilienceConfig};
-    use fastz::gpu_sim::DeviceSpec;
-
-    let pair = demo_pair();
-    let wl = Workload::build(
-        &pair.target,
-        &pair.query,
-        &WorkloadParams {
-            max_anchors: 250,
-            ..WorkloadParams::default()
-        },
-    );
-    let cfg = FastZConfig::new(Scoring::bench_scaled(), DeviceSpec::rtx3080_ampere());
-    let fleet = vec![
-        DeviceSpec::rtx3080_ampere(),
-        DeviceSpec::qv100_volta(),
-        DeviceSpec::titan_x_pascal(),
-    ];
-    let multi = run_fastz_multi_gpu(
-        &pair.target,
-        &pair.query,
-        &wl.anchors,
-        wl.shape.span(),
-        &cfg,
-        &fleet,
-        &ResilienceConfig::disabled(),
-    );
-    assert!(!multi.alignments.is_empty());
-    assert_eq!(multi.per_device.len(), 3);
-    // The straggler must be the slowest modeled device's share.
-    let slowest = multi
-        .per_device
-        .iter()
-        .map(|r| r.modeled_time_s)
-        .fold(0.0f64, f64::max);
-    assert!(multi.modeled_time_s >= slowest);
-    for a in &multi.alignments {
-        assert!(a.is_consistent(&pair.target, &pair.query));
-    }
 }
