@@ -89,14 +89,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean (positive inputs).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,9 +119,7 @@ mod tests {
     #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
         assert_eq!(speedup(111.25), "111.25x");
     }
 }

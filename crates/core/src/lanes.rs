@@ -7,11 +7,16 @@
 //! [`LaneVec`]. Each [`SimdIsa`] level instantiates that one body with
 //! its own lane type under its own `#[target_feature]` list:
 //!
-//! | level | lane type | mask | `shift_up1` | ballot |
-//! |---|---|---|---|---|
-//! | [`SimdIsa::Avx512`] | two `__m512i` | two `__mmask16` | `valignd` | the k-mask bits |
-//! | [`SimdIsa::Avx2`] | four `__m256i` | four `-1/0` vectors | `vpermd` + `vpblendd` | `vmovmskps` |
-//! | [`SimdIsa::Portable`] | `[i32; 32]` | `[i32; 32]` of `-1/0` | array copy | sign bits |
+//! | level | lane type | mask | `shift_up1` | ballot | 16-bit lane type |
+//! |---|---|---|---|---|---|
+//! | [`SimdIsa::Avx512`] | two `__m512i` | two `__mmask16` | `valignd` | the k-mask bits | one `__m512i`, one `__mmask32` |
+//! | [`SimdIsa::Avx2`] | four `__m256i` | four `-1/0` vectors | `vpermd` + `vpblendd` | `vmovmskps` | two `__m256i` |
+//! | [`SimdIsa::Portable`] | `[i32; 32]` | `[i32; 32]` of `-1/0` | array copy | sign bits | `[i16; 32]` |
+//!
+//! Each 32-bit lane type names its level's 16-bit one as
+//! [`LaneVec::Narrow`] ([`crate::lanes16`]): same `i32` API, half the
+//! vector work, exact only inside a score range the engine proves per
+//! strip before it picks the narrow type.
 //!
 //! Each level also picks how a step gathers its substitution scores
 //! ([`LaneVec::subst`]): AVX-512 looks every lane up in the flattened
@@ -20,8 +25,8 @@
 //! AVX2 `vpermd` reaches only 8 entries, and its memory gather is slow
 //! on many of the hosts that run the AVX2 body (DESIGN §SIMD wavefront).
 //!
-//! Every impl performs the same wrapping `i32` lane operations, so the
-//! levels are bit-identical; the portable one is
+//! Every 32-bit impl performs the same wrapping `i32` lane operations, so
+//! the levels are bit-identical; the portable one is
 //! [`fastz_gpu_sim::lanes32`] unchanged, which its unit tests pin to the
 //! scalar warp primitives.
 
@@ -36,6 +41,21 @@ use std::sync::OnceLock;
 pub(crate) struct SubstTable(Lanes<i32>);
 
 impl SubstTable {
+    /// The flattened entries (lanes past the 25 entries hold 0).
+    #[inline(always)]
+    pub(crate) fn entries(&self) -> &Lanes<i32> {
+        &self.0
+    }
+
+    /// The smallest and largest of the 25 entries, `N` pairings
+    /// included.
+    pub(crate) fn range(&self) -> (i32, i32) {
+        let used = &self.0[..ALPHABET_SIZE * ALPHABET_SIZE];
+        let lo = used.iter().copied().min().unwrap_or(0);
+        let hi = used.iter().copied().max().unwrap_or(0);
+        (lo, hi)
+    }
+
     pub(crate) fn new(subst: &SubstMatrix) -> SubstTable {
         let mut flat = [0i32; WARP_SIZE];
         for (k, x) in flat
@@ -52,7 +72,7 @@ impl SubstTable {
     /// table lane `l` reads; lanes past the strip (a partial last strip,
     /// never active) read row 0. Codes above [`N_CODE`] read as `N`.
     #[inline(always)]
-    fn rows(strip_target: &[u8]) -> Lanes<i32> {
+    pub(crate) fn rows(strip_target: &[u8]) -> Lanes<i32> {
         let mut rows = [0i32; WARP_SIZE];
         for (r, &t) in rows.iter_mut().zip(strip_target) {
             *r = ALPHABET_SIZE as i32 * i32::from(t.min(N_CODE));
@@ -63,7 +83,7 @@ impl SubstTable {
     /// The select-chain profile: `profile[q]` lane `l` scores lane
     /// `l`'s target base against query code `q`.
     #[inline(always)]
-    fn profile<V: LaneVec>(&self, strip_target: &[u8]) -> [V; ALPHABET_SIZE] {
+    pub(crate) fn profile<V: LaneVec>(&self, strip_target: &[u8]) -> [V; ALPHABET_SIZE] {
         let rows = SubstTable::rows(strip_target);
         let mut profile = [V::splat(0); ALPHABET_SIZE];
         for (q, p) in profile.iter_mut().enumerate() {
@@ -84,7 +104,7 @@ impl SubstTable {
 /// code's row, so the gather costs `ALPHABET_SIZE − 1` compare-and-select
 /// pairs and no memory lookups. Codes above `N` read as `N`.
 #[inline(always)]
-fn select_chain<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
+pub(crate) fn select_chain<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
     let mut out = profile[0];
     for (q, &row) in profile.iter().enumerate().skip(1) {
         out = V::select(codes.ge(V::splat(q as i32)), row, out);
@@ -98,6 +118,10 @@ fn select_chain<V: LaneVec>(profile: &[V; ALPHABET_SIZE], codes: V) -> V {
 pub(crate) trait LaneVec: Copy {
     /// A per-lane predicate (the result of a comparison).
     type Mask: LaneMask;
+    /// The same level's 16-bit lane type ([`crate::lanes16`]), which a
+    /// strip runs on when its scores provably fit; a 16-bit type is its
+    /// own `Narrow`.
+    type Narrow: LaneVec;
 
     /// Every lane holds `x`.
     fn splat(x: i32) -> Self;
@@ -150,6 +174,7 @@ pub(crate) trait LaneMask: Copy {
 /// LLVM autovectorizes at whatever width the body is compiled for.
 impl LaneVec for Lanes<i32> {
     type Mask = Lanes<i32>;
+    type Narrow = crate::lanes16::Portable16;
 
     #[inline(always)]
     fn splat(x: i32) -> Self {
@@ -264,12 +289,17 @@ impl SimdIsa {
         }
     }
 
-    /// The level's lane type, as the benches report it.
+    /// The level's lane types, 32-bit then 16-bit, as the benches
+    /// report them.
     pub fn lane_type(self) -> &'static str {
         match self {
-            SimdIsa::Portable => "[i32; 32] (lanes32, autovectorized)",
-            SimdIsa::Avx2 => "4 x __m256i, vector masks",
-            SimdIsa::Avx512 => "2 x __m512i, __mmask16 masks",
+            SimdIsa::Portable => {
+                "[i32; 32] (lanes32, autovectorized); i16 strips: [i16; 32] (autovectorized)"
+            }
+            SimdIsa::Avx2 => "4 x __m256i, vector masks; i16 strips: 2 x __m256i, vector masks",
+            SimdIsa::Avx512 => {
+                "2 x __m512i, __mmask16 masks; i16 strips: 1 x __m512i, __mmask32 mask"
+            }
         }
     }
 
@@ -407,6 +437,7 @@ mod x86 {
 
     impl LaneVec for Avx512Lanes {
         type Mask = Avx512Mask;
+        type Narrow = crate::lanes16::x86::Avx512Lanes16;
 
         #[inline(always)]
         fn splat(x: i32) -> Self {
@@ -586,6 +617,7 @@ mod x86 {
 
     impl LaneVec for Avx2Lanes {
         type Mask = Avx2Mask;
+        type Narrow = crate::lanes16::x86::Avx2Lanes16;
 
         #[inline(always)]
         fn splat(x: i32) -> Self {
@@ -761,6 +793,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastz_align::ydrop::NEG_INF;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -817,15 +850,103 @@ mod tests {
         }
     }
 
-    /// Every lane type's substitution lookup, checked against the
-    /// matrix: an asymmetric one, so a transposed table shows.
+    /// The 16-bit lane type of each level against the `i32` meaning of
+    /// its ops on operands it represents (`NEG_INF` and every value
+    /// above `i16::MIN`): exact, except that `add` saturates.
+    struct NarrowOpsAgree(u64);
+
+    impl IsaKernel for NarrowOpsAgree {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<W: LaneVec>(self) {
+            type N<W> = <W as LaneVec>::Narrow;
+            let mut rng = SmallRng::seed_from_u64(self.0);
+            let mut file = || -> Lanes<i32> {
+                let mut v = [0i32; WARP_SIZE];
+                for x in v.iter_mut() {
+                    *x = match rng.gen_range(0u8..5) {
+                        0 => NEG_INF,
+                        1 => rng.gen_range(-3..3), // ties
+                        2 => rng.gen_range(32_000..=32_767),
+                        _ => rng.gen_range(-32_767..=32_767),
+                    };
+                }
+                v
+            };
+            let wide = |x: i32| x.clamp(-32_768, 32_767);
+            let back = |x: i32| if x == -32_768 { NEG_INF } else { x };
+            for _ in 0..200 {
+                let (a, b, c) = (file(), file(), file());
+                let (va, vb) = (N::<W>::load(&a), N::<W>::load(&b));
+                assert_eq!(va.to_array(), a);
+                let mut sum = [0i32; WARP_SIZE];
+                for ((s, &x), &y) in sum.iter_mut().zip(&a).zip(&b) {
+                    *s = back(wide(wide(x) + wide(y)));
+                }
+                assert_eq!(va.add(vb).to_array(), sum);
+                assert_eq!(va.max(vb).to_array(), LaneVec::max(a, b));
+                let masks = [
+                    (va.ge(vb), LaneVec::ge(a, b)),
+                    (va.gt(vb), LaneVec::gt(a, b)),
+                ];
+                for (got, want) in masks {
+                    assert_eq!(got.bits(), want.bits());
+                    let sel = N::<W>::select(got, va, N::<W>::load(&c)).to_array();
+                    assert_eq!(sel, <Lanes<i32>>::select(want, a, c));
+                }
+                let both = va.ge(vb).and(va.gt(N::<W>::load(&c)));
+                assert_eq!(both.bits(), LaneVec::ge(a, b).and(LaneVec::gt(a, c)).bits());
+                assert_eq!(va.shift_up1(c[0]).to_array(), LaneVec::shift_up1(a, c[0]));
+                assert_eq!(va.reduce_max(), LaneVec::reduce_max(a));
+                assert_eq!(va.to_bytes(), LaneVec::to_bytes(a));
+                for (l, &x) in a.iter().enumerate() {
+                    assert_eq!(va.lane(l), x, "lane {l}");
+                }
+            }
+            for (lo, hi) in [(0, 31), (0, 0), (5, 11), (7, 8), (15, 16), (31, 31), (3, 2)] {
+                let got = N::<W>::range_mask(lo, hi).bits();
+                assert_eq!(got, lanes32::range_bits(lo, hi), "range {lo}..={hi}");
+            }
+            // Narrowing saturates: out-of-range values clamp, and
+            // everything at or below `i16::MIN` is the sentinel.
+            let mut out_of_range = [40_000i32; WARP_SIZE];
+            out_of_range[..8].fill(-40_000);
+            out_of_range[8] = NEG_INF + 7;
+            let mut want = [32_767i32; WARP_SIZE];
+            want[..9].fill(NEG_INF);
+            assert_eq!(N::<W>::load(&out_of_range).to_array(), want);
+            assert_eq!(N::<W>::splat(-7).to_array(), splat(-7));
+            assert_eq!(N::<W>::splat(NEG_INF - 30).to_array(), splat(NEG_INF));
+            assert_eq!(N::<W>::splat(70_000).to_array(), splat(32_767));
+        }
+    }
+
+    #[test]
+    fn every_narrow_lane_type_matches_the_i32_ops() {
+        for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            isa.run(NarrowOpsAgree(0x16B1));
+        }
+    }
+
+    /// Every lane type's substitution lookup, 32- and 16-bit, checked
+    /// against the matrix: an asymmetric one, so a transposed table
+    /// shows.
     struct SubstAgrees(u64);
 
     impl IsaKernel for SubstAgrees {
         type Output = ();
 
         #[inline(always)]
-        fn run<V: LaneVec>(self) {
+        fn run<W: LaneVec>(self) {
+            subst_agrees::<W>(self.0);
+            subst_agrees::<W::Narrow>(self.0);
+        }
+    }
+
+    #[inline(always)]
+    fn subst_agrees<V: LaneVec>(seed: u64) {
+        {
             let m = SubstMatrix::from_acgt(
                 [
                     [12, -9, -3, -17],
@@ -836,7 +957,7 @@ mod tests {
                 -40,
             );
             let table = SubstTable::new(&m);
-            let mut rng = SmallRng::seed_from_u64(self.0);
+            let mut rng = SmallRng::seed_from_u64(seed);
             for len in [1usize, 7, 31, 32] {
                 let target: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=N_CODE)).collect();
                 let profile = V::subst_profile(&table, &target);

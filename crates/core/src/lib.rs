@@ -14,6 +14,7 @@ pub mod bitvec;
 pub mod cost;
 pub mod gpu_baseline;
 mod lanes;
+mod lanes16;
 pub mod pipeline;
 pub mod pool;
 pub mod resilient;
@@ -38,7 +39,9 @@ pub use resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
 pub use warp_engine::{
-    warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on, SimdIsa, WarpConfig,
-    WarpExtension, WavefrontBackend,
+    strip_widths, warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on, SimdIsa,
+    StripWidths, WarpConfig, WarpExtension, WavefrontBackend,
 };
-pub use wavefront_step::{step_interpreter, step_simd, step_simd_on, StepIn, StepOut};
+pub use wavefront_step::{
+    step_interpreter, step_simd, step_simd_narrow_on, step_simd_on, StepIn, StepOut,
+};

@@ -485,6 +485,9 @@ struct Run<'a> {
     n_problems: usize,
     /// Engine configuration of every inspector problem.
     insp_cfg: WarpConfig,
+    /// Anchors whose seed runs past either sequence: never extended
+    /// (their sides run on empty slices) and never spliced.
+    rejected: BTreeSet<usize>,
 }
 
 /// What a run accumulates across its phases.
@@ -577,6 +580,19 @@ impl<'a> Run<'a> {
         rcfg: &'a ResilienceConfig,
     ) -> Run<'a> {
         let strip_width = cfg.strip_width.clamp(1, WARP_SIZE);
+        let inside = |pos: u32, len: usize| {
+            (pos as usize)
+                .checked_add(seed_span)
+                .is_some_and(|end| end <= len)
+        };
+        let rejected = anchors
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| {
+                !inside(a.target_pos, target.len()) || !inside(a.query_pos, query.len())
+            })
+            .map(|(idx, _)| idx)
+            .collect();
         Run {
             target,
             query,
@@ -590,6 +606,7 @@ impl<'a> Run<'a> {
             insp_cfg: WarpConfig::inspector(&cfg.flags)
                 .with_strip_width(strip_width)
                 .with_backend(cfg.backend),
+            rejected,
         }
     }
 
@@ -657,7 +674,11 @@ impl<'a> Run<'a> {
 
     /// The (target, query) slices of problem `idx`: even indices extend
     /// left of their anchor (prefixes reversed into `rev`), odd ones right.
+    /// Both sides of a rejected anchor are empty.
     fn side<'s>(&'s self, idx: usize, rev: &'s mut (Vec<u8>, Vec<u8>)) -> (&'s [u8], &'s [u8]) {
+        if self.rejected.contains(&(idx / 2)) {
+            return (&[], &[]);
+        }
         let (rev_t, rev_q) = rev;
         let tc = self.target.codes();
         let qc = self.query.codes();
@@ -957,8 +978,9 @@ impl<'a> Run<'a> {
         let mut alignments: Vec<Alignment> = Vec::new();
         for (a_idx, anchor) in self.anchors.iter().enumerate() {
             // A seed whose side exhausted the whole retry/fallback budget is
-            // skipped with record rather than spliced from a suspect result.
-            if skipped.contains(&a_idx) {
+            // skipped with record rather than spliced from a suspect result;
+            // a rejected anchor has no seed to splice.
+            if skipped.contains(&a_idx) || self.rejected.contains(&a_idx) {
                 continue;
             }
             let (left, left_ops) = side(a_idx * 2);
@@ -1060,6 +1082,7 @@ impl<'a> Run<'a> {
             res,
         );
         res.skipped_seeds = ledger.skipped.iter().copied().collect();
+        res.rejected_anchors = self.rejected.iter().copied().collect();
         let other_s = host::FIXED_S
             + (self.target.len() + self.query.len()) as f64 / host::PCIE_BW
             + self.anchors.len() as f64 * host::PER_SEED_S;

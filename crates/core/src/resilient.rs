@@ -127,6 +127,10 @@ pub struct ResilienceReport {
     pub fallbacks: u64,
     /// Seeds dropped by the skip-with-record rung (anchor indices).
     pub skipped_seeds: Vec<usize>,
+    /// Anchors whose seed (`pos + seed_span`) runs past the target or
+    /// the query (anchor indices): rejected before any extension, never
+    /// aligned.
+    pub rejected_anchors: Vec<usize>,
     /// Anchors re-run on a replacement after a device loss.
     pub redispatched_anchors: usize,
     /// Devices lost during the run.
@@ -164,6 +168,8 @@ impl ResilienceReport {
         self.fallbacks += other.fallbacks;
         self.skipped_seeds
             .extend(other.skipped_seeds.iter().copied());
+        self.rejected_anchors
+            .extend(other.rejected_anchors.iter().copied());
         self.redispatched_anchors += other.redispatched_anchors;
         self.devices_lost += other.devices_lost;
         self.backoff_s += other.backoff_s;

@@ -178,9 +178,11 @@ pub fn step_interpreter(inp: &StepIn) -> StepOut {
     out
 }
 
-/// [`StepIn`] on a lane type: the same fields, held by value.
+/// [`StepIn`] on a lane type: the same fields, held by value, plus the
+/// active-lane window as a mask and a ballot (the caller often has them
+/// already).
 #[derive(Clone, Copy)]
-pub(crate) struct LaneIn<V> {
+pub(crate) struct LaneIn<V: LaneVec> {
     pub s_left: V,
     pub i_left: V,
     pub s_diag: V,
@@ -192,6 +194,10 @@ pub(crate) struct LaneIn<V> {
     pub se: i32,
     pub lo: usize,
     pub hi: usize,
+    /// `V::range_mask(lo, hi)`.
+    pub active: V::Mask,
+    /// `lanes32::range_bits(lo, hi)`.
+    pub active_bits: u32,
 }
 
 impl<V: LaneVec> LaneIn<V> {
@@ -210,6 +216,8 @@ impl<V: LaneVec> LaneIn<V> {
             se: inp.se,
             lo: inp.lo,
             hi: inp.hi,
+            active: V::range_mask(inp.lo, inp.hi),
+            active_bits: lanes32::range_bits(inp.lo, inp.hi),
         }
     }
 }
@@ -353,14 +361,14 @@ pub(crate) fn step_lanes<V: LaneVec>(inp: &LaneIn<V>) -> LaneOut<V> {
     // Stores: NEG_INF for pruned and inactive lanes, clamped values
     // otherwise. The max-with-splat is the vector form of `score::clamp`.
     let neg = V::splat(NEG_INF);
-    let active = V::range_mask(inp.lo, inp.hi);
+    let active = inp.active;
     let live = alive.and(active);
     LaneOut {
         s_store: V::select(live, s_val, neg),
         i_store: V::select(live, i_val.max(neg), neg),
         d_store: V::select(live, d_val.max(neg), neg),
         live_mask: live.bits(),
-        active_mask: lanes32::range_bits(inp.lo, inp.hi),
+        active_mask: inp.active_bits,
         tb: TbBytes::Masks {
             alive,
             from_i,
@@ -386,18 +394,38 @@ pub fn step_simd(inp: &StepIn) -> StepOut {
 /// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
 #[doc(hidden)]
 pub fn step_simd_on(isa: SimdIsa, inp: &StepIn) -> StepOut {
-    isa.run(VectorStep(inp))
+    isa.run(VectorStep::<false>(inp))
 }
 
-/// [`step_lanes`] as an [`IsaKernel`].
-struct VectorStep<'a, 'b>(&'a StepIn<'b>);
+/// [`step_simd_on`] on `isa`'s 16-bit lane type (`LaneVec::Narrow`),
+/// the one the engine sweeps a strip on when its scores provably fit:
+/// equal to the 32-bit step only on inputs inside that precondition
+/// (every real score and every sum the step forms from it strictly
+/// between the sentinel band and `i16::MAX`, and no live cell fed only
+/// by sentinels). The per-step differential tests' hook.
+///
+/// # Panics
+///
+/// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
+#[doc(hidden)]
+pub fn step_simd_narrow_on(isa: SimdIsa, inp: &StepIn) -> StepOut {
+    isa.run(VectorStep::<true>(inp))
+}
 
-impl IsaKernel for VectorStep<'_, '_> {
+/// [`step_lanes`] as an [`IsaKernel`], on the level's 16-bit lane type
+/// when `NARROW`.
+struct VectorStep<'a, 'b, const NARROW: bool>(&'a StepIn<'b>);
+
+impl<const NARROW: bool> IsaKernel for VectorStep<'_, '_, NARROW> {
     type Output = StepOut;
 
     #[inline(always)]
     fn run<V: LaneVec>(self) -> StepOut {
-        step_lanes(&LaneIn::<V>::load(self.0)).store()
+        if NARROW {
+            step_lanes(&LaneIn::<V::Narrow>::load(self.0)).store()
+        } else {
+            step_lanes(&LaneIn::<V>::load(self.0)).store()
+        }
     }
 }
 

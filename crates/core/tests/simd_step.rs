@@ -14,8 +14,8 @@
 
 use fastz_align::DenseTrace;
 use fastz_core::{
-    step_interpreter, step_simd, step_simd_on, OptFlags, SimdIsa, StepIn, WarpConfig,
-    WavefrontBackend,
+    step_interpreter, step_simd, step_simd_narrow_on, step_simd_on, OptFlags, SimdIsa, StepIn,
+    WarpConfig, WavefrontBackend,
 };
 use fastz_genome::evolve::random_codes;
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix};
@@ -95,6 +95,82 @@ proptest! {
             prop_assert_eq!(want, got, "{} lane type", isa.name());
         }
         prop_assert_eq!(want, step_simd(&inp), "dispatched lane type");
+    }
+}
+
+/// One lane's cell as a 16-bit strip sees it: a real S in the live
+/// range with a real or sentinel gap value (I or D), or a dead cell,
+/// both `NEG_INF`. A real gap value never sits beside a sentinel S.
+fn narrow_cell(rng: &mut SmallRng) -> (i32, i32) {
+    match rng.gen_range(0u8..6) {
+        0 => (NEG_INF, NEG_INF),
+        1 => (rng.gen_range(-20_000i32..=20_000), NEG_INF),
+        _ => (
+            rng.gen_range(-20_000i32..=20_000),
+            rng.gen_range(-20_000i32..=20_000),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One wavefront step on every supported 16-bit lane type equals
+    /// `step_interpreter` field for field on register files inside the
+    /// engine's 16-bit precondition: real scores within ±20000 (every
+    /// sum the step forms stays above the sentinel band), substitution
+    /// scores down to HOXD70's `N` (−1000), sentinels exactly `NEG_INF`,
+    /// and no lane whose every source is a sentinel under a sentinel
+    /// threshold (the engine's no-sentinel-derived-live-cell invariant).
+    #[test]
+    fn narrow_step_matches_interpreter_inside_the_precondition(
+        seed in any::<u64>(),
+        lo in 0usize..WARP_SIZE,
+        span in 0usize..WARP_SIZE,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let hi = (lo + span).min(WARP_SIZE - 1);
+        let mut s_left = [0i32; WARP_SIZE];
+        let mut i_left = [0i32; WARP_SIZE];
+        let mut s_cur = [0i32; WARP_SIZE];
+        let mut d_cur = [0i32; WARP_SIZE];
+        let mut s_diag = [0i32; WARP_SIZE];
+        let mut subst = [0i32; WARP_SIZE];
+        let mut threshold = [0i32; WARP_SIZE];
+        for l in 0..WARP_SIZE {
+            (s_left[l], i_left[l]) = narrow_cell(&mut rng);
+            (s_cur[l], d_cur[l]) = narrow_cell(&mut rng);
+            s_diag[l] = narrow_cell(&mut rng).0;
+            subst[l] = rng.gen_range(-1000i32..=100);
+            threshold[l] = match rng.gen_range(0u8..4) {
+                0 => {
+                    // Under a sentinel threshold the cell has a real source.
+                    s_diag[l] = rng.gen_range(-20_000i32..=20_000);
+                    NEG_INF
+                }
+                1 => rng.gen_range(-22_000i32..=20_000),
+                _ => rng.gen_range(-300i32..=300),
+            };
+        }
+        let se = -rng.gen_range(1i32..=50);
+        let inp = StepIn {
+            s_left: &s_left,
+            i_left: &i_left,
+            s_diag: &s_diag,
+            s_cur: &s_cur,
+            d_cur: &d_cur,
+            subst: &subst,
+            threshold: &threshold,
+            so_se: se - rng.gen_range(0i32..=450),
+            se,
+            lo,
+            hi,
+        };
+        let want = step_interpreter(&inp);
+        for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let got = step_simd_narrow_on(isa, &inp);
+            prop_assert_eq!(want, got, "{} 16-bit lane type", isa.name());
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! scores in the recurrences), y-drop `O + 300·E = 9400`, x-drop 910 for the
 //! ungapped filter, and an HSP / gapped-alignment score threshold of 3000.
 
-use crate::alphabet::{Base, ALPHABET_SIZE, N_CODE};
+use crate::alphabet::{Base, ALPHABET_SIZE};
 
 /// A substitution score matrix over the 5-letter code alphabet (ACGTN).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -70,18 +70,6 @@ impl SubstMatrix {
             }
         }
         m
-    }
-
-    /// True if the matrix is symmetric (required for strand symmetry).
-    pub fn is_symmetric(&self) -> bool {
-        for a in 0..ALPHABET_SIZE {
-            for b in 0..ALPHABET_SIZE {
-                if self.scores[a][b] != self.scores[b][a] {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -184,20 +172,6 @@ impl Scoring {
         s.gapped_threshold = 1500;
         s
     }
-
-    /// Rough upper bound on how many rows/columns the y-drop region can
-    /// extend past the optimum: once the running score trails the best by
-    /// more than `ydrop`, extension stops; each all-mismatch row costs at
-    /// least `extend`, so the overshoot is bounded by `ydrop / extend + 1`.
-    pub fn ydrop_overshoot_bound(&self) -> usize {
-        (self.ydrop / self.gaps.extend) as usize + 1
-    }
-
-    /// True if a base code should be treated as unalignable (`N`).
-    #[inline]
-    pub fn is_unalignable(code: u8) -> bool {
-        code >= N_CODE
-    }
 }
 
 #[cfg(test)]
@@ -215,11 +189,6 @@ mod tests {
         assert_eq!(m.score_bases(Base::C, Base::T), -31);
         assert_eq!(m.score_bases(Base::A, Base::T), -123);
         assert_eq!(m.score_bases(Base::C, Base::G), -125);
-    }
-
-    #[test]
-    fn hoxd70_is_symmetric() {
-        assert!(SubstMatrix::hoxd70().is_symmetric());
     }
 
     #[test]
@@ -246,7 +215,6 @@ mod tests {
         let m = SubstMatrix::match_mismatch(5, -4);
         assert_eq!(m.score_bases(Base::A, Base::A), 5);
         assert_eq!(m.score_bases(Base::A, Base::C), -4);
-        assert!(m.is_symmetric());
         assert_eq!(m.max_score(), 5);
     }
 
@@ -273,13 +241,5 @@ mod tests {
         assert_eq!(s.gaps.extend, 30);
         assert_eq!(s.ydrop, 9400);
         assert_eq!(s.hsp_threshold, 3000);
-    }
-
-    #[test]
-    fn overshoot_bound_positive_and_monotone() {
-        let s = Scoring::lastz_default();
-        let b = Scoring::bench_scaled();
-        assert!(s.ydrop_overshoot_bound() > b.ydrop_overshoot_bound());
-        assert!(b.ydrop_overshoot_bound() >= 1);
     }
 }

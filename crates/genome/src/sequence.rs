@@ -42,11 +42,6 @@ impl Sequence {
         &self.name
     }
 
-    /// Renames the sequence.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of bases.
     #[inline]
     pub fn len(&self) -> usize {
@@ -96,30 +91,6 @@ impl Sequence {
                 .map(|&c| complement_code(c))
                 .collect(),
         }
-    }
-
-    /// Fraction of G/C bases among non-`N` bases (0.0 for all-`N`).
-    pub fn gc_content(&self) -> f64 {
-        let mut gc = 0usize;
-        let mut acgt = 0usize;
-        for &c in &self.codes {
-            if c < N_CODE {
-                acgt += 1;
-                if c == Base::C.code() || c == Base::G.code() {
-                    gc += 1;
-                }
-            }
-        }
-        if acgt == 0 {
-            0.0
-        } else {
-            gc as f64 / acgt as f64
-        }
-    }
-
-    /// Number of `N` bases.
-    pub fn n_count(&self) -> usize {
-        self.codes.iter().filter(|&&c| c == N_CODE).count()
     }
 }
 
@@ -179,11 +150,6 @@ impl PackedSeq {
         }
     }
 
-    /// Packs a [`Sequence`].
-    pub fn from_sequence(seq: &Sequence) -> PackedSeq {
-        PackedSeq::from_codes(seq.codes())
-    }
-
     /// Number of bases.
     #[inline]
     pub fn len(&self) -> usize {
@@ -194,11 +160,6 @@ impl PackedSeq {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Bytes of packed storage (excluding the exception list).
-    pub fn packed_bytes(&self) -> usize {
-        self.words.len()
     }
 
     /// The code (0..=4) at `pos`, honouring `N` runs.
@@ -236,11 +197,6 @@ impl PackedSeq {
         codes
     }
 
-    /// Unpacks into a named [`Sequence`].
-    pub fn unpack_to_sequence(&self, name: impl Into<String>) -> Sequence {
-        Sequence::from_codes(name, self.unpack())
-    }
-
     /// The `N`-run exception list (sorted `[start, end)` pairs).
     pub fn n_runs(&self) -> &[(u32, u32)] {
         &self.n_runs
@@ -263,14 +219,12 @@ mod tests {
         assert_eq!(s.base(0), Base::A);
         assert_eq!(s.base(4), Base::N);
         assert_eq!(s.to_ascii(), b"ACGTN");
-        assert_eq!(s.n_count(), 1);
     }
 
     #[test]
     fn empty_sequence() {
         let s = Sequence::from_codes("e", vec![]);
         assert!(s.is_empty());
-        assert_eq!(s.gc_content(), 0.0);
         assert_eq!(s.reverse_complement().len(), 0);
     }
 
@@ -302,17 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn gc_content_ignores_n() {
-        let s = seq(b"GGCCNNNN");
-        assert!((s.gc_content() - 1.0).abs() < 1e-12);
-        let s = seq(b"GCAT");
-        assert!((s.gc_content() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn packed_round_trip() {
         let s = seq(b"ACGTACGTNNACGNTT");
-        let p = PackedSeq::from_sequence(&s);
+        let p = PackedSeq::from_codes(s.codes());
         assert_eq!(p.len(), s.len());
         assert_eq!(p.unpack(), s.codes());
         for i in 0..s.len() {
@@ -323,19 +269,12 @@ mod tests {
     #[test]
     fn packed_n_runs_merge() {
         let s = seq(b"NNACGNNNT");
-        let p = PackedSeq::from_sequence(&s);
+        let p = PackedSeq::from_codes(s.codes());
         assert_eq!(p.n_runs(), &[(0, 2), (5, 8)]);
         assert!(p.is_n(0));
         assert!(p.is_n(7));
         assert!(!p.is_n(2));
         assert!(!p.is_n(8));
-    }
-
-    #[test]
-    fn packed_is_4x_smaller() {
-        let codes = vec![0u8; 1024];
-        let p = PackedSeq::from_codes(&codes);
-        assert_eq!(p.packed_bytes(), 256);
     }
 
     #[test]

@@ -132,21 +132,9 @@ impl DeviceSpec {
         self.schedulers_per_sm as f64 * self.issue_efficiency
     }
 
-    /// Peak warp-instructions per second for the whole device.
-    pub fn peak_warp_instr_per_s(&self) -> f64 {
-        self.sm_count as f64 * self.warp_issue_per_sm() * self.clock_ghz * 1e9
-    }
-
     /// Peak scalar operations per second (lanes × clock).
     pub fn peak_ops_per_s(&self) -> f64 {
         self.total_lanes() as f64 * self.clock_ghz * 1e9
-    }
-
-    /// Threshold operational intensity (ops/byte) at which the device
-    /// moves from memory- to compute-bound (paper §6: 39 ops/byte nominal
-    /// for the RTX 3080).
-    pub fn roofline_threshold(&self) -> f64 {
-        self.peak_ops_per_s() / (self.dram_bw_gbps * 1e9)
     }
 }
 

@@ -38,12 +38,24 @@ const BITVEC_FNS: &[&str] = &[
     "sweep_window",
 ];
 
-/// Function-scoped: the executor's step-major traceback store, written
-/// once per wavefront step and read by the traceback walk (the rest of
-/// the file still asserts on caller errors, such as a strip width
-/// outside `1..=WARP_SIZE`).
+/// Function-scoped: the strip sweep (the per-strip step loop and its
+/// step body, which run on either lane width) and the executor's
+/// step-major traceback store, written once per wavefront step and read
+/// by the traceback walk (the rest of the file still asserts on caller
+/// errors, such as a strip width outside `1..=WARP_SIZE`).
 const WARP_ENGINE: &str = "crates/core/src/warp_engine.rs";
-const TB_BAND_FNS: &[&str] = &["begin_strip", "push_step", "lookup"];
+const WARP_ENGINE_FNS: &[&str] = &[
+    "sweep_strip",
+    "step",
+    "begin_strip",
+    "push_step",
+    "end_strip",
+    "lookup",
+];
+
+/// Whole-file scope: the 16-bit lane types, every op of which runs
+/// inside the strip sweep.
+const LANES16: &str = "crates/core/src/lanes16.rs";
 
 /// Panic-family macro names (each flagged when followed by `!`).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -53,9 +65,9 @@ fn in_scope(f: &SourceFile, line: u32) -> bool {
         return false;
     }
     match f.path.as_str() {
-        WAVEFRONT => true,
+        WAVEFRONT | LANES16 => true,
         BITVEC => in_fns(f, line, BITVEC_FNS),
-        WARP_ENGINE => in_fns(f, line, TB_BAND_FNS),
+        WARP_ENGINE => in_fns(f, line, WARP_ENGINE_FNS),
         _ => false,
     }
 }
@@ -84,7 +96,7 @@ impl Rule for KernelNoPanic {
         for f in ws
             .files
             .iter()
-            .filter(|f| [WAVEFRONT, BITVEC, WARP_ENGINE].contains(&f.path.as_str()))
+            .filter(|f| [WAVEFRONT, BITVEC, WARP_ENGINE, LANES16].contains(&f.path.as_str()))
         {
             let toks = f.toks();
             for (i, t) in toks.iter().enumerate() {

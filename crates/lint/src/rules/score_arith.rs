@@ -24,6 +24,7 @@ const SCOPE: &[&str] = &[
     "crates/align/src/ungapped.rs",
     "crates/align/src/ydrop.rs",
     "crates/core/src/bitvec.rs",
+    "crates/core/src/lanes16.rs",
     "crates/core/src/warp_engine.rs",
     "crates/core/src/wavefront_step.rs",
 ];

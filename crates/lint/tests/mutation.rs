@@ -251,6 +251,60 @@ fn traceback_band_store_is_kernel_scoped() {
 }
 
 #[test]
+fn strip_sweep_is_kernel_scoped() {
+    // The strip sweep and its step body run on either lane width and
+    // are in scope; the per-extension driver in the same file is not.
+    let engine = |note: &str| {
+        format!(
+            "fn sweep_strip(rows: &[i32], t: usize) -> i32 {{\n    \
+             {note}\n    \
+             rows[t + 1]\n}}\n\
+             impl StripSweep {{\n    \
+             fn step(&mut self, t: usize) -> i32 {{\n        \
+             self.spill.get(t).copied().unwrap()\n    }}\n}}\n\
+             fn extend_body(v: &[u8], i: usize) -> u8 {{\n    \
+             v[i + 1] + v.first().copied().unwrap()\n}}\n"
+        )
+    };
+    let rep = lint(&[("crates/core/src/warp_engine.rs", &engine(""))]);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+    assert!(rep.findings.iter().all(|f| f.rule == "kernel-no-panic"));
+    assert!(rep.findings[0].message.contains("bound:"));
+    assert!(rep.findings[1].message.contains("unwrap"));
+
+    let noted = engine("// bound: t < rows_avail and rows holds row_cap + 1 rows");
+    let rep = lint(&[("crates/core/src/warp_engine.rs", &noted)]);
+    assert_eq!(rep.findings.len(), 1, "{:#?}", rep.findings);
+    assert!(rep.findings[0].message.contains("unwrap"));
+}
+
+#[test]
+fn sixteen_bit_lane_types_are_kernel_and_score_scoped() {
+    // Every fn of the 16-bit lane types' file is a step-kernel op, and
+    // its score arithmetic must saturate or clamp like the engine's.
+    let lanes = "impl LaneVec for Portable16 {\n    \
+                 fn lane(self, l: usize) -> i32 {\n        \
+                 widen(self.0.get(l).copied().expect(\"lane\"))\n    }\n}\n\
+                 fn tie(score: i32, bonus: i32) -> i32 {\n    score + bonus\n}\n";
+    let rep = lint(&[("crates/core/src/lanes16.rs", lanes)]);
+    let mut rules: Vec<&str> = rep.findings.iter().map(|f| f.rule.as_str()).collect();
+    rules.sort_unstable();
+    assert_eq!(
+        rules,
+        ["clamped-score-arith", "kernel-no-panic"],
+        "{:#?}",
+        rep.findings
+    );
+
+    let clean = "impl LaneVec for Portable16 {\n    \
+                 fn lane(self, l: usize) -> i32 {\n        \
+                 widen(self.0[l])\n    }\n}\n\
+                 fn tie(score: i16, bonus: i16) -> i16 {\n    score.saturating_add(bonus)\n}\n";
+    let rep = lint(&[("crates/core/src/lanes16.rs", clean)]);
+    assert!(rep.findings.is_empty(), "{:#?}", rep.findings);
+}
+
+#[test]
 fn bitvec_column_step_and_store_are_kernel_scoped() {
     // The column step and the column store are in scope; the host-side
     // pre-filter code in the same file is not.

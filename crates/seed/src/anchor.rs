@@ -166,22 +166,6 @@ pub fn sample_anchors(anchors: &[Anchor], max: usize) -> Vec<Anchor> {
         .collect()
 }
 
-/// Convenience: index-free verification that an anchor is genuine
-/// (used by tests and debug assertions).
-pub fn verify_anchor(
-    anchor: &Anchor,
-    target: &Sequence,
-    query: &Sequence,
-    shape: &crate::shape::SeedShape,
-) -> bool {
-    shape.matches(
-        target.codes(),
-        anchor.target_pos as usize,
-        query.codes(),
-        anchor.query_pos as usize,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,9 +187,6 @@ mod tests {
             target_pos: 4,
             query_pos: 4
         }));
-        for a in &anchors {
-            assert!(verify_anchor(a, &target, &query, idx.shape()));
-        }
     }
 
     #[test]

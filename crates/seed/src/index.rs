@@ -266,21 +266,6 @@ impl SeedIndex {
             .filter(move |&&(w, _)| w == word)
             .map(|&(_, pos)| pos)
     }
-
-    /// Mean bucket occupancy among non-empty buckets (diagnostic).
-    pub fn mean_bucket_occupancy(&self) -> f64 {
-        let mut nonempty = 0usize;
-        for h in 0..self.bucket_starts.len() - 1 {
-            if self.bucket_starts[h + 1] > self.bucket_starts[h] {
-                nonempty += 1;
-            }
-        }
-        if nonempty == 0 {
-            0.0
-        } else {
-            self.entries.len() as f64 / nonempty as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,13 +407,5 @@ mod tests {
             "single-table build should at least halve peak bytes: {new_peak} vs {old_peak}"
         );
         assert_eq!(new_peak, idx.heap_bytes());
-    }
-
-    #[test]
-    fn occupancy_is_reported() {
-        let t = random_sequence("t", 10_000, 0.5, 3);
-        let idx = SeedIndex::build(&t, SeedShape::exact(12));
-        let occ = idx.mean_bucket_occupancy();
-        assert!((1.0..4.0).contains(&occ), "occupancy {occ}");
     }
 }

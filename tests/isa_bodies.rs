@@ -14,10 +14,20 @@
 //! writes the eager window straight to shared memory where the others
 //! stage it. Each level's `NoTrace` and sanitized runs must match its
 //! traced run exactly.
+//!
+//! The `NoTrace` run is also the only one that sweeps strips on the
+//! level's 16-bit lane type, wherever an exact score bound admits a
+//! strip; every other run is all 32-bit. So the `NoTrace`-vs-traced
+//! comparisons are 16-bit-vs-32-bit comparisons, and the tests below
+//! check through the host-only strip count that the 16-bit strips ran,
+//! that a best score past the 16-bit ceiling switches to 32-bit strips
+//! at the right strip, and that a scoring outside the 16-bit floor never
+//! leaves 32 bits.
 
 use fastz::align::{CellScores, CellSink, DenseTrace, NoTrace};
 use fastz::core::{
-    warp_extend_traced_on, OptFlags, SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
+    strip_widths, warp_extend_traced_on, OptFlags, SimdIsa, StripWidths, WarpConfig, WarpExtension,
+    WavefrontBackend,
 };
 use fastz::genome::{GapPenalties, Scoring, SubstMatrix};
 use fastz::gpu_sim::SharedMem;
@@ -70,20 +80,24 @@ fn run_into<K: CellSink>(
     sanitize: bool,
     sink: &mut K,
 ) -> (WarpExtension, Vec<u8>) {
+    run_scored(isa, t, q, &scoring(), cfg, sanitize, sink)
+}
+
+/// [`run_into`] under `sc`.
+fn run_scored<K: CellSink>(
+    isa: SimdIsa,
+    t: &[u8],
+    q: &[u8],
+    sc: &Scoring,
+    cfg: &WarpConfig,
+    sanitize: bool,
+    sink: &mut K,
+) -> (WarpExtension, Vec<u8>) {
     let mut shared = SharedMem::new(96 * 1024);
     if sanitize {
         shared.attach_sanitizer();
     }
-    let ext = warp_extend_traced_on(
-        isa,
-        t,
-        q,
-        &scoring(),
-        cfg,
-        &mut shared,
-        &mut Vec::new(),
-        sink,
-    );
+    let ext = warp_extend_traced_on(isa, t, q, sc, cfg, &mut shared, &mut Vec::new(), sink);
     if let Some(report) = shared.take_sanitize_report() {
         assert!(
             report.is_clean(),
@@ -151,5 +165,98 @@ fn every_supported_isa_body_matches_the_interpreter() {
                 untraced_runs_match(isa, &t, &q, &cfg, &got, &format!("{ctx} (executor)"));
             }
         }
+    }
+}
+
+/// The strips `f` swept at each lane width on this thread.
+fn strips_of<R>(f: impl FnOnce() -> R) -> (R, StripWidths) {
+    let before = strip_widths();
+    let out = f();
+    let after = strip_widths();
+    let swept = StripWidths {
+        narrow: after.narrow - before.narrow,
+        wide: after.wide - before.wide,
+    };
+    (out, swept)
+}
+
+/// Each supported level's `NoTrace` inspector run of `t`/`q` under `sc`
+/// against its traced (all 32-bit) run: the whole extension and the
+/// window bytes. Returns the `NoTrace` runs' strip counts per level.
+fn narrow_vs_wide(sc: &Scoring, t: &[u8], q: &[u8], ctx: &str) -> Vec<StripWidths> {
+    let cfg = WarpConfig::inspector(&OptFlags::fastz());
+    let mut counts = Vec::new();
+    for isa in SimdIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        let mut trace = DenseTrace::default();
+        let (want, wide) = strips_of(|| run_scored(isa, t, q, sc, &cfg, false, &mut trace));
+        assert_eq!(
+            wide.narrow,
+            0,
+            "{ctx} / {}: a traced run is all i32",
+            isa.name()
+        );
+        let (got, swept) = strips_of(|| run_scored(isa, t, q, sc, &cfg, false, &mut NoTrace));
+        assert_eq!(
+            got,
+            want,
+            "{ctx} / {}: i16 strips vs the i32 run",
+            isa.name()
+        );
+        assert_eq!(
+            swept.narrow + swept.wide,
+            wide.wide,
+            "{ctx} / {}: same strips",
+            isa.name()
+        );
+        counts.push(swept);
+    }
+    counts
+}
+
+#[test]
+fn notrace_runs_sweep_16_bit_strips() {
+    let mut rng = SmallRng::seed_from_u64(0x16_B175);
+    for len in [40usize, 300, 900] {
+        let (t, q) = pair(len, &mut rng);
+        for swept in narrow_vs_wide(&scoring(), &t, &q, &format!("{len} bp")) {
+            assert!(swept.narrow > 0 && swept.wide == 0, "{len} bp: {swept:?}");
+        }
+    }
+}
+
+#[test]
+fn a_best_past_the_16_bit_ceiling_switches_to_32_bit_strips() {
+    // A 4000-bp perfect homology scores 10 per base: 40000 at its end,
+    // past i16::MAX. Strip k enters with best 320·k, and the ceiling
+    // admits it while 320·k + 32·10 (its own gain) + 256 (headroom)
+    // ≤ 32767: strips 0..=100 in 16 bits, the other 24 of the 125 in
+    // 32 bits.
+    let t: Vec<u8> = (0..4000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8 & 3)
+        .collect();
+    for swept in narrow_vs_wide(&scoring(), &t, &t, "perfect 4000 bp") {
+        assert_eq!(
+            swept,
+            StripWidths {
+                narrow: 101,
+                wide: 24
+            }
+        );
+    }
+}
+
+#[test]
+fn a_scoring_outside_the_16_bit_floor_runs_every_strip_in_32_bits() {
+    // A 32700 y-drop keeps live scores down to −32700: with strip 0's
+    // two gap opens (−70) and a gap extend on top (−40) they would reach
+    // the sentinel band below −32758, so no strip qualifies.
+    let sc = Scoring {
+        ydrop: 32_700,
+        ..scoring()
+    };
+    let mut rng = SmallRng::seed_from_u64(0xF1_0012);
+    let (t, q) = pair(300, &mut rng);
+    for swept in narrow_vs_wide(&sc, &t, &q, "ydrop 32700") {
+        assert!(swept.narrow == 0 && swept.wide > 0, "{swept:?}");
     }
 }
