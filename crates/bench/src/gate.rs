@@ -57,15 +57,6 @@ pub const SERVE_THROUGHPUT: GateSpec = GateSpec {
     extras: &[("--requests", 1)],
 };
 
-/// `bitvec_filter`: bitvector pre-filter vs unfiltered y-drop.
-pub const BITVEC_FILTER: GateSpec = GateSpec {
-    name: "bitvec_filter",
-    out: "BENCH_bitvec.json",
-    repeats: 3,
-    check: true,
-    extras: &[],
-};
-
 /// `index_build`: warm persisted-index loads vs per-run rebuilds.
 pub const INDEX_BUILD: GateSpec = GateSpec {
     name: "index_build",
@@ -401,7 +392,6 @@ mod tests {
             &HOST_THROUGHPUT,
             &SIMD_WAVEFRONT,
             &SERVE_THROUGHPUT,
-            &BITVEC_FILTER,
             &INDEX_BUILD,
         ];
         for spec in gates {

@@ -4,7 +4,7 @@
 //! figure of the FastZ paper (`table1`, `table2`, `fig2`, `fig7`, `fig8`,
 //! `fig9`, `fig11`, `roofline`), and the [`gate`] protocol of the CI
 //! regression gates (`host_throughput`, `simd_wavefront`,
-//! `serve_throughput`, `bitvec_filter`, `index_build`, `overhead`).
+//! `serve_throughput`, `index_build`, `overhead`).
 
 #![warn(missing_docs)]
 

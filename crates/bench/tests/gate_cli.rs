@@ -4,7 +4,7 @@
 use std::process::Command;
 
 /// Each gate binary with command lines it must refuse.
-const CASES: [(&str, &[&[&str]]); 6] = [
+const CASES: [(&str, &[&[&str]]); 5] = [
     (
         env!("CARGO_BIN_EXE_host_throughput"),
         &[
@@ -24,10 +24,6 @@ const CASES: [(&str, &[&[&str]]); 6] = [
     (
         env!("CARGO_BIN_EXE_serve_throughput"),
         &[&["--repeats"], &["--requests", "0"], &["--check"]],
-    ),
-    (
-        env!("CARGO_BIN_EXE_bitvec_filter"),
-        &[&["--repeats", "0"], &["--out"], &["--bogus"]],
     ),
     (
         env!("CARGO_BIN_EXE_index_build"),

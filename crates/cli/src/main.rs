@@ -43,11 +43,6 @@
 //!                                    admission queue, and print the deduped
 //!                                    union (fastz engine only; --checkpoint
 //!                                    and --both-strands do not apply)
-//!   --prefilter                      with --serve: enable the bitvector
-//!                                    cheap-reject rung — anchors provably
-//!                                    below the gapped threshold are dropped
-//!                                    before dispatch (sound: the served
-//!                                    alignments are unchanged)
 //!   --fault-plan SEED                inject a seeded fault schedule (hangs,
 //!                                    bit flips, stalls, shmem pressure) and
 //!                                    recover through the resilient dispatcher;
@@ -76,9 +71,7 @@ use fastz_align::{
     dedupe_alignments, multicore_gapped, sequential_gapped, write_general, write_maf, Alignment,
     DriverConfig,
 };
-use fastz_core::{
-    run_fastz, run_fastz_observed, ExtendBackend, FastZConfig, PrefilterConfig, ResilienceConfig,
-};
+use fastz_core::{run_fastz, run_fastz_observed, ExtendBackend, FastZConfig, ResilienceConfig};
 use fastz_genome::{find_pair, generate_pair, read_fasta_file, Scale, Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
 use fastz_obs::{export, NoObs, Recorder};
@@ -109,7 +102,6 @@ struct Options {
     format: String,
     emit_fasta: Option<String>,
     serve: usize,
-    prefilter: bool,
     fault_plan: Option<u64>,
     checkpoint: Option<String>,
     metrics_out: Option<String>,
@@ -125,7 +117,7 @@ impl Options {
          [--device pascal|volta|ampere] [--threads N] [--sim-threads N] \
          [--seed exact19|12of19] [--index-dir DIR] [--index-shards N] \
          [--max-anchors N] [--scoring lastz|bench] [--demo PAIR] \
-         [--serve N] [--prefilter] [--fault-plan SEED] [--checkpoint FILE] \
+         [--serve N] [--fault-plan SEED] [--checkpoint FILE] \
          [--metrics-out FILE] \
          [--trace-out FILE] [--sanitize] [--sanitize-out FILE] [--stats]"
     }
@@ -151,7 +143,6 @@ impl Options {
             format: "tsv".into(),
             emit_fasta: None,
             serve: 0,
-            prefilter: false,
             fault_plan: None,
             checkpoint: None,
             metrics_out: None,
@@ -215,7 +206,6 @@ impl Options {
                             .map_err(|_| "--fault-plan must be a seed number".to_string())?,
                     )
                 }
-                "--prefilter" => opts.prefilter = true,
                 "--checkpoint" => opts.checkpoint = Some(grab("--checkpoint")?),
                 "--metrics-out" => opts.metrics_out = Some(grab("--metrics-out")?),
                 "--trace-out" => opts.trace_out = Some(grab("--trace-out")?),
@@ -700,9 +690,6 @@ fn serve_front_end(
     if let Some(seed) = opts.fault_plan {
         scfg = scfg.with_chaos(FaultPlan::from_seed(seed));
     }
-    if opts.prefilter {
-        scfg = scfg.with_prefilter(PrefilterConfig::default());
-    }
     let service = AlignService::new(target, query, scfg);
     let mut rec = Recorder::new();
     let report = if opts.metrics_out.is_some() {
@@ -732,12 +719,6 @@ fn serve_front_end(
          ({} merged launches)",
         report.makespan_s, report.batched_exec_s, report.solo_exec_s, report.merged_launches,
     );
-    if opts.prefilter {
-        eprintln!(
-            "fastz: prefilter rejected {} of {} probed anchors",
-            report.prefilter_rejected, report.prefilter_probed,
-        );
-    }
     if opts.fault_plan.is_some() || opts.stats {
         eprintln!("fastz: resilience: {}", report.resilience.summary());
     }
@@ -881,14 +862,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_prefilter_flags() {
-        let o = Options::parse(&sv(&["--extend", "bitvector", "--prefilter"])).unwrap();
+    fn extend_flag() {
+        let o = Options::parse(&sv(&["--extend", "bitvector"])).unwrap();
         assert_eq!(o.extend, "bitvector");
-        assert!(o.prefilter);
         assert_eq!(extend_preset(&o.extend), Some(ExtendBackend::Bitvector));
         let none = Options::parse(&[]).unwrap();
         assert_eq!(none.extend, "ydrop");
-        assert!(!none.prefilter);
         assert_eq!(extend_preset("ydrop"), Some(ExtendBackend::YDrop));
         assert_eq!(extend_preset("banded"), None);
         assert!(Options::parse(&sv(&["--extend"])).is_err());

@@ -3,12 +3,8 @@
 //! This is a *second algorithm*, not a fourth implementation of affine
 //! y-drop: windowed Bitap/GenASM edit-distance DP over 64-bit dead
 //! masks, with Scrooge-flavored work reductions and a traceback that
-//! reconstructs a concrete edit script. It exists for three reasons
-//! (ROADMAP item 5):
+//! reconstructs a concrete edit script. It exists for two reasons:
 //!
-//! * a cheap reject rung for the alignment service ([`prefilter_anchors`]
-//!   upper-bounds the y-drop score an anchor could possibly reach and
-//!   drops anchors that provably cannot clear `gapped_threshold`);
 //! * a short-read / high-divergence workload where affine gap modeling
 //!   is overkill and unit-cost edit distance is the natural regime;
 //! * a genuinely independent implementation the conformance suite can
@@ -66,12 +62,8 @@
 //! same as a sweep over every budget.
 
 use fastz_align::{push_op, score, EditOp};
-use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::sanitize::stage as san_stage;
 use fastz_gpu_sim::{SharedMem, WarpCounters};
-use fastz_seed::Anchor;
-
-use crate::lanes::{IsaKernel, LaneVec, SimdIsa};
 
 /// Which extension algorithm runs the one-sided problems.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -843,44 +835,21 @@ pub struct WindowMasks {
 /// same live-band start.
 #[doc(hidden)]
 pub fn window_masks(text: &[u8], pattern: &[u8], k: usize) -> WindowMasks {
-    let kp1 = k + 1;
-    let mut masks = vec![!0u64; (text.len() + 1) * kp1];
-    let mut starts = vec![0usize; text.len() + 1];
-    sweep_window(text, pattern, k, |j, start, col| {
-        // bound: j <= text.len() and start <= kp1, so both ranges lie
-        // inside column j's `kp1` masks.
-        masks[j * kp1 + start..(j + 1) * kp1].copy_from_slice(&col[start..kp1]);
-        // bound: j <= text.len() < starts.len().
-        starts[j] = start;
-        true
-    });
-    WindowMasks { masks, starts }
-}
-
-/// The column sweep behind [`window_masks`], keeping only the current
-/// column: `visit(j, start, column)` sees column `j`'s masks, of which
-/// rows `start..=k` were computed (the rows below are all dead), and
-/// returns whether to go on.
-fn sweep_window(
-    text: &[u8],
-    pattern: &[u8],
-    k: usize,
-    mut visit: impl FnMut(usize, usize, &[u64; 64]) -> bool,
-) {
     let wlen = pattern.len();
     assert!((1..=64).contains(&wlen) && (1..=63).contains(&k));
     let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
     let beyond = !window_mask;
     let pm = pattern_masks(pattern, BitvecMutation::None);
     let kp1 = k + 1;
+    let mut masks = vec![!0u64; (text.len() + 1) * kp1];
+    let mut starts = vec![0usize; text.len() + 1];
     let mut cur = [0u64; 64];
     let mut new = [0u64; 64];
     for (d, r) in cur.iter_mut().enumerate().take(kp1) {
         *r = ((!0u64) << d) | beyond;
     }
-    if !visit(0, 0, &cur) {
-        return;
-    }
+    // bound: kp1 <= 64, and column 0's `kp1` masks open the buffer.
+    masks[..kp1].copy_from_slice(&cur[..kp1]);
     let mut lo = dead_prefix(&cur, 0, kp1, window_mask);
     for (j, &t) in (1..).zip(text) {
         // `& 3` caps the pm index at 3.
@@ -888,494 +857,13 @@ fn sweep_window(
         let start = band_start(lo, j);
         column_step(&cur, &mut new, start, kp1, j, pmv, beyond, false);
         lo = dead_prefix(&new, start, kp1, window_mask);
-        if !visit(j, start, &new) {
-            return;
-        }
+        // bound: j <= text.len() and start <= kp1, so both ranges lie
+        // inside column j's `kp1` masks, and j < starts.len().
+        masks[j * kp1 + start..(j + 1) * kp1].copy_from_slice(&new[start..kp1]);
+        starts[j] = start;
         std::mem::swap(&mut cur, &mut new);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Service pre-filter: a sound cheap-reject rung ahead of full y-drop.
-// ---------------------------------------------------------------------------
-
-/// Geometry of the anchor reject probe.
-///
-/// The probe is *conclusive* — able to reject — only when its
-/// rectangle covers the whole flank, i.e. `rows`/`cols` ≥ the
-/// pipeline's `max_extension`. On longer flanks the frontier tail
-/// grows by the best substitution score per unprobed row, so the bound
-/// never closes and every anchor is (soundly) kept; services that want
-/// the rung to bite should size the probe past their extension cap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefilterConfig {
-    /// Pattern rows probed per side.
-    pub rows: usize,
-    /// Text columns probed per side.
-    pub cols: usize,
-    /// Edit budget of the bitvector quick-accept tier (≤ 63).
-    pub k: usize,
-}
-
-impl PrefilterConfig {
-    /// How many text and pattern bases of a flank the probe can read:
-    /// its rectangle or tier 1's window (`64 + k` text columns),
-    /// whichever is wider, plus one base past each edge.
-    fn reach(&self) -> (usize, usize) {
-        let k = self.k.clamp(1, 63);
-        (self.cols.max(64 + k) + 1, self.rows.max(1) + 1)
-    }
-}
-
-impl Default for PrefilterConfig {
-    fn default() -> PrefilterConfig {
-        PrefilterConfig {
-            rows: 256,
-            cols: 256,
-            k: 24,
-        }
-    }
-}
-
-/// Upper-bounds the y-drop score one side could contribute, or `None`
-/// when the probe cannot bound it (the anchor must then be kept).
-///
-/// Two tiers:
-///
-/// 1. **Bitvector quick-accept.** One GenASM window over the side's
-///    first `min(rows, 64)` pattern rows: if the window's end bit goes
-///    alive anywhere within the edit budget, the flank is homologous
-///    enough that rejecting is hopeless — return `None` immediately.
-///    On production (mostly-homologous) anchor sets this bit-parallel
-///    tier answers almost every probe; only anchors it abandons via
-///    SENE fall through to tier 2.
-/// 2. **Exact mini-DP with a frontier tail.** A pruning-free Gotoh
-///    pass over the `P×C` probe rectangle gives exact cell scores.
-///    When the probe covers the whole flank (the default config is
-///    sized past `max_extension`, so it usually does) the bound is the
-///    exact side optimum — on random flanks the gapped optimum hovers
-///    near zero rather than drifting, which is precisely why hopeless
-///    anchors are rejectable at all. Cells past the probed columns are
-///    bounded by the column-`C` frontier: every path to `(i, j > C)`
-///    crosses `(i', C)` once with prefix ≤ `S(i', C)` and suffix ≤
-///    `Mm·(i − i')` (each aligned pair consumes one pattern row and
-///    scores at most the best substitution entry; gap steps score
-///    ≤ 0). A row whose exact max *and* frontier tail both fall below
-///    `−ydrop` is pruned in full by the engine — y-drop's running best
-///    never drops below the origin's 0 — so the engine never explores
-///    past it and the side's best is the max bound over the rows above
-///    the cut. No cut inside the probe and pattern rows left over ⇒
-///    unbounded, keep the anchor.
-fn side_upper_bound(
-    text: &[u8],
-    pattern: &[u8],
-    scoring: &Scoring,
-    cfg: &PrefilterConfig,
-) -> Option<i64> {
-    side_upper_bound_on(SimdIsa::dispatched(), text, pattern, scoring, cfg)
-}
-
-/// [`side_upper_bound`] with the mini-DP compiled for `isa`.
-fn side_upper_bound_on(
-    isa: SimdIsa,
-    text: &[u8],
-    pattern: &[u8],
-    scoring: &Scoring,
-    cfg: &PrefilterConfig,
-) -> Option<i64> {
-    let p = pattern.len().min(cfg.rows.max(1));
-    if p == 0 {
-        return Some(0);
-    }
-    let cc = text.len().min(cfg.cols);
-
-    // Tier 1: bitvector quick-accept.
-    let w = p.min(64);
-    let k = cfg.k.clamp(1, 63);
-    let bt = &text[..text.len().min(w + k)];
-    let ebit = 1u64 << (w - 1);
-    let mut end_alive = false;
-    sweep_window(bt, &pattern[..w], k, |_, start, col| {
-        // Rows below `start` are dead; row k's end bit alive ends the
-        // sweep. A column whose rows are all dead (`start > k`) has only
-        // all-dead columns after it, so that ends the sweep too.
-        end_alive = start <= k && col[k] & ebit == 0;
-        !end_alive && start <= k
-    });
-    if end_alive {
-        return None;
-    }
-
-    // Tier 2: exact affine mini-DP over the probe rectangle.
-    let osc = scoring.gaps.open_score();
-    let esc = scoring.gaps.extend_score();
-    let mut mm = i64::MIN;
-    let mut step = i64::from(osc).abs().max(i64::from(esc).abs());
-    for a in 0..5u8 {
-        for b in 0..5u8 {
-            let sub = i64::from(scoring.subst.score(a, b));
-            mm = mm.max(sub);
-            step = step.max(sub.abs());
-        }
-    }
-    // Every cell score is a path score of at most `p + cc` steps (plus
-    // one flush row and the padding columns), each within ±`step`; the
-    // running-maximum terms stay within four times that. Past i32's
-    // safe range keep the anchor (always sound) rather than widen the
-    // rows.
-    let padded = cc.div_ceil(PROBE_LANES) * PROBE_LANES;
-    if 4 * (p + padded + 2) as i64 * step >= i64::from(NEG_I32).abs() {
-        return None;
-    }
-    isa.run(MiniDp {
-        text,
-        pattern,
-        p,
-        cc,
-        scoring,
-        mm,
-    })
-}
-
-/// Tier 2 of [`side_upper_bound`] over the first `p` pattern rows and
-/// `cc` text columns, as one [`IsaKernel`].
-struct MiniDp<'a> {
-    text: &'a [u8],
-    pattern: &'a [u8],
-    p: usize,
-    cc: usize,
-    scoring: &'a Scoring,
-    /// The best substitution score.
-    mm: i64,
-}
-
-impl IsaKernel for MiniDp<'_> {
-    type Output = Option<i64>;
-
-    #[inline(always)]
-    fn run<V: LaneVec>(self) -> Option<i64> {
-        let MiniDp {
-            text,
-            pattern,
-            p,
-            cc,
-            scoring,
-            mm,
-        } = self;
-        let ydrop = i64::from(scoring.ydrop);
-        let tail_live = cc < text.len();
-        // A row is dead when every lane of its maximum lies below
-        // `-ydrop`; past i32 (`ydrop = i32::MIN`) every row is.
-        let floor = i32::try_from(-ydrop).unwrap_or(i32::MAX);
-        let mut rows = ProbeRows::new(text, cc, scoring);
-        // Each step finishes row i and starts row i + 1 (a flush past
-        // the last probed row); the first step finishes row 0.
-        let (_, s_cc) = rows.step(1, pattern[0]);
-        // Frontier recurrence: f(i) = max(f(i-1) + Mm, S(i, C)).
-        let mut frontier = i64::from(s_cc);
-        // The side bound is the largest row bound up to the cut, kept as
-        // the lane-wise maximum of the rows and the largest frontier.
-        let mut side_rows = [i32::MIN; PROBE_LANES];
-        let mut side = 0i64;
-        let mut cut = false;
-        for i in 1..=p {
-            let next = pattern[..p].get(i).copied().unwrap_or(0);
-            let (best, s_cc) = rows.step(i + 1, next);
-            frontier = (frontier + mm).max(i64::from(s_cc));
-            side_rows = lanes::max(side_rows, best);
-            if tail_live {
-                side = side.max(frontier);
-            }
-            let live_lanes =
-                (0..PROBE_LANES).fold(0u32, |m, l| m | u32::from(best[l] >= floor) << l);
-            if live_lanes == 0 && (!tail_live || frontier < -ydrop) {
-                cut = true;
-                break;
-            }
-        }
-        let side = side.max(i64::from(side_rows.into_iter().fold(i32::MIN, i32::max)));
-        if cut || p == pattern.len() {
-            Some(side)
-        } else {
-            None
-        }
-    }
-}
-
-/// "Minus infinity" of the probe rows: far below any reachable score
-/// (the magnitude guard in [`side_upper_bound`]) and far from wrapping.
-const NEG_I32: i32 = i32::MIN / 4;
-
-/// Column lanes of the probe rows' striped layout.
-const PROBE_LANES: usize = 16;
-
-/// One vector of the striped layout: lane `l` of vector `t` holds
-/// column `l·seg + t + 1`.
-type Stripe = [i32; PROBE_LANES];
-
-/// Whole-stripe operations, one simple loop each so they compile to
-/// vector instructions.
-mod lanes {
-    use super::Stripe;
-
-    #[inline(always)]
-    pub fn add(a: Stripe, b: Stripe) -> Stripe {
-        std::array::from_fn(|l| a[l] + b[l])
-    }
-
-    #[inline(always)]
-    pub fn sub(a: Stripe, b: Stripe) -> Stripe {
-        std::array::from_fn(|l| a[l] - b[l])
-    }
-
-    #[inline(always)]
-    pub fn max(a: Stripe, b: Stripe) -> Stripe {
-        std::array::from_fn(|l| a[l].max(b[l]))
-    }
-
-    #[inline(always)]
-    pub fn min(a: Stripe, b: Stripe) -> Stripe {
-        std::array::from_fn(|l| a[l].min(b[l]))
-    }
-}
-
-/// Row-by-row Gotoh DP of the pre-filter probe, vectorized across
-/// columns.
-///
-/// Per row `i`, with `S = max(M, Ix, Iy)`, `H = max(M, Iy)` and
-/// `g = max(open, extend)`:
-///
-/// * `M(j) = S(i-1, j-1) + sub(j)` and `Iy(j) = max(S(i-1, j) + open,
-///   Iy(i-1, j) + extend)` read only the previous row.
-/// * The horizontal gap state is the only dependence along the row.
-///   Substituting `S(j-1) = max(H(j-1), Ix(j-1))` into
-///   `Ix(j) = max(S(j-1) + open, Ix(j-1) + extend)` gives
-///   `Ix(j) = max(H(j-1) + open, Ix(j-1) + g)`, which unrolls to
-///   `Ix(j) = open + (j-1)·g + max_{k<j} (H(k) − k·g)`: one running
-///   maximum.
-///
-/// The columns are striped (Farrar's layout): the row splits into
-/// [`PROBE_LANES`] contiguous segments of `seg` columns, one per lane,
-/// so walking the stripes `t = 0..seg` advances every segment at once.
-/// A row is stored unfinished, as `H` plus each segment's exclusive
-/// running maximum of `H(k) − k·g`, and a carry per lane (the running
-/// maximum of the segments before it, from `H(0)`). One [`Self::step`]
-/// walks the stripes once: it finishes row `i` (`S = max(H, Ix)`, the
-/// row maximum) and from it starts row `i + 1`, so every value is read
-/// and written once per row, and the running maximum threads a
-/// recurrence through the walk that keeps it a lane-parallel loop.
-///
-/// All of it is an exact integer rewrite of the one-pass recurrence, so
-/// every cell score is identical to it. Columns past `cc` (padding of
-/// the last segments) follow the same recurrence on a zero substitution
-/// score; they come after every real column, so no real cell reads
-/// them, and the row maximum masks them out.
-struct ProbeRows {
-    /// `H` of the unfinished row, columns `1..`, striped.
-    h: Vec<Stripe>,
-    /// Per-segment exclusive running maximum of `H(k) − k·g`.
-    pre: Vec<Stripe>,
-    /// Per-lane carry into `pre`.
-    carry: Stripe,
-    /// `Iy` of the unfinished row.
-    iy: Vec<Stripe>,
-    /// `S` (= `H`) of the unfinished row at column 0.
-    col0: i32,
-    /// `j·g` per column.
-    ramp: Vec<Stripe>,
-    /// `j·g + open − g` per column:
-    /// `Ix(j) = max_{k<j}(H(k) − k·g) + ramp_shift(j)`.
-    ramp_shift: Vec<Stripe>,
-    /// `i32::MAX` on real columns (`j ≤ cc`), [`NEG_I32`] on padding:
-    /// the row maximum takes `min(S, cap)`.
-    cap: Vec<Stripe>,
-    /// `sub(text[j-1], c)` per column, code `c`'s stripes at
-    /// `c·seg..(c+1)·seg`.
-    profile: Vec<Stripe>,
-    /// Stripe and lane of column `cc`.
-    last: (usize, usize),
-    seg: usize,
-    open: i32,
-    extend: i32,
-}
-
-impl ProbeRows {
-    /// Row 0 of the probe over the first `cc` text columns, unfinished.
-    #[inline(always)]
-    fn new(text: &[u8], cc: usize, scoring: &Scoring) -> ProbeRows {
-        let open = scoring.gaps.open_score();
-        let extend = scoring.gaps.extend_score();
-        let gap = open.max(extend);
-        let seg = cc.div_ceil(PROBE_LANES);
-        // Column `j ≥ 1` of stripe `t`, lane `l`.
-        fn stripes(seg: usize, f: impl Fn(usize) -> i32) -> Vec<Stripe> {
-            (0..seg)
-                .map(|t| std::array::from_fn(|l| f(l * seg + t + 1)))
-                .collect()
-        }
-        // Text column `j` sits in lane `j / seg` of stripe `j % seg`, so
-        // each lane's columns are one contiguous chunk; padding scores 0.
-        let mut profile = vec![[0i32; PROBE_LANES]; 5 * seg];
-        for (l, lane_text) in text[..cc].chunks(seg.max(1)).enumerate() {
-            for (t, &b) in lane_text.iter().enumerate() {
-                for c in 0..5 {
-                    profile[c * seg + t][l] = scoring.subst.score(b, c as u8);
-                }
-            }
-        }
-        // Row 0 has no horizontal gaps: S = H and the running maxima
-        // sit at minus infinity.
-        ProbeRows {
-            h: stripes(seg, |j| open + extend * (j as i32 - 1)),
-            pre: vec![[NEG_I32; PROBE_LANES]; seg],
-            carry: [NEG_I32; PROBE_LANES],
-            iy: vec![[NEG_I32; PROBE_LANES]; seg],
-            col0: 0,
-            ramp: stripes(seg, |j| j as i32 * gap),
-            ramp_shift: stripes(seg, |j| j as i32 * gap + open - gap),
-            cap: stripes(seg, |j| if j <= cc { i32::MAX } else { NEG_I32 }),
-            profile,
-            last: match cc {
-                0 => (0, 0),
-                _ => ((cc - 1) % seg, (cc - 1) / seg),
-            },
-            seg,
-            open,
-            extend,
-        }
-    }
-
-    /// Finishes the stored row `i − 1`, starts row `i` (pattern code
-    /// `code`) from it, and returns the finished row's maximum over
-    /// columns `1..=cc` lane by lane (every lane `i32::MIN` when there
-    /// are none) and its `S` at column `cc`.
-    #[inline(always)]
-    fn step(&mut self, i: usize, code: u8) -> (Stripe, i32) {
-        let ProbeRows {
-            h,
-            pre,
-            carry,
-            iy,
-            col0,
-            ramp,
-            ramp_shift,
-            cap,
-            profile,
-            last,
-            seg,
-            open,
-            extend,
-        } = self;
-        let (seg, open, extend) = (*seg, *open, *extend);
-        let (open_v, extend_v) = ([open; PROBE_LANES], [extend; PROBE_LANES]);
-        let col0_prev = *col0;
-        *col0 = open + extend * (i as i32 - 1);
-        if seg == 0 {
-            return ([i32::MIN; PROBE_LANES], col0_prev);
-        }
-        // S of the finished row from its stored form.
-        let finish = |h: Stripe, pre: Stripe, ramp_shift: Stripe| {
-            lanes::max(h, lanes::add(lanes::max(pre, *carry), ramp_shift))
-        };
-        let (t_cc, l_cc) = *last;
-        let s_cc = finish(h[t_cc], pre[t_cc], ramp_shift[t_cc])[l_cc];
-        // The diagonal of a segment's first column is the previous
-        // segment's last one: the last stripe shifted up one lane,
-        // column 0 entering lane 0.
-        let tail = finish(h[seg - 1], pre[seg - 1], ramp_shift[seg - 1]);
-        let mut diag: Stripe =
-            std::array::from_fn(|l| if l == 0 { col0_prev } else { tail[l - 1] });
-        // `code` is a sequence code (< 5) and the profile holds five
-        // codes' `seg` stripes. Every stripe array is cut to `seg`, so
-        // the loop indexes in bounds.
-        let sub = &profile[code as usize * seg..(code as usize + 1) * seg];
-        let (h, pre, iy) = (&mut h[..seg], &mut pre[..seg], &mut iy[..seg]);
-        let (ramp, ramp_shift, cap) = (&ramp[..seg], &ramp_shift[..seg], &cap[..seg]);
-        let mut best = [NEG_I32; PROBE_LANES];
-        let mut run = [NEG_I32; PROBE_LANES];
-        for t in 0..seg {
-            let up = finish(h[t], pre[t], ramp_shift[t]);
-            best = lanes::max(best, lanes::min(up, cap[t]));
-            let y = lanes::max(lanes::add(up, open_v), lanes::add(iy[t], extend_v));
-            let h_t = lanes::max(lanes::add(diag, sub[t]), y);
-            iy[t] = y;
-            h[t] = h_t;
-            pre[t] = run;
-            run = lanes::max(run, lanes::sub(h_t, ramp[t]));
-            diag = up;
-        }
-        // Carry the segment totals across lanes, from H(0).
-        carry[0] = *col0;
-        for l in 1..PROBE_LANES {
-            carry[l] = carry[l - 1].max(run[l - 1]);
-        }
-        (best, s_cc)
-    }
-}
-
-/// Applies the bitvector cheap-reject rung to a request's anchors.
-///
-/// Returns the anchors that might still clear `gapped_threshold` and
-/// the number rejected. Soundness contract (drilled by
-/// `crates/serve/tests/bitvec_prefilter.rs`): an anchor is rejected
-/// only when the sum of both sides' provable score upper bounds and
-/// the exact seed score is strictly below the threshold — so the set
-/// of alignments the pipeline emits is bit-identical with the rung on
-/// or off. The probe runs host-side (it is a pre-screen, not a kernel)
-/// and is not priced into modeled GPU time.
-pub fn prefilter_anchors(
-    target: &Sequence,
-    query: &Sequence,
-    anchors: &[Anchor],
-    seed_span: usize,
-    scoring: &Scoring,
-    max_extension: usize,
-    cfg: &PrefilterConfig,
-) -> (Vec<Anchor>, usize) {
-    let tc = target.codes();
-    let qc = query.codes();
-    let mut kept = Vec::with_capacity(anchors.len());
-    let mut rejected = 0usize;
-    // The left flanks are probed reversed. `side_upper_bound` reads at
-    // most `max(cols, 64 + k) + 1` text and `rows + 1` pattern bases (the
-    // one past each probe edge only to learn whether the flank goes on),
-    // so only those are copied, whatever `max_extension` is.
-    let (text_reach, pattern_reach) = cfg.reach();
-    let mut rev_t = Vec::new();
-    let mut rev_q = Vec::new();
-    for &a in anchors {
-        let t0 = a.target_pos as usize;
-        let q0 = a.query_pos as usize;
-        let mut seed = 0i64;
-        for s in 0..seed_span {
-            seed += i64::from(scoring.subst.score(tc[t0 + s], qc[q0 + s]));
-        }
-        let ts = t0.saturating_sub(max_extension);
-        let qs = q0.saturating_sub(max_extension);
-        rev_t.clear();
-        rev_q.clear();
-        rev_t.extend(tc[ts..t0].iter().rev().take(text_reach));
-        rev_q.extend(qc[qs..q0].iter().rev().take(pattern_reach));
-        let left = side_upper_bound(&rev_t, &rev_q, scoring, cfg);
-        let te = tc.len().min(t0 + seed_span + max_extension);
-        let qe = qc.len().min(q0 + seed_span + max_extension);
-        let right = side_upper_bound(
-            &tc[t0 + seed_span..te],
-            &qc[q0 + seed_span..qe],
-            scoring,
-            cfg,
-        );
-        let reject = match (left, right) {
-            (Some(l), Some(r)) => l + seed + r < i64::from(scoring.gapped_threshold),
-            _ => false,
-        };
-        if reject {
-            rejected += 1;
-        } else {
-            kept.push(a);
-        }
-    }
-    (kept, rejected)
+    WindowMasks { masks, starts }
 }
 
 #[cfg(test)]
@@ -1518,227 +1006,5 @@ mod tests {
         assert_eq!(clean, NEG_INF);
         let wrapped = candidate_score(1, 1, u32::MAX / 8, BitvecMutation::SaturatingWrap);
         assert!(wrapped != clean);
-    }
-
-    /// The probe's first form: one pass per row over i64 cells, the
-    /// Gotoh recurrence exactly as written in `side_upper_bound`'s docs.
-    fn side_upper_bound_one_pass(
-        text: &[u8],
-        pattern: &[u8],
-        scoring: &Scoring,
-        cfg: &PrefilterConfig,
-    ) -> Option<i64> {
-        let p = pattern.len().min(cfg.rows.max(1));
-        if p == 0 {
-            return Some(0);
-        }
-        let cc = text.len().min(cfg.cols);
-        let w = p.min(64);
-        let k = cfg.k.clamp(1, 63);
-        let sweep = window_masks(&text[..text.len().min(w + k)], &pattern[..w], k);
-        if sweep
-            .masks
-            .chunks_exact(k + 1)
-            .any(|rows| rows[k] & (1u64 << (w - 1)) == 0)
-        {
-            return None;
-        }
-        let neg = i64::MIN / 4;
-        let osc = i64::from(scoring.gaps.open_score());
-        let esc = i64::from(scoring.gaps.extend_score());
-        let mut mm = i64::MIN;
-        for a in 0..5u8 {
-            for b in 0..5u8 {
-                mm = mm.max(i64::from(scoring.subst.score(a, b)));
-            }
-        }
-        let width = cc + 1;
-        let mut s_prev: Vec<i64> = (0..width as i64)
-            .map(|j| if j == 0 { 0 } else { osc + esc * (j - 1) })
-            .collect();
-        let mut iy_prev = vec![neg; width];
-        let tail_live = cc < text.len();
-        let mut frontier = s_prev[cc];
-        let mut side = 0i64;
-        let mut cut = false;
-        let mut s_row = vec![0i64; width];
-        let mut iy_row = vec![neg; width];
-        for i in 1..=p {
-            let mut ix = neg;
-            s_row[0] = osc + esc * (i as i64 - 1);
-            iy_row[0] = s_row[0];
-            let mut row_max = neg;
-            for j in 1..=cc {
-                let sub = i64::from(scoring.subst.score(text[j - 1], pattern[i - 1]));
-                ix = (s_row[j - 1] + osc).max(ix + esc);
-                let iy = (s_prev[j] + osc).max(iy_prev[j] + esc);
-                let s = (s_prev[j - 1] + sub).max(ix).max(iy);
-                s_row[j] = s;
-                iy_row[j] = iy;
-                row_max = row_max.max(s);
-            }
-            frontier = (frontier + mm).max(s_row[cc]);
-            let bound = if tail_live {
-                row_max.max(frontier)
-            } else {
-                row_max
-            };
-            side = side.max(bound);
-            std::mem::swap(&mut s_prev, &mut s_row);
-            std::mem::swap(&mut iy_prev, &mut iy_row);
-            if bound < -i64::from(scoring.ydrop) {
-                cut = true;
-                break;
-            }
-        }
-        (cut || p == pattern.len()).then_some(side.max(0))
-    }
-
-    #[test]
-    fn striped_probe_matches_the_one_pass_recurrence() {
-        use fastz_genome::evolve::random_codes;
-        use fastz_genome::{GapPenalties, SubstMatrix};
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        // Open cheaper than extend makes max(open, extend) = open, the
-        // other branch of the horizontal-gap rewrite.
-        let odd = Scoring {
-            subst: SubstMatrix::from_acgt(
-                [
-                    [7, -5, -2, -9],
-                    [-3, 6, -8, -1],
-                    [-4, -6, 8, -2],
-                    [-7, -1, -3, 5],
-                ],
-                -20,
-            ),
-            gaps: GapPenalties {
-                open: -3,
-                extend: 4,
-            },
-            ..Scoring::bench_scaled()
-        };
-        let isas: Vec<SimdIsa> = SimdIsa::ALL
-            .into_iter()
-            .filter(|isa| {
-                let ok = isa.supported();
-                if !ok {
-                    eprintln!("probe differential: {} skipped (not supported)", isa.name());
-                }
-                ok
-            })
-            .collect();
-        let mut rng = SmallRng::seed_from_u64(0xB0B);
-        // Verdicts seen: kept (None), bounded at 0, bounded above 0.
-        let mut verdicts = [0usize; 3];
-        for sc in [Scoring::bench_scaled(), odd] {
-            for trial in 0..200 {
-                let len = rng.gen_range(0..300);
-                let text = random_codes(len, 0.5, &mut rng);
-                let mut pattern = random_codes(rng.gen_range(1..300), 0.5, &mut rng);
-                if trial % 4 == 0 {
-                    // Partly homologous, with an N run.
-                    let n = pattern.len().min(text.len());
-                    pattern[..n].copy_from_slice(&text[..n]);
-                    pattern[n / 3..n / 2].fill(fastz_genome::N_CODE);
-                }
-                // Column counts on and off the lane multiple, and 0.
-                let cfg = PrefilterConfig {
-                    rows: [1, 17, 64, 256][trial % 4],
-                    cols: [0, 9, 100, 256, 33][(trial / 4) % 5],
-                    k: [1, 8, 24][trial % 3],
-                };
-                let want = side_upper_bound_one_pass(&text, &pattern, &sc, &cfg);
-                for &isa in &isas {
-                    let got = side_upper_bound_on(isa, &text, &pattern, &sc, &cfg);
-                    let shape = format!("{len} x {}", pattern.len());
-                    assert_eq!(
-                        got,
-                        want,
-                        "{} trial {trial}: {shape} under {cfg:?}",
-                        isa.name()
-                    );
-                }
-                verdicts[want.map_or(0, |b| 1 + usize::from(b > 0))] += 1;
-            }
-        }
-        eprintln!("probe differential verdicts (kept, 0, >0): {verdicts:?}");
-        assert!(verdicts.iter().all(|&n| n >= 10), "{verdicts:?}");
-    }
-
-    #[test]
-    fn probe_keeps_the_anchor_when_scores_could_overflow_i32() {
-        let mut sc = Scoring::bench_scaled();
-        sc.subst = fastz_genome::SubstMatrix::from_acgt([[1 << 24, -1, -1, -1]; 4], -1);
-        let text = vec![1u8; 40];
-        let pattern = vec![2u8; 40];
-        let cfg = PrefilterConfig {
-            k: 1,
-            ..PrefilterConfig::default()
-        };
-        assert!(side_upper_bound_one_pass(&text, &pattern, &sc, &cfg).is_some());
-        assert_eq!(side_upper_bound(&text, &pattern, &sc, &cfg), None);
-    }
-
-    #[test]
-    fn prefilter_keeps_everything_at_permissive_thresholds() {
-        let t = Sequence::from_codes("t", codes("ACGTACGTACGTACGTACGTACGT"));
-        let q = Sequence::from_codes("q", codes("ACGTACGTACGTACGTACGTACGT"));
-        let anchors = vec![Anchor {
-            target_pos: 4,
-            query_pos: 4,
-        }];
-        let scoring = Scoring::bench_scaled();
-        let (kept, rejected) = prefilter_anchors(
-            &t,
-            &q,
-            &anchors,
-            8,
-            &scoring,
-            64,
-            &PrefilterConfig::default(),
-        );
-        assert_eq!(kept.len(), 1);
-        assert_eq!(rejected, 0);
-    }
-
-    #[test]
-    fn prefilter_rejects_hopeless_garbage_under_raised_threshold() {
-        let mut tv = Vec::new();
-        let mut qv = Vec::new();
-        let mut state = 0x2545f4914f6cdd1du64;
-        for i in 0..512 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
-            tv.push(((state >> 29) & 3) as u8);
-            qv.push(((state >> 45).wrapping_add(i) & 3) as u8);
-        }
-        // Identical seed so the anchor itself is plausible.
-        let span = 12;
-        let (seed_t, seed_q) = (&tv[240..240 + span], &mut qv[240..240 + span]);
-        seed_q.copy_from_slice(seed_t);
-        let t = Sequence::from_codes("t", tv);
-        let q = Sequence::from_codes("q", qv);
-        let anchors = vec![Anchor {
-            target_pos: 240,
-            query_pos: 240,
-        }];
-        // A 12-base HOXD70 seed alone scores ~1150, so the rejection has
-        // to come from the flank bounds: random flanks drift at roughly
-        // -44/row, so both probe sides hit a provably dead row well
-        // inside the default 96-row probe and contribute only their
-        // small positive prefix bounds.
-        let mut scoring = Scoring::bench_scaled();
-        scoring.gapped_threshold = 2500;
-        let (kept, rejected) = prefilter_anchors(
-            &t,
-            &q,
-            &anchors,
-            span,
-            &scoring,
-            200,
-            &PrefilterConfig::default(),
-        );
-        assert_eq!(kept.len(), 0, "random flanks cannot reach 2500");
-        assert_eq!(rejected, 1);
     }
 }

@@ -27,8 +27,8 @@ pub use binning::{
     TaggedTask, BIN_BOUNDS, BIN_SLOTS, EAGER_BOUND,
 };
 pub use bitvec::{
-    bitvec_extend, bitvec_extend_in, prefilter_anchors, BitvecConfig, BitvecExtension,
-    BitvecMutation, BitvecStats, ExtendBackend, PrefilterConfig,
+    bitvec_extend, bitvec_extend_in, BitvecConfig, BitvecExtension, BitvecMutation, BitvecStats,
+    ExtendBackend,
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
 pub use pipeline::{

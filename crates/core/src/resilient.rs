@@ -91,11 +91,6 @@ impl ResilienceConfig {
         }
     }
 
-    /// True when every fault probe and the checkpoint path are off.
-    pub fn is_disabled(&self) -> bool {
-        self.plan.is_none() && self.checkpoint.is_none()
-    }
-
     /// Total per-problem attempt budget before the skip rung.
     /// Saturating: adversarial configs near `u32::MAX` clamp instead of
     /// wrapping to a tiny budget (which would skip healthy problems).

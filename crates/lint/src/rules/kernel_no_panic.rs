@@ -21,8 +21,7 @@ use crate::Workspace;
 const WAVEFRONT: &str = "crates/core/src/wavefront_step.rs";
 
 /// Function-scoped: the bitvector kernel's per-window machinery (the
-/// surrounding driver/prefilter code is host-side and may panic on
-/// host bugs).
+/// surrounding driver code is host-side and may panic on host bugs).
 const BITVEC: &str = "crates/core/src/bitvec.rs";
 const BITVEC_FNS: &[&str] = &[
     "bitvec_extend_in",
@@ -35,7 +34,6 @@ const BITVEC_FNS: &[&str] = &[
     "tb_row",
     "traceback",
     "window_masks",
-    "sweep_window",
 ];
 
 /// Function-scoped: the strip sweep (the per-strip step loop and its

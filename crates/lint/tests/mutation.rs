@@ -307,7 +307,7 @@ fn sixteen_bit_lane_types_are_kernel_and_score_scoped() {
 #[test]
 fn bitvec_column_step_and_store_are_kernel_scoped() {
     // The column step and the column store are in scope; the host-side
-    // pre-filter code in the same file is not.
+    // script conversion in the same file is not.
     let bitvec = |note: &str| {
         format!(
             "fn column_step(cur: &[u64; 64], new: &mut [u64; 64], d: usize) {{\n    \
@@ -315,7 +315,7 @@ fn bitvec_column_step_and_store_are_kernel_scoped() {
              new[d] = cur[d - 1] << 1;\n}}\n\
              fn store_column(rows: &[u64; 64], lo: usize) -> u64 {{\n    \
              rows.get(lo).copied().expect(\"stored row\")\n}}\n\
-             fn side_upper_bound(v: &[i64], i: usize) -> i64 {{\n    \
+             fn units_to_ops(v: &[i64], i: usize) -> i64 {{\n    \
              v[i + 1] + v.first().copied().unwrap()\n}}\n"
         )
     };

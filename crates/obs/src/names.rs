@@ -206,11 +206,6 @@ pub const SERVE_COMPLETED_TOTAL: &str = "fastz_serve_completed_total";
 pub const SERVE_DEGRADED_TOTAL: &str = "fastz_serve_degraded_total";
 /// Cross-request merged executor launches formed by the bin packer.
 pub const SERVE_MERGED_LAUNCHES_TOTAL: &str = "fastz_serve_merged_launches_total";
-/// Anchors probed by the bitvector cheap-reject pre-filter rung.
-pub const SERVE_PREFILTER_PROBED_TOTAL: &str = "fastz_serve_prefilter_probed_total";
-/// Anchors the pre-filter rung rejected (provably below
-/// `gapped_threshold`; the served alignment set is unchanged).
-pub const SERVE_PREFILTER_REJECTED_TOTAL: &str = "fastz_serve_prefilter_rejected_total";
 
 /// Fill ratio of cross-request merged bin launches (occupied warp slots
 /// over batch capacity), one observation per merged launch.
@@ -333,8 +328,6 @@ pub const SERVICE: &[&str] = &[
     SERVE_COMPLETED_TOTAL,
     SERVE_DEGRADED_TOTAL,
     SERVE_MERGED_LAUNCHES_TOTAL,
-    SERVE_PREFILTER_PROBED_TOTAL,
-    SERVE_PREFILTER_REJECTED_TOTAL,
     SERVE_BIN_FILL_HIST,
     INDEX_CACHE_HITS_TOTAL,
     INDEX_CACHE_DISK_LOADS_TOTAL,
@@ -409,8 +402,6 @@ pub const ALL: &[&str] = &[
     SERVE_COMPLETED_TOTAL,
     SERVE_DEGRADED_TOTAL,
     SERVE_MERGED_LAUNCHES_TOTAL,
-    SERVE_PREFILTER_PROBED_TOTAL,
-    SERVE_PREFILTER_REJECTED_TOTAL,
     SERVE_BIN_FILL_HIST,
     INDEX_CACHE_HITS_TOTAL,
     INDEX_CACHE_DISK_LOADS_TOTAL,

@@ -194,11 +194,6 @@ impl ShardedSeedIndex {
         self.shards.len()
     }
 
-    /// Window-position interval `[lo, hi)` covered by shard `s`.
-    pub fn shard_bounds(&self, s: usize) -> (u64, u64) {
-        self.bounds[s]
-    }
-
     /// Total indexed windows across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()

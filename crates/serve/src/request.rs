@@ -226,11 +226,6 @@ pub struct RequestRecord {
     /// The request's own modeled GPU time — bit-identical to a solo run
     /// of the same request (0 when it never ran).
     pub modeled_time_s: f64,
-    /// Anchors the bitvector pre-filter rung rejected before dispatch
-    /// (0 when the rung is off or the request never ran). Rejections
-    /// are provably below `gapped_threshold`, so they never change the
-    /// request's alignments — recorded like degradation is.
-    pub prefiltered: usize,
     /// Virtual time the terminal state was recorded.
     pub decided_s: f64,
 }

@@ -20,8 +20,8 @@
 use crate::queue::{AdmissionPolicy, AdmissionQueue, Queued};
 use crate::request::{AlignRequest, DegradeRecord, Outcome, Priority, RequestRecord, ShedReason};
 use fastz_core::{
-    prefilter_anchors, run_fastz_in_pool, BinPacker, FastZConfig, FastZReport, HostDispatch,
-    HostPool, MergedLaunch, PrefilterConfig, ResilienceConfig, ResilienceReport,
+    run_fastz_in_pool, BinPacker, FastZConfig, FastZReport, HostDispatch, HostPool, MergedLaunch,
+    ResilienceConfig, ResilienceReport,
 };
 use fastz_genome::Sequence;
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultPlan, FaultSite};
@@ -60,15 +60,6 @@ pub struct ServeConfig {
     pub batch: usize,
     /// CUDA streams for timing merged launches.
     pub streams: usize,
-    /// Bitvector cheap-reject pre-filter rung: when set, every
-    /// dispatched request's anchors are probed host-side before the
-    /// full y-drop pipeline and anchors that provably cannot clear
-    /// `gapped_threshold` are dropped. Sound by construction
-    /// ([`prefilter_anchors`]), so the served alignments are
-    /// bit-identical with the rung on or off; the reject counts are
-    /// recorded per request ([`RequestRecord::prefiltered`]) and in
-    /// the service metrics, like degradation is.
-    pub prefilter: Option<PrefilterConfig>,
 }
 
 impl ServeConfig {
@@ -85,19 +76,12 @@ impl ServeConfig {
             wave: 4,
             batch: 512,
             streams: 4,
-            prefilter: None,
         }
     }
 
     /// This config with a chaos plan.
     pub fn with_chaos(mut self, chaos: FaultPlan) -> ServeConfig {
         self.chaos = chaos;
-        self
-    }
-
-    /// This config with the bitvector pre-filter rung enabled.
-    pub fn with_prefilter(mut self, prefilter: PrefilterConfig) -> ServeConfig {
-        self.prefilter = Some(prefilter);
         self
     }
 
@@ -168,10 +152,6 @@ pub struct ServeReport {
     pub merged_launches: u64,
     /// Deepest the admission queue got.
     pub peak_depth: usize,
-    /// Anchors probed by the pre-filter rung (0 when the rung is off).
-    pub prefilter_probed: u64,
-    /// Anchors the pre-filter rung rejected.
-    pub prefilter_rejected: u64,
 }
 
 impl ServeReport {
@@ -204,8 +184,6 @@ impl ServeReport {
         self.bin_fills.extend(other.bin_fills);
         self.merged_launches += other.merged_launches;
         self.peak_depth = self.peak_depth.max(other.peak_depth);
-        self.prefilter_probed += other.prefilter_probed;
-        self.prefilter_rejected += other.prefilter_rejected;
     }
 }
 
@@ -304,7 +282,6 @@ impl<'g> AlignService<'g> {
                         outcome: Outcome::ShedError(reason),
                         alignments: Vec::new(),
                         modeled_time_s: 0.0,
-                        prefiltered: 0,
                         decided_s: now_s,
                     });
                 }
@@ -329,7 +306,6 @@ impl<'g> AlignService<'g> {
                     },
                     alignments: Vec::new(),
                     modeled_time_s: 0.0,
-                    prefiltered: 0,
                     decided_s: now_s,
                 });
             }
@@ -350,7 +326,7 @@ impl<'g> AlignService<'g> {
 
             // Dispatch each member through the degradation ladder and
             // the unchanged per-request pipeline.
-            let mut ran: Vec<(Queued, bool, usize, FastZReport)> = Vec::new();
+            let mut ran: Vec<(Queued, bool, FastZReport)> = Vec::new();
             let mut wave_service_s = 0.0f64;
             let mut packer = BinPacker::new(cfg.batch);
             for q in wave {
@@ -362,7 +338,6 @@ impl<'g> AlignService<'g> {
                         outcome: Outcome::ShedError(ShedReason::Overload),
                         alignments: Vec::new(),
                         modeled_time_s: 0.0,
-                        prefiltered: 0,
                         decided_s: now_s,
                     });
                     continue;
@@ -376,29 +351,10 @@ impl<'g> AlignService<'g> {
                     checkpoint: None,
                     ..cfg.resilience.clone()
                 };
-                // Pre-filter rung: probe the anchors host-side and drop
-                // the provably-hopeless ones before the full pipeline.
-                let (anchors, prefiltered) = match &cfg.prefilter {
-                    Some(pf) => {
-                        let (kept, rejected) = prefilter_anchors(
-                            self.target,
-                            self.query,
-                            &q.request.anchors,
-                            q.request.seed_span,
-                            &pipe_cfg.scoring,
-                            pipe_cfg.max_extension,
-                            pf,
-                        );
-                        out.prefilter_probed += q.request.anchors.len() as u64;
-                        out.prefilter_rejected += rejected as u64;
-                        (kept, rejected)
-                    }
-                    None => (q.request.anchors.clone(), 0),
-                };
                 let rep = run_fastz_in_pool(
                     self.target,
                     self.query,
-                    &anchors,
+                    &q.request.anchors,
                     q.request.seed_span,
                     &pipe_cfg,
                     &rcfg,
@@ -422,7 +378,7 @@ impl<'g> AlignService<'g> {
                 }
 
                 packer.push_report(q.request.id, &rep.executor_kernels, &rep.executor_bin_slots);
-                ran.push((q, mode == DispatchMode::Scalar, prefiltered, rep));
+                ran.push((q, mode == DispatchMode::Scalar, rep));
             }
 
             // Merge the wave's executor tasks into shared bin launches
@@ -433,7 +389,7 @@ impl<'g> AlignService<'g> {
                 time_stream_pipeline(&cfg.pipeline.device, &merged_kernels, cfg.streams).time_s;
             let wave_solo_s: f64 = ran
                 .iter()
-                .map(|(_, _, _, rep)| {
+                .map(|(_, _, rep)| {
                     time_stream_pipeline(&cfg.pipeline.device, &rep.executor_kernels, cfg.streams)
                         .time_s
                 })
@@ -450,7 +406,7 @@ impl<'g> AlignService<'g> {
             now_s += wave_service_s;
 
             // Classify the wave's members at the wave's completion time.
-            for (q, scalar, prefiltered, rep) in ran {
+            for (q, scalar, rep) in ran {
                 let degrade = DegradeRecord {
                     scalar,
                     fallbacks: rep.resilience.fallbacks,
@@ -472,7 +428,6 @@ impl<'g> AlignService<'g> {
                     outcome,
                     alignments: rep.alignments.clone(),
                     modeled_time_s: rep.modeled_time_s,
-                    prefiltered,
                     decided_s: now_s,
                 });
                 out.resilience.merge(&rep.resilience);
@@ -530,11 +485,6 @@ impl<'g> AlignService<'g> {
             }
         }
         sink.counter_add(names::SERVE_MERGED_LAUNCHES_TOTAL, report.merged_launches);
-        sink.counter_add(names::SERVE_PREFILTER_PROBED_TOTAL, report.prefilter_probed);
-        sink.counter_add(
-            names::SERVE_PREFILTER_REJECTED_TOTAL,
-            report.prefilter_rejected,
-        );
         for &fill in &report.bin_fills {
             sink.observe(
                 names::SERVE_BIN_FILL_HIST,

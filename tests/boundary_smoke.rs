@@ -2,16 +2,19 @@
 //! sequence end in a typed `ResilienceReport` record instead of a panic,
 //! and anchors flush with an end, an empty anchor list and a zero
 //! extension cap run to completion. Valid anchors align exactly as they
-//! would without the rejected ones beside them.
+//! would without the rejected ones beside them. Degenerate sequences
+//! (all `N`, shorter than the seed span, empty) seed nothing and align
+//! nothing on every path.
 
 use fastz::core::{
     run_fastz, run_fastz_observed, ExtendBackend, FastZConfig, FastZReport, ResilienceConfig,
 };
 use fastz::genome::evolve::random_codes;
-use fastz::genome::{Scoring, Sequence};
+use fastz::genome::{Scoring, Sequence, N_CODE};
 use fastz::gpu_sim::DeviceSpec;
-use fastz::seed::Anchor;
+use fastz::seed::{Anchor, Workload, WorkloadParams};
 use fastz_obs::NoObs;
+use fastz_serve::{AlignRequest, AlignService, Outcome, ServeConfig, ShedReason};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,4 +134,79 @@ fn no_anchors_and_no_extension_run_to_completion() {
     let anchors = [anchor(3_000, 3_000), anchor(1_000_000, 0)];
     let got = run_both(&t, &q, &anchors, &capped);
     assert_eq!(got.resilience.rejected_anchors, vec![1]);
+}
+
+/// Seeds `t` against `q` with the default shape, which must find no
+/// anchor, then extends `extra` on both backends and serves the empty
+/// seeded request beside an `extra` one: nothing aligns, and `extra`
+/// is rejected (shed by the service) exactly when it runs past a
+/// sequence.
+fn assert_aligns_nothing(name: &str, t: &Sequence, q: &Sequence, extra: &[Anchor]) {
+    let wl = Workload::build(t, q, &WorkloadParams::default());
+    assert!(wl.anchors.is_empty(), "{name}: seeded anchors");
+    let in_bounds = extra.iter().all(|a| fits(a, t, q));
+    for backend in [ExtendBackend::YDrop, ExtendBackend::Bitvector] {
+        let cfg = FastZConfig {
+            extend_backend: backend,
+            ..cfg()
+        };
+        // The bitvector backend reads `N` as `A` (`code & 3`), so an
+        // anchor placed by hand inside an `N` run aligns there: it gets
+        // only the anchors the pipeline rejects.
+        let anchors = if backend == ExtendBackend::Bitvector && in_bounds {
+            &[]
+        } else {
+            extra
+        };
+        let got = run_both(t, q, anchors, &cfg);
+        assert!(got.alignments.is_empty(), "{name}: {backend:?} alignments");
+        let rejected: Vec<usize> = if in_bounds {
+            Vec::new()
+        } else {
+            (0..anchors.len()).collect()
+        };
+        assert_eq!(
+            got.resilience.rejected_anchors, rejected,
+            "{name}: {backend:?}"
+        );
+    }
+    let requests = [
+        AlignRequest::new(0, wl.anchors, SPAN),
+        AlignRequest::new(1, extra.to_vec(), SPAN),
+    ];
+    let report = AlignService::new(t, q, ServeConfig::new(cfg())).run(&requests);
+    assert_eq!(report.records.len(), requests.len(), "{name}");
+    for r in &report.records {
+        assert!(r.alignments.is_empty(), "{name}: request {}", r.id);
+        match &r.outcome {
+            Outcome::Completed => assert!(r.id == 0 || in_bounds, "{name}"),
+            Outcome::ShedError(ShedReason::BadAnchor { .. }) => assert!(!in_bounds, "{name}"),
+            other => panic!("{name}: request {}: {other:?}", r.id),
+        }
+    }
+}
+
+/// Whether `a`'s seed window lies inside both sequences.
+fn fits(a: &Anchor, t: &Sequence, q: &Sequence) -> bool {
+    a.target_pos as usize + SPAN <= t.len() && a.query_pos as usize + SPAN <= q.len()
+}
+
+#[test]
+fn degenerate_sequences_seed_and_align_nothing() {
+    let (t, q) = pair();
+    let all_n = Sequence::from_codes("n", vec![N_CODE; 2_000]);
+    assert!(SPAN < WorkloadParams::default().shape.span());
+    let short = Sequence::from_codes("short", t.codes()[..SPAN - 1].to_vec());
+    let empty = Sequence::from_codes("empty", Vec::new());
+    // An anchor inside the all-`N` pair is extended; on the other pairs
+    // the origin anchor runs past a sequence and is rejected.
+    let mid = [anchor(1_000, 1_000)];
+    let origin = [anchor(0, 0)];
+    assert_aligns_nothing("all-N pair", &all_n, &all_n, &mid);
+    assert_aligns_nothing("all-N target", &all_n, &q, &mid);
+    assert_aligns_nothing("short pair", &short, &short, &origin);
+    assert_aligns_nothing("short query", &t, &short, &origin);
+    assert_aligns_nothing("empty target", &empty, &q, &origin);
+    assert_aligns_nothing("empty query", &t, &empty, &origin);
+    assert_aligns_nothing("empty pair", &empty, &empty, &origin);
 }
