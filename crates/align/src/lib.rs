@@ -17,7 +17,6 @@ pub mod format;
 pub mod multicore;
 pub mod score;
 pub mod stats;
-pub mod strand;
 pub mod trace;
 pub mod ungapped;
 pub mod ydrop;
@@ -32,7 +31,6 @@ pub use extend::{gapped_extend, ExtendConfig, GappedExtension};
 pub use format::{gapped_rows, write_general, write_maf};
 pub use multicore::multicore_gapped;
 pub use stats::{summarize, AlignmentSummary};
-pub use strand::{sequential_gapped_both_strands, BothStrandsReport, Strand, StrandedAlignment};
 pub use trace::{CellScores, CellSink, DenseTrace, NoTrace};
 pub use ungapped::{xdrop_extend, Hsp};
 pub use ydrop::{

@@ -116,7 +116,7 @@ mod tests {
     use crate::driver::sequential_gapped;
     use fastz_genome::evolve::{generate_pair, PairParams};
     use fastz_genome::Scoring;
-    use fastz_seed::{Workload, WorkloadParams};
+    use fastz_seed::{find_anchors, SeedIndex, SeedShape};
 
     fn demo() -> (Sequence, Sequence, Vec<Anchor>, usize) {
         let pair = generate_pair(&PairParams {
@@ -125,20 +125,12 @@ mod tests {
             segments: 60,
             ..PairParams::small_demo("mc", 77)
         });
-        // Dense seeds (fine filter only): the sequential work-reduction
-        // rule needs anchors interior to found alignments to exercise.
-        let wl = Workload::build(
-            &pair.target,
-            &pair.query,
-            &WorkloadParams {
-                filter_window: 32,
-                band: 0,
-                band_window: 0,
-                ..WorkloadParams::default()
-            },
-        );
-        let span = wl.shape.span();
-        (pair.target, pair.query, wl.anchors, span)
+        // Dense seeds (unfiltered): the sequential work-reduction rule
+        // needs anchors interior to found alignments to exercise.
+        let index = SeedIndex::build(&pair.target, SeedShape::lastz_12of19());
+        let anchors = find_anchors(&index, &pair.query);
+        let span = index.shape().span();
+        (pair.target, pair.query, anchors, span)
     }
 
     #[test]

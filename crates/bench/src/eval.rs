@@ -182,7 +182,7 @@ mod tests {
         // Shape invariants at unit-test scale (the fixed host-side
         // "other" cost dominates tiny workloads, so absolute speedup
         // ordering vs the multicore model is asserted at bench scale by
-        // the fig7 harness): FastZ beats sequential on its GPU phases,
+        // the evalall harness): FastZ beats sequential on its GPU phases,
         // multicore beats sequential, and the Feng baseline never beats
         // FastZ.
         let fz_gpu_only = eval.seq_model_s / (eval.fastz_s[2] - eval.fastz.other_s).max(1e-12);

@@ -1,8 +1,8 @@
 //! # fastz-bench
 //!
 //! Shared harness code for the binaries that regenerate every table and
-//! figure of the FastZ paper (`table1`, `table2`, `fig2`, `fig7`, `fig8`,
-//! `fig9`, `fig11`, `roofline`), and the [`gate`] protocol of the CI
+//! figure of the FastZ paper (`table1`, `fig2`, `evalall` for Table 2 and
+//! Figures 7-8, `fig9`, `fig11`, `roofline`), and the [`gate`] protocol of the CI
 //! regression gates (`host_throughput`, `simd_wavefront`,
 //! `serve_throughput`, `index_build`, `overhead`).
 

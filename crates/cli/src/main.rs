@@ -2,6 +2,9 @@
 //!
 //! A drop-in-style front end over the FastZ pipeline: seeds two FASTA
 //! sequences, gapped-extends every filtered seed, and prints alignments.
+//! The target file must hold one record; each record of the query file
+//! is aligned in turn against the one seed index built (or loaded) for
+//! the target, on both strands with `--both-strands`.
 //!
 //! ```text
 //! fastz <target.fa> <query.fa> [options]
@@ -33,7 +36,9 @@
 //!   --scores FILE                    LASTZ score file (overrides matrix/gaps)
 //!   --demo PAIR                      generate a synthetic catalog pair
 //!                                    (e.g. C1_1,1) instead of reading files
-//!   --both-strands                   also align the reverse complement
+//!   --both-strands                   also align the reverse complement,
+//!                                    seeded through the same index and run
+//!                                    with the same engine and flags
 //!   --format tsv|general|maf         output format (default tsv)
 //!   --emit-fasta PREFIX              write the (demo) inputs to
 //!                                    PREFIX.target.fa / PREFIX.query.fa and exit
@@ -55,6 +60,11 @@
 //!                                    .prom, JSON report otherwise)
 //!   --trace-out FILE                 export the phase span timeline to FILE
 //!                                    as Chrome-trace JSON (chrome://tracing)
+//!                                    (--checkpoint, --metrics-out and
+//!                                    --trace-out each describe one pipeline
+//!                                    run: they are refused when the query
+//!                                    has several records or with
+//!                                    --both-strands)
 //!   --sanitize                       run the shared-memory shadow sanitizer
 //!                                    (initcheck, racecheck, bank conflicts,
 //!                                    warp lints); any finding fails the run
@@ -71,12 +81,13 @@ use fastz_align::{
     dedupe_alignments, multicore_gapped, sequential_gapped, write_general, write_maf, Alignment,
     DriverConfig,
 };
-use fastz_core::{run_fastz, run_fastz_observed, ExtendBackend, FastZConfig, ResilienceConfig};
+use fastz_core::{run_fastz_observed, ExtendBackend, FastZConfig, ResilienceConfig};
 use fastz_genome::{find_pair, generate_pair, read_fasta_file, Scale, Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, FaultPlan};
 use fastz_obs::{export, NoObs, Recorder};
 use fastz_seed::{
-    Anchor, IndexOrigin, PersistError, SeedShape, ShardedSeedIndex, Workload, WorkloadParams,
+    Anchor, AnchorSource, IndexOrigin, PersistError, SeedIndex, SeedShape, ShardedSeedIndex,
+    Workload, WorkloadParams,
 };
 use fastz_serve::{AlignRequest, AlignService, ServeConfig};
 use std::path::PathBuf;
@@ -116,7 +127,8 @@ impl Options {
          [--extend ydrop|bitvector] \
          [--device pascal|volta|ampere] [--threads N] [--sim-threads N] \
          [--seed exact19|12of19] [--index-dir DIR] [--index-shards N] \
-         [--max-anchors N] [--scoring lastz|bench] [--demo PAIR] \
+         [--max-anchors N] [--scoring lastz|bench] [--scores FILE] [--demo PAIR] \
+         [--both-strands] [--format tsv|general|maf] [--emit-fasta PREFIX] \
          [--serve N] [--fault-plan SEED] [--checkpoint FILE] \
          [--metrics-out FILE] \
          [--trace-out FILE] [--sanitize] [--sanitize-out FILE] [--stats]"
@@ -230,26 +242,92 @@ impl Options {
     }
 }
 
-fn load_inputs(opts: &Options) -> Result<(Sequence, Sequence), String> {
+/// Why the input FASTA files could not be used.
+#[derive(Debug)]
+enum InputError {
+    /// The file could not be read or parsed.
+    Read { path: String, detail: String },
+    /// The file holds no record.
+    NoRecords { path: String },
+    /// The target file holds more than one record: the seed index
+    /// covers one target sequence.
+    MultiRecordTarget { path: String, records: usize },
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InputError::Read { path, detail } => write!(f, "{path}: {detail}"),
+            InputError::NoRecords { path } => write!(f, "{path}: no records"),
+            InputError::MultiRecordTarget { path, records } => write!(
+                f,
+                "{path}: the target must be one FASTA record, found {records}"
+            ),
+        }
+    }
+}
+
+/// The target sequence and every query record, in file order.
+fn load_inputs(opts: &Options) -> Result<(Sequence, Vec<Sequence>), String> {
     if let Some(label) = &opts.demo {
         let pair = find_pair(label).ok_or_else(|| format!("unknown catalog pair {label}"))?;
         let generated = generate_pair(&pair.pair_params(Scale::BENCH));
-        return Ok((generated.target, generated.query));
+        return Ok((generated.target, vec![generated.query]));
     }
     let (Some(tp), Some(qp)) = (&opts.target, &opts.query) else {
         return Err(Options::usage().to_string());
     };
-    let mut t = read_fasta_file(tp).map_err(|e| format!("{tp}: {e}"))?;
-    let mut q = read_fasta_file(qp).map_err(|e| format!("{qp}: {e}"))?;
-    let target = t
-        .drain(..)
-        .next()
-        .ok_or_else(|| format!("{tp}: no records"))?;
-    let query = q
-        .drain(..)
-        .next()
-        .ok_or_else(|| format!("{qp}: no records"))?;
-    Ok((target, query))
+    let read = |path: &String| {
+        let records = read_fasta_file(path).map_err(|e| InputError::Read {
+            path: path.clone(),
+            detail: e.to_string(),
+        })?;
+        if records.is_empty() {
+            return Err(InputError::NoRecords { path: path.clone() });
+        }
+        Ok(records)
+    };
+    let mut targets = read(tp).map_err(|e| e.to_string())?;
+    if targets.len() > 1 {
+        let e = InputError::MultiRecordTarget {
+            path: tp.clone(),
+            records: targets.len(),
+        };
+        return Err(e.to_string());
+    }
+    let queries = read(qp).map_err(|e| e.to_string())?;
+    Ok((targets.remove(0), queries))
+}
+
+/// The extension engine a run uses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Engine {
+    /// Sequential LASTZ-style driver.
+    Lastz,
+    /// Multicore LASTZ-style driver.
+    Multicore,
+    /// The FastZ GPU pipeline (directly, or through the service with
+    /// `--serve`).
+    FastZ,
+}
+
+fn engine_preset(name: &str) -> Option<Engine> {
+    match name {
+        "lastz" => Some(Engine::Lastz),
+        "multicore" => Some(Engine::Multicore),
+        "fastz" => Some(Engine::FastZ),
+        _ => None,
+    }
+}
+
+/// Everything one (query record, strand) job needs besides its query.
+struct Run<'a> {
+    opts: &'a Options,
+    engine: Engine,
+    /// The FastZ pipeline configuration; `scoring` also drives the
+    /// LASTZ-style engines.
+    cfg: FastZConfig,
+    params: WorkloadParams,
 }
 
 fn main() -> ExitCode {
@@ -261,193 +339,202 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    let (target, query) = match load_inputs(&opts) {
-        Ok(pair) => pair,
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("fastz: {msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn run(opts: &Options) -> Result<(), String> {
+    let (target, queries) = load_inputs(opts)?;
 
     if let Some(prefix) = &opts.emit_fasta {
         let tp = format!("{prefix}.target.fa");
         let qp = format!("{prefix}.query.fa");
-        if let Err(e) = fastz_genome::write_fasta_file(&tp, std::slice::from_ref(&target))
-            .and_then(|_| fastz_genome::write_fasta_file(&qp, std::slice::from_ref(&query)))
-        {
-            eprintln!("fastz: writing fasta: {e}");
-            return ExitCode::FAILURE;
-        }
+        fastz_genome::write_fasta_file(&tp, std::slice::from_ref(&target))
+            .and_then(|_| fastz_genome::write_fasta_file(&qp, &queries))
+            .map_err(|e| format!("writing fasta: {e}"))?;
+        let query_bp: usize = queries.iter().map(Sequence::len).sum();
         eprintln!(
-            "fastz: wrote {tp} ({} bp) and {qp} ({} bp)",
-            target.len(),
-            query.len()
+            "fastz: wrote {tp} ({} bp) and {qp} ({query_bp} bp)",
+            target.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    let mut scoring = match scoring_preset(&opts.scoring) {
-        Some(s) => s,
-        None => {
-            eprintln!("fastz: unknown scoring preset {}", opts.scoring);
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut scoring = scoring_preset(&opts.scoring)
+        .ok_or_else(|| format!("unknown scoring preset {}", opts.scoring))?;
     if let Some(path) = &opts.scores {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("fastz: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        scoring = match fastz_genome::parse_score_file(&text, &scoring) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fastz: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        scoring =
+            fastz_genome::parse_score_file(&text, &scoring).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("fastz: scores loaded from {path}");
     }
-    let Some(extend) = extend_preset(&opts.extend) else {
-        eprintln!("fastz: unknown extension algorithm {}", opts.extend);
-        return ExitCode::FAILURE;
-    };
-    if extend != ExtendBackend::YDrop && opts.engine != "fastz" {
-        eprintln!("fastz: --extend applies to the fastz engine only");
-        return ExitCode::FAILURE;
+    let extend = extend_preset(&opts.extend)
+        .ok_or_else(|| format!("unknown extension algorithm {}", opts.extend))?;
+    let engine =
+        engine_preset(&opts.engine).ok_or_else(|| format!("unknown engine {}", opts.engine))?;
+    if extend != ExtendBackend::YDrop && engine != Engine::FastZ {
+        return Err("--extend applies to the fastz engine only".to_string());
     }
     let shape = match opts.seed.as_str() {
         "exact19" => SeedShape::exact(19),
         "12of19" => SeedShape::lastz_12of19(),
-        other => {
-            eprintln!("fastz: unknown seed shape {other}");
-            return ExitCode::FAILURE;
+        other => return Err(format!("unknown seed shape {other}")),
+    };
+    if !matches!(opts.format.as_str(), "tsv" | "general" | "maf") {
+        return Err(format!("unknown output format {}", opts.format));
+    }
+    let device =
+        device_preset(&opts.device).ok_or_else(|| format!("unknown device {}", opts.device))?;
+    if opts.serve > 0 {
+        if engine != Engine::FastZ {
+            return Err("--serve requires the fastz engine".to_string());
         }
-    };
+        if opts.both_strands {
+            return Err("--serve does not combine with --both-strands".to_string());
+        }
+    }
+    // Checkpoints, metrics and traces each describe one pipeline run.
+    let jobs = queries.len() * if opts.both_strands { 2 } else { 1 };
+    if jobs > 1 {
+        for (flag, set) in [
+            ("--checkpoint", opts.checkpoint.is_some()),
+            ("--metrics-out", opts.metrics_out.is_some()),
+            ("--trace-out", opts.trace_out.is_some()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} describes one pipeline run, but this run has {jobs} \
+                     (query record, strand) jobs"
+                ));
+            }
+        }
+    }
 
-    eprintln!(
-        "fastz: target {} ({} bp), query {} ({} bp)",
-        target.name(),
-        target.len(),
-        query.name(),
-        query.len()
-    );
-
-    let params = WorkloadParams {
-        shape: shape.clone(),
-        max_anchors: opts.max_anchors,
-        ..WorkloadParams::default()
+    let mut run = Run {
+        opts,
+        engine,
+        cfg: FastZConfig {
+            sim_threads: opts.sim_threads,
+            sanitize: opts.sanitize || opts.sanitize_out.is_some(),
+            extend_backend: extend,
+            ..FastZConfig::new(scoring, device)
+        },
+        params: WorkloadParams {
+            shape: shape.clone(),
+            max_anchors: opts.max_anchors,
+        },
     };
+    if opts.index_dir.is_none() && opts.index_shards == 0 {
+        let index = SeedIndex::try_build(&target, shape).map_err(|e| format!("seed index: {e}"))?;
+        return align_all(&run, &index, &target, &queries);
+    }
     // Sharded-index path: build (or load) the persistent index once and
     // seed through it. The fingerprint folds into checkpoint identity so
     // a resume can never mix anchors from different index versions.
-    let mut index_fingerprint = 0u64;
-    let workload = if opts.index_dir.is_some() || opts.index_shards > 0 {
-        let shards = if opts.index_shards > 0 {
-            opts.index_shards
-        } else {
-            4
-        };
-        let loaded = match &opts.index_dir {
-            Some(dir) => {
-                ShardedSeedIndex::load_or_build(&PathBuf::from(dir), &target, shape, shards)
-            }
-            None => ShardedSeedIndex::build(&target, shape, shards)
-                .map(|i| (i, IndexOrigin::Built))
-                .map_err(PersistError::Build),
-        };
-        let (index, origin) = match loaded {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("fastz: seed index: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        eprintln!(
-            "fastz: seed index {} ({} shards, {} entries, fingerprint {:016x})",
-            match origin {
-                IndexOrigin::LoadedFromDisk => "loaded from disk",
-                IndexOrigin::Built => "built",
-            },
-            index.n_shards(),
-            index.len(),
-            index.fingerprint(),
-        );
-        index_fingerprint = index.fingerprint();
-        Workload::build_with_index(&index, &query, &params)
+    let shards = if opts.index_shards > 0 {
+        opts.index_shards
     } else {
-        Workload::build(&target, &query, &params)
+        4
     };
-    eprintln!(
-        "fastz: {} raw anchors, {} after filtering, {} extended",
-        workload.raw_anchors,
-        workload.filtered_anchors,
-        workload.len()
-    );
-    let span = workload.shape.span();
-
-    if opts.serve > 0 {
-        if opts.engine != "fastz" {
-            eprintln!("fastz: --serve requires the fastz engine");
-            return ExitCode::FAILURE;
-        }
-        if opts.both_strands {
-            eprintln!("fastz: --serve does not combine with --both-strands");
-            return ExitCode::FAILURE;
-        }
-        let Some(device) = device_preset(&opts.device) else {
-            eprintln!("fastz: unknown device {}", opts.device);
-            return ExitCode::FAILURE;
-        };
-        let cfg = FastZConfig {
-            sim_threads: opts.sim_threads,
-            extend_backend: extend,
-            index_fingerprint,
-            ..FastZConfig::new(scoring, device)
-        };
-        let alignments = match serve_front_end(&target, &query, &workload.anchors, span, cfg, &opts)
-        {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("fastz: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = emit(&alignments, &target, &query, '+', &opts) {
-            eprintln!("fastz: writing output: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("fastz: {} alignments", alignments.len());
-        return ExitCode::SUCCESS;
+    let (index, origin) = match &opts.index_dir {
+        Some(dir) => ShardedSeedIndex::load_or_build(&PathBuf::from(dir), &target, shape, shards),
+        None => ShardedSeedIndex::build(&target, shape, shards)
+            .map(|i| (i, IndexOrigin::Built))
+            .map_err(PersistError::Build),
     }
+    .map_err(|e| format!("seed index: {e}"))?;
+    eprintln!(
+        "fastz: seed index {} ({} shards, {} entries, fingerprint {:016x})",
+        match origin {
+            IndexOrigin::LoadedFromDisk => "loaded from disk",
+            IndexOrigin::Built => "built",
+        },
+        index.n_shards(),
+        index.len(),
+        index.fingerprint(),
+    );
+    run.cfg.index_fingerprint = index.fingerprint();
+    align_all(&run, &index, &target, &queries)
+}
 
-    let scoring_for_minus = scoring.clone();
-    let alignments = match opts.engine.as_str() {
-        "lastz" => {
+/// Aligns every query record in turn, each on the strands the run asks
+/// for, seeding all of them through the one `index`.
+fn align_all<S: AnchorSource>(
+    run: &Run,
+    index: &S,
+    target: &Sequence,
+    queries: &[Sequence],
+) -> Result<(), String> {
+    let mut total = 0;
+    for query in queries {
+        eprintln!(
+            "fastz: target {} ({} bp), query {} ({} bp)",
+            target.name(),
+            target.len(),
+            query.name(),
+            query.len()
+        );
+        // The minus strand aligns the reverse complement and reports
+        // coordinates on it (strand column `-`).
+        let rc = run.opts.both_strands.then(|| query.reverse_complement());
+        for (strand, query) in std::iter::once(('+', query)).chain(rc.iter().map(|rc| ('-', rc))) {
+            let workload = Workload::build_with_index(index, query, &run.params);
+            eprintln!(
+                "fastz: {} strand, {} raw anchors, {} after filtering, {} extended",
+                if strand == '+' { "plus" } else { "minus" },
+                workload.raw_anchors,
+                workload.filtered_anchors,
+                workload.len()
+            );
+            let alignments = align(run, target, query, &workload)?;
+            emit(&alignments, target, query, strand, run.opts)
+                .map_err(|e| format!("writing output: {e}"))?;
+            total += alignments.len();
+        }
+    }
+    eprintln!("fastz: {total} alignments");
+    Ok(())
+}
+
+/// Runs the chosen engine over one job's anchors.
+fn align(
+    run: &Run,
+    target: &Sequence,
+    query: &Sequence,
+    workload: &Workload,
+) -> Result<Vec<Alignment>, String> {
+    let opts = run.opts;
+    let cfg = &run.cfg;
+    let anchors = &workload.anchors;
+    let span = workload.shape.span();
+    match run.engine {
+        Engine::Lastz => {
             let report = sequential_gapped(
-                &target,
-                &query,
-                &workload.anchors,
+                target,
+                query,
+                anchors,
                 span,
-                &DriverConfig::gapped(scoring),
+                &DriverConfig::gapped(cfg.scoring.clone()),
             );
             eprintln!(
                 "fastz: sequential engine, {} cells, {:.3} s",
                 report.stats.total_cells,
                 report.stats.wall_time.as_secs_f64()
             );
-            report.alignments
+            Ok(report.alignments)
         }
-        "multicore" => {
+        Engine::Multicore => {
             let report = multicore_gapped(
-                &target,
-                &query,
-                &workload.anchors,
+                target,
+                query,
+                anchors,
                 span,
-                &DriverConfig::gapped(scoring),
+                &DriverConfig::gapped(cfg.scoring.clone()),
                 opts.threads,
             );
             eprintln!(
@@ -456,186 +543,104 @@ fn main() -> ExitCode {
                 report.stats.total_cells,
                 report.stats.wall_time.as_secs_f64()
             );
-            report.alignments
+            Ok(report.alignments)
         }
-        "fastz" => {
-            let Some(device) = device_preset(&opts.device) else {
-                eprintln!("fastz: unknown device {}", opts.device);
-                return ExitCode::FAILURE;
-            };
-            let cfg = FastZConfig {
-                sim_threads: opts.sim_threads,
-                sanitize: opts.sanitize || opts.sanitize_out.is_some(),
-                extend_backend: extend,
-                index_fingerprint,
-                ..FastZConfig::new(scoring, device)
-            };
-            let rcfg = ResilienceConfig {
-                checkpoint: opts.checkpoint.as_ref().map(PathBuf::from),
-                ..match opts.fault_plan {
-                    Some(seed) => ResilienceConfig::with_plan(FaultPlan::from_seed(seed)),
-                    None => ResilienceConfig::disabled(),
-                }
-            };
-            let observing = opts.metrics_out.is_some() || opts.trace_out.is_some();
-            let mut rec = Recorder::new();
-            let report = if observing {
-                run_fastz_observed(
-                    &target,
-                    &query,
-                    &workload.anchors,
-                    span,
-                    &cfg,
-                    &rcfg,
-                    &mut rec,
-                )
-            } else {
-                run_fastz_observed(
-                    &target,
-                    &query,
-                    &workload.anchors,
-                    span,
-                    &cfg,
-                    &rcfg,
-                    &mut NoObs,
-                )
-            };
-            if let Some(path) = &opts.metrics_out {
-                let text = if path.ends_with(".prom") {
-                    export::prometheus(&rec.registry)
-                } else {
-                    export::json_report(&rec)
-                };
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("fastz: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("fastz: metrics written to {path}");
-            }
-            if let Some(path) = &opts.trace_out {
-                if let Err(e) = std::fs::write(path, export::chrome_trace(&rec.timeline)) {
-                    eprintln!("fastz: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("fastz: trace written to {path}");
-            }
-            eprintln!(
-                "fastz: GPU pipeline on {} — modeled {:.4} s, simulated in {:.3} s host time",
-                cfg.device.name,
-                report.modeled_time_s,
-                report.host_wall.as_secs_f64()
-            );
-            if let Some(srep) = &report.sanitize {
-                if let Some(path) = &opts.sanitize_out {
-                    if let Err(e) = std::fs::write(path, srep.to_json()) {
-                        eprintln!("fastz: {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("fastz: sanitizer report written to {path}");
-                }
-                eprintln!(
-                    "fastz: sanitizer: {} findings over {} shared reads / {} writes \
-                     ({} barriers, {} clears)",
-                    srep.total_findings(),
-                    srep.shared_reads,
-                    srep.shared_writes,
-                    srep.barriers,
-                    srep.clears,
-                );
-                if !srep.is_clean() {
-                    for f in srep.findings.iter().take(8) {
-                        eprintln!(
-                            "fastz: sanitizer finding [{}] problem {} phase {} stage {}: {}",
-                            f.kind, f.problem, f.phase, f.stage, f.detail
-                        );
-                    }
-                    eprintln!("fastz: sanitizer found problems; failing the run");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if opts.fault_plan.is_some() || opts.checkpoint.is_some() || opts.stats {
-                eprintln!("fastz: resilience: {}", report.resilience.summary());
-                if report.resilience.resumed {
-                    eprintln!(
-                        "fastz: resumed from checkpoint ({} problems restored)",
-                        report.resilience.restored_problems
-                    );
-                }
-            }
-            if opts.stats {
-                eprintln!(
-                    "fastz: {} seeds; eager {}, executor {}; bins {:?} (+{} eager, {} overflow)",
-                    report.stats.seeds,
-                    report.stats.eager_resolved,
-                    report.stats.executor_problems,
-                    report.bin_counts.bins,
-                    report.bin_counts.eager,
-                    report.bin_counts.overflow,
-                );
-                eprint!("{}", report.timeline);
-            }
-            report.alignments
-        }
-        other => {
-            eprintln!("fastz: unknown engine {other}");
-            return ExitCode::FAILURE;
+        Engine::FastZ if opts.serve > 0 => serve_front_end(target, query, anchors, span, cfg, opts),
+        Engine::FastZ => fastz_pipeline(target, query, anchors, span, cfg, opts),
+    }
+}
+
+/// One direct FastZ pipeline run, with the fault plan, checkpoint,
+/// metric and trace exports, sanitizer report and statistics the flags
+/// ask for.
+fn fastz_pipeline(
+    target: &Sequence,
+    query: &Sequence,
+    anchors: &[Anchor],
+    span: usize,
+    cfg: &FastZConfig,
+    opts: &Options,
+) -> Result<Vec<Alignment>, String> {
+    let rcfg = ResilienceConfig {
+        checkpoint: opts.checkpoint.as_ref().map(PathBuf::from),
+        ..match opts.fault_plan {
+            Some(seed) => ResilienceConfig::with_plan(FaultPlan::from_seed(seed)),
+            None => ResilienceConfig::disabled(),
         }
     };
-
-    if let Err(e) = emit(&alignments, &target, &query, '+', &opts) {
-        eprintln!("fastz: writing output: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut total = alignments.len();
-
-    // Minus strand: re-run the chosen engine against the reverse
-    // complement and report coordinates on the rc (strand column `-`).
-    if opts.both_strands {
-        let rc = query.reverse_complement();
-        let wl = Workload::build(
-            &target,
-            &rc,
-            &WorkloadParams {
-                max_anchors: opts.max_anchors,
-                ..WorkloadParams::default()
-            },
-        );
-        eprintln!("fastz: minus strand, {} anchors", wl.len());
-        let minus = match opts.engine.as_str() {
-            "lastz" => {
-                sequential_gapped(
-                    &target,
-                    &rc,
-                    &wl.anchors,
-                    wl.shape.span(),
-                    &DriverConfig::gapped(scoring_for_minus.clone()),
-                )
-                .alignments
-            }
-            "multicore" => {
-                multicore_gapped(
-                    &target,
-                    &rc,
-                    &wl.anchors,
-                    wl.shape.span(),
-                    &DriverConfig::gapped(scoring_for_minus.clone()),
-                    opts.threads,
-                )
-                .alignments
-            }
-            _ => {
-                let cfg = FastZConfig::new(scoring_for_minus.clone(), DeviceSpec::rtx3080_ampere());
-                run_fastz(&target, &rc, &wl.anchors, wl.shape.span(), &cfg).alignments
-            }
+    let observing = opts.metrics_out.is_some() || opts.trace_out.is_some();
+    let mut rec = Recorder::new();
+    let report = if observing {
+        run_fastz_observed(target, query, anchors, span, cfg, &rcfg, &mut rec)
+    } else {
+        run_fastz_observed(target, query, anchors, span, cfg, &rcfg, &mut NoObs)
+    };
+    if let Some(path) = &opts.metrics_out {
+        let text = if path.ends_with(".prom") {
+            export::prometheus(&rec.registry)
+        } else {
+            export::json_report(&rec)
         };
-        if let Err(e) = emit(&minus, &target, &rc, '-', &opts) {
-            eprintln!("fastz: writing output: {e}");
-            return ExitCode::FAILURE;
-        }
-        total += minus.len();
+        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("fastz: metrics written to {path}");
     }
-    eprintln!("fastz: {total} alignments");
-    ExitCode::SUCCESS
+    if let Some(path) = &opts.trace_out {
+        std::fs::write(path, export::chrome_trace(&rec.timeline))
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("fastz: trace written to {path}");
+    }
+    eprintln!(
+        "fastz: GPU pipeline on {} — modeled {:.4} s, simulated in {:.3} s host time",
+        cfg.device.name,
+        report.modeled_time_s,
+        report.host_wall.as_secs_f64()
+    );
+    if let Some(srep) = &report.sanitize {
+        if let Some(path) = &opts.sanitize_out {
+            std::fs::write(path, srep.to_json()).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("fastz: sanitizer report written to {path}");
+        }
+        eprintln!(
+            "fastz: sanitizer: {} findings over {} shared reads / {} writes \
+             ({} barriers, {} clears)",
+            srep.total_findings(),
+            srep.shared_reads,
+            srep.shared_writes,
+            srep.barriers,
+            srep.clears,
+        );
+        if !srep.is_clean() {
+            for f in srep.findings.iter().take(8) {
+                eprintln!(
+                    "fastz: sanitizer finding [{}] problem {} phase {} stage {}: {}",
+                    f.kind, f.problem, f.phase, f.stage, f.detail
+                );
+            }
+            return Err("sanitizer found problems; failing the run".to_string());
+        }
+    }
+    if opts.fault_plan.is_some() || opts.checkpoint.is_some() || opts.stats {
+        eprintln!("fastz: resilience: {}", report.resilience.summary());
+        if report.resilience.resumed {
+            eprintln!(
+                "fastz: resumed from checkpoint ({} problems restored)",
+                report.resilience.restored_problems
+            );
+        }
+    }
+    if opts.stats {
+        eprintln!(
+            "fastz: {} seeds; eager {}, executor {}; bins {:?} (+{} eager, {} overflow)",
+            report.stats.seeds,
+            report.stats.eager_resolved,
+            report.stats.executor_problems,
+            report.bin_counts.bins,
+            report.bin_counts.eager,
+            report.bin_counts.overflow,
+        );
+        eprint!("{}", report.timeline);
+    }
+    Ok(report.alignments)
 }
 
 fn scoring_preset(name: &str) -> Option<Scoring> {
@@ -675,7 +680,7 @@ fn serve_front_end(
     query: &Sequence,
     anchors: &[Anchor],
     span: usize,
-    cfg: FastZConfig,
+    cfg: &FastZConfig,
     opts: &Options,
 ) -> Result<Vec<Alignment>, String> {
     let per = anchors.len().div_ceil(opts.serve).max(1);
@@ -684,7 +689,11 @@ fn serve_front_end(
         .enumerate()
         .map(|(i, chunk)| AlignRequest::new(i as u64, chunk.to_vec(), span))
         .collect();
-    let mut scfg = ServeConfig::new(cfg);
+    // The service reports no sanitizer findings, so it runs unsanitized.
+    let mut scfg = ServeConfig::new(FastZConfig {
+        sanitize: false,
+        ..cfg.clone()
+    });
     scfg.admission.queue_cap = scfg.admission.queue_cap.max(requests.len());
     scfg.admission.work_budget = f64::INFINITY;
     if let Some(seed) = opts.fault_plan {
@@ -928,7 +937,8 @@ mod tests {
         let o = Options::parse(&sv(&["--demo", "D1_2R,2"])).unwrap();
         let (t, q) = load_inputs(&o).unwrap();
         assert!(t.len() > 100_000);
-        assert!(q.len() > 100_000);
+        assert_eq!(q.len(), 1);
+        assert!(q[0].len() > 100_000);
         let bad = Options::parse(&sv(&["--demo", "NOPE"])).unwrap();
         assert!(load_inputs(&bad).is_err());
     }

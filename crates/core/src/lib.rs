@@ -32,7 +32,8 @@ pub use bitvec::{
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
 pub use pipeline::{
-    run_fastz, run_fastz_in_pool, run_fastz_observed, FastZConfig, FastZReport, FastZStats,
+    run_fastz, run_fastz_in_pool, run_fastz_observed, sim_threads, FastZConfig, FastZReport,
+    FastZStats,
 };
 pub use pool::{Arena, HostDispatch, HostPool, PoolStats};
 pub use resilient::{

@@ -267,7 +267,7 @@ fn side_result(
 
 /// Host workers for the functional simulation: `cfg.sim_threads`, or
 /// every available core when it is 0.
-pub(crate) fn sim_threads(cfg: &FastZConfig) -> usize {
+pub fn sim_threads(cfg: &FastZConfig) -> usize {
     if cfg.sim_threads > 0 {
         cfg.sim_threads
     } else {

@@ -214,21 +214,6 @@ pub const SERVE_BIN_FILL_HIST: &str = "fastz_serve_bin_fill_ratio";
 pub const SERVE_BIN_FILL_BUCKETS: [f64; 5] = [0.25, 0.5, 0.75, 0.9, 1.0];
 
 // ---------------------------------------------------------------------------
-// Persistent seed index cache (`fastz-serve`). Same
-// zero-emission discipline as the service series: every series appears
-// on every observed run, zeros when no cache is attached.
-// ---------------------------------------------------------------------------
-
-/// Index acquisitions served by an already-resident in-memory index.
-pub const INDEX_CACHE_HITS_TOTAL: &str = "fastz_index_cache_hits_total";
-/// Index acquisitions that validated and loaded a persisted artifact.
-pub const INDEX_CACHE_DISK_LOADS_TOTAL: &str = "fastz_index_cache_disk_loads_total";
-/// Index acquisitions that had to build from the sequence (cold).
-pub const INDEX_CACHE_BUILDS_TOTAL: &str = "fastz_index_cache_builds_total";
-/// Shards of every index resident in the cache's memory (gauge).
-pub const INDEX_RESIDENT_SHARDS: &str = "fastz_index_resident_shards";
-
-// ---------------------------------------------------------------------------
 // Histograms
 // ---------------------------------------------------------------------------
 
@@ -316,9 +301,8 @@ pub const PIPELINE: &[&str] = &[
     TASK_CYCLES_EXECUTOR_HIST,
 ];
 
-/// Series the alignment service and its index cache add on service
-/// runs (zero-emission discipline: all of them, zeros included, on
-/// every service run).
+/// Series the alignment service adds on service runs (zero-emission
+/// discipline: all of them, zeros included, on every service run).
 pub const SERVICE: &[&str] = &[
     SERVE_QUEUE_DEPTH,
     SERVE_QUEUE_DEPTH_PEAK,
@@ -329,10 +313,6 @@ pub const SERVICE: &[&str] = &[
     SERVE_DEGRADED_TOTAL,
     SERVE_MERGED_LAUNCHES_TOTAL,
     SERVE_BIN_FILL_HIST,
-    INDEX_CACHE_HITS_TOTAL,
-    INDEX_CACHE_DISK_LOADS_TOTAL,
-    INDEX_CACHE_BUILDS_TOTAL,
-    INDEX_RESIDENT_SHARDS,
 ];
 
 /// The full registry: every declared `fastz_` name, exactly once.
@@ -403,10 +383,6 @@ pub const ALL: &[&str] = &[
     SERVE_DEGRADED_TOTAL,
     SERVE_MERGED_LAUNCHES_TOTAL,
     SERVE_BIN_FILL_HIST,
-    INDEX_CACHE_HITS_TOTAL,
-    INDEX_CACHE_DISK_LOADS_TOTAL,
-    INDEX_CACHE_BUILDS_TOTAL,
-    INDEX_RESIDENT_SHARDS,
     SEED_EXTENT_HIST,
     TASK_CYCLES_INSPECTOR_HIST,
     TASK_CYCLES_EXECUTOR_HIST,

@@ -2,10 +2,8 @@
 //!
 //! An anchor is one seed match: a (target position, query position) pair
 //! for which the seed shape matches. Stage 2 of the pipeline (paper §2)
-//! filters the raw anchors to a shorter list of promising sites; like
-//! LASTZ we apply a per-diagonal spacing rule — a new anchor on the same
-//! diagonal is suppressed if it starts within `window` bp of the
-//! previously accepted anchor on that diagonal — followed by optional
+//! filters the raw anchors to a shorter list of promising sites with one
+//! per-diagonal-band spacing rule ([`band_filter`]), followed by optional
 //! deterministic subsampling to the harness's seed budget.
 
 use crate::index::SeedIndex;
@@ -13,25 +11,31 @@ use crate::shape::SeedShape;
 use fastz_genome::Sequence;
 use std::collections::HashMap;
 
-/// Anything that can answer "which target positions carry this seed word"
-/// for one seed shape — the in-memory [`SeedIndex`] and the persisted
-/// [`crate::persist::ShardedSeedIndex`] both implement it, so workload
-/// construction is source-agnostic (and provably identical across them).
+/// Width in diagonals of one [`band_filter`] band.
+pub const BAND_WIDTH: u32 = 64;
+
+/// [`band_filter`]'s spacing window in bp: within a band, an anchor that
+/// starts less than this far past a kept one is suppressed.
+pub const BAND_WINDOW: u32 = 4_096;
+
+/// A seed index anchors are enumerated from: the in-memory [`SeedIndex`]
+/// and the persisted [`crate::persist::ShardedSeedIndex`] both implement
+/// it, so anchor enumeration is one code path for either (and provably
+/// identical across them).
 pub trait AnchorSource {
-    /// The seed shape the source was built with.
-    fn source_shape(&self) -> &SeedShape;
-    /// Appends every target position whose seed word equals `word` to
-    /// `out`. Order may be arbitrary; callers sort.
-    fn positions_into(&self, word: u64, out: &mut Vec<u32>);
+    /// The seed shape the index was built with.
+    fn shape(&self) -> &SeedShape;
+    /// Every target position whose seed word equals `word`, ascending.
+    fn lookup(&self, word: u64) -> impl Iterator<Item = u32> + '_;
 }
 
 impl AnchorSource for SeedIndex {
-    fn source_shape(&self) -> &SeedShape {
-        self.shape()
+    fn shape(&self) -> &SeedShape {
+        SeedIndex::shape(self)
     }
 
-    fn positions_into(&self, word: u64, out: &mut Vec<u32>) {
-        out.extend(self.lookup(word));
+    fn lookup(&self, word: u64) -> impl Iterator<Item = u32> + '_ {
+        SeedIndex::lookup(self, word)
     }
 }
 
@@ -61,63 +65,34 @@ impl Anchor {
 
 /// Enumerates all anchors between the indexed target and `query`.
 ///
-/// Anchors are produced in query-position order (and target-position order
-/// within one query position).
-pub fn find_anchors(index: &SeedIndex, query: &Sequence) -> Vec<Anchor> {
-    find_anchors_in(index, query)
-}
-
-/// [`find_anchors`] over any [`AnchorSource`] (in-memory or persisted
-/// sharded index): same enumeration order, same anchors.
-pub fn find_anchors_in<S: AnchorSource + ?Sized>(source: &S, query: &Sequence) -> Vec<Anchor> {
-    let shape = source.source_shape();
+/// Anchors come out in query-position order, and in target-position
+/// order within one query position: the index's lookup already yields
+/// ascending positions, so no per-window sort is needed.
+pub fn find_anchors<S: AnchorSource>(index: &S, query: &Sequence) -> Vec<Anchor> {
+    let shape = index.shape();
     let codes = query.codes();
     let mut anchors = Vec::new();
-    let mut hits: Vec<u32> = Vec::new();
     let n_windows = codes.len().saturating_sub(shape.span().saturating_sub(1));
     for q in 0..n_windows {
-        if let Some(word) = shape.word_at(codes, q) {
-            hits.clear();
-            source.positions_into(word, &mut hits);
-            hits.sort_unstable();
-            for &t in &hits {
-                anchors.push(Anchor {
-                    target_pos: t,
-                    query_pos: q as u32,
-                });
-            }
-        }
+        let Some(word) = shape.word_at(codes, q) else {
+            continue;
+        };
+        let first = anchors.len();
+        anchors.extend(index.lookup(word).map(|t| Anchor {
+            target_pos: t,
+            query_pos: q as u32,
+        }));
+        debug_assert!(
+            anchors[first..]
+                .windows(2)
+                .all(|w| w[0].target_pos < w[1].target_pos),
+            "seed index lookup out of position order at query window {q}"
+        );
     }
     anchors
 }
 
-/// Diagonal-spacing filter: keeps an anchor only if no previously kept
-/// anchor on the same diagonal starts within `window` bp before it.
-///
-/// With `window == 0` every anchor is kept. Input order is preserved.
-/// Anchors must be sorted by `anti_diagonal` within each diagonal (the
-/// order [`find_anchors`] produces) for the rule to be exact.
-pub fn filter_anchors(anchors: &[Anchor], window: u32) -> Vec<Anchor> {
-    if window == 0 {
-        return anchors.to_vec();
-    }
-    let mut last_kept: HashMap<i64, u64> = HashMap::new();
-    let mut kept = Vec::with_capacity(anchors.len() / 2 + 1);
-    for &a in anchors {
-        let diag = a.diagonal();
-        let ad = a.anti_diagonal();
-        match last_kept.get(&diag) {
-            Some(&prev) if ad < prev + 2 * window as u64 => {}
-            _ => {
-                last_kept.insert(diag, ad);
-                kept.push(a);
-            }
-        }
-    }
-    kept
-}
-
-/// Coarse per-diagonal-band spacing filter (stage-2 refinement).
+/// Per-diagonal-band spacing filter (stage 2).
 ///
 /// Whole-genome seed lists are extremely dense inside long conserved
 /// segments — hundreds of seeds all re-discovering the same alignment.
@@ -125,27 +100,24 @@ pub fn filter_anchors(anchors: &[Anchor], window: u32) -> Vec<Anchor> {
 /// largest bins out of a million) show the filtering stage passes very
 /// few seeds per long alignment, while short-segment and chance seeds
 /// pass essentially untouched. This filter reproduces that: diagonals
-/// are quantized into bands of `band` diagonals, and within a band a new
-/// anchor is suppressed when a kept anchor started within `window` bp
-/// before it (indels shift an alignment across nearby diagonals, which
-/// the banding absorbs). Segments shorter than `window` keep ~1 anchor
-/// per diagonal band; chance anchors on scattered diagonals are kept.
-pub fn band_filter(anchors: &[Anchor], band: u32, window: u32) -> Vec<Anchor> {
-    if band == 0 || window == 0 {
-        return anchors.to_vec();
-    }
+/// are quantized into bands of [`BAND_WIDTH`] diagonals, and within a
+/// band a new anchor is suppressed when a kept anchor started within
+/// [`BAND_WINDOW`] bp before it (indels shift an alignment across nearby
+/// diagonals, which the banding absorbs). Segments shorter than the
+/// window keep ~1 anchor per diagonal band; chance anchors on scattered
+/// diagonals are kept. Input order is preserved.
+pub fn band_filter(anchors: &[Anchor]) -> Vec<Anchor> {
+    let reach = 2 * BAND_WINDOW as u64;
     let mut last_kept: HashMap<i64, u64> = HashMap::new();
     let mut kept = Vec::with_capacity(anchors.len() / 2 + 1);
     for &a in anchors {
-        let bucket = a.diagonal().div_euclid(band as i64);
+        let bucket = a.diagonal().div_euclid(BAND_WIDTH as i64);
         let ad = a.anti_diagonal();
         // Check this band and both neighbours (a segment straddling a
         // bucket boundary would otherwise pass two anchors).
-        let suppressed = [bucket - 1, bucket, bucket + 1].iter().any(|b| {
-            last_kept
-                .get(b)
-                .is_some_and(|&prev| ad < prev + 2 * window as u64)
-        });
+        let suppressed = [bucket - 1, bucket, bucket + 1]
+            .iter()
+            .any(|b| last_kept.get(b).is_some_and(|&prev| ad < prev + reach));
         if !suppressed {
             last_kept.insert(bucket, ad);
             kept.push(a);
@@ -203,8 +175,7 @@ mod tests {
         let query = random_sequence("q", 1_500, 0.5, 22);
         let shape = SeedShape::exact(7); // short seed → some chance hits
         let idx = SeedIndex::build(&target, shape.clone());
-        let mut found = find_anchors(&idx, &query);
-        found.sort_by_key(|a| (a.query_pos, a.target_pos));
+        let found = find_anchors(&idx, &query);
 
         let mut naive = Vec::new();
         for q in 0..query.len() - shape.span() + 1 {
@@ -217,7 +188,7 @@ mod tests {
                 }
             }
         }
-        naive.sort_by_key(|a| (a.query_pos, a.target_pos));
+        // The naive scan emits in (query, target) order: so must the index.
         assert_eq!(found, naive);
     }
 
@@ -232,58 +203,22 @@ mod tests {
     }
 
     #[test]
-    fn filter_suppresses_nearby_same_diagonal() {
+    fn band_filter_suppresses_nearby_anchors_in_neighbouring_bands() {
+        let at = |target_pos, query_pos| Anchor {
+            target_pos,
+            query_pos,
+        };
         let anchors = vec![
-            Anchor {
-                target_pos: 0,
-                query_pos: 0,
-            },
-            Anchor {
-                target_pos: 5,
-                query_pos: 5,
-            }, // same diagonal, close
-            Anchor {
-                target_pos: 100,
-                query_pos: 100,
-            }, // same diagonal, far
-            Anchor {
-                target_pos: 6,
-                query_pos: 2,
-            }, // different diagonal
+            at(0, 0),
+            at(5, 5),           // same diagonal, close
+            at(70, 0),          // neighbouring band, close
+            at(10_000, 10_000), // same diagonal, past the window
+            at(1_000, 100),     // a distant band
         ];
-        let kept = filter_anchors(&anchors, 20);
         assert_eq!(
-            kept,
-            vec![
-                Anchor {
-                    target_pos: 0,
-                    query_pos: 0
-                },
-                Anchor {
-                    target_pos: 100,
-                    query_pos: 100
-                },
-                Anchor {
-                    target_pos: 6,
-                    query_pos: 2
-                },
-            ]
+            band_filter(&anchors),
+            vec![at(0, 0), at(10_000, 10_000), at(1_000, 100)]
         );
-    }
-
-    #[test]
-    fn filter_window_zero_keeps_everything() {
-        let anchors = vec![
-            Anchor {
-                target_pos: 0,
-                query_pos: 0,
-            },
-            Anchor {
-                target_pos: 1,
-                query_pos: 1,
-            },
-        ];
-        assert_eq!(filter_anchors(&anchors, 0), anchors);
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl From<IndexBuildError> for PersistError {
     }
 }
 
-/// Where a [`ShardedSeedIndex`] came from — the cache/bench layers count
-/// these.
+/// Where a [`ShardedSeedIndex`] came from — the CLI reports it and the
+/// benchmarks check it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexOrigin {
     /// Validated and loaded from an existing artifact on disk.
@@ -334,6 +334,13 @@ impl ShardedSeedIndex {
                     "shard {s} bounds [{lo}, {hi}) exceed target of {target_len} bp"
                 )));
             }
+            // Shards must partition the windows in order, or the
+            // concatenated lookup would not ascend.
+            if bounds.last().is_some_and(|&(_, prev_hi)| lo < prev_hi) {
+                return Err(PersistError::Malformed(format!(
+                    "shard {s} starts at {lo}, inside the shard before it"
+                )));
+            }
             let shift = r.u32()?;
             let n_starts = r.u64()? as usize;
             if n_starts < 2 || !(n_starts - 1).is_power_of_two() {
@@ -369,6 +376,15 @@ impl ShardedSeedIndex {
                     )));
                 }
                 entries.push((word, pos));
+            }
+            if starts.windows(2).any(|b| {
+                entries[b[0] as usize..b[1] as usize]
+                    .windows(2)
+                    .any(|w| w[0].1 >= w[1].1)
+            }) {
+                return Err(PersistError::Malformed(format!(
+                    "shard {s} has a bucket whose positions do not ascend"
+                )));
             }
             bounds.push((lo, hi));
             shards.push(SeedIndex::from_parts(
@@ -511,12 +527,12 @@ impl std::fmt::Debug for ShardedSeedIndex {
 }
 
 impl AnchorSource for ShardedSeedIndex {
-    fn source_shape(&self) -> &SeedShape {
+    fn shape(&self) -> &SeedShape {
         &self.shape
     }
 
-    fn positions_into(&self, word: u64, out: &mut Vec<u32>) {
-        out.extend(self.lookup(word));
+    fn lookup(&self, word: u64) -> impl Iterator<Item = u32> + '_ {
+        ShardedSeedIndex::lookup(self, word)
     }
 }
 
@@ -677,6 +693,44 @@ mod tests {
             ShardedSeedIndex::from_bytes(&trailer).unwrap_err(),
             PersistError::ChecksumMismatch { .. }
         ));
+    }
+
+    /// Re-seals `idx` after an edit to its parts, as a hostile writer
+    /// with a correct checksum would.
+    fn resealed(mut idx: ShardedSeedIndex) -> Vec<u8> {
+        idx.checksum = fnv1a(FNV1A_BASIS, &idx.content_bytes());
+        idx.to_bytes()
+    }
+
+    #[test]
+    fn artifacts_whose_lookups_would_not_ascend_are_rejected() {
+        let t = random_sequence("genome-e", 1_500, 0.5, 53);
+        let shape = SeedShape::exact(4);
+
+        // Two positions of one bucket swapped.
+        let mut idx = ShardedSeedIndex::build(&t, shape.clone(), 1).unwrap();
+        let shard = &idx.shards[0];
+        let starts = shard.bucket_starts().to_vec();
+        let mut entries = shard.entries().to_vec();
+        let h = starts.windows(2).position(|b| b[1] - b[0] >= 2).unwrap();
+        entries.swap(starts[h] as usize, starts[h] as usize + 1);
+        idx.shards[0] =
+            SeedIndex::from_parts(shape.clone(), shard.shift(), starts, entries, t.len());
+        let err = ShardedSeedIndex::from_bytes(&resealed(idx)).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(m) if m.contains("ascend")),
+            "{err:?}"
+        );
+
+        // Shards out of target order.
+        let mut idx = ShardedSeedIndex::build(&t, shape, 2).unwrap();
+        idx.shards.swap(0, 1);
+        idx.bounds.swap(0, 1);
+        let err = ShardedSeedIndex::from_bytes(&resealed(idx)).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(m) if m.contains("inside the shard before")),
+            "{err:?}"
+        );
     }
 
     #[test]

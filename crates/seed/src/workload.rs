@@ -5,9 +5,7 @@
 //! the FastZ pipeline, and the bench harnesses all build identical
 //! workloads.
 
-use crate::anchor::{
-    band_filter, filter_anchors, find_anchors_in, sample_anchors, Anchor, AnchorSource,
-};
+use crate::anchor::{band_filter, find_anchors, sample_anchors, Anchor, AnchorSource};
 use crate::index::SeedIndex;
 use crate::shape::SeedShape;
 use fastz_genome::Sequence;
@@ -17,15 +15,6 @@ use fastz_genome::Sequence;
 pub struct WorkloadParams {
     /// Seed shape (default: LASTZ 12-of-19).
     pub shape: SeedShape,
-    /// Fine per-diagonal spacing filter window in bp (0 disables; the
-    /// default keeps the paper's dense seed-site regime).
-    pub filter_window: u32,
-    /// Coarse band filter: diagonal band width (0 disables).
-    pub band: u32,
-    /// Coarse band filter: spacing window in bp (0 disables). Thins the
-    /// seed flood inside long conserved segments to match the paper's
-    /// Table 2 statistics (few seeds per long alignment).
-    pub band_window: u32,
     /// Maximum number of anchors after subsampling (0 = unlimited). The
     /// paper uses 1 M seed sites; scaled harnesses use less.
     pub max_anchors: usize,
@@ -35,9 +24,6 @@ impl Default for WorkloadParams {
     fn default() -> Self {
         WorkloadParams {
             shape: SeedShape::lastz_12of19(),
-            filter_window: 0,
-            band: 64,
-            band_window: 4_096,
             max_anchors: 0,
         }
     }
@@ -50,7 +36,7 @@ pub struct Workload {
     pub anchors: Vec<Anchor>,
     /// Raw anchor count before filtering.
     pub raw_anchors: usize,
-    /// Anchor count after the diagonal filter, before subsampling.
+    /// Anchor count after the band filter, before subsampling.
     pub filtered_anchors: usize,
     /// Seed shape used.
     pub shape: SeedShape,
@@ -67,14 +53,13 @@ impl Workload {
     /// the service path, where one shared (possibly persisted, sharded)
     /// index serves many requests without a per-run rebuild. The shape
     /// comes from the index; `params.shape` is ignored.
-    pub fn build_with_index<S: AnchorSource + ?Sized>(
+    pub fn build_with_index<S: AnchorSource>(
         index: &S,
         query: &Sequence,
         params: &WorkloadParams,
     ) -> Workload {
-        let raw = find_anchors_in(index, query);
-        let filtered = filter_anchors(&raw, params.filter_window);
-        let filtered = band_filter(&filtered, params.band, params.band_window);
+        let raw = find_anchors(index, query);
+        let filtered = band_filter(&raw);
         let filtered_anchors = filtered.len();
         // `filtered` moves into place when no budget applies — a deep
         // clone here doubled peak anchor memory for the common
@@ -88,7 +73,7 @@ impl Workload {
             raw_anchors: raw.len(),
             filtered_anchors,
             anchors,
-            shape: index.source_shape().clone(),
+            shape: index.shape().clone(),
         }
     }
 
@@ -120,18 +105,8 @@ mod tests {
     #[test]
     fn filtering_reduces_anchor_count() {
         let pair = generate_pair(&PairParams::small_demo("w", 6));
-        let unfiltered = Workload::build(
-            &pair.target,
-            &pair.query,
-            &WorkloadParams {
-                filter_window: 0,
-                band: 0,
-                band_window: 0,
-                ..WorkloadParams::default()
-            },
-        );
-        let filtered = Workload::build(&pair.target, &pair.query, &WorkloadParams::default());
-        assert!(filtered.len() < unfiltered.len());
+        let wl = Workload::build(&pair.target, &pair.query, &WorkloadParams::default());
+        assert!(wl.filtered_anchors < wl.raw_anchors);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! straddling bucket edges — and damaged files must never load.
 
 use fastz_genome::Sequence;
-use fastz_seed::{find_anchors_in, PersistError, SeedIndex, SeedShape, ShardedSeedIndex};
+use fastz_seed::{find_anchors, PersistError, SeedIndex, SeedShape, ShardedSeedIndex};
 use proptest::prelude::*;
 
 fn seq_strategy(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -69,8 +69,8 @@ proptest! {
         let whole = SeedIndex::build(&target, shape.clone());
         let built = ShardedSeedIndex::build(&target, shape.clone(), n_shards).unwrap();
         let loaded = ShardedSeedIndex::from_bytes(&built.to_bytes()).unwrap();
-        let a = find_anchors_in(&whole, &query);
-        let b = find_anchors_in(&loaded, &query);
+        let a = find_anchors(&whole, &query);
+        let b = find_anchors(&loaded, &query);
         prop_assert_eq!(a, b);
     }
 

@@ -36,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-pub mod index_cache;
 pub mod queue;
 pub mod request;
 pub mod service;
 pub mod stream;
 
-pub use index_cache::{AcquireOrigin, Acquired, IndexCache, IndexCacheConfig, IndexCacheStats};
 pub use queue::{AdmissionPolicy, AdmissionQueue, Queued};
 pub use request::{AlignRequest, DegradeRecord, Outcome, Priority, RequestRecord, ShedReason};
 pub use service::{AlignService, ServeConfig, ServeReport};

@@ -20,8 +20,8 @@
 use crate::queue::{AdmissionPolicy, AdmissionQueue, Queued};
 use crate::request::{AlignRequest, DegradeRecord, Outcome, Priority, RequestRecord, ShedReason};
 use fastz_core::{
-    run_fastz_in_pool, BinPacker, FastZConfig, FastZReport, HostDispatch, HostPool, MergedLaunch,
-    ResilienceConfig, ResilienceReport,
+    run_fastz_in_pool, sim_threads, BinPacker, FastZConfig, FastZReport, HostDispatch, HostPool,
+    MergedLaunch, ResilienceConfig, ResilienceReport,
 };
 use fastz_genome::Sequence;
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultPlan, FaultSite};
@@ -29,6 +29,24 @@ use fastz_gpu_sim::stream::time_stream_pipeline;
 use fastz_gpu_sim::BlockResources;
 use fastz_obs::{names, MetricsSink, NoObs};
 use std::collections::BTreeMap;
+
+/// Queue pressure at which [`Priority::Low`] degrades to the scalar
+/// engine.
+const DEGRADE_PRESSURE: f64 = 0.5;
+
+/// Queue pressure at which [`Priority::Low`] sheds and
+/// [`Priority::Normal`] degrades.
+const SHED_PRESSURE: f64 = 0.9;
+
+/// Modeled seconds of expected service time per work unit (anchor);
+/// derived deadlines are `watchdog.deadline_s(units × this)`.
+const EXPECTED_UNIT_S: f64 = 2e-3;
+
+/// Merged-launch batch size (tasks per shared bin kernel).
+const BATCH: usize = 512;
+
+/// CUDA streams for timing merged launches.
+const STREAMS: usize = 4;
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -44,22 +62,9 @@ pub struct ServeConfig {
     pub chaos: FaultPlan,
     /// Admission limits.
     pub admission: AdmissionPolicy,
-    /// Queue pressure at which [`Priority::Low`] degrades to the scalar
-    /// engine.
-    pub degrade_pressure: f64,
-    /// Queue pressure at which [`Priority::Low`] sheds and
-    /// [`Priority::Normal`] degrades.
-    pub shed_pressure: f64,
-    /// Modeled seconds of expected service time per work unit (anchor);
-    /// derived deadlines are `watchdog.deadline_s(units × this)`.
-    pub expected_unit_s: f64,
     /// Maximum requests dispatched per wave (cross-request batching
     /// width).
     pub wave: usize,
-    /// Merged-launch batch size (tasks per shared bin kernel).
-    pub batch: usize,
-    /// CUDA streams for timing merged launches.
-    pub streams: usize,
 }
 
 impl ServeConfig {
@@ -70,12 +75,7 @@ impl ServeConfig {
             resilience: ResilienceConfig::disabled(),
             chaos: FaultPlan::none(),
             admission: AdmissionPolicy::default(),
-            degrade_pressure: 0.5,
-            shed_pressure: 0.9,
-            expected_unit_s: 2e-3,
             wave: 4,
-            batch: 512,
-            streams: 4,
         }
     }
 
@@ -93,7 +93,7 @@ impl ServeConfig {
         let rel = req.deadline_s.unwrap_or_else(|| {
             self.resilience
                 .watchdog
-                .deadline_s(req.work_units() * self.expected_unit_s)
+                .deadline_s(req.work_units() * EXPECTED_UNIT_S)
         });
         req.arrival_s + rel
     }
@@ -107,20 +107,20 @@ enum DispatchMode {
     Shed,
 }
 
-fn dispatch_mode(cfg: &ServeConfig, priority: Priority, pressure: f64) -> DispatchMode {
+fn dispatch_mode(priority: Priority, pressure: f64) -> DispatchMode {
     match priority {
         Priority::High => DispatchMode::Full,
         Priority::Normal => {
-            if pressure >= cfg.shed_pressure {
+            if pressure >= SHED_PRESSURE {
                 DispatchMode::Scalar
             } else {
                 DispatchMode::Full
             }
         }
         Priority::Low => {
-            if pressure >= cfg.shed_pressure {
+            if pressure >= SHED_PRESSURE {
                 DispatchMode::Shed
-            } else if pressure >= cfg.degrade_pressure {
+            } else if pressure >= DEGRADE_PRESSURE {
                 DispatchMode::Scalar
             } else {
                 DispatchMode::Full
@@ -218,13 +218,7 @@ impl<'g> AlignService<'g> {
         sink: &mut S,
     ) -> ServeReport {
         let cfg = &self.cfg;
-        let threads = if cfg.pipeline.sim_threads > 0 {
-            cfg.pipeline.sim_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        };
+        let threads = sim_threads(&cfg.pipeline);
         let mut report = std::thread::scope(|scope| {
             let pool = HostPool::new(
                 scope,
@@ -328,9 +322,9 @@ impl<'g> AlignService<'g> {
             // the unchanged per-request pipeline.
             let mut ran: Vec<(Queued, bool, FastZReport)> = Vec::new();
             let mut wave_service_s = 0.0f64;
-            let mut packer = BinPacker::new(cfg.batch);
+            let mut packer = BinPacker::new(BATCH);
             for q in wave {
-                let mode = dispatch_mode(cfg, q.request.priority, pressure);
+                let mode = dispatch_mode(q.request.priority, pressure);
                 if mode == DispatchMode::Shed {
                     out.records.push(RequestRecord {
                         id: q.request.id,
@@ -386,11 +380,11 @@ impl<'g> AlignService<'g> {
             let launches: Vec<MergedLaunch> = packer.launches(BlockResources::fastz_executor());
             let merged_kernels: Vec<_> = launches.iter().map(|l| l.kernel.clone()).collect();
             let batched_s =
-                time_stream_pipeline(&cfg.pipeline.device, &merged_kernels, cfg.streams).time_s;
+                time_stream_pipeline(&cfg.pipeline.device, &merged_kernels, STREAMS).time_s;
             let wave_solo_s: f64 = ran
                 .iter()
                 .map(|(_, _, rep)| {
-                    time_stream_pipeline(&cfg.pipeline.device, &rep.executor_kernels, cfg.streams)
+                    time_stream_pipeline(&cfg.pipeline.device, &rep.executor_kernels, STREAMS)
                         .time_s
                 })
                 .sum();
@@ -492,14 +486,5 @@ impl<'g> AlignService<'g> {
                 fill,
             );
         }
-        // Index-cache series ride the same zero-emission discipline: the
-        // service emits each as zero every run so the exported set never
-        // depends on whether an IndexCache front end is in play; when one
-        // is, `IndexCache::record_metrics` overlays the real values
-        // (counters are additive, gauges recorded after so last-wins).
-        sink.counter_add(names::INDEX_CACHE_HITS_TOTAL, 0);
-        sink.counter_add(names::INDEX_CACHE_DISK_LOADS_TOTAL, 0);
-        sink.counter_add(names::INDEX_CACHE_BUILDS_TOTAL, 0);
-        sink.gauge_set(names::INDEX_RESIDENT_SHARDS, 0.0);
     }
 }
