@@ -18,6 +18,7 @@ mod lanes16;
 pub mod pipeline;
 pub mod pool;
 pub mod resilient;
+pub mod view;
 pub mod warp_engine;
 pub mod wavefront_step;
 
@@ -27,8 +28,8 @@ pub use binning::{
     TaggedTask, BIN_BOUNDS, BIN_SLOTS, EAGER_BOUND,
 };
 pub use bitvec::{
-    bitvec_extend, bitvec_extend_in, BitvecConfig, BitvecExtension, BitvecMutation, BitvecStats,
-    ExtendBackend,
+    bitvec_extend, bitvec_extend_in, bitvec_extend_view, BitvecConfig, BitvecExtension,
+    BitvecMutation, BitvecStats, ExtendBackend,
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
 pub use pipeline::{
@@ -39,9 +40,10 @@ pub use pool::{Arena, HostDispatch, HostPool, PoolStats};
 pub use resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
+pub use view::BaseView;
 pub use warp_engine::{
-    strip_widths, warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on, SimdIsa,
-    StripWidths, WarpConfig, WarpExtension, WavefrontBackend,
+    strip_widths, warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on,
+    warp_extend_view, SimdIsa, StripWidths, WarpConfig, WarpExtension, WavefrontBackend,
 };
 pub use wavefront_step::{
     step_interpreter, step_simd, step_simd_narrow_on, step_simd_on, StepIn, StepOut,

@@ -10,15 +10,17 @@
 
 use crate::ablation::OptFlags;
 use crate::binning::{classify, BinClass, BinCounts, BIN_BOUNDS};
-use crate::bitvec::{bitvec_extend_in, BitvecConfig, BitvecStats, ExtendBackend};
+use crate::bitvec::{bitvec_extend_view, BitvecConfig, BitvecStats, ExtendBackend};
 use crate::cost::price_task;
 use crate::pool::{Arena, HostDispatch, HostPool};
 use crate::resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
 };
-use crate::warp_engine::{warp_extend_in, WarpConfig, WavefrontBackend};
+use crate::view::BaseView;
+use crate::warp_engine::{warp_extend_view, SimdIsa, WarpConfig, WavefrontBackend};
+use fastz_align::trace::NoTrace;
 use fastz_align::{push_op, Alignment, EditOp};
-use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS};
+use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS, N_CODE};
 use fastz_gpu_sim::fault::{scope, FaultKind, FaultSite};
 use fastz_gpu_sim::roofline;
 use fastz_gpu_sim::stream::{
@@ -672,14 +674,13 @@ impl<'a> Run<'a> {
         ledger
     }
 
-    /// The (target, query) slices of problem `idx`: even indices extend
-    /// left of their anchor (prefixes reversed into `rev`), odd ones right.
-    /// Both sides of a rejected anchor are empty.
-    fn side<'s>(&'s self, idx: usize, rev: &'s mut (Vec<u8>, Vec<u8>)) -> (&'s [u8], &'s [u8]) {
+    /// The (target, query) views of problem `idx`: even indices extend
+    /// left of their anchor (the prefixes, read back to front in place),
+    /// odd ones right. Both sides of a rejected anchor are empty.
+    fn side(&self, idx: usize) -> (BaseView<'_>, BaseView<'_>) {
         if self.rejected.contains(&(idx / 2)) {
-            return (&[], &[]);
+            return (BaseView::forward(&[]), BaseView::forward(&[]));
         }
-        let (rev_t, rev_q) = rev;
         let tc = self.target.codes();
         let qc = self.query.codes();
         let anchor = self.anchors[idx / 2];
@@ -689,16 +690,18 @@ impl<'a> Run<'a> {
         if idx.is_multiple_of(2) {
             let ts = t0.saturating_sub(reach);
             let qs = q0.saturating_sub(reach);
-            rev_t.clear();
-            rev_q.clear();
-            rev_t.extend(tc[ts..t0].iter().rev());
-            rev_q.extend(qc[qs..q0].iter().rev());
-            (rev_t.as_slice(), rev_q.as_slice())
+            (
+                BaseView::reversed(&tc[ts..t0]),
+                BaseView::reversed(&qc[qs..q0]),
+            )
         } else {
             let span = self.seed_span;
             let te = tc.len().min(t0 + span + reach);
             let qe = qc.len().min(q0 + span + reach);
-            (&tc[t0 + span..te], &qc[q0 + span..qe])
+            (
+                BaseView::forward(&tc[t0 + span..te]),
+                BaseView::forward(&qc[q0 + span..qe]),
+            )
         }
     }
 
@@ -715,8 +718,8 @@ impl<'a> Run<'a> {
     /// counters are the ones kept.
     fn extend(
         &self,
-        t: &[u8],
-        q: &[u8],
+        t: BaseView<'_>,
+        q: BaseView<'_>,
         warp_cfg: &WarpConfig,
         shared: &mut SharedMem,
         tbm: &mut Vec<u8>,
@@ -734,7 +737,16 @@ impl<'a> Run<'a> {
                     } else {
                         *warp_cfg
                     };
-                    let e = warp_extend_in(t, q, &cfg.scoring, &engine_cfg, shared, tbm);
+                    let e = warp_extend_view(
+                        SimdIsa::dispatched(),
+                        t,
+                        q,
+                        &cfg.scoring,
+                        &engine_cfg,
+                        shared,
+                        tbm,
+                        &mut NoTrace,
+                    );
                     side_result(
                         (e.best_score, e.best_i, e.best_j),
                         (e.explored_rows, e.explored_cols),
@@ -745,7 +757,7 @@ impl<'a> Run<'a> {
                 }
                 // The bitvector engine always emits a complete edit script.
                 ExtendBackend::Bitvector => {
-                    let e = bitvec_extend_in(t, q, &cfg.bitvec, shared);
+                    let e = bitvec_extend_view(t, q, &cfg.bitvec, shared);
                     side_result(
                         (e.best_score, e.best_i, e.best_j),
                         (e.explored_rows, e.explored_cols),
@@ -843,7 +855,7 @@ impl<'a> Run<'a> {
         let idxs: Vec<usize> = (0..self.n_problems).collect();
         self.restore_or_solve(pool, ledger, sink, Stage::Inspector, &idxs, |idx, arena| {
             arena.shared.sanitize_context("inspector", idx as u64);
-            let (t, q) = self.side(idx, &mut arena.rev);
+            let (t, q) = self.side(idx);
             let (shared, scratch) = (&mut arena.shared, &mut arena.scratch);
             self.extend(t, q, &self.insp_cfg, shared, scratch, idx as u64)
         })
@@ -918,7 +930,7 @@ impl<'a> Run<'a> {
                 self.restore_or_solve(pool, ledger, sink, Stage::Bin(slot), bin, |idx, arena| {
                     arena.shared.sanitize_context("executor", idx as u64);
                     let insp = &inspector[idx];
-                    let (t, q) = self.side(idx, &mut arena.rev);
+                    let (t, q) = self.side(idx);
                     let mut exec_cfg = WarpConfig::executor(&flags, insp.best_i, insp.best_j)
                         .with_strip_width(self.strip_width)
                         .with_backend(self.cfg.backend);
@@ -990,13 +1002,14 @@ impl<'a> Run<'a> {
             // The seed must be scored in the same regime as the sides it
             // joins: substitution-matrix scores under y-drop, the unit
             // identity (match +2, mismatch −1: `(i+j) − 3·ed` over one
-            // aligned pair) under the bitvector engine.
+            // aligned pair) under the bitvector engine, where `N` matches
+            // nothing.
             let seed_score: i32 = (0..span)
                 .map(|k| {
                     let (tb, qb) = (tc[t0 + k], qc[q0 + k]);
                     match self.cfg.extend_backend {
                         ExtendBackend::YDrop => self.cfg.scoring.subst.score(tb, qb),
-                        ExtendBackend::Bitvector if tb == qb => 2,
+                        ExtendBackend::Bitvector if tb == qb && tb < N_CODE => 2,
                         ExtendBackend::Bitvector => -1,
                     }
                 })

@@ -11,11 +11,12 @@
 //! the worker's home (static) chunk is counted as a steal.
 //!
 //! Each worker owns an [`Arena`] that persists across problems *and*
-//! phases: the device-sized [`SharedMem`] scratchpad, the left-side
-//! reversal buffers, and one executor traceback buffer whose leases are
-//! accounted per executor bin slot (keyed like
-//! [`crate::binning::bin_allocation`]), so subsequent problems reuse it
-//! without reallocating.
+//! phases: the device-sized [`SharedMem`] scratchpad and one executor
+//! traceback buffer whose leases are accounted per executor bin slot
+//! (keyed like [`crate::binning::bin_allocation`]), so subsequent
+//! problems reuse it without reallocating. Sequences are never copied
+//! into an arena: a left side is read in place through a reversed
+//! [`crate::view::BaseView`].
 //!
 //! # Determinism contract
 //!
@@ -58,9 +59,9 @@ pub enum HostDispatch {
 /// The worker's executor traceback buffer, with per-bin reuse accounting.
 ///
 /// Separate from [`Arena`]'s public fields so a lease can coexist with
-/// mutable borrows of the scratchpad and reversal buffers. One physical
-/// buffer serves every bin: the engine stores only the explored band
-/// (see [`crate::warp_engine::warp_extend_in`]), so its size follows the
+/// a mutable borrow of the scratchpad. One physical buffer serves every
+/// bin: the engine stores only the explored band (see
+/// [`crate::warp_engine::warp_extend_in`]), so its size follows the
 /// steps a problem ran, not the bin's rectangle. Hits and misses are
 /// counted on the requested trimmed rectangle against a per-slot
 /// high-water mark that grows the way a `Vec<u8>` reserving that many
@@ -107,9 +108,6 @@ pub struct Arena {
     /// Block shared-memory scratchpad, sized from the modeled device's
     /// `shared_kib_per_sm` (cleared before every problem).
     pub shared: SharedMem,
-    /// Left-side reversal scratch (target, query), reused across
-    /// problems — `side_slices` clears before filling.
-    pub rev: (Vec<u8>, Vec<u8>),
     /// Throwaway traceback scratch for phases that record nothing (the
     /// inspector); stays empty.
     pub scratch: Vec<u8>,
@@ -122,7 +120,6 @@ impl Arena {
     pub fn for_device(device: &DeviceSpec) -> Arena {
         Arena {
             shared: SharedMem::for_device(device),
-            rev: (Vec::new(), Vec::new()),
             scratch: Vec::new(),
             tb: TbArena::default(),
         }

@@ -30,6 +30,7 @@
 
 use crate::ablation::OptFlags;
 use crate::lanes::{IsaKernel, LaneVec, SubstTable};
+use crate::view::BaseView;
 use crate::wavefront_step::{first_lane_at, step_lanes, LaneIn, LaneOut};
 use fastz_align::score;
 use fastz_align::trace::{CellScores, CellSink, NoTrace};
@@ -514,8 +515,8 @@ pub fn warp_extend_traced<K: CellSink>(
 
 /// The engine body's arguments.
 struct Extend<'a, K> {
-    target: &'a [u8],
-    query: &'a [u8],
+    target: BaseView<'a>,
+    query: BaseView<'a>,
     scoring: &'a Scoring,
     cfg: &'a WarpConfig,
     shared: &'a mut SharedMem,
@@ -553,6 +554,34 @@ pub fn warp_extend_traced_on<K: CellSink>(
     isa: SimdIsa,
     target: &[u8],
     query: &[u8],
+    scoring: &Scoring,
+    cfg: &WarpConfig,
+    shared: &mut SharedMem,
+    tbm: &mut Vec<u8>,
+    sink: &mut K,
+) -> WarpExtension {
+    warp_extend_view(
+        isa,
+        BaseView::forward(target),
+        BaseView::forward(query),
+        scoring,
+        cfg,
+        shared,
+        tbm,
+        sink,
+    )
+}
+
+/// [`warp_extend_traced_on`] over base views: the pipeline passes a left
+/// side's prefixes as reversed views, read in place. The engine reads
+/// the target only to gather each strip's (at most [`WARP_SIZE`]) bases
+/// for its substitution profile, and one query base per step.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn warp_extend_view<K: CellSink>(
+    isa: SimdIsa,
+    target: BaseView<'_>,
+    query: BaseView<'_>,
     scoring: &Scoring,
     cfg: &WarpConfig,
     shared: &mut SharedMem,
@@ -715,8 +744,8 @@ pub fn strip_widths() -> StripWidths {
 /// starts them afresh, which is what lets each strip pick its own lane
 /// type.
 struct Sweep<'a, K> {
-    target: &'a [u8],
-    query: &'a [u8],
+    target: BaseView<'a>,
+    query: BaseView<'a>,
     subst_table: SubstTable,
     so_se: i32,
     se: i32,
@@ -1153,7 +1182,7 @@ enum StepEnd {
 /// the strip's inputs, its lane registers and the bookkeeping its steps
 /// fold, which [`sweep_strip`] writes back to the [`Sweep`] at the end.
 struct StripSweep<'r, 'a, V: LaneVec, K> {
-    query: &'a [u8],
+    query: BaseView<'a>,
     spill: &'r SpillCol,
     next_spill: &'r mut SpillCol,
     row_prefix_best: &'r [i32],
@@ -1265,7 +1294,7 @@ impl<V: LaneVec, K: CellSink> StripSweep<'_, '_, V, K> {
         // and takes fillers.
         let q_row = self.query.get(lane0_row.wrapping_sub(1));
         let (q_in, best_in) = match (q_row, self.row_prefix_best.get(lane0_row)) {
-            (Some(&q), Some(&best)) if STEADY || lane0_row <= self.row_cap => {
+            (Some(q), Some(&best)) if STEADY || lane0_row <= self.row_cap => {
                 (i32::from(q.min(N_CODE)), best)
             }
             _ => (0, NEG_INF),
@@ -1515,9 +1544,11 @@ fn sweep_strip<
         }
         s_cur = V::load(&chain);
     }
-    // bound: the strip loop only opens strips with `strip_base < n ≤
-    // target.len()` and `lanes_valid = width.min(n − strip_base)`.
-    let strip_target = target.get(strip_base..strip_base + lanes_valid);
+    // The strip loop only opens strips with `strip_base < n ≤
+    // target.len()` and `lanes_valid = width.min(n − strip_base)`, so the
+    // window lies inside the view and the buffer.
+    let mut strip_bases = [0u8; WARP_SIZE];
+    let strip_target = target.window(strip_base, lanes_valid, &mut strip_bases);
     let window_strip = w > 0 && strip_base < w;
     let mut sw = StripSweep::<V, K> {
         query,

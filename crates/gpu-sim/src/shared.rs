@@ -131,6 +131,37 @@ impl SharedMem {
         if let Some(s) = &self.sanitize {
             s.on_read(offset, 4, self.data.len());
         }
+        self.load_u32(offset)
+    }
+
+    /// Reads a little-endian u64 as two u32 halves, low half first.
+    ///
+    /// An attached sanitizer sees the same two 4-byte reads, in the same
+    /// order, as a pair of [`SharedMem::read_u32`] calls at `offset` and
+    /// `offset + 4`, and the value is what those two calls return: a
+    /// read straddling or past the extent zero-extends the same way.
+    #[inline]
+    pub fn read_u64(&self, offset: usize) -> u64 {
+        let high_at = offset.saturating_add(4);
+        if let Some(s) = &self.sanitize {
+            s.on_read(offset, 4, self.data.len());
+            s.on_read(high_at, 4, self.data.len());
+        }
+        match offset
+            .checked_add(8)
+            .and_then(|end| self.data.get(offset..end))
+        {
+            Some(bytes) => {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(bytes);
+                u64::from_le_bytes(b)
+            }
+            None => u64::from(self.load_u32(offset)) | (u64::from(self.load_u32(high_at)) << 32),
+        }
+    }
+
+    /// [`SharedMem::read_u32`]'s value, without the sanitizer hook.
+    fn load_u32(&self, offset: usize) -> u32 {
         match offset.checked_add(4) {
             Some(end) if end <= self.data.len() => {
                 let mut b = [0u8; 4];
@@ -397,6 +428,44 @@ mod tests {
             assert_eq!(sm.read_u32(40 + 8 * w + 4), (v >> 32) as u32);
         }
         assert_eq!(sm.read_u32(36), 0, "bytes before the store stay zero");
+    }
+
+    #[test]
+    fn u64_reads_match_two_u32_reads_with_and_without_a_sanitizer() {
+        // Two stored words, then a half word: the reserved extent is 20
+        // bytes, so the read at 16 straddles it and later ones lie past.
+        let stored = |sanitized: bool| {
+            let mut sm = SharedMem::new(1024);
+            if sanitized {
+                sm.attach_sanitizer();
+                sm.sanitize_context("bitvector", 2);
+            }
+            sm.write_u64s(0, &[0x0123_4567_89AB_CDEF, u64::MAX]);
+            sm.write_u32(16, 0xDEAD_BEEF);
+            sm
+        };
+        for sanitized in [false, true] {
+            let (mut pair, mut wide) = (stored(sanitized), stored(sanitized));
+            for at in [0, 8, 4, 12, 16, 18, 20, 64] {
+                let want = u64::from(pair.read_u32(at))
+                    | (u64::from(pair.read_u32(at.saturating_add(4))) << 32);
+                assert_eq!(wide.read_u64(at), want, "offset {at}");
+                pair.sanitize_tick();
+                wide.sanitize_tick();
+            }
+            let report = wide.take_sanitize_report();
+            assert_eq!(pair.take_sanitize_report(), report);
+            if let Some(r) = report {
+                assert!(r.count(crate::sanitize::FindingKind::OobRead) > 0);
+            }
+        }
+        let plain = stored(false);
+        assert_eq!(plain.read_u64(0), 0x0123_4567_89AB_CDEF);
+        assert_eq!(plain.read_u64(16), 0xDEAD_BEEF, "straddles the extent");
+        // Near `usize::MAX` the high half's offset saturates instead of
+        // overflowing (unsanitized: the shadow map indexes offsets).
+        assert_eq!(plain.read_u64(usize::MAX - 5), 0);
+        assert_eq!(plain.read_u64(usize::MAX), 0);
     }
 
     #[test]

@@ -25,7 +25,9 @@ const WAVEFRONT: &str = "crates/core/src/wavefront_step.rs";
 const BITVEC: &str = "crates/core/src/bitvec.rs";
 const BITVEC_FNS: &[&str] = &[
     "bitvec_extend_in",
+    "bitvec_extend_view",
     "pattern_masks",
+    "text_mask",
     "band_start",
     "column_step",
     "dead_prefix",
@@ -55,6 +57,10 @@ const WARP_ENGINE_FNS: &[&str] = &[
 /// inside the strip sweep.
 const LANES16: &str = "crates/core/src/lanes16.rs";
 
+/// Whole-file scope: the base view both engines read every sequence
+/// base through, once per step or column.
+const VIEW: &str = "crates/core/src/view.rs";
+
 /// Panic-family macro names (each flagged when followed by `!`).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -63,7 +69,7 @@ fn in_scope(f: &SourceFile, line: u32) -> bool {
         return false;
     }
     match f.path.as_str() {
-        WAVEFRONT | LANES16 => true,
+        WAVEFRONT | LANES16 | VIEW => true,
         BITVEC => in_fns(f, line, BITVEC_FNS),
         WARP_ENGINE => in_fns(f, line, WARP_ENGINE_FNS),
         _ => false,
@@ -94,7 +100,7 @@ impl Rule for KernelNoPanic {
         for f in ws
             .files
             .iter()
-            .filter(|f| [WAVEFRONT, BITVEC, WARP_ENGINE, LANES16].contains(&f.path.as_str()))
+            .filter(|f| [WAVEFRONT, BITVEC, WARP_ENGINE, LANES16, VIEW].contains(&f.path.as_str()))
         {
             let toks = f.toks();
             for (i, t) in toks.iter().enumerate() {

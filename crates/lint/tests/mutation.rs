@@ -331,6 +331,45 @@ fn bitvec_column_step_and_store_are_kernel_scoped() {
     assert!(rep.findings[0].message.contains("expect"));
 }
 
+#[test]
+fn bitvec_view_sweep_and_base_view_are_kernel_scoped() {
+    // The view entry that now holds the sweep and the text-column mask
+    // lookup are in scope in the engine's file.
+    let bitvec = "fn bitvec_extend_view(pm: &[u64; 5], j: usize) -> u64 {\n    \
+                  pm[j - 1]\n}\n\
+                  fn text_mask(pm: &[u64; 5], code: Option<u8>) -> u64 {\n    \
+                  pm[usize::from(code.unwrap())]\n}\n";
+    let rep = lint(&[("crates/core/src/bitvec.rs", bitvec)]);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+    assert!(rep.findings.iter().all(|f| f.rule == "kernel-no-panic"));
+    assert!(rep.findings[0].message.contains("bound:"));
+    assert!(rep.findings[1].message.contains("unwrap"));
+
+    // Every fn of the view's file is in scope; its tests are not.
+    let view = |note: &str| {
+        format!(
+            "impl BaseView<'_> {{\n    \
+             fn get(self, i: usize) -> Option<u8> {{\n        \
+             {note}\n        \
+             Some(self.codes[self.codes.len() - 1 - i])\n    }}\n\
+             fn window(self, start: usize) -> u8 {{\n        \
+             self.codes.get(start).copied().expect(\"base\")\n    }}\n}}\n\
+             #[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        \
+             let v = [1u8];\n        assert_eq!(v[1 - 1], v.first().copied().unwrap());\n    }}\n}}\n"
+        )
+    };
+    let rep = lint(&[("crates/core/src/view.rs", &view(""))]);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+    assert!(rep.findings.iter().all(|f| f.rule == "kernel-no-panic"));
+    assert!(rep.findings[0].message.contains("bound:"));
+    assert!(rep.findings[1].message.contains("expect"));
+    let rep = lint(&[(
+        "crates/core/src/view.rs",
+        &view("// bound: i < codes.len()"),
+    )]);
+    assert_eq!(rep.findings.len(), 1, "{:#?}", rep.findings);
+}
+
 // ---------------------------------------------------------------------------
 // Suppression accounting.
 // ---------------------------------------------------------------------------
