@@ -53,7 +53,7 @@ use crate::report::{CellDiff, Divergence};
 use crate::unit_scoring;
 use fastz_align::{EditOp, PruneMode};
 use fastz_core::{bitvec_extend, BitvecConfig};
-use fastz_genome::Scoring;
+use fastz_genome::{Scoring, N_CODE};
 
 /// Dense-oracle cell budget: full-case inequality checks only run when
 /// `(m+1)·(n+1)` fits (fuzz cases always do; the largest bin-boundary
@@ -84,7 +84,8 @@ fn diverge(
     }
 }
 
-/// Re-walks an edit script under the unit-cost regime. Returns
+/// Re-walks an edit script under the unit-cost regime, where a match
+/// is equal codes below `N`. Returns
 /// `(target consumed, query consumed, unit score, edit count)`, or
 /// `None` if the script runs off either sequence.
 fn unit_walk(t: &[u8], q: &[u8], ops: &[EditOp]) -> Option<(usize, usize, i32, u32)> {
@@ -96,7 +97,7 @@ fn unit_walk(t: &[u8], q: &[u8], ops: &[EditOp]) -> Option<(usize, usize, i32, u
                     if ti >= t.len() || qi >= q.len() {
                         return None;
                     }
-                    if t[ti] == q[qi] {
+                    if t[ti] < N_CODE && t[ti] == q[qi] {
                         score += 2;
                     } else {
                         score -= 1;

@@ -18,7 +18,7 @@
 
 use fastz_align::ydrop::NEG_INF;
 use fastz_align::{CellScores, PruneMode};
-use fastz_genome::Scoring;
+use fastz_genome::{Scoring, N_CODE};
 
 /// Result of one dense oracle run.
 #[derive(Clone, Debug)]
@@ -194,9 +194,10 @@ impl EditOracleRun {
     }
 }
 
-/// Runs the dense unit-cost edit-distance DP over codes ("match" is
-/// code equality, the same convention the bitvector match masks use).
-/// Intended for bounded inputs; the suite caps `m·n` before calling.
+/// Runs the dense unit-cost edit-distance DP over codes. A match is
+/// equal codes below `N`, as in the bitvector engine: `N` matches
+/// nothing, not even `N`. Intended for bounded inputs; the suite caps
+/// `m·n` before calling.
 pub fn edit_oracle(target: &[u8], query: &[u8]) -> EditOracleRun {
     let n = target.len();
     let m = query.len();
@@ -210,7 +211,8 @@ pub fn edit_oracle(target: &[u8], query: &[u8]) -> EditOracleRun {
     for i in 1..=m {
         dist[i * cols] = i as u32;
         for j in 1..=n {
-            let sub = u32::from(target[j - 1] != query[i - 1]);
+            let t = target[j - 1];
+            let sub = u32::from(t >= N_CODE || t != query[i - 1]);
             let d = (dist[(i - 1) * cols + j - 1] + sub)
                 .min(dist[(i - 1) * cols + j] + 1)
                 .min(dist[i * cols + j - 1] + 1);
@@ -300,6 +302,22 @@ mod tests {
         let affine = oracle_extend(&t, &q, &unit, PruneMode::Exact);
         let edit = edit_oracle(&t, &q);
         assert_eq!(affine.best_score, edit.best_score);
+    }
+
+    #[test]
+    fn edit_oracle_counts_n_as_an_edit_like_the_affine_unit_regime() {
+        // `N` matches nothing, not even `N`: the unit substitution
+        // matrix scores it −1, and the edit oracle must agree.
+        let t = codes(b"ACGTNNACGTACGNACGTAC");
+        let q = codes(b"ACGTNNACGTACGTACGNAC");
+        let edit = edit_oracle(&t, &t);
+        assert_eq!(edit.ed(20, 20), 3);
+        assert_eq!(edit.unit_score(20, 20), 40 - 9);
+        let unit = crate::unit_scoring();
+        for (a, b) in [(&t, &t), (&t, &q), (&q, &t)] {
+            let affine = oracle_extend(a, b, &unit, PruneMode::Exact);
+            assert_eq!(affine.best_score, edit_oracle(a, b).best_score);
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The per-window property drives [`fastz_core::bitvec::window_masks`],
 //! which runs the engine's own column step and live-band start, with
 //! adversarial windows — every pattern length 1..=64, text runs
-//! past the reachable diagonal, *every* edit budget `k in 1..=63` — and
-//! demands bit-for-bit equality of the dead masks against a dense
-//! Levenshtein DP: bit `b` of `R[d]` at column `j` is set exactly when
+//! past the reachable diagonal, `N`s on both sides, *every* edit budget
+//! `k in 1..=63` — and demands bit-for-bit equality of the dead masks
+//! against a dense Levenshtein DP in which `N` matches nothing: bit `b` of `R[d]` at column `j` is set exactly when
 //! `ED(pattern[..b+1], text[..j]) > d`, and every beyond-window bit is
 //! set. The whole-extension property then checks the unit-cost score
 //! relation on full engine runs: the dense edit distance lower-bounds
@@ -21,6 +21,7 @@ use fastz_align::score;
 use fastz_core::bitvec::window_masks;
 use fastz_core::{bitvec_extend, BitvecConfig};
 use fastz_genome::evolve::random_codes;
+use fastz_genome::N_CODE;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +29,12 @@ use rand::{Rng, SeedableRng};
 /// The engine's score floor (`fastz_align::ydrop::NEG_INF`), restated
 /// so this file fails loudly if the sentinel ever moves.
 const NEG_INF: i32 = i32::MIN / 4;
+
+/// Whether two codes match under the unit regime: equal and below `N`
+/// (`N` matches nothing, not even `N`).
+fn unit_match(a: u8, b: u8) -> bool {
+    a < N_CODE && a == b
+}
 
 /// Dense `(m+1)×(n+1)` Levenshtein matrix over codes (row-major,
 /// stride `n+1`) — the boring reference the bit-parallel step is
@@ -42,7 +49,7 @@ fn dense_edit(target: &[u8], query: &[u8]) -> Vec<u32> {
     for i in 1..=m {
         ed[i * cols] = i as u32;
         for j in 1..=n {
-            let sub = u32::from(target[j - 1] != query[i - 1]);
+            let sub = u32::from(!unit_match(target[j - 1], query[i - 1]));
             ed[i * cols + j] = (ed[(i - 1) * cols + j - 1] + sub)
                 .min(ed[(i - 1) * cols + j] + 1)
                 .min(ed[i * cols + j - 1] + 1);
@@ -68,9 +75,13 @@ fn dense_unit_optimum(target: &[u8], query: &[u8]) -> i32 {
 
 /// A correlated window pair: the text is the pattern with noise, so the
 /// dead masks carry long live runs (the interesting regime for SENE).
-fn window_pair(wlen: usize, tlen: usize, noise: f64, seed: u64) -> (Vec<u8>, Vec<u8>) {
+/// Each pattern base is an `N` with probability `n_rate`, copied into
+/// the text (`N`–`N` pairs), and the text gets its own `N`s at the same
+/// rate after the noise.
+fn window_pair(wlen: usize, tlen: usize, noise: f64, n_rate: f64, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pattern = random_codes(wlen, 0.45, &mut rng);
+    let mut pattern = random_codes(wlen, 0.45, &mut rng);
+    plant_n(&mut pattern, n_rate, &mut rng);
     let mut text: Vec<u8> = (0..tlen)
         .map(|i| {
             pattern
@@ -84,7 +95,16 @@ fn window_pair(wlen: usize, tlen: usize, noise: f64, seed: u64) -> (Vec<u8>, Vec
             *b = (*b + rng.gen_range(1..4)) & 3;
         }
     }
+    plant_n(&mut text, n_rate, &mut rng);
     (text, pattern)
+}
+
+fn plant_n(codes: &mut [u8], n_rate: f64, rng: &mut SmallRng) {
+    for c in codes.iter_mut() {
+        if rng.gen_bool(n_rate) {
+            *c = N_CODE;
+        }
+    }
 }
 
 proptest! {
@@ -99,9 +119,10 @@ proptest! {
         wlen in 1usize..=64,
         extra in 0usize..80,
         noise in 0.0f64..0.6,
+        n_rate in 0.0f64..0.1,
         seed in any::<u64>(),
     ) {
-        let (text, pattern) = window_pair(wlen, wlen + extra, noise, seed);
+        let (text, pattern) = window_pair(wlen, wlen + extra, noise, n_rate, seed);
         let ed = dense_edit(&text, &pattern);
         let cols = text.len() + 1;
         let window_mask: u64 = if wlen == 64 { !0 } else { (1u64 << wlen) - 1 };
@@ -154,7 +175,7 @@ fn unit_walk(t: &[u8], q: &[u8], ops: &[fastz_align::EditOp]) -> (usize, usize, 
         match *op {
             EditOp::Diag(k) => {
                 for _ in 0..k {
-                    if t[ti] == q[qi] {
+                    if unit_match(t[ti], q[qi]) {
                         score += 2;
                     } else {
                         score -= 1;
@@ -191,9 +212,10 @@ proptest! {
         qlen in 16usize..220,
         extra in 0usize..40,
         noise in 0.0f64..0.35,
+        n_rate in 0.0f64..0.1,
         seed in any::<u64>(),
     ) {
-        let (text, pattern) = window_pair(qlen, qlen + extra, noise, seed);
+        let (text, pattern) = window_pair(qlen, qlen + extra, noise, n_rate, seed);
         let bv = bitvec_extend(&text, &pattern, &BitvecConfig::default());
         let (ti, qi, score, edits) = unit_walk(&text, &pattern, &bv.ops);
         prop_assert_eq!((qi, ti), (bv.best_i, bv.best_j), "script consumption");
@@ -221,9 +243,10 @@ proptest! {
         qlen in 1usize..=48,
         extra in 0usize..=56,
         noise in 0.0f64..0.6,
+        n_rate in 0.0f64..0.1,
         seed in any::<u64>(),
     ) {
-        let (text, pattern) = window_pair(qlen, qlen + extra.min(56), noise, seed);
+        let (text, pattern) = window_pair(qlen, qlen + extra.min(56), noise, n_rate, seed);
         let cfg = BitvecConfig { window: 64, overlap: 16, k: 63, ..BitvecConfig::default() };
         let bv = bitvec_extend(&text, &pattern, &cfg);
         prop_assert_eq!(bv.best_score, dense_unit_optimum(&text, &pattern));
