@@ -140,7 +140,8 @@ fn measure_tasks(t: &Sequence, q: &Sequence, anchors: &[Anchor]) -> (Vec<f64>, V
         let ts = side(t.codes(), a.target_pos as usize, lr == 0);
         let qs = side(q.codes(), a.query_pos as usize, lr == 0);
         sm.clear();
-        let (r, wall) = timed(|| warp_extend_in(&ts, &qs, &scoring, &insp_cfg, &mut sm, &mut tbm));
+        let (r, wall) =
+            timed(|| warp_extend_in(&ts[..], &qs[..], &scoring, &insp_cfg, &mut sm, &mut tbm));
         insp.push(wall);
         // Sides the eager window can't resolve go to the executor.
         if r.best_i.max(r.best_j) > 16 {
@@ -155,7 +156,7 @@ fn measure_tasks(t: &Sequence, q: &Sequence, anchors: &[Anchor]) -> (Vec<f64>, V
         let qs = side(q.codes(), a.query_pos as usize, lr == 0);
         let cfg = WarpConfig::executor(&flags, best_i, best_j);
         sm.clear();
-        exec.push(timed(|| warp_extend_in(&ts, &qs, &scoring, &cfg, &mut sm, &mut tbm)).1);
+        exec.push(timed(|| warp_extend_in(&ts[..], &qs[..], &scoring, &cfg, &mut sm, &mut tbm)).1);
     }
     (insp, exec)
 }

@@ -6,7 +6,7 @@
 //! 1. **Batched vs per-request executor schedule** — the corpus splits
 //!    into many small requests whose individual bin launches are ragged
 //!    (each request strands a handful of tasks per length bin). The
-//!    service's [`ServeReport`] carries both modeled executor times:
+//!    service's [`fastz_serve::ServeReport`] carries both modeled executor times:
 //!    `solo_exec_s` (every request dispatching its own launches) and
 //!    `batched_exec_s` (the wave's tasks merged into shared per-bin
 //!    launches). Batching must win — the run fails otherwise.

@@ -25,8 +25,8 @@ use fastz_bench::gate::{
 };
 use fastz_bench::json_obj;
 use fastz_core::{
-    run_fastz, step_interpreter, step_simd, strip_widths, warp_extend_in, FastZConfig, FastZReport,
-    OptFlags, SimdIsa, StepIn, WarpConfig, WarpExtension, WavefrontBackend,
+    run_fastz, step_interpreter, step_simd_on, strip_widths, warp_extend_in, FastZConfig,
+    FastZReport, OptFlags, SimdIsa, StepIn, WarpConfig, WarpExtension, WavefrontBackend,
 };
 use fastz_genome::{Scoring, Sequence};
 use fastz_gpu_sim::{DeviceSpec, Lanes, SharedMem, WARP_SIZE};
@@ -96,7 +96,7 @@ fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (u64,
     let mut cells = 0u64;
     for (t, q) in &corpus.pairs {
         shared.clear();
-        let insp = warp_extend_in(t, q, &scoring, &insp_cfg, &mut shared, &mut tbm);
+        let insp = warp_extend_in(&t[..], &q[..], &scoring, &insp_cfg, &mut shared, &mut tbm);
         cells += insp.counters.cells;
         let trim = (insp.best_i, insp.best_j);
         fingerprints.push(ext_fingerprint(&insp));
@@ -104,7 +104,7 @@ fn run_corpus(corpus: &Corpus, backend: WavefrontBackend, width: usize) -> (u64,
             .with_strip_width(width)
             .with_backend(backend);
         shared.clear();
-        let exec = warp_extend_in(t, q, &scoring, &exec_cfg, &mut shared, &mut tbm);
+        let exec = warp_extend_in(&t[..], &q[..], &scoring, &exec_cfg, &mut shared, &mut tbm);
         cells += exec.counters.cells;
         fingerprints.push(ext_fingerprint(&exec));
     }
@@ -179,7 +179,7 @@ fn kernel_microbench(steps: usize, simd: bool) -> i64 {
             hi: WARP_SIZE - 1,
         };
         let out = if simd {
-            step_simd(&inp)
+            step_simd_on(SimdIsa::dispatched(), &inp)
         } else {
             step_interpreter(&inp)
         };
@@ -260,7 +260,7 @@ fn main() {
 
     // Kernel-granularity microbench: the per-step kernels in isolation
     // (the engine's gather/bookkeeping/sanitizer costs are shared by
-    // both backends and dilute the end-to-end ratio above). `step_simd`
+    // both backends and dilute the end-to-end ratio above). `step_simd_on`
     // runs the vector step on the lane type the dispatch picked, as the
     // engine does; the interpreter is scalar at any level.
     let ksteps = if args.check { 400_000 } else { 4_000_000 };
@@ -314,7 +314,7 @@ fn main() {
         },
         "speedup" => speedup,
         "speedup_source" => "measured end-to-end wall-clock (per-thread vector speedup; valid on any core count)",
-        "methodology" => format!("Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {WIDTHS:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits, timeline, kernels, allocation bytes) before any timing. End-to-end wall-clock is best-of-{repeats} corpus runs at the full warp width after one warmup per backend, in rounds that alternate the two backends' order, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd in isolation, by the same protocol, on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal); step_simd runs the vector step on the lane type the dispatch picked (simd_path), each call loading its array operands into that lane type and storing the outputs back — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. The strips block counts the SIMD backend's strips by lane width over one corpus pass at the full warp width: an inspector strip runs on the 16-bit lane type when an exact bound proves its scores fit, and executor strips always run on 32-bit lanes; this corpus's long near-identical extensions pass the 16-bit ceiling early, so most of its strips are 32-bit. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end)."),
+        "methodology" => format!("Deterministic ~98%-identity homologous pairs keep the 32-lane wavefront deep for the whole extension, so the per-step kernel dominates. The identity phase runs inspector and trimmed-executor extensions under both backends at strip widths {WIDTHS:?} plus one full run_fastz workload, and asserts byte-identical fingerprints (optimum, work counters, explored extents, eager scripts, executor edit scripts, alignments, bin counts, modeled-time bits, timeline, kernels, allocation bytes) before any timing. End-to-end wall-clock is best-of-{repeats} corpus runs at the full warp width after one warmup per backend, in rounds that alternate the two backends' order, both backends inside the engine body the runtime dispatch chose (target_isa); throughput divides the engines' own DP-cell counters by wall time. The kernel block times step_interpreter vs step_simd_on (dispatched level) in isolation, by the same protocol, on a serially-dependent synthetic wavefront (checksum-fed inputs, checksums asserted equal); step_simd_on runs the vector step on the lane type the dispatch picked (simd_path), each call loading its array operands into that lane type and storing the outputs back — the engine's gather, traceback, sanitizer, and bookkeeping costs are shared by both backends and dilute the end-to-end ratio relative to this kernel ratio. The strips block counts the SIMD backend's strips by lane width over one corpus pass at the full warp width: an inspector strip runs on the 16-bit lane type when an exact bound proves its scores fit, and executor strips always run on 32-bit lanes; this corpus's long near-identical extensions pass the 16-bit ceiling early, so most of its strips are 32-bit. Both speedups are per-thread host vectorization, so measured ratios are the headline even on a single-core runner; the --check gate only rejects regressions (simd > 1.10x interpreter end-to-end)."),
     };
     write_report(&args.out, &report);
     println!(

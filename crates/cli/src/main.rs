@@ -562,11 +562,10 @@ fn fastz_pipeline(
     opts: &Options,
 ) -> Result<Vec<Alignment>, String> {
     let rcfg = ResilienceConfig {
+        plan: opts
+            .fault_plan
+            .map_or_else(FaultPlan::none, FaultPlan::from_seed),
         checkpoint: opts.checkpoint.as_ref().map(PathBuf::from),
-        ..match opts.fault_plan {
-            Some(seed) => ResilienceConfig::with_plan(FaultPlan::from_seed(seed)),
-            None => ResilienceConfig::disabled(),
-        }
     };
     let observing = opts.metrics_out.is_some() || opts.trace_out.is_some();
     let mut rec = Recorder::new();

@@ -2,7 +2,9 @@
 
 use fastz_align::ydrop::{ydrop_extend_traced, YDropScratch};
 use fastz_align::{DenseTrace, OneSidedExtension, PruneMode};
-use fastz_core::{warp_extend_traced, OptFlags, WarpConfig, WarpExtension, WavefrontBackend};
+use fastz_core::{
+    warp_extend_in, warp_extend_on, OptFlags, SimdIsa, WarpConfig, WarpExtension, WavefrontBackend,
+};
 use fastz_genome::Scoring;
 use fastz_gpu_sim::SharedMem;
 
@@ -60,8 +62,8 @@ pub fn run_case_on(
     warp_scoring: &Scoring,
     backend: WavefrontBackend,
 ) -> CaseRun {
-    let t = &case.target;
-    let q = &case.query;
+    let t = case.target.as_slice();
+    let q = case.query.as_slice();
     let full = (t.len() + 1).saturating_mul(q.len() + 1) <= CELL_CHECK_CAP;
 
     let mut scratch = YDropScratch::default();
@@ -94,7 +96,16 @@ pub fn run_case_on(
             &mut scratch,
             &mut cons_trace,
         );
-        warp = warp_extend_traced(t, q, warp_scoring, &insp_cfg, &mut shared, &mut warp_trace);
+        warp = warp_extend_on(
+            SimdIsa::dispatched(),
+            t,
+            q,
+            warp_scoring,
+            &insp_cfg,
+            &mut shared,
+            &mut Vec::new(),
+            &mut warp_trace,
+        );
     } else {
         use fastz_align::NoTrace;
         exact = ydrop_extend_traced(
@@ -115,18 +126,19 @@ pub fn run_case_on(
             &mut scratch,
             &mut NoTrace,
         );
-        warp = warp_extend_traced(t, q, warp_scoring, &insp_cfg, &mut shared, &mut NoTrace);
+        warp = warp_extend_in(t, q, warp_scoring, &insp_cfg, &mut shared, &mut Vec::new());
     }
 
     let exec = if warp.best_i.saturating_mul(warp.best_j) <= EXECUTOR_CELL_CAP {
         let exec_cfg = WarpConfig::executor(&flags, warp.best_i, warp.best_j).with_backend(backend);
         let mut shared = SharedMem::new(96 * 1024);
-        Some(fastz_core::warp_extend(
+        Some(warp_extend_in(
             t,
             q,
             warp_scoring,
             &exec_cfg,
             &mut shared,
+            &mut Vec::new(),
         ))
     } else {
         None
@@ -160,8 +172,8 @@ pub fn run_case_on(
 /// results — optimum, edit scripts, work counters (hence modeled GPU
 /// time), and explored extents.
 pub fn check_backend_identity(case: &Case, scoring: &Scoring) -> (usize, Vec<Divergence>) {
-    let t = &case.target;
-    let q = &case.query;
+    let t = case.target.as_slice();
+    let q = case.query.as_slice();
     let flags = OptFlags::fastz();
     let mut checks = 0usize;
     let mut divergences = Vec::new();
@@ -178,7 +190,7 @@ pub fn check_backend_identity(case: &Case, scoring: &Scoring) -> (usize, Vec<Div
 
     let run = |cfg: &WarpConfig| {
         let mut shared = SharedMem::new(96 * 1024);
-        fastz_core::warp_extend(t, q, scoring, cfg, &mut shared)
+        warp_extend_in(t, q, scoring, cfg, &mut shared, &mut Vec::new())
     };
     let insp_cfg = WarpConfig::inspector(&flags);
     let a = run(&insp_cfg);

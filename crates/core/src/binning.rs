@@ -121,27 +121,6 @@ impl BinCounts {
 /// same slot space `FastZReport::executor_bin_slots` uses.
 pub const BIN_SLOTS: usize = BIN_BOUNDS.len() + 2;
 
-/// One executor task tagged with the request it belongs to, so a merged
-/// launch can be demultiplexed back to per-request attribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaggedTask {
-    /// The originating request.
-    pub request: u64,
-    /// Executor bin slot (see [`BIN_SLOTS`]).
-    pub slot: usize,
-    /// The priced task.
-    pub task: WarpTask,
-}
-
-/// Per-slot membership of one merged launch: which requests contributed
-/// how many tasks (sorted by request id — deterministic regardless of
-/// push order *within* a request, preserving cross-request push order).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LaunchDemux {
-    /// `(request, task count)` pairs for one merged kernel.
-    pub shares: Vec<(u64, usize)>,
-}
-
 /// A merged cross-request launch schedule for one executor bin slot.
 #[derive(Clone, Debug)]
 pub struct MergedLaunch {
@@ -150,14 +129,12 @@ pub struct MergedLaunch {
     /// The merged kernel (tasks from every contributing request, in
     /// arrival order).
     pub kernel: KernelSpec,
-    /// Which request contributed which tasks.
-    pub demux: LaunchDemux,
     /// Occupied fraction of the launch batch, in (0, 1].
     pub fill: f64,
 }
 
-/// Merges request-tagged executor tasks from concurrent requests into
-/// shared per-bin kernel launches of at most `batch` tasks each.
+/// Merges executor tasks from concurrent requests into shared per-bin
+/// kernel launches of at most `batch` tasks each.
 ///
 /// Tasks keep arrival order within a slot, so the schedule is a pure
 /// function of the submission sequence — never of host threading. The
@@ -166,7 +143,7 @@ pub struct MergedLaunch {
 #[derive(Clone, Debug)]
 pub struct BinPacker {
     batch: usize,
-    slots: [Vec<TaggedTask>; BIN_SLOTS],
+    slots: [Vec<WarpTask>; BIN_SLOTS],
 }
 
 impl BinPacker {
@@ -178,24 +155,20 @@ impl BinPacker {
         }
     }
 
-    /// Adds one request-tagged task to its bin. Out-of-range slots panic
-    /// — the slot space is fixed by [`BIN_SLOTS`].
-    pub fn push(&mut self, t: TaggedTask) {
-        self.slots[t.slot].push(t);
+    /// Adds one task to bin `slot`. Out-of-range slots panic — the slot
+    /// space is fixed by [`BIN_SLOTS`].
+    fn push(&mut self, slot: usize, task: WarpTask) {
+        self.slots[slot].push(task);
     }
 
-    /// Adds every executor task of one request's report, tagged with
-    /// `request`. `kernels` and `slots` are the report's parallel
-    /// `executor_kernels` / `executor_bin_slots` vectors.
-    pub fn push_report(&mut self, request: u64, kernels: &[KernelSpec], slots: &[usize]) {
+    /// Adds every executor task of one request's report. `kernels` and
+    /// `slots` are the report's parallel `executor_kernels` /
+    /// `executor_bin_slots` vectors.
+    pub fn push_report(&mut self, kernels: &[KernelSpec], slots: &[usize]) {
         debug_assert_eq!(kernels.len(), slots.len());
         for (kernel, &slot) in kernels.iter().zip(slots) {
             for &task in &kernel.tasks {
-                self.push(TaggedTask {
-                    request,
-                    slot,
-                    task,
-                });
+                self.push(slot, task);
             }
         }
     }
@@ -212,7 +185,7 @@ impl BinPacker {
 
     /// Emits the merged launch schedule: per slot, tasks are chunked
     /// into kernels of at most the batch size; every kernel carries its
-    /// per-request demux and fill ratio. Consumes the packed tasks.
+    /// fill ratio. Consumes the packed tasks.
     pub fn launches(&mut self, resources: BlockResources) -> Vec<MergedLaunch> {
         let mut out = Vec::new();
         for (slot, tasks) in self.slots.iter_mut().enumerate() {
@@ -220,22 +193,13 @@ impl BinPacker {
                 continue;
             }
             for (b, chunk) in tasks.chunks(self.batch).enumerate() {
-                let mut shares: Vec<(u64, usize)> = Vec::new();
-                for t in chunk {
-                    match shares.iter_mut().find(|(r, _)| *r == t.request) {
-                        Some((_, n)) => *n += 1,
-                        None => shares.push((t.request, 1)),
-                    }
-                }
-                shares.sort_unstable();
                 out.push(MergedLaunch {
                     slot,
                     kernel: KernelSpec::new(
                         format!("serve-bin{slot}-{b}"),
-                        chunk.iter().map(|t| t.task).collect(),
+                        chunk.to_vec(),
                         resources,
                     ),
-                    demux: LaunchDemux { shares },
                     fill: chunk.len() as f64 / self.batch as f64,
                 });
             }
@@ -339,28 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn packer_merges_requests_and_demuxes() {
+    fn packer_merges_requests_in_arrival_order() {
         let mut p = BinPacker::new(4);
         // Request 1: three bin-1 tasks; request 2: two bin-1, one bin-3.
         for k in 0..3 {
-            p.push(TaggedTask {
-                request: 1,
-                slot: 1,
-                task: task(k as f64),
-            });
+            p.push(1, task(k as f64));
         }
         for k in 0..2 {
-            p.push(TaggedTask {
-                request: 2,
-                slot: 1,
-                task: task(10.0 + k as f64),
-            });
+            p.push(1, task(10.0 + k as f64));
         }
-        p.push(TaggedTask {
-            request: 2,
-            slot: 3,
-            task: task(99.0),
-        });
+        p.push(3, task(99.0));
         assert_eq!(p.len(), 6);
         let launches = p.launches(BlockResources::fastz_executor());
         assert!(p.is_empty(), "launches drains the packer");
@@ -369,9 +321,7 @@ mod tests {
         let b1: Vec<_> = launches.iter().filter(|l| l.slot == 1).collect();
         assert_eq!(b1.len(), 2);
         assert_eq!(b1[0].kernel.tasks.len(), 4);
-        assert_eq!(b1[0].demux.shares, vec![(1, 3), (2, 1)]);
         assert!((b1[0].fill - 1.0).abs() < 1e-12);
-        assert_eq!(b1[1].demux.shares, vec![(2, 1)]);
         assert!((b1[1].fill - 0.25).abs() < 1e-12);
         // Tasks keep arrival order: request 1's three, then request 2's.
         let cycles: Vec<f64> = b1[0].kernel.tasks.iter().map(|t| t.cycles).collect();
@@ -379,21 +329,12 @@ mod tests {
         // Every packed task landed in exactly one launch.
         let total: usize = launches.iter().map(|l| l.kernel.tasks.len()).sum();
         assert_eq!(total, 6);
-        let demuxed: usize = launches
-            .iter()
-            .flat_map(|l| l.demux.shares.iter().map(|&(_, n)| n))
-            .sum();
-        assert_eq!(demuxed, 6);
     }
 
     #[test]
     fn packer_batch_is_clamped_and_empty_slots_skipped() {
         let mut p = BinPacker::new(0);
-        p.push(TaggedTask {
-            request: 7,
-            slot: 0,
-            task: task(1.0),
-        });
+        p.push(0, task(1.0));
         let launches = p.launches(BlockResources::fastz_executor());
         assert_eq!(launches.len(), 1, "batch 0 clamps to 1");
         assert_eq!(launches[0].slot, 0);

@@ -299,37 +299,24 @@ const MAX_COLS: usize = 64 + 63 + 1;
 /// One-sided windowed bitvector extension from the origin.
 ///
 /// `pattern` is the query side (rows), `text` the target side
-/// (columns); both are already oriented. Traceback rows live in
-/// `shared` under the same sanitizer hooks as the wavefront kernels,
-/// and the work counters price through `price_task` unchanged.
-pub fn bitvec_extend_in(
-    text: &[u8],
-    pattern: &[u8],
-    cfg: &BitvecConfig,
-    shared: &mut SharedMem,
-) -> BitvecExtension {
-    bitvec_extend_view(
-        BaseView::forward(text),
-        BaseView::forward(pattern),
-        cfg,
-        shared,
-    )
-}
-
-/// [`bitvec_extend_in`] over base views: the pipeline passes a left
-/// side's prefixes as reversed views, read in place. The sweep reads
-/// one pattern window per window, one text base per column, and the
-/// bases its traceback walk compares.
+/// (columns); both are already oriented: slices, or [`BaseView`]s,
+/// through which the pipeline passes a left side's prefixes reversed
+/// and in place. The sweep reads one pattern window per window, one
+/// text base per column, and the bases its traceback walk compares.
+/// Traceback rows live in `shared` under the same sanitizer hooks as
+/// the wavefront kernels, and the work counters price through
+/// `price_task` unchanged.
 ///
 /// `N` matches nothing, as the y-drop engine scores it: a pattern `N`
 /// sets no match bit, a text `N` reads the all-mismatch mask, and the
 /// walk never takes a diagonal through it as a match.
-pub fn bitvec_extend_view(
-    text: BaseView<'_>,
-    pattern: BaseView<'_>,
+pub fn bitvec_extend_in<'t, 'p>(
+    text: impl Into<BaseView<'t>>,
+    pattern: impl Into<BaseView<'p>>,
     cfg: &BitvecConfig,
     shared: &mut SharedMem,
 ) -> BitvecExtension {
+    let (text, pattern) = (text.into(), pattern.into());
     cfg.validate();
     let m = pattern.len();
     let n = text.len();

@@ -24,12 +24,12 @@ pub mod wavefront_step;
 
 pub use ablation::OptFlags;
 pub use binning::{
-    bin_allocation, classify, BinClass, BinCounts, BinPacker, LaunchDemux, MergedLaunch,
-    TaggedTask, BIN_BOUNDS, BIN_SLOTS, EAGER_BOUND,
+    bin_allocation, classify, BinClass, BinCounts, BinPacker, MergedLaunch, BIN_BOUNDS, BIN_SLOTS,
+    EAGER_BOUND,
 };
 pub use bitvec::{
-    bitvec_extend, bitvec_extend_in, bitvec_extend_view, BitvecConfig, BitvecExtension,
-    BitvecMutation, BitvecStats, ExtendBackend,
+    bitvec_extend, bitvec_extend_in, BitvecConfig, BitvecExtension, BitvecMutation, BitvecStats,
+    ExtendBackend,
 };
 pub use gpu_baseline::{baseline_problem_time, baseline_total_time};
 pub use pipeline::{
@@ -42,9 +42,7 @@ pub use resilient::{
 };
 pub use view::BaseView;
 pub use warp_engine::{
-    strip_widths, warp_extend, warp_extend_in, warp_extend_traced, warp_extend_traced_on,
-    warp_extend_view, SimdIsa, StripWidths, WarpConfig, WarpExtension, WavefrontBackend,
+    strip_widths, warp_extend_in, warp_extend_on, SimdIsa, StripWidths, WarpConfig, WarpExtension,
+    WavefrontBackend,
 };
-pub use wavefront_step::{
-    step_interpreter, step_simd, step_simd_narrow_on, step_simd_on, StepIn, StepOut,
-};
+pub use wavefront_step::{step_interpreter, step_simd_narrow_on, step_simd_on, StepIn, StepOut};

@@ -10,18 +10,18 @@
 
 use crate::ablation::OptFlags;
 use crate::binning::{classify, BinClass, BinCounts, BIN_BOUNDS};
-use crate::bitvec::{bitvec_extend_view, BitvecConfig, BitvecStats, ExtendBackend};
+use crate::bitvec::{bitvec_extend_in, BitvecConfig, BitvecStats, ExtendBackend};
 use crate::cost::price_task;
 use crate::pool::{Arena, HostDispatch, HostPool};
 use crate::resilient::{
     combine_fingerprint, workload_fingerprint, Checkpoint, ResilienceConfig, ResilienceReport,
+    MAX_FALLBACK_RETRIES, MAX_PROBLEM_RETRIES,
 };
 use crate::view::BaseView;
-use crate::warp_engine::{warp_extend_view, SimdIsa, WarpConfig, WavefrontBackend};
-use fastz_align::trace::NoTrace;
+use crate::warp_engine::{warp_extend_in, WarpConfig, WavefrontBackend};
 use fastz_align::{push_op, Alignment, EditOp};
 use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS, N_CODE};
-use fastz_gpu_sim::fault::{scope, FaultKind, FaultSite};
+use fastz_gpu_sim::fault::{self, scope, FaultKind, FaultSite};
 use fastz_gpu_sim::roofline;
 use fastz_gpu_sim::stream::{
     time_stream_pipeline_capped, time_stream_pipeline_resilient, PipelineTiming,
@@ -438,9 +438,9 @@ pub fn run_fastz_observed<S: MetricsSink>(
 /// identical whether its problems ran on a private pool or interleaved
 /// with other requests' phases on a shared one.
 ///
-/// The body is a driver over the phases of [`Run`]: inspect, partition
-/// (eager traceback and length binning), execute, splice, account, and —
-/// for observed runs — emit.
+/// The body is a driver over the phases of the private `Run`: inspect,
+/// partition (eager traceback and length binning), execute, splice,
+/// account, and — for observed runs — emit.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fastz_in_pool<S: MetricsSink>(
     target: &Sequence,
@@ -707,11 +707,11 @@ impl<'a> Run<'a> {
 
     /// One extension problem under the resilience ladder.
     ///
-    /// Attempts `0..max_problem_retries` run the configured warp engine;
+    /// Attempts `0..MAX_PROBLEM_RETRIES` run the configured warp engine;
     /// a bit flip detected on each of those degrades the problem to the
     /// scalar y-drop path — the same engine at strip width 1 (one lane,
     /// one cell per step), whose results are identical by the strip-width
-    /// invariance property — for `max_fallback_retries` more attempts.
+    /// invariance property — for `MAX_FALLBACK_RETRIES` more attempts.
     /// Exhausting the whole budget skips the problem with record. Each
     /// discarded attempt charges its task's serial time plus an exponential
     /// backoff into the modeled overhead; the clean attempt's result and
@@ -737,16 +737,7 @@ impl<'a> Run<'a> {
                     } else {
                         *warp_cfg
                     };
-                    let e = warp_extend_view(
-                        SimdIsa::dispatched(),
-                        t,
-                        q,
-                        &cfg.scoring,
-                        &engine_cfg,
-                        shared,
-                        tbm,
-                        &mut NoTrace,
-                    );
+                    let e = warp_extend_in(t, q, &cfg.scoring, &engine_cfg, shared, tbm);
                     side_result(
                         (e.best_score, e.best_i, e.best_j),
                         (e.explored_rows, e.explored_cols),
@@ -757,7 +748,7 @@ impl<'a> Run<'a> {
                 }
                 // The bitvector engine always emits a complete edit script.
                 ExtendBackend::Bitvector => {
-                    let e = bitvec_extend_view(t, q, &cfg.bitvec, shared);
+                    let e = bitvec_extend_in(t, q, &cfg.bitvec, shared);
                     side_result(
                         (e.best_score, e.best_i, e.best_j),
                         (e.explored_rows, e.explored_cols),
@@ -772,10 +763,10 @@ impl<'a> Run<'a> {
             return (attempt(shared, tbm, false), log);
         }
         let site = FaultSite::new(0, scope::PROBLEM, unit);
-        let budget = rcfg.attempt_budget();
+        let budget = MAX_PROBLEM_RETRIES + MAX_FALLBACK_RETRIES;
         let mut attempt_no = 0u32;
         loop {
-            let scalar = attempt_no >= rcfg.max_problem_retries;
+            let scalar = attempt_no >= MAX_PROBLEM_RETRIES;
             shared.clear();
             let r = attempt(shared, tbm, scalar);
             if !rcfg.plan.fires(FaultKind::BitFlip, site, attempt_no) {
@@ -786,7 +777,7 @@ impl<'a> Run<'a> {
             // its serial time plus backoff, and climb the ladder.
             log.flips += 1;
             log.wasted_s += r.task.cycles / self.clock_hz;
-            log.backoff_s += rcfg.watchdog.backoff_s(attempt_no);
+            log.backoff_s += fault::backoff_s(attempt_no);
             attempt_no += 1;
             if attempt_no >= budget {
                 // Skip with record: the run keeps going without this seed
@@ -1146,7 +1137,6 @@ impl<'a> Run<'a> {
             memory_cap(&cfg.device, alloc_bytes),
             &rcfg.plan,
             site_scope,
-            &rcfg.watchdog,
         );
         // Kernel-level faults: hangs are detected (watchdog + relaunch);
         // stalls and shared-memory pressure are tolerated in place.

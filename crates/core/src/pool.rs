@@ -3,7 +3,8 @@
 //!
 //! The pipeline's functional simulation runs one seed-extension problem
 //! per task on host threads. [`HostPool`] is one scoped worker set per
-//! `run_fastz*` call (or per service run) with an atomic-index
+//! `run_fastz*` call (or per service run), built with [`HostPool::new`]
+//! inside the caller's `std::thread::scope`, with an atomic-index
 //! dispatcher: every worker claims the next unclaimed problem, so a
 //! worker that drew a long alignment simply stops claiming while the
 //! others drain the rest — on the host, the imbalance the paper's
@@ -480,23 +481,23 @@ fn worker_loop(
     }
 }
 
-/// Convenience: build a pool inside a fresh thread scope and run `body`
-/// with it. Workers are joined before this returns.
-pub fn with_pool<R>(
-    workers: usize,
-    device: &DeviceSpec,
-    mode: HostDispatch,
-    body: impl FnOnce(&HostPool<'_>) -> R,
-) -> R {
-    std::thread::scope(|scope| {
-        let pool = HostPool::new(scope, workers, device, mode, false);
-        body(&pool)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds a pool inside a fresh thread scope and runs `body` with it.
+    /// Workers are joined before this returns.
+    fn with_pool<R>(
+        workers: usize,
+        device: &DeviceSpec,
+        mode: HostDispatch,
+        body: impl FnOnce(&HostPool<'_>) -> R,
+    ) -> R {
+        std::thread::scope(|scope| {
+            let pool = HostPool::new(scope, workers, device, mode, false);
+            body(&pool)
+        })
+    }
 
     fn device() -> DeviceSpec {
         DeviceSpec::rtx3080_ampere()

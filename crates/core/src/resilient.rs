@@ -8,14 +8,14 @@
 //!   kernel's expected time, which scales with its length bin) detects
 //!   the hang; the kernel is relaunched after an exponential backoff.
 //! * **Transient bit flips** — ECC detects the corrupt extension result;
-//!   the attempt is discarded and the problem retried. After
-//!   [`ResilienceConfig::max_problem_retries`] consecutive faults the
-//!   problem **degrades** from the 32-lane warp engine to the scalar
-//!   y-drop path (the same engine at strip width 1 — one lane computing
-//!   one cell per step), whose results are provably identical (the
-//!   strip-width-invariance property). If faults persist past
-//!   [`ResilienceConfig::max_fallback_retries`] more attempts, the seed
-//!   is **skipped with record** — dropped from the output and listed in
+//!   the attempt is discarded and the problem retried. After two
+//!   consecutive faults (`MAX_PROBLEM_RETRIES`) the problem **degrades**
+//!   from the 32-lane warp engine to the scalar y-drop path (the same
+//!   engine at strip width 1 — one lane computing one cell per step),
+//!   whose results are provably identical (the strip-width-invariance
+//!   property). If faults persist for four more attempts
+//!   (`MAX_FALLBACK_RETRIES`), the seed is **skipped with record** —
+//!   dropped from the output and listed in
 //!   [`ResilienceReport::skipped_seeds`] — rather than poisoning the run.
 //! * **Stream stalls / shared-memory pressure** — absorbed as modeled
 //!   latency, counted as tolerated.
@@ -50,11 +50,18 @@ use crate::bitvec::BitvecStats;
 use crate::pipeline::SideResult;
 use fastz_align::EditOp;
 use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS};
-use fastz_gpu_sim::{FaultCounters, FaultPlan, WarpCounters, WarpTask, WatchdogPolicy};
+use fastz_gpu_sim::{FaultCounters, FaultPlan, WarpCounters, WarpTask};
 use fastz_seed::Anchor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
+
+/// Bit-flip retry budget on the warp rung of the ladder; the next
+/// attempt degrades to the scalar (strip-width-1) path.
+pub(crate) const MAX_PROBLEM_RETRIES: u32 = 2;
+/// Retry budget on the scalar rung; exhausting it skips the seed with
+/// record.
+pub(crate) const MAX_FALLBACK_RETRIES: u32 = 4;
 
 /// Resilient-dispatch configuration.
 #[derive(Clone, Debug)]
@@ -62,14 +69,6 @@ pub struct ResilienceConfig {
     /// The fault schedule to run under ([`FaultPlan::none`] disables
     /// every injection probe — the fault-free fast path).
     pub plan: FaultPlan,
-    /// Watchdog deadlines, backoff, and stall pricing.
-    pub watchdog: WatchdogPolicy,
-    /// Bit-flip retry budget on the warp rung of the ladder; the next
-    /// attempt degrades to the scalar (strip-width-1) path.
-    pub max_problem_retries: u32,
-    /// Retry budget on the scalar rung; exhausting it skips the seed
-    /// with record.
-    pub max_fallback_retries: u32,
     /// Checkpoint file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
 }
@@ -80,23 +79,12 @@ impl ResilienceConfig {
         ResilienceConfig::with_plan(FaultPlan::none())
     }
 
-    /// Default policy under `plan`.
+    /// Fault injection under `plan`, without checkpointing.
     pub fn with_plan(plan: FaultPlan) -> ResilienceConfig {
         ResilienceConfig {
             plan,
-            watchdog: WatchdogPolicy::default(),
-            max_problem_retries: 2,
-            max_fallback_retries: 4,
             checkpoint: None,
         }
-    }
-
-    /// Total per-problem attempt budget before the skip rung.
-    /// Saturating: adversarial configs near `u32::MAX` clamp instead of
-    /// wrapping to a tiny budget (which would skip healthy problems).
-    pub fn attempt_budget(&self) -> u32 {
-        self.max_problem_retries
-            .saturating_add(self.max_fallback_retries)
     }
 }
 
@@ -714,26 +702,6 @@ mod tests {
         );
         std::fs::remove_file(&path).unwrap();
         assert!(Checkpoint::new(3).save(std::path::Path::new("/")).is_err());
-    }
-
-    #[test]
-    fn attempt_budget_edges() {
-        let mut cfg = ResilienceConfig::disabled();
-        cfg.max_problem_retries = 0;
-        cfg.max_fallback_retries = 0;
-        assert_eq!(cfg.attempt_budget(), 0, "0 retries: straight to skip");
-        cfg.max_problem_retries = u32::MAX;
-        cfg.max_fallback_retries = 0;
-        assert_eq!(cfg.attempt_budget(), u32::MAX);
-        cfg.max_fallback_retries = 1;
-        assert_eq!(
-            cfg.attempt_budget(),
-            u32::MAX,
-            "overflow-adjacent budgets saturate instead of wrapping to 0"
-        );
-        cfg.max_problem_retries = u32::MAX - 1;
-        cfg.max_fallback_retries = u32::MAX - 1;
-        assert_eq!(cfg.attempt_budget(), u32::MAX);
     }
 
     #[test]

@@ -82,6 +82,13 @@ impl<'a> BaseView<'a> {
     }
 }
 
+/// A slice is its forward view.
+impl<'a> From<&'a [u8]> for BaseView<'a> {
+    fn from(codes: &'a [u8]) -> BaseView<'a> {
+        BaseView::forward(codes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

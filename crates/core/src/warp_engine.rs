@@ -447,20 +447,13 @@ impl<'a> TbBand<'a> {
     }
 }
 
-/// Runs one warp extension of `query` against `target` (suffix slices in
-/// the extension direction). `shared` models the block's shared memory;
-/// the eager window lives there.
-pub fn warp_extend(
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    cfg: &WarpConfig,
-    shared: &mut SharedMem,
-) -> WarpExtension {
-    warp_extend_traced(target, query, scoring, cfg, shared, &mut NoTrace)
-}
-
-/// [`warp_extend`] with an externally owned traceback buffer.
+/// Runs one warp extension of `query` against `target` (bases in the
+/// extension direction: slices, or [`BaseView`]s, through which the
+/// pipeline passes a left side's prefixes reversed and in place) on
+/// the body [`SimdIsa::dispatched`] picks. `shared` models the block's
+/// shared memory; the eager window lives there. The engine reads the
+/// target only to gather each strip's (at most [`WARP_SIZE`]) bases for
+/// its substitution profile, and one query base per step.
 ///
 /// In executor mode `tbm` is cleared and then holds the step-major band
 /// of traceback bytes: one `strip_width`-byte chunk per executed step,
@@ -469,15 +462,15 @@ pub fn warp_extend(
 /// buffer reused across problems — e.g. from a [`crate::pool::Arena`] —
 /// produces bit-identical results to a fresh allocation while keeping
 /// its capacity.
-pub fn warp_extend_in(
-    target: &[u8],
-    query: &[u8],
+pub fn warp_extend_in<'t, 'q>(
+    target: impl Into<BaseView<'t>>,
+    query: impl Into<BaseView<'q>>,
     scoring: &Scoring,
     cfg: &WarpConfig,
     shared: &mut SharedMem,
     tbm: &mut Vec<u8>,
 ) -> WarpExtension {
-    warp_extend_traced_on(
+    warp_extend_on(
         SimdIsa::dispatched(),
         target,
         query,
@@ -486,30 +479,6 @@ pub fn warp_extend_in(
         shared,
         tbm,
         &mut NoTrace,
-    )
-}
-
-/// [`warp_extend`] that additionally reports every live cell to `sink`
-/// (the conformance oracle's cell-for-cell hook; [`NoTrace`] compiles
-/// the calls away on the production path).
-pub fn warp_extend_traced<K: CellSink>(
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    cfg: &WarpConfig,
-    shared: &mut SharedMem,
-    sink: &mut K,
-) -> WarpExtension {
-    let mut tbm = Vec::new();
-    warp_extend_traced_on(
-        SimdIsa::dispatched(),
-        target,
-        query,
-        scoring,
-        cfg,
-        shared,
-        &mut tbm,
-        sink,
     )
 }
 
@@ -540,48 +509,20 @@ impl<K: CellSink, const INTERPRETED: bool, const RECORD: bool, const HOOKED: boo
     }
 }
 
-/// [`warp_extend_traced`] with an externally owned traceback buffer
-/// (see [`warp_extend_in`]), on the body instantiated for `isa`.
-/// Production runs [`SimdIsa::dispatched`]; the per-level differential
-/// tests pass each supported level.
+/// [`warp_extend_in`] on the body instantiated for `isa`, reporting
+/// every live cell to `sink`: the per-level differential tests pass each
+/// supported level, and the conformance oracle's cell-for-cell check
+/// passes a recording sink ([`NoTrace`] compiles the calls away).
 ///
 /// # Panics
 ///
 /// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn warp_extend_traced_on<K: CellSink>(
+pub fn warp_extend_on<'t, 'q, K: CellSink>(
     isa: SimdIsa,
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    cfg: &WarpConfig,
-    shared: &mut SharedMem,
-    tbm: &mut Vec<u8>,
-    sink: &mut K,
-) -> WarpExtension {
-    warp_extend_view(
-        isa,
-        BaseView::forward(target),
-        BaseView::forward(query),
-        scoring,
-        cfg,
-        shared,
-        tbm,
-        sink,
-    )
-}
-
-/// [`warp_extend_traced_on`] over base views: the pipeline passes a left
-/// side's prefixes as reversed views, read in place. The engine reads
-/// the target only to gather each strip's (at most [`WARP_SIZE`]) bases
-/// for its substitution profile, and one query base per step.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn warp_extend_view<K: CellSink>(
-    isa: SimdIsa,
-    target: BaseView<'_>,
-    query: BaseView<'_>,
+    target: impl Into<BaseView<'t>>,
+    query: impl Into<BaseView<'q>>,
     scoring: &Scoring,
     cfg: &WarpConfig,
     shared: &mut SharedMem,
@@ -597,8 +538,8 @@ pub fn warp_extend_view<K: CellSink>(
     // eager window the direct way; a window too large to stage does too.
     let hooked = shared.sanitizer().is_some() || cfg.eager_window > STAGED_WINDOW;
     let args = Extend {
-        target,
-        query,
+        target: target.into(),
+        query: query.into(),
         scoring,
         cfg,
         shared,
@@ -1731,7 +1672,7 @@ mod tests {
     fn run(t: &[u8], q: &[u8], cfg: &WarpConfig) -> WarpExtension {
         // Sized from the modeled device, not a hardcoded byte count.
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
-        warp_extend(t, q, &scoring(), cfg, &mut shared)
+        warp_extend_in(t, q, &scoring(), cfg, &mut shared, &mut Vec::new())
     }
 
     #[test]
@@ -1748,7 +1689,7 @@ mod tests {
         let fresh = run(&t, &q, &exec_cfg);
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
         let mut dirty = vec![0xFFu8; 1 << 20];
-        let reused = warp_extend_in(&t, &q, &sc, &exec_cfg, &mut shared, &mut dirty);
+        let reused = warp_extend_in(&t[..], &q[..], &sc, &exec_cfg, &mut shared, &mut dirty);
         assert_eq!(reused.best_score, fresh.best_score);
         assert_eq!((reused.best_i, reused.best_j), (fresh.best_i, fresh.best_j));
         assert_eq!(reused.ops, fresh.ops);
@@ -2165,10 +2106,10 @@ mod tests {
     ) -> (WarpExtension, fastz_align::DenseTrace) {
         let mut shared = SharedMem::for_device(&fastz_gpu_sim::DeviceSpec::rtx3080_ampere());
         let mut trace = fastz_align::DenseTrace::default();
-        let ext = warp_extend_traced_on(
+        let ext = warp_extend_on(
             isa,
-            &c.t,
-            &c.q,
+            &c.t[..],
+            &c.q[..],
             sc,
             cfg,
             &mut shared,

@@ -380,19 +380,13 @@ pub(crate) fn step_lanes<V: LaneVec>(inp: &LaneIn<V>) -> LaneOut<V> {
     }
 }
 
-/// The vector step on the lane type [`SimdIsa::dispatched`] picks — the
-/// kernel production runs — on the public array form.
-pub fn step_simd(inp: &StepIn) -> StepOut {
-    step_simd_on(SimdIsa::dispatched(), inp)
-}
-
-/// [`step_simd`] on `isa`'s lane type (the per-lane-type differential
-/// tests' hook).
+/// The vector step on `isa`'s lane type, on the public array form:
+/// [`SimdIsa::dispatched`] is the kernel production runs, and the
+/// per-lane-type differential tests pass each supported level.
 ///
 /// # Panics
 ///
 /// When the CPU does not support `isa` (see [`SimdIsa::supported`]).
-#[doc(hidden)]
 pub fn step_simd_on(isa: SimdIsa, inp: &StepIn) -> StepOut {
     isa.run(VectorStep::<false>(inp))
 }

@@ -7,7 +7,7 @@
 
 use fastz_align::ydrop::{ydrop_extend_traced, YDropScratch};
 use fastz_align::{DenseTrace, PruneMode};
-use fastz_core::{warp_extend_traced, OptFlags, WarpConfig, WarpExtension};
+use fastz_core::{warp_extend_on, OptFlags, SimdIsa, WarpConfig, WarpExtension};
 use fastz_genome::evolve::random_codes;
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix};
 use fastz_gpu_sim::SharedMem;
@@ -47,7 +47,16 @@ fn warp_at_width(t: &[u8], q: &[u8], width: usize) -> (WarpExtension, DenseTrace
     let cfg = WarpConfig::inspector(&OptFlags::fastz()).with_strip_width(width);
     let mut shared = SharedMem::new(96 * 1024);
     let mut trace = DenseTrace::default();
-    let r = warp_extend_traced(t, q, &scoring(), &cfg, &mut shared, &mut trace);
+    let r = warp_extend_on(
+        SimdIsa::dispatched(),
+        t,
+        q,
+        &scoring(),
+        &cfg,
+        &mut shared,
+        &mut Vec::new(),
+        &mut trace,
+    );
     (r, trace)
 }
 

@@ -9,7 +9,7 @@ use fastz_core::{
 };
 use fastz_genome::evolve::{generate_pair, PairParams};
 use fastz_genome::{Scoring, Sequence};
-use fastz_gpu_sim::{DeviceSpec, FaultPlan, FaultRates, WatchdogPolicy};
+use fastz_gpu_sim::{DeviceSpec, FaultPlan, FaultRates};
 use fastz_obs::NoObs;
 use fastz_seed::{Anchor, Workload, WorkloadParams};
 use proptest::prelude::*;
@@ -61,29 +61,6 @@ proptest! {
         prop_assert!(faulted.modeled_time_s >= clean.modeled_time_s);
 
     }
-}
-
-#[test]
-fn backoff_is_exponential_and_capped() {
-    let w = WatchdogPolicy::default();
-    assert_eq!(w.backoff_s(0), w.backoff_base_s);
-    assert_eq!(w.backoff_s(1), 2.0 * w.backoff_base_s);
-    assert_eq!(w.backoff_s(2), 4.0 * w.backoff_base_s);
-    let mut prev = 0.0;
-    for attempt in 0..64 {
-        let b = w.backoff_s(attempt);
-        assert!(b >= prev, "backoff not monotone at attempt {attempt}");
-        assert!(
-            b <= w.backoff_cap_s,
-            "backoff above cap at attempt {attempt}"
-        );
-        prev = b;
-    }
-    assert_eq!(w.backoff_s(63), w.backoff_cap_s, "cap must be reached");
-    // Watchdog deadlines scale with the kernel's expected time (which
-    // scales with its bin size) above a fixed floor.
-    assert!(w.deadline_s(1.0) > w.deadline_s(0.1));
-    assert!(w.deadline_s(0.0) >= w.deadline_floor_s);
 }
 
 #[test]

@@ -10,13 +10,15 @@
 //! whole results: score, best cell, script, work counters, SENE/DENT
 //! stats and explored extents, and the scratchpad traffic an attached
 //! sanitizer records. Sides are 0–600 bases long and carry `N` runs,
-//! inside and at the flanks. The warp engine runs on every `SimdIsa`
-//! level this CPU supports, in inspector and executor configurations.
+//! inside and at the flanks. Both engines run through the entry the
+//! pipeline calls (`warp_extend_in`, `bitvec_extend_in`); the warp
+//! engine also runs on every `SimdIsa` level this CPU supports through
+//! its per-level hook, in inspector and executor configurations.
 
 use fastz_align::trace::NoTrace;
 use fastz_core::{
-    bitvec_extend_in, bitvec_extend_view, warp_extend_traced_on, warp_extend_view, BaseView,
-    BitvecConfig, OptFlags, SimdIsa, WarpConfig, WavefrontBackend,
+    bitvec_extend_in, warp_extend_in, warp_extend_on, BaseView, BitvecConfig, OptFlags, SimdIsa,
+    WarpConfig, WarpExtension, WavefrontBackend,
 };
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix, N_CODE};
 use fastz_gpu_sim::{SanitizeReport, SharedMem};
@@ -129,9 +131,9 @@ fn reversed_bitvector_views_match_reversed_copies() {
             for sanitize in [false, true] {
                 let ctx = format!("case {c} ({} × {}), {label}", t.len(), q.len());
                 let mut want_mem = scratchpad(capacity, sanitize);
-                let want = bitvec_extend_in(&rt, &rq, &cfg, &mut want_mem);
+                let want = bitvec_extend_in(&rt[..], &rq[..], &cfg, &mut want_mem);
                 let mut got_mem = scratchpad(capacity, sanitize);
-                let got = bitvec_extend_view(
+                let got = bitvec_extend_in(
                     BaseView::reversed(t),
                     BaseView::reversed(q),
                     &cfg,
@@ -148,29 +150,41 @@ fn reversed_bitvector_views_match_reversed_copies() {
     }
 }
 
+/// One warp extension through the per-level hook on `isa`, or through
+/// the production entry when `isa` is `None`.
+fn warp_run(
+    isa: Option<SimdIsa>,
+    t: BaseView<'_>,
+    q: BaseView<'_>,
+    sc: &Scoring,
+    cfg: &WarpConfig,
+    shared: &mut SharedMem,
+    tbm: &mut Vec<u8>,
+) -> WarpExtension {
+    match isa {
+        Some(isa) => warp_extend_on(isa, t, q, sc, cfg, shared, tbm, &mut NoTrace),
+        None => warp_extend_in(t, q, sc, cfg, shared, tbm),
+    }
+}
+
 #[test]
 fn reversed_warp_views_match_reversed_copies_on_every_isa() {
     let sc = scoring();
     let flags = OptFlags::fastz();
-    let isas: Vec<SimdIsa> = SimdIsa::ALL
+    let entries: Vec<Option<SimdIsa>> = SimdIsa::ALL
         .into_iter()
         .filter(|isa| isa.supported())
+        .map(Some)
+        .chain([None])
         .collect();
     for (c, (t, q)) in corpus().iter().enumerate() {
         let (rt, rq) = (reversed(t), reversed(q));
-        for &isa in &isas {
+        let (ft, fq) = (BaseView::forward(&rt), BaseView::forward(&rq));
+        for &isa in &entries {
+            let name = isa.map_or("warp_extend_in", SimdIsa::name);
             let inspector = WarpConfig::inspector(&flags).with_backend(WavefrontBackend::Simd);
             let mut shared = SharedMem::new(SHARED);
-            let insp = warp_extend_traced_on(
-                isa,
-                &rt,
-                &rq,
-                &sc,
-                &inspector,
-                &mut shared,
-                &mut Vec::new(),
-                &mut NoTrace,
-            );
+            let insp = warp_run(isa, ft, fq, &sc, &inspector, &mut shared, &mut Vec::new());
             let executor = WarpConfig::executor(&flags, insp.best_i, insp.best_j)
                 .with_backend(WavefrontBackend::Simd);
             for (label, cfg) in [("inspector", inspector), ("executor", executor)] {
@@ -179,30 +193,13 @@ fn reversed_warp_views_match_reversed_copies_on_every_isa() {
                         "case {c} ({} × {}), {}, {label}, sanitized {sanitize}",
                         t.len(),
                         q.len(),
-                        isa.name()
+                        name
                     );
                     let (mut want_mem, mut want_tb) = (scratchpad(SHARED, sanitize), Vec::new());
-                    let want = warp_extend_traced_on(
-                        isa,
-                        &rt,
-                        &rq,
-                        &sc,
-                        &cfg,
-                        &mut want_mem,
-                        &mut want_tb,
-                        &mut NoTrace,
-                    );
+                    let want = warp_run(isa, ft, fq, &sc, &cfg, &mut want_mem, &mut want_tb);
                     let (mut got_mem, mut got_tb) = (scratchpad(SHARED, sanitize), Vec::new());
-                    let got = warp_extend_view(
-                        isa,
-                        BaseView::reversed(t),
-                        BaseView::reversed(q),
-                        &sc,
-                        &cfg,
-                        &mut got_mem,
-                        &mut got_tb,
-                        &mut NoTrace,
-                    );
+                    let (vt, vq) = (BaseView::reversed(t), BaseView::reversed(q));
+                    let got = warp_run(isa, vt, vq, &sc, &cfg, &mut got_mem, &mut got_tb);
                     assert_eq!(got, want, "{ctx}");
                     assert_eq!(got_tb, want_tb, "{ctx}: traceback band");
                     assert_eq!(

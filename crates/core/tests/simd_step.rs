@@ -14,8 +14,8 @@
 
 use fastz_align::DenseTrace;
 use fastz_core::{
-    step_interpreter, step_simd, step_simd_narrow_on, step_simd_on, OptFlags, SimdIsa, StepIn,
-    WarpConfig, WavefrontBackend,
+    step_interpreter, step_simd_narrow_on, step_simd_on, OptFlags, SimdIsa, StepIn, WarpConfig,
+    WavefrontBackend,
 };
 use fastz_genome::evolve::random_codes;
 use fastz_genome::{GapPenalties, Scoring, SubstMatrix};
@@ -94,7 +94,7 @@ proptest! {
             let got = step_simd_on(isa, &inp);
             prop_assert_eq!(want, got, "{} lane type", isa.name());
         }
-        prop_assert_eq!(want, step_simd(&inp), "dispatched lane type");
+        prop_assert_eq!(want, step_simd_on(SimdIsa::dispatched(), &inp), "dispatched lane type");
     }
 }
 
@@ -220,8 +220,9 @@ proptest! {
                     .with_backend(backend);
                 let mut shared = SharedMem::new(96 * 1024);
                 let mut trace = DenseTrace::default();
-                let r = fastz_core::warp_extend_traced(
-                    &t, &q, &scoring(), &cfg, &mut shared, &mut trace,
+                let r = fastz_core::warp_extend_on(
+                    SimdIsa::dispatched(), &t[..], &q[..], &scoring(), &cfg, &mut shared,
+                    &mut Vec::new(), &mut trace,
                 );
                 (r, trace)
             };

@@ -290,56 +290,37 @@ fn mix(a: u64, b: u64, c: u64, d: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Watchdog and retry policy: how the dispatcher detects and prices
-/// fault recovery in modeled time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogPolicy {
-    /// Deadline = `deadline_factor` × the kernel's expected time +
-    /// `deadline_floor_s`. Expected time grows with the kernel's bin
-    /// size (longer bins ⇒ longer tasks ⇒ longer deadline), so small
-    /// bins detect hangs fast while 8K-extent bins are not killed
-    /// spuriously.
-    pub deadline_factor: f64,
-    /// Deadline floor (launch latency noise).
-    pub deadline_floor_s: f64,
-    /// First relaunch backoff; doubles every consecutive fault.
-    pub backoff_base_s: f64,
-    /// Backoff ceiling: [`WatchdogPolicy::backoff_s`] clamps the
-    /// exponential here, so total backoff grows linearly (never
-    /// exponentially) in the attempt count and a single wait is bounded
-    /// regardless of how adversarial the fault plan is.
-    pub backoff_cap_s: f64,
-    /// Latency absorbed per stream stall.
-    pub stall_penalty_s: f64,
+// Watchdog policy: how the dispatcher detects and prices fault recovery
+// in modeled time.
+
+/// Deadline = `DEADLINE_FACTOR` × the kernel's expected time +
+/// `DEADLINE_FLOOR_S`. Expected time grows with the kernel's bin size
+/// (longer bins ⇒ longer tasks ⇒ longer deadline), so small bins detect
+/// hangs fast while 8K-extent bins are not killed spuriously.
+const DEADLINE_FACTOR: f64 = 4.0;
+/// Deadline floor (launch latency noise).
+const DEADLINE_FLOOR_S: f64 = 1e-3;
+/// First relaunch backoff; doubles every consecutive fault.
+const BACKOFF_BASE_S: f64 = 1e-3;
+/// Backoff ceiling: a single wait is bounded however adversarial the
+/// fault plan is, so total backoff grows linearly (never exponentially)
+/// in the attempt count.
+const BACKOFF_CAP_S: f64 = 0.25;
+/// Latency absorbed per stream stall.
+const STALL_PENALTY_S: f64 = 2e-3;
+
+/// The watchdog deadline for a kernel whose fault-free expected time is
+/// `expected_s`.
+pub fn deadline_s(expected_s: f64) -> f64 {
+    DEADLINE_FACTOR * expected_s + DEADLINE_FLOOR_S
 }
 
-impl Default for WatchdogPolicy {
-    fn default() -> WatchdogPolicy {
-        WatchdogPolicy {
-            deadline_factor: 4.0,
-            deadline_floor_s: 1e-3,
-            backoff_base_s: 1e-3,
-            backoff_cap_s: 0.25,
-            stall_penalty_s: 2e-3,
-        }
-    }
-}
-
-impl WatchdogPolicy {
-    /// The watchdog deadline for a kernel whose fault-free expected time
-    /// is `expected_s`.
-    pub fn deadline_s(&self, expected_s: f64) -> f64 {
-        self.deadline_factor * expected_s + self.deadline_floor_s
-    }
-
-    /// Exponential backoff before relaunch `attempt` (0-based), clamped
-    /// to [`WatchdogPolicy::backoff_cap_s`]. The exponent itself is
-    /// clamped at 2³¹ first, so overflow-adjacent attempt counts
-    /// (`u32::MAX`) cannot overflow the multiplier into `inf`/`NaN`
-    /// before the cap applies.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        (self.backoff_base_s * 2f64.powi(attempt.min(31) as i32)).min(self.backoff_cap_s)
-    }
+/// Exponential backoff before relaunch `attempt` (0-based), clamped to
+/// a fixed ceiling. The exponent itself is clamped at 2³¹ first, so
+/// overflow-adjacent attempt counts (`u32::MAX`) cannot overflow the
+/// multiplier into `inf`/`NaN` before the ceiling applies.
+pub fn backoff_s(attempt: u32) -> f64 {
+    (BACKOFF_BASE_S * 2f64.powi(attempt.min(31) as i32)).min(BACKOFF_CAP_S)
 }
 
 /// Outcome of timing one kernel under a fault plan.
@@ -367,7 +348,6 @@ pub fn time_kernel_resilient(
     spec: &KernelSpec,
     plan: &FaultPlan,
     site: FaultSite,
-    watchdog: &WatchdogPolicy,
 ) -> ResilientKernelTiming {
     let base = time_kernel(device, spec);
     let mut out = ResilientKernelTiming {
@@ -377,7 +357,7 @@ pub fn time_kernel_resilient(
     if plan.is_none() {
         return out;
     }
-    let deadline = watchdog.deadline_s(base.time_s);
+    let deadline = deadline_s(base.time_s);
     let mut attempt = 0u32;
     // `max_consecutive` bounds the loop; the explicit cap is a backstop
     // against adversarial plans.
@@ -385,14 +365,14 @@ pub fn time_kernel_resilient(
     {
         out.faults.record(FaultKind::KernelHang);
         out.retries += 1;
-        let backoff = watchdog.backoff_s(attempt);
+        let backoff = backoff_s(attempt);
         out.backoff_s += backoff;
         out.overhead_s += deadline + backoff;
         attempt += 1;
     }
     if plan.fires(FaultKind::StreamStall, site, 0) {
         out.faults.record(FaultKind::StreamStall);
-        out.overhead_s += watchdog.stall_penalty_s;
+        out.overhead_s += STALL_PENALTY_S;
     }
     if plan.fires(FaultKind::SharedMemPressure, site, 0) {
         out.faults.record(FaultKind::SharedMemPressure);
@@ -491,35 +471,32 @@ mod tests {
 
     #[test]
     fn watchdog_deadline_scales_with_kernel_size() {
-        let w = WatchdogPolicy::default();
-        assert!(w.deadline_s(1.0) > w.deadline_s(0.001));
-        assert!(w.deadline_s(0.0) >= w.deadline_floor_s);
+        assert!(deadline_s(1.0) > deadline_s(0.001));
+        assert!(deadline_s(0.0) >= DEADLINE_FLOOR_S);
     }
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let w = WatchdogPolicy::default();
-        assert_eq!(w.backoff_s(1), 2.0 * w.backoff_s(0));
-        assert_eq!(w.backoff_s(2), 4.0 * w.backoff_s(0));
-        assert!(w.backoff_s(30) <= w.backoff_cap_s);
-        assert!(w.backoff_s(31) <= w.backoff_cap_s);
+        assert_eq!(backoff_s(0), BACKOFF_BASE_S);
+        assert_eq!(backoff_s(1), 2.0 * BACKOFF_BASE_S);
+        assert_eq!(backoff_s(2), 4.0 * BACKOFF_BASE_S);
+        let mut prev = 0.0;
+        for attempt in 0..64 {
+            let b = backoff_s(attempt);
+            assert!(b >= prev, "backoff not monotone at attempt {attempt}");
+            assert!(b <= BACKOFF_CAP_S, "backoff above cap at attempt {attempt}");
+            prev = b;
+        }
+        assert_eq!(backoff_s(63), BACKOFF_CAP_S, "cap must be reached");
     }
 
     #[test]
     fn backoff_overflow_adjacent_attempts_stay_bounded() {
-        let w = WatchdogPolicy::default();
         for attempt in [32, 64, 1 << 20, u32::MAX - 1, u32::MAX] {
-            let b = w.backoff_s(attempt);
+            let b = backoff_s(attempt);
             assert!(b.is_finite(), "attempt {attempt} produced {b}");
-            assert_eq!(b, w.backoff_cap_s, "huge attempts clamp to the ceiling");
+            assert_eq!(b, BACKOFF_CAP_S, "huge attempts clamp to the ceiling");
         }
-        // Attempt 0 with a zero base waits nothing, never NaN.
-        let zero = WatchdogPolicy {
-            backoff_base_s: 0.0,
-            ..WatchdogPolicy::default()
-        };
-        assert_eq!(zero.backoff_s(0), 0.0);
-        assert_eq!(zero.backoff_s(u32::MAX), 0.0);
     }
 
     #[test]
@@ -557,7 +534,6 @@ mod tests {
             ],
             BlockResources::fastz_inspector(),
         );
-        let watchdog = WatchdogPolicy::default();
         // Force hangs everywhere.
         let plan = FaultPlan {
             rates: FaultRates {
@@ -566,14 +542,14 @@ mod tests {
             },
             ..FaultPlan::from_seed(1)
         };
-        let t = time_kernel_resilient(&dev, &spec, &plan, site(0), &watchdog);
+        let t = time_kernel_resilient(&dev, &spec, &plan, site(0));
         assert_eq!(t.retries, 2, "max_consecutive bounds hang retries");
         assert_eq!(t.faults.hangs, 2);
-        let deadline = watchdog.deadline_s(t.base.time_s);
-        let expect = 2.0 * deadline + watchdog.backoff_s(0) + watchdog.backoff_s(1);
+        let deadline = deadline_s(t.base.time_s);
+        let expect = 2.0 * deadline + backoff_s(0) + backoff_s(1);
         assert!((t.overhead_s - expect).abs() < 1e-12);
         // The empty plan is free.
-        let free = time_kernel_resilient(&dev, &spec, &FaultPlan::none(), site(0), &watchdog);
+        let free = time_kernel_resilient(&dev, &spec, &FaultPlan::none(), site(0));
         assert_eq!(free.overhead_s, 0.0);
         assert_eq!(free.faults.total(), 0);
         assert_eq!(free.base, t.base);

@@ -23,14 +23,6 @@ pub struct WarpTask {
     pub dram_bytes: f64,
 }
 
-impl WarpTask {
-    /// A task with no work (useful as a unit element).
-    pub const EMPTY: WarpTask = WarpTask {
-        cycles: 0.0,
-        dram_bytes: 0.0,
-    };
-}
-
 /// A kernel: named bag of warp tasks plus its per-block resources.
 #[derive(Clone, Debug)]
 pub struct KernelSpec {

@@ -3,10 +3,11 @@
 //! A software GPU execution simulator — the documented substitution for
 //! the paper's CUDA hardware (see `DESIGN.md`). Two layers:
 //!
-//! * **Functional**: warp/lane lockstep primitives (shuffles, ballots,
-//!   votes) and a capacity-checked shared-memory scratchpad. FastZ's
-//!   kernels execute on these and produce real alignments, verified
-//!   against the scalar reference engines.
+//! * **Functional**: 32-lane vector types for the kernels' lockstep
+//!   steps, their scalar warp-primitive references (shuffle, ballot),
+//!   and a capacity-checked shared-memory scratchpad. FastZ's kernels
+//!   execute on these and produce real alignments, verified against
+//!   the scalar reference engines.
 //! * **Accounting + timing**: work counters recorded during execution,
 //!   an occupancy calculator, a per-kernel block-scheduling/roofline
 //!   timing engine, a CUDA-stream pipeline model, and an analytic CPU
@@ -33,7 +34,6 @@ pub use counters::{FaultCounters, KernelCounters, WarpCounters};
 pub use device::{CpuSpec, DeviceSpec};
 pub use fault::{
     time_kernel_resilient, FaultKind, FaultPlan, FaultRates, FaultSite, ResilientKernelTiming,
-    WatchdogPolicy,
 };
 pub use isa::{instructions_per_step, step_mix, InstrClass, MixEntry};
 pub use kernel::{time_kernel, KernelSpec, KernelTiming, WarpTask};
@@ -47,7 +47,4 @@ pub use stream::{
     PipelineTiming, ResilientPipelineTiming,
 };
 pub use timeline::{PhaseEntry, PhaseTimeline};
-pub use warp::{
-    ballot, branch_paths, lane_max, shfl_down, shfl_up, splat, warp_all, warp_any,
-    warp_max_with_lane, Lanes, WARP_SIZE,
-};
+pub use warp::{ballot, lane_max, shfl_up, splat, Lanes, WARP_SIZE};

@@ -21,15 +21,6 @@ pub const DIVERGENCE_DERATE: f64 = 2.56;
 /// instructions, each issued once warp-wide.
 pub const CYCLES_PER_STEP: f64 = 23.0;
 
-/// Bytes of score state per cell: 3 matrices (S, I, D) × 4 B (paper §2.2
-/// and §6: 12 B output per warp step once cyclic buffering keeps the rest
-/// in registers).
-pub const SCORE_STATE_BYTES: f64 = 12.0;
-
-/// Traceback bytes per cell (paper §3.1.3: the three choices packed into
-/// a single byte).
-pub const TB_BYTES_PER_CELL: f64 = 1.0;
-
 /// Fixed per-warp-task setup cost in cycles (argument fetch, sequence
 /// pointer setup, result write).
 pub const TASK_SETUP_CYCLES: f64 = 400.0;

@@ -234,8 +234,8 @@ impl ShadowSanitizer {
         g.divergence_depth = g.divergence_depth.saturating_sub(1);
     }
 
-    /// Records one flat divergent warp step (the engine's
-    /// `branch_paths == 2` signal): push + pop with depth tracking.
+    /// Records one flat divergent warp step (its lanes split across two
+    /// control paths): push + pop with depth tracking.
     pub fn note_divergent_step(&self) {
         self.divergence_push(2);
         self.divergence_pop(2);
@@ -374,7 +374,9 @@ fn note_bank_access(g: &mut ShadowInner, offset: usize, len: usize) {
         g.group_step = g.step;
     }
     let first = offset / 4;
-    let last = (offset + len.max(1) - 1) / 4;
+    // Saturating: a read near `usize::MAX` is out of reservation and
+    // reads as zero; its word range must not overflow.
+    let last = offset.saturating_add(len.max(1) - 1) / 4;
     for word in first..=last {
         g.group.push(word);
     }

@@ -466,6 +466,18 @@ mod tests {
         // overflowing (unsanitized: the shadow map indexes offsets).
         assert_eq!(plain.read_u64(usize::MAX - 5), 0);
         assert_eq!(plain.read_u64(usize::MAX), 0);
+        // Sanitized, the same reads still return 0 and are recorded as
+        // out-of-reservation reads: one per 4-byte half.
+        let oob = |mut sm: SharedMem| {
+            let r = sm.take_sanitize_report().expect("sanitizer attached");
+            r.count(crate::sanitize::FindingKind::OobRead)
+        };
+        let sanitized = stored(true);
+        assert_eq!(sanitized.read_u32(usize::MAX - 2), 0);
+        assert_eq!(oob(sanitized), 1);
+        let sanitized = stored(true);
+        assert_eq!(sanitized.read_u64(usize::MAX - 5), 0);
+        assert_eq!(oob(sanitized), 2);
     }
 
     #[test]

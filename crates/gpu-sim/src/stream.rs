@@ -10,7 +10,7 @@
 
 use crate::counters::FaultCounters;
 use crate::device::DeviceSpec;
-use crate::fault::{time_kernel_resilient, FaultPlan, FaultSite, WatchdogPolicy};
+use crate::fault::{time_kernel_resilient, FaultPlan, FaultSite};
 use crate::kernel::{time_kernel, KernelSpec, WarpTask};
 use crate::occupancy::occupancy;
 use fastz_obs::{names, MetricsSink};
@@ -172,7 +172,6 @@ pub fn time_stream_pipeline_resilient(
     max_concurrent_tasks: Option<usize>,
     plan: &FaultPlan,
     scope: u32,
-    watchdog: &WatchdogPolicy,
 ) -> ResilientPipelineTiming {
     let base = time_stream_pipeline_capped(device, kernels, streams, max_concurrent_tasks);
     let mut out = ResilientPipelineTiming {
@@ -184,7 +183,7 @@ pub fn time_stream_pipeline_resilient(
     }
     for (idx, spec) in kernels.iter().enumerate() {
         let site = FaultSite::new(0, scope, idx as u64);
-        let t = time_kernel_resilient(device, spec, plan, site, watchdog);
+        let t = time_kernel_resilient(device, spec, plan, site);
         out.overhead_s += t.overhead_s;
         out.backoff_s += t.backoff_s;
         out.faults.merge(&t.faults);
@@ -277,21 +276,12 @@ mod tests {
     #[test]
     fn resilient_pipeline_charges_faults_on_top_of_base() {
         let kernels: Vec<KernelSpec> = (0..32).map(|_| kernel(500, 2_000.0)).collect();
-        let watchdog = WatchdogPolicy::default();
         let plan = FaultPlan::from_seed(11);
-        let free = time_stream_pipeline_resilient(
-            &dev(),
-            &kernels,
-            32,
-            None,
-            &FaultPlan::none(),
-            0,
-            &watchdog,
-        );
+        let free =
+            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &FaultPlan::none(), 0);
         assert_eq!(free.overhead_s, 0.0);
         assert_eq!(free.faults.total(), 0);
-        let faulty =
-            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, &watchdog);
+        let faulty = time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0);
         assert_eq!(
             faulty.base.time_s, free.base.time_s,
             "base timing unchanged"
@@ -303,7 +293,7 @@ mod tests {
         assert!(faulty.overhead_s > 0.0);
         assert!((faulty.time_s() - (faulty.base.time_s + faulty.overhead_s)).abs() < 1e-15);
         // Deterministic across calls.
-        let again = time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0, &watchdog);
+        let again = time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &plan, 0);
         assert_eq!(again.faults, faulty.faults);
         assert_eq!(again.overhead_s, faulty.overhead_s);
         // Hang rate 1.0: every kernel retries max_consecutive times.
@@ -311,8 +301,7 @@ mod tests {
             hang: 1.0,
             ..FaultRates::NONE
         });
-        let hung =
-            time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &all_hang, 0, &watchdog);
+        let hung = time_stream_pipeline_resilient(&dev(), &kernels, 32, None, &all_hang, 0);
         assert_eq!(hung.retries, 2 * kernels.len() as u64);
         assert_eq!(hung.faults.hangs, hung.retries);
     }

@@ -1,10 +1,10 @@
-//! Functional warp model: 32-lane lockstep values, shuffles, ballots.
+//! Functional warp model: 32-lane lockstep values and the scalar forms
+//! of the CUDA `__shfl_up_sync` / `__ballot_sync` / per-lane `max` the
+//! paper's kernels use.
 //!
-//! FastZ's kernels are written against these primitives exactly as the
-//! CUDA implementation uses `__shfl_up_sync` / `__ballot_sync`; executing
-//! them on the simulator produces bit-identical results to a lockstep
-//! SIMT machine while the accounting layer (see [`crate::counters`])
-//! records the work.
+//! The kernels themselves run on vector lane types ([`crate::lanes32`]
+//! and fastz-core's per-ISA lane types); these one-lane-at-a-time forms
+//! are the references their tests compare against.
 
 /// Lanes per warp (fixed at 32 on every NVIDIA architecture).
 pub const WARP_SIZE: usize = 32;
@@ -42,28 +42,6 @@ pub fn shfl_up<T: Copy>(v: &Lanes<T>, delta: usize, fill: T) -> Lanes<T> {
     out
 }
 
-/// `__shfl_down_sync`: lane `l` receives lane `l + delta`'s value; the
-/// high `delta` lanes receive `fill`.
-///
-/// `delta == WARP_SIZE` is legal and yields all-`fill`, matching the
-/// hardware boundary case.
-///
-/// # Panics
-/// Panics with a shuffle-specific diagnostic if `delta > WARP_SIZE` —
-/// on real hardware `__shfl_down_sync` silently produces undefined lane
-/// values there, a bug class the simulator refuses to model quietly.
-#[inline]
-pub fn shfl_down<T: Copy>(v: &Lanes<T>, delta: usize, fill: T) -> Lanes<T> {
-    assert!(
-        delta <= WARP_SIZE,
-        "shfl_down delta {delta} exceeds WARP_SIZE ({WARP_SIZE}): \
-         __shfl_down_sync requires delta <= warpSize"
-    );
-    let mut out = splat(fill);
-    out[..WARP_SIZE - delta].copy_from_slice(&v[delta..]);
-    out
-}
-
 /// `__ballot_sync`: bitmask of lanes whose predicate holds.
 #[inline]
 pub fn ballot(pred: &Lanes<bool>) -> u32 {
@@ -76,33 +54,6 @@ pub fn ballot(pred: &Lanes<bool>) -> u32 {
     mask
 }
 
-/// `__all_sync`: true if every lane's predicate holds.
-#[inline]
-pub fn warp_all(pred: &Lanes<bool>) -> bool {
-    pred.iter().all(|&p| p)
-}
-
-/// `__any_sync`: true if any lane's predicate holds.
-#[inline]
-pub fn warp_any(pred: &Lanes<bool>) -> bool {
-    pred.iter().any(|&p| p)
-}
-
-/// Warp-wide maximum reduction with its lane index (first lane wins
-/// ties, matching a butterfly reduction with `>=` on the lower lane).
-#[inline]
-pub fn warp_max_with_lane(v: &Lanes<i32>) -> (i32, usize) {
-    let mut best = v[0];
-    let mut lane = 0usize;
-    for (l, &x) in v.iter().enumerate().skip(1) {
-        if x > best {
-            best = x;
-            lane = l;
-        }
-    }
-    (best, lane)
-}
-
 /// Per-lane binary max (what the SIMT `max` instruction does).
 #[inline]
 pub fn lane_max(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
@@ -113,19 +64,6 @@ pub fn lane_max(a: &Lanes<i32>, b: &Lanes<i32>) -> Lanes<i32> {
         }
     }
     out
-}
-
-/// Number of distinct control paths a divergent branch forces the warp to
-/// execute: 1 if all lanes agree, 2 otherwise (used by the accounting
-/// layer to apply the paper's §6 derating empirically).
-#[inline]
-pub fn branch_paths(pred: &Lanes<bool>) -> u32 {
-    let mask = ballot(pred);
-    if mask == 0 || mask == u32::MAX {
-        1
-    } else {
-        2
-    }
 }
 
 #[cfg(test)]
@@ -154,22 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn shfl_down_shifts_and_fills() {
-        let v = iota();
-        let s = shfl_down(&v, 3, 99);
-        assert_eq!(s[0], 3);
-        assert_eq!(s[28], 31);
-        assert_eq!(s[29], 99);
-        assert_eq!(s[31], 99);
-    }
-
-    #[test]
     fn shfl_full_warp_delta_is_legal_and_all_fill() {
         // delta == WARP_SIZE is the hardware boundary case: every
         // source lane is out of range, so every lane gets the fill.
         let v = iota();
         assert_eq!(shfl_up(&v, WARP_SIZE, -7), splat(-7));
-        assert_eq!(shfl_down(&v, WARP_SIZE, 9), splat(9));
     }
 
     #[test]
@@ -180,41 +107,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shfl_down delta 33 exceeds WARP_SIZE (32)")]
-    fn shfl_down_past_warp_size_is_diagnosed() {
-        let v = iota();
-        let _ = shfl_down(&v, WARP_SIZE + 1, 0);
-    }
-
-    #[test]
     fn shfl_zero_delta_is_identity() {
         let v = iota();
         assert_eq!(shfl_up(&v, 0, 0), v);
-        assert_eq!(shfl_down(&v, 0, 0), v);
     }
 
     #[test]
-    fn ballot_and_votes() {
+    fn ballot_sets_one_bit_per_true_lane() {
         let mut p = splat(false);
         assert_eq!(ballot(&p), 0);
-        assert!(!warp_any(&p));
         p[0] = true;
         p[31] = true;
         assert_eq!(ballot(&p), 1 | (1 << 31));
-        assert!(warp_any(&p));
-        assert!(!warp_all(&p));
         let t = splat(true);
         assert_eq!(ballot(&t), u32::MAX);
-        assert!(warp_all(&t));
-    }
-
-    #[test]
-    fn warp_max_first_lane_wins_ties() {
-        let mut v = splat(5);
-        assert_eq!(warp_max_with_lane(&v), (5, 0));
-        v[7] = 9;
-        v[20] = 9;
-        assert_eq!(warp_max_with_lane(&v), (9, 7));
     }
 
     #[test]
@@ -226,16 +132,5 @@ mod tests {
         assert_eq!(m[0], 15);
         assert_eq!(m[20], 20);
         assert_eq!(m[31], 100);
-    }
-
-    #[test]
-    fn branch_paths_counts_divergence() {
-        let t = splat(true);
-        let f = splat(false);
-        let mut mixed = splat(false);
-        mixed[3] = true;
-        assert_eq!(branch_paths(&t), 1);
-        assert_eq!(branch_paths(&f), 1);
-        assert_eq!(branch_paths(&mixed), 2);
     }
 }

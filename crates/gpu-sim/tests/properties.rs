@@ -2,19 +2,10 @@
 //! occupancy monotonicity, and timing-model laws.
 
 use fastz_gpu_sim::{
-    ballot, occupancy, shfl_down, shfl_up, splat, time_kernel, time_stream_pipeline,
-    warp_max_with_lane, BlockResources, CpuModel, DeviceSpec, KernelSpec, Lanes, WarpTask,
-    WARP_SIZE,
+    ballot, occupancy, splat, time_kernel, time_stream_pipeline, BlockResources, CpuModel,
+    DeviceSpec, KernelSpec, WarpTask,
 };
 use proptest::prelude::*;
-
-fn lanes_strategy() -> impl Strategy<Value = Lanes<i32>> {
-    proptest::collection::vec(-1000i32..1000, WARP_SIZE).prop_map(|v| {
-        let mut l = splat(0);
-        l.copy_from_slice(&v);
-        l
-    })
-}
 
 fn tasks_strategy() -> impl Strategy<Value = Vec<WarpTask>> {
     proptest::collection::vec((1.0f64..1e6, 0.0f64..1e6), 1..100).prop_map(|v| {
@@ -27,16 +18,6 @@ fn tasks_strategy() -> impl Strategy<Value = Vec<WarpTask>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// shfl_up then shfl_down restores the middle lanes.
-    #[test]
-    fn shuffle_round_trip(v in lanes_strategy(), delta in 0usize..8) {
-        let up = shfl_up(&v, delta, i32::MIN);
-        let back = shfl_down(&up, delta, i32::MIN);
-        for l in 0..WARP_SIZE - delta {
-            prop_assert_eq!(back[l], v[l]);
-        }
-    }
-
     /// Ballot popcount equals the number of true lanes.
     #[test]
     fn ballot_popcount(mask in any::<u32>()) {
@@ -46,17 +27,6 @@ proptest! {
         }
         prop_assert_eq!(ballot(&pred), mask);
         prop_assert_eq!(ballot(&pred).count_ones(), mask.count_ones());
-    }
-
-    /// warp_max returns a true maximum and its first occurrence.
-    #[test]
-    fn warp_max_is_max(v in lanes_strategy()) {
-        let (m, lane) = warp_max_with_lane(&v);
-        prop_assert_eq!(m, *v.iter().max().unwrap());
-        prop_assert_eq!(v[lane], m);
-        for &x in &v[..lane] {
-            prop_assert!(x < m);
-        }
     }
 
     /// Occupancy never increases when any resource demand grows.

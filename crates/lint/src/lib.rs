@@ -58,9 +58,9 @@ impl Workspace {
     }
 
     /// Scans a repo checkout: `src/` at the root plus every
-    /// `crates/*/src` except [`EXCLUDED_CRATES`]. Paths are stored
-    /// repo-relative with forward slashes; the file list is sorted, so
-    /// two scans of the same tree are identical.
+    /// `crates/*/src` except the lint, proptest and rand crates. Paths
+    /// are stored repo-relative with forward slashes; the file list is
+    /// sorted, so two scans of the same tree are identical.
     pub fn scan_repo(root: &Path) -> io::Result<Workspace> {
         let mut paths: Vec<(String, std::path::PathBuf)> = Vec::new();
         let root_src = root.join("src");

@@ -25,7 +25,6 @@ const WAVEFRONT: &str = "crates/core/src/wavefront_step.rs";
 const BITVEC: &str = "crates/core/src/bitvec.rs";
 const BITVEC_FNS: &[&str] = &[
     "bitvec_extend_in",
-    "bitvec_extend_view",
     "pattern_masks",
     "text_mask",
     "band_start",

@@ -166,15 +166,6 @@ impl SourceFile {
         })
     }
 
-    /// Indexes of tokens on `line` (rules use this for per-line
-    /// context like unary-minus disambiguation).
-    pub fn line_tokens(&self, line: u32) -> impl Iterator<Item = (usize, &Tok)> {
-        self.toks()
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| t.line == line)
-    }
-
     fn scan_structure(&mut self) {
         let toks: Vec<Tok> = self.lexed.toks.clone();
         let n = toks.len();

@@ -333,9 +333,9 @@ fn bitvec_column_step_and_store_are_kernel_scoped() {
 
 #[test]
 fn bitvec_view_sweep_and_base_view_are_kernel_scoped() {
-    // The view entry that now holds the sweep and the text-column mask
-    // lookup are in scope in the engine's file.
-    let bitvec = "fn bitvec_extend_view(pm: &[u64; 5], j: usize) -> u64 {\n    \
+    // The entry that holds the sweep and the text-column mask lookup
+    // are in scope in the engine's file.
+    let bitvec = "fn bitvec_extend_in(pm: &[u64; 5], j: usize) -> u64 {\n    \
                   pm[j - 1]\n}\n\
                   fn text_mask(pm: &[u64; 5], code: Option<u8>) -> u64 {\n    \
                   pm[usize::from(code.unwrap())]\n}\n";

@@ -170,7 +170,7 @@ pub mod collection {
     use rand::rngs::SmallRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     pub trait SizeRange {
         /// Draws a length.
         fn draw(&self, rng: &mut SmallRng) -> usize;
@@ -199,7 +199,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

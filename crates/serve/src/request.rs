@@ -50,7 +50,7 @@ impl Priority {
 pub struct AlignRequest {
     /// Caller-assigned id, unique per service run. The id keys the
     /// request's fault schedule ([`fastz_gpu_sim::FaultPlan::for_request`])
-    /// and its result demux, so a request keeps the same id — and
+    /// and its result delivery, so a request keeps the same id — and
     /// therefore bit-identical results — whether it is served solo or
     /// co-batched.
     pub id: u64,
@@ -65,7 +65,7 @@ pub struct AlignRequest {
     /// classification is deterministic across host thread counts.
     pub arrival_s: f64,
     /// Relative deadline in modeled seconds; `None` derives one from the
-    /// watchdog policy and the request's estimated work.
+    /// watchdog deadline rule and the request's estimated work.
     pub deadline_s: Option<f64>,
 }
 

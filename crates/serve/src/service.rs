@@ -24,7 +24,7 @@ use fastz_core::{
     MergedLaunch, ResilienceConfig, ResilienceReport,
 };
 use fastz_genome::Sequence;
-use fastz_gpu_sim::fault::{scope, FaultKind, FaultPlan, FaultSite};
+use fastz_gpu_sim::fault::{self, scope, FaultKind, FaultPlan, FaultSite};
 use fastz_gpu_sim::stream::time_stream_pipeline;
 use fastz_gpu_sim::BlockResources;
 use fastz_obs::{names, MetricsSink, NoObs};
@@ -39,7 +39,7 @@ const DEGRADE_PRESSURE: f64 = 0.5;
 const SHED_PRESSURE: f64 = 0.9;
 
 /// Modeled seconds of expected service time per work unit (anchor);
-/// derived deadlines are `watchdog.deadline_s(units × this)`.
+/// derived deadlines are `fault::deadline_s(units × this)`.
 const EXPECTED_UNIT_S: f64 = 2e-3;
 
 /// Merged-launch batch size (tasks per shared bin kernel).
@@ -54,11 +54,9 @@ pub struct ServeConfig {
     /// Pipeline configuration every request runs under (degraded
     /// requests override `strip_width` to 1).
     pub pipeline: FastZConfig,
-    /// Base resilience policy (watchdog, retry budgets). The service
-    /// replaces `plan` per request with [`FaultPlan::for_request`]
-    /// derived from `chaos`.
-    pub resilience: ResilienceConfig,
     /// Chaos-mode master plan; [`FaultPlan::none`] for a quiet service.
+    /// Each request runs under its own [`FaultPlan::for_request`]
+    /// derived from it, without checkpointing.
     pub chaos: FaultPlan,
     /// Admission limits.
     pub admission: AdmissionPolicy,
@@ -72,7 +70,6 @@ impl ServeConfig {
     pub fn new(pipeline: FastZConfig) -> ServeConfig {
         ServeConfig {
             pipeline,
-            resilience: ResilienceConfig::disabled(),
             chaos: FaultPlan::none(),
             admission: AdmissionPolicy::default(),
             wave: 4,
@@ -90,11 +87,9 @@ impl ServeConfig {
     /// request's expected service time — the same machinery that prices
     /// hung-kernel detection.
     pub fn deadline_abs_s(&self, req: &AlignRequest) -> f64 {
-        let rel = req.deadline_s.unwrap_or_else(|| {
-            self.resilience
-                .watchdog
-                .deadline_s(req.work_units() * EXPECTED_UNIT_S)
-        });
+        let rel = req
+            .deadline_s
+            .unwrap_or_else(|| fault::deadline_s(req.work_units() * EXPECTED_UNIT_S));
         req.arrival_s + rel
     }
 }
@@ -211,7 +206,7 @@ impl<'g> AlignService<'g> {
     }
 
     /// Serves `requests`, emitting service metrics into `sink`. Request
-    /// ids must be unique — they key fault schedules and result demux.
+    /// ids must be unique — they key fault schedules and result delivery.
     pub fn run_observed<S: MetricsSink>(
         &self,
         requests: &[AlignRequest],
@@ -340,11 +335,7 @@ impl<'g> AlignService<'g> {
                 if mode == DispatchMode::Scalar {
                     pipe_cfg.strip_width = 1;
                 }
-                let rcfg = ResilienceConfig {
-                    plan: cfg.chaos.for_request(q.request.id),
-                    checkpoint: None,
-                    ..cfg.resilience.clone()
-                };
+                let rcfg = ResilienceConfig::with_plan(cfg.chaos.for_request(q.request.id));
                 let rep = run_fastz_in_pool(
                     self.target,
                     self.query,
@@ -371,7 +362,7 @@ impl<'g> AlignService<'g> {
                     wave_service_s += rep.modeled_time_s;
                 }
 
-                packer.push_report(q.request.id, &rep.executor_kernels, &rep.executor_bin_slots);
+                packer.push_report(&rep.executor_kernels, &rep.executor_bin_slots);
                 ran.push((q, mode == DispatchMode::Scalar, rep));
             }
 

@@ -178,11 +178,11 @@ fn bitvec_hash() -> u64 {
     for (label, t, q) in corpus() {
         for (name, cfg, capacity) in configs() {
             if let Some(bytes) = capacity {
-                let e = bitvec_extend_in(&t, &q, &cfg, &mut SharedMem::new(bytes));
+                let e = bitvec_extend_in(&t[..], &q[..], &cfg, &mut SharedMem::new(bytes));
                 h = fold_extension(h, &e);
                 continue;
             }
-            let e = bitvec_extend_in(&t, &q, &cfg, &mut shared);
+            let e = bitvec_extend_in(&t[..], &q[..], &cfg, &mut shared);
             assert_eq!(
                 e,
                 bitvec_extend(&t, &q, &cfg),
@@ -191,7 +191,7 @@ fn bitvec_hash() -> u64 {
             h = fold_extension(h, &e);
             // A worker clears its arena between problems.
             sanitized.clear();
-            let s = bitvec_extend_in(&t, &q, &cfg, &mut sanitized);
+            let s = bitvec_extend_in(&t[..], &q[..], &cfg, &mut sanitized);
             assert_eq!(s, e, "{label} / {name}: the sanitizer changed the result");
             let report = sanitized.take_sanitize_report().expect("attached");
             assert!(report.is_clean(), "{label} / {name}: {report:?}");

@@ -19,8 +19,7 @@
 
 use fastz::align::EditOp;
 use fastz::core::{
-    strip_widths, warp_extend, warp_extend_in, OptFlags, WarpConfig, WarpExtension,
-    WavefrontBackend,
+    strip_widths, warp_extend_in, OptFlags, WarpConfig, WarpExtension, WavefrontBackend,
 };
 use fastz::genome::evolve::random_codes;
 use fastz::genome::{fnv1a, GapPenalties, Scoring, SubstMatrix, FNV1A_BASIS};
@@ -134,12 +133,13 @@ fn executor_hash(backend: WavefrontBackend) -> u64 {
     let mut tbm = Vec::new();
     let mut h = FNV1A_BASIS;
     for (label, t, q) in corpus() {
-        let insp = warp_extend(
-            &t,
-            &q,
+        let insp = warp_extend_in(
+            &t[..],
+            &q[..],
             &sc,
             &WarpConfig::inspector(&OptFlags::fastz()).with_backend(backend),
             &mut shared,
+            &mut Vec::new(),
         );
         let (bi, bj) = (insp.best_i, insp.best_j);
         let configs = [
@@ -157,7 +157,7 @@ fn executor_hash(backend: WavefrontBackend) -> u64 {
             for width in [1usize, 7, 32] {
                 let cfg = cfg.with_strip_width(width).with_backend(backend);
                 shared.clear();
-                let e = warp_extend_in(&t, &q, &sc, &cfg, &mut shared, &mut tbm);
+                let e = warp_extend_in(&t[..], &q[..], &sc, &cfg, &mut shared, &mut tbm);
                 assert_eq!(
                     (e.best_score, e.best_i, e.best_j),
                     (insp.best_score, bi, bj),
@@ -223,12 +223,13 @@ fn inspector_hash(backend: WavefrontBackend) -> u64 {
         for (_, t, q) in &cases {
             for width in [1usize, 7, 32] {
                 shared.clear();
-                let e = warp_extend(
-                    t,
-                    q,
+                let e = warp_extend_in(
+                    &t[..],
+                    &q[..],
                     &sc,
                     &cfg.with_strip_width(width).with_backend(backend),
                     &mut shared,
+                    &mut Vec::new(),
                 );
                 for v in [e.best_score as i64 as u64, e.best_i as u64, e.best_j as u64] {
                     h = fold_u64(h, v);
@@ -334,7 +335,7 @@ fn untrimmed_executor_beyond_the_old_allocation_cap_returns_a_script() {
     assert_eq!((cfg.max_rows, cfg.max_cols), (usize::MAX, usize::MAX));
     let mut shared = SharedMem::new(96 * 1024);
     let mut tbm = Vec::new();
-    let e = warp_extend_in(&t, &q, &sc, &cfg, &mut shared, &mut tbm);
+    let e = warp_extend_in(&t[..], &q[..], &sc, &cfg, &mut shared, &mut tbm);
     assert!(
         e.best_i >= 280 && e.best_j >= 280,
         "optimum ({}, {})",

@@ -26,7 +26,7 @@
 
 use fastz::align::{CellScores, CellSink, DenseTrace, NoTrace};
 use fastz::core::{
-    strip_widths, warp_extend_traced_on, OptFlags, SimdIsa, StripWidths, WarpConfig, WarpExtension,
+    strip_widths, warp_extend_on, OptFlags, SimdIsa, StripWidths, WarpConfig, WarpExtension,
     WavefrontBackend,
 };
 use fastz::genome::{GapPenalties, Scoring, SubstMatrix};
@@ -97,7 +97,7 @@ fn run_scored<K: CellSink>(
     if sanitize {
         shared.attach_sanitizer();
     }
-    let ext = warp_extend_traced_on(isa, t, q, sc, cfg, &mut shared, &mut Vec::new(), sink);
+    let ext = warp_extend_on(isa, t, q, sc, cfg, &mut shared, &mut Vec::new(), sink);
     if let Some(report) = shared.take_sanitize_report() {
         assert!(
             report.is_clean(),

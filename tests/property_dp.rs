@@ -4,7 +4,9 @@
 
 use fastz::align::ydrop::{ydrop_extend, PruneMode};
 use fastz::align::EditOp;
-use fastz::core::{classify, warp_extend, BinClass, OptFlags, WarpConfig, BIN_BOUNDS, EAGER_BOUND};
+use fastz::core::{
+    classify, warp_extend_in, BinClass, OptFlags, WarpConfig, BIN_BOUNDS, EAGER_BOUND,
+};
 use fastz::genome::{GapPenalties, Scoring, SubstMatrix};
 use fastz::gpu_sim::SharedMem;
 use proptest::prelude::*;
@@ -119,7 +121,7 @@ proptest! {
         let sc = scoring(120);
         let exact = ydrop_extend(&t, &q, &sc, PruneMode::Exact, false);
         let mut shared = SharedMem::new(96 * 1024);
-        let warp = warp_extend(&t, &q, &sc, &WarpConfig::inspector(&OptFlags::fastz()), &mut shared);
+        let warp = warp_extend_in(&t[..], &q[..], &sc, &WarpConfig::inspector(&OptFlags::fastz()), &mut shared, &mut Vec::new());
         prop_assert!(
             warp.best_score >= exact.best_score,
             "warp {} < exact {}", warp.best_score, exact.best_score
@@ -139,10 +141,10 @@ proptest! {
     fn executor_reproduces_inspector_optimum((t, q) in related_pair()) {
         let sc = scoring(120);
         let mut shared = SharedMem::new(96 * 1024);
-        let insp = warp_extend(&t, &q, &sc, &WarpConfig::inspector(&OptFlags::fastz()), &mut shared);
+        let insp = warp_extend_in(&t[..], &q[..], &sc, &WarpConfig::inspector(&OptFlags::fastz()), &mut shared, &mut Vec::new());
         shared.clear();
         let exec_cfg = WarpConfig::executor(&OptFlags::fastz(), insp.best_i, insp.best_j);
-        let exec = warp_extend(&t, &q, &sc, &exec_cfg, &mut shared);
+        let exec = warp_extend_in(&t[..], &q[..], &sc, &exec_cfg, &mut shared, &mut Vec::new());
         prop_assert_eq!(exec.best_score, insp.best_score);
         prop_assert_eq!((exec.best_i, exec.best_j), (insp.best_i, insp.best_j));
         let ops = exec.ops.unwrap();
