@@ -8,7 +8,9 @@
 //! baseline and to demonstrate that miss in tests.
 
 use crate::score;
-use crate::ydrop::{tb, walk_traceback, ExtensionStats, OneSidedExtension, Traceback, NEG_INF};
+use crate::ydrop::{
+    tb, walk_traceback_with, ExtensionStats, OneSidedExtension, Traceback, NEG_INF,
+};
 use fastz_genome::Scoring;
 
 /// One-sided banded extension: explores only cells with `|j - i| <= band`,
@@ -179,7 +181,7 @@ pub fn banded_extend(
         d_prev = d_cur;
     }
 
-    let ops = want_traceback.then(|| walk_traceback(&tbm, best_i, best_j));
+    let ops = want_traceback.then(|| walk_traceback_with(|i, j| tbm.get(i, j), best_i, best_j));
     OneSidedExtension {
         best_score,
         best_i,

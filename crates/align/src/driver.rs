@@ -1,4 +1,4 @@
-//! Sequential whole-genome-alignment drivers (the LASTZ baselines).
+//! The LASTZ baseline drivers (paper §2, Fig. 2).
 //!
 //! * [`sequential_gapped`] — gapped LASTZ: every filtered seed is gapped-
 //!   extended, with LASTZ's sequential work reduction (an anchor interior
@@ -6,10 +6,25 @@
 //! * [`sequential_ungapped_filtered`] — "ungapped LASTZ": seeds pass an
 //!   ungapped x-drop HSP filter first; only survivors are gapped-extended.
 //!   Faster, lower sensitivity (paper Fig. 2).
+//! * [`sequential_banded`] — Darwin-WGA-style banding: each side is
+//!   extended with banded Smith-Waterman instead of the exact search.
+//! * [`multicore_gapped`] — multicore LASTZ (paper §3.4): the gapped
+//!   driver over static anchor partitions, one scoped thread each.
+//!
+//! All four run one per-seed loop over static partitions of the seed set
+//! (a single partition for the sequential drivers) and differ only in
+//! the extension they hand it. The loop owns work reduction, the gapped
+//! threshold, the stats and the optional records; partitions merge in
+//! order and the merged alignments are deduplicated. Work reduction is
+//! local to a partition: it cannot see alignments another worker finds
+//! concurrently, the same limitation the paper describes for any
+//! parallel implementation.
 
 use crate::alignment::Alignment;
-use crate::extend::{gapped_extend_with, ExtendConfig, ExtendScratch};
-use crate::score;
+use crate::banded::banded_extend;
+use crate::extend::{
+    extend_and_splice, gapped_extend, ExtendConfig, ExtendScratch, GappedExtension,
+};
 use crate::ungapped::xdrop_extend;
 use crate::ydrop::ExtensionStats;
 use fastz_genome::{Scoring, Sequence};
@@ -53,7 +68,7 @@ pub struct DriverStats {
 }
 
 /// Result of a driver run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DriverReport {
     /// Alignments meeting the score threshold, deduplicated.
     pub alignments: Vec<Alignment>,
@@ -101,7 +116,7 @@ pub fn dedupe_alignments(mut alignments: Vec<Alignment>) -> Vec<Alignment> {
     alignments
 }
 
-fn record_of(anchor: Anchor, ext: &crate::extend::GappedExtension) -> ExtensionRecord {
+fn record_of(anchor: Anchor, ext: &GappedExtension) -> ExtensionRecord {
     let opt = |e: (usize, usize)| ((e.0 + 1) as u64) * ((e.1 + 1) as u64);
     ExtensionRecord {
         anchor,
@@ -114,6 +129,88 @@ fn record_of(anchor: Anchor, ext: &crate::extend::GappedExtension) -> ExtensionR
     }
 }
 
+/// Offers each seed of `anchors` in order to `extend`, which returns
+/// `None` for a seed its filter rejects, and keeps the extensions that
+/// reach the gapped threshold, in seed order (not yet deduplicated).
+/// Records each extension when `record`.
+fn seed_loop(
+    anchors: &[Anchor],
+    config: &DriverConfig,
+    record: bool,
+    extend: &impl Fn(Anchor, &mut ExtendScratch) -> Option<GappedExtension>,
+) -> DriverReport {
+    let mut scratch = ExtendScratch::default();
+    let mut part = DriverReport::default();
+    part.stats.seeds = anchors.len();
+    for &anchor in anchors {
+        let t = anchor.target_pos as usize;
+        let q = anchor.query_pos as usize;
+        // LASTZ's sequential rule: a seed interior to an alignment we
+        // already produced cannot yield a better, different alignment.
+        let interior =
+            config.work_reduction && part.alignments.iter().any(|a| a.contains_point(t, q));
+        let ext = if interior {
+            None
+        } else {
+            extend(anchor, &mut scratch)
+        };
+        let Some(ext) = ext else {
+            part.stats.skipped += 1;
+            continue;
+        };
+        part.stats.extended += 1;
+        part.stats.total_cells += ext.cells();
+        if record {
+            part.records.push(record_of(anchor, &ext));
+        }
+        if ext.alignment.score >= config.scoring.gapped_threshold {
+            part.alignments.push(ext.alignment);
+        }
+    }
+    part
+}
+
+/// Runs [`seed_loop`] over `workers` static partitions of `anchors`
+/// (on the calling thread for one), merges them in partition order and
+/// deduplicates the alignments.
+fn drive(
+    anchors: &[Anchor],
+    config: &DriverConfig,
+    workers: usize,
+    record: bool,
+    extend: impl Fn(Anchor, &mut ExtendScratch) -> Option<GappedExtension> + Sync,
+) -> DriverReport {
+    let start = Instant::now();
+    let workers = workers.min(anchors.len()).max(1);
+    let parts = if workers == 1 {
+        vec![seed_loop(anchors, config, record, &extend)]
+    } else {
+        let extend = &extend;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = anchors
+                .chunks(anchors.len().div_ceil(workers))
+                .map(|part| scope.spawn(move || seed_loop(part, config, record, extend)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let mut report = DriverReport::default();
+    for part in parts {
+        report.alignments.extend(part.alignments);
+        report.records.extend(part.records);
+        report.stats.seeds += part.stats.seeds;
+        report.stats.extended += part.stats.extended;
+        report.stats.skipped += part.stats.skipped;
+        report.stats.total_cells += part.stats.total_cells;
+    }
+    report.alignments = dedupe_alignments(report.alignments);
+    report.stats.wall_time = start.elapsed();
+    report
+}
+
 /// Runs the gapped (high-sensitivity) sequential driver.
 pub fn sequential_gapped(
     target: &Sequence,
@@ -122,51 +219,37 @@ pub fn sequential_gapped(
     seed_span: usize,
     config: &DriverConfig,
 ) -> DriverReport {
-    let start = Instant::now();
-    let mut scratch = ExtendScratch::default();
-    let mut alignments: Vec<Alignment> = Vec::new();
-    let mut records = Vec::new();
-    let mut stats = DriverStats {
-        seeds: anchors.len(),
-        ..DriverStats::default()
-    };
+    multicore_gapped(target, query, anchors, seed_span, config, 1)
+}
 
-    for &anchor in anchors {
-        if config.work_reduction {
-            let t = anchor.target_pos as usize;
-            let q = anchor.query_pos as usize;
-            // LASTZ's sequential rule: a seed interior to an alignment we
-            // already produced cannot yield a better, different alignment.
-            if alignments.iter().any(|a| a.contains_point(t, q)) {
-                stats.skipped += 1;
-                continue;
-            }
-        }
-        let ext = gapped_extend_with(
-            target,
-            query,
-            anchor,
-            seed_span,
-            &config.scoring,
-            &config.extend,
-            &mut scratch,
-        );
-        stats.extended += 1;
-        stats.total_cells += ext.cells();
-        if config.record_extensions {
-            records.push(record_of(anchor, &ext));
-        }
-        if ext.alignment.score >= config.scoring.gapped_threshold {
-            alignments.push(ext.alignment);
-        }
-    }
-
-    stats.wall_time = start.elapsed();
-    DriverReport {
-        alignments: dedupe_alignments(alignments),
-        stats,
-        records,
-    }
+/// Runs the gapped driver over `workers` static anchor partitions, each
+/// with its own scratch buffers and its own local work reduction.
+pub fn multicore_gapped(
+    target: &Sequence,
+    query: &Sequence,
+    anchors: &[Anchor],
+    seed_span: usize,
+    config: &DriverConfig,
+    workers: usize,
+) -> DriverReport {
+    assert!(workers >= 1, "need at least one worker");
+    drive(
+        anchors,
+        config,
+        workers,
+        config.record_extensions,
+        |anchor, scratch| {
+            Some(gapped_extend(
+                target,
+                query,
+                anchor,
+                seed_span,
+                &config.scoring,
+                &config.extend,
+                scratch,
+            ))
+        },
+    )
 }
 
 /// Runs the ungapped-filtered (lower-sensitivity) sequential driver:
@@ -178,61 +261,33 @@ pub fn sequential_ungapped_filtered(
     seed_span: usize,
     config: &DriverConfig,
 ) -> DriverReport {
-    let start = Instant::now();
-    let mut scratch = ExtendScratch::default();
-    let mut alignments: Vec<Alignment> = Vec::new();
-    let mut records = Vec::new();
-    let mut stats = DriverStats {
-        seeds: anchors.len(),
-        ..DriverStats::default()
-    };
-
-    for &anchor in anchors {
-        let hsp = xdrop_extend(
-            target.codes(),
-            query.codes(),
-            anchor.target_pos as usize,
-            anchor.query_pos as usize,
-            seed_span,
-            &config.scoring,
-        );
-        if hsp.score < config.scoring.hsp_threshold {
-            stats.skipped += 1;
-            continue;
-        }
-        if config.work_reduction {
-            let t = anchor.target_pos as usize;
-            let q = anchor.query_pos as usize;
-            if alignments.iter().any(|a| a.contains_point(t, q)) {
-                stats.skipped += 1;
-                continue;
-            }
-        }
-        let ext = gapped_extend_with(
-            target,
-            query,
-            anchor,
-            seed_span,
-            &config.scoring,
-            &config.extend,
-            &mut scratch,
-        );
-        stats.extended += 1;
-        stats.total_cells += ext.cells();
-        if config.record_extensions {
-            records.push(record_of(anchor, &ext));
-        }
-        if ext.alignment.score >= config.scoring.gapped_threshold {
-            alignments.push(ext.alignment);
-        }
-    }
-
-    stats.wall_time = start.elapsed();
-    DriverReport {
-        alignments: dedupe_alignments(alignments),
-        stats,
-        records,
-    }
+    drive(
+        anchors,
+        config,
+        1,
+        config.record_extensions,
+        |anchor, scratch| {
+            let hsp = xdrop_extend(
+                target.codes(),
+                query.codes(),
+                anchor.target_pos as usize,
+                anchor.query_pos as usize,
+                seed_span,
+                &config.scoring,
+            );
+            (hsp.score >= config.scoring.hsp_threshold).then(|| {
+                gapped_extend(
+                    target,
+                    query,
+                    anchor,
+                    seed_span,
+                    &config.scoring,
+                    &config.extend,
+                    scratch,
+                )
+            })
+        },
+    )
 }
 
 /// Runs a Darwin-WGA-style banded-filtered driver: seeds are extended
@@ -240,7 +295,8 @@ pub fn sequential_ungapped_filtered(
 /// diagonal, paper §2.1/§2.3) and kept when the banded score reaches the
 /// gapped threshold. Faster than the exact search but may miss optimal
 /// alignments whose paths stray outside the band — the sensitivity loss
-/// FastZ avoids by doing the exact y-drop search instead.
+/// FastZ avoids by doing the exact y-drop search instead. It keeps no
+/// extension records.
 pub fn sequential_banded(
     target: &Sequence,
     query: &Sequence,
@@ -249,88 +305,19 @@ pub fn sequential_banded(
     band: usize,
     config: &DriverConfig,
 ) -> DriverReport {
-    use crate::alignment::{push_op, EditOp};
-    use crate::banded::banded_extend;
-
-    let start = Instant::now();
-    let mut alignments: Vec<Alignment> = Vec::new();
-    let mut stats = DriverStats {
-        seeds: anchors.len(),
-        ..DriverStats::default()
-    };
-
-    let tc = target.codes();
-    let qc = query.codes();
-    let max_ext = config.extend.max_extension;
-    for &anchor in anchors {
-        let t0 = anchor.target_pos as usize;
-        let q0 = anchor.query_pos as usize;
-        if config.work_reduction && alignments.iter().any(|a| a.contains_point(t0, q0)) {
-            stats.skipped += 1;
-            continue;
-        }
-        // Seed body.
-        let mut seed_score = 0i32;
-        for k in 0..seed_span {
-            seed_score = score::add_clamped(
-                seed_score,
-                config.scoring.subst.score(tc[t0 + k], qc[q0 + k]),
-            );
-        }
-        // Right half.
-        let rt = &tc[t0 + seed_span..tc.len().min(t0 + seed_span + max_ext)];
-        let rq = &qc[q0 + seed_span..qc.len().min(q0 + seed_span + max_ext)];
-        let right = banded_extend(rt, rq, band, &config.scoring, config.extend.traceback);
-        // Left half on reversed prefixes.
-        let lt: Vec<u8> = tc[t0.saturating_sub(max_ext)..t0]
-            .iter()
-            .rev()
-            .copied()
-            .collect();
-        let lq: Vec<u8> = qc[q0.saturating_sub(max_ext)..q0]
-            .iter()
-            .rev()
-            .copied()
-            .collect();
-        let left = banded_extend(&lt, &lq, band, &config.scoring, config.extend.traceback);
-
-        stats.extended += 1;
-        stats.total_cells += left.stats.cells + right.stats.cells;
-
-        let score = score::add_clamped(
-            score::add_clamped(left.best_score, seed_score),
-            right.best_score,
-        );
-        if score >= config.scoring.gapped_threshold {
-            let mut ops: Vec<EditOp> = Vec::new();
-            if let Some(lops) = &left.ops {
-                for &op in lops.iter().rev() {
-                    push_op(&mut ops, op);
-                }
-            }
-            push_op(&mut ops, EditOp::Diag(seed_span as u32));
-            if let Some(rops) = &right.ops {
-                for &op in rops {
-                    push_op(&mut ops, op);
-                }
-            }
-            alignments.push(Alignment {
-                target_start: t0 - left.best_j,
-                target_end: t0 + seed_span + right.best_j,
-                query_start: q0 - left.best_i,
-                query_end: q0 + seed_span + right.best_i,
-                score,
-                ops,
-            });
-        }
-    }
-
-    stats.wall_time = start.elapsed();
-    DriverReport {
-        alignments: dedupe_alignments(alignments),
-        stats,
-        records: Vec::new(),
-    }
+    let scoring = &config.scoring;
+    drive(anchors, config, 1, false, |anchor, scratch| {
+        Some(extend_and_splice(
+            target,
+            query,
+            anchor,
+            seed_span,
+            scoring,
+            config.extend.max_extension,
+            scratch,
+            |t, q, _| banded_extend(t, q, band, scoring, config.extend.traceback),
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -340,12 +327,12 @@ mod tests {
     use fastz_genome::Scoring;
     use fastz_seed::{find_anchors, SeedIndex, SeedShape};
 
-    fn demo() -> (Sequence, Sequence, Vec<Anchor>, usize) {
+    fn demo_pair(label: &str, rng_seed: u64) -> (Sequence, Sequence, Vec<Anchor>, usize) {
         let pair = generate_pair(&PairParams {
             target_len: 30_000,
             query_len: 30_000,
             segments: 60,
-            ..PairParams::small_demo("drv", 31)
+            ..PairParams::small_demo(label, rng_seed)
         });
         // Dense seeds (unfiltered): the sequential work-reduction rule
         // needs anchors interior to found alignments to exercise.
@@ -353,6 +340,10 @@ mod tests {
         let anchors = find_anchors(&index, &pair.query);
         let span = index.shape().span();
         (pair.target, pair.query, anchors, span)
+    }
+
+    fn demo() -> (Sequence, Sequence, Vec<Anchor>, usize) {
+        demo_pair("drv", 31)
     }
 
     #[test]
@@ -489,6 +480,30 @@ mod tests {
     }
 
     #[test]
+    fn banded_driver_without_traceback_has_no_script() {
+        // Like the gapped driver: no traceback, no script (a lone seed
+        // run would contradict the alignment's coordinates).
+        let (t, q, anchors, span) = demo();
+        let with = DriverConfig::gapped(Scoring::bench_scaled());
+        let mut without = with.clone();
+        without.extend.traceback = false;
+        let traced = sequential_banded(&t, &q, &anchors, span, 16, &with);
+        let plain = sequential_banded(&t, &q, &anchors, span, 16, &without);
+        assert!(!plain.alignments.is_empty());
+        assert_eq!(plain.alignments.len(), traced.alignments.len());
+        for (p, a) in plain.alignments.iter().zip(&traced.alignments) {
+            assert!(p.ops.is_empty(), "script without traceback: {p}");
+            assert_eq!(
+                Alignment {
+                    ops: vec![],
+                    ..a.clone()
+                },
+                *p
+            );
+        }
+    }
+
+    #[test]
     fn wider_bands_recover_sensitivity() {
         let (t, q, anchors, span) = demo();
         let cfg = DriverConfig {
@@ -505,5 +520,48 @@ mod tests {
             best(&narrow)
         );
         assert!(wide.stats.total_cells > narrow.stats.total_cells);
+    }
+
+    #[test]
+    fn multicore_matches_sequential_alignments() {
+        let (t, q, anchors, span) = demo_pair("mc", 77);
+        // Disable work reduction so both paths do identical extensions.
+        let cfg = DriverConfig {
+            work_reduction: false,
+            ..DriverConfig::gapped(Scoring::bench_scaled())
+        };
+        let seq = sequential_gapped(&t, &q, &anchors, span, &cfg);
+        let par = multicore_gapped(&t, &q, &anchors, span, &cfg, 4);
+        assert_eq!(seq.alignments, par.alignments);
+        assert_eq!(seq.stats.total_cells, par.stats.total_cells);
+    }
+
+    #[test]
+    fn multicore_with_local_work_reduction_finds_superset() {
+        // Per-partition work reduction skips fewer seeds than global, so
+        // the parallel run's alignment set must contain the sequential
+        // run's (identical coordinates, possibly more entries — the
+        // paper's "identical or occasionally longer" guarantee works the
+        // same way).
+        let (t, q, anchors, span) = demo_pair("mc", 77);
+        let cfg = DriverConfig::gapped(Scoring::bench_scaled());
+        let seq = sequential_gapped(&t, &q, &anchors, span, &cfg);
+        let par = multicore_gapped(&t, &q, &anchors, span, &cfg, 4);
+        assert!(par.stats.skipped <= seq.stats.skipped);
+        for a in &seq.alignments {
+            assert!(
+                par.alignments.contains(a),
+                "parallel run lost alignment {a}"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_count_larger_than_anchors() {
+        let (t, q, anchors, span) = demo_pair("mc", 77);
+        let cfg = DriverConfig::gapped(Scoring::bench_scaled());
+        let few = &anchors[..3.min(anchors.len())];
+        let par = multicore_gapped(&t, &q, few, span, &cfg, 64);
+        assert_eq!(par.stats.seeds, few.len());
     }
 }

@@ -8,7 +8,10 @@
 
 use crate::alignment::{push_op, Alignment, EditOp};
 use crate::score;
-use crate::ydrop::{ydrop_extend_with, ExtensionStats, PruneMode, YDropScratch};
+use crate::trace::NoTrace;
+use crate::ydrop::{
+    ydrop_extend_traced, ExtensionStats, OneSidedExtension, PruneMode, YDropScratch,
+};
 use fastz_genome::{Scoring, Sequence};
 use fastz_seed::Anchor;
 
@@ -77,29 +80,9 @@ impl GappedExtension {
     }
 }
 
-/// Extends `anchor` (seed span `seed_span`) in both directions and
-/// splices the halves.
+/// Extends `anchor` (seed span `seed_span`) in both directions with
+/// the y-drop engine and splices the halves.
 pub fn gapped_extend(
-    target: &Sequence,
-    query: &Sequence,
-    anchor: Anchor,
-    seed_span: usize,
-    scoring: &Scoring,
-    config: &ExtendConfig,
-) -> GappedExtension {
-    gapped_extend_with(
-        target,
-        query,
-        anchor,
-        seed_span,
-        scoring,
-        config,
-        &mut ExtendScratch::default(),
-    )
-}
-
-/// [`gapped_extend`] with caller-provided scratch buffers.
-pub fn gapped_extend_with(
     target: &Sequence,
     query: &Sequence,
     anchor: Anchor,
@@ -108,64 +91,80 @@ pub fn gapped_extend_with(
     config: &ExtendConfig,
     scratch: &mut ExtendScratch,
 ) -> GappedExtension {
-    let tc = target.codes();
-    let qc = query.codes();
+    extend_and_splice(
+        target,
+        query,
+        anchor,
+        seed_span,
+        scoring,
+        config.max_extension,
+        scratch,
+        |t, q, ydrop| {
+            ydrop_extend_traced(
+                t,
+                q,
+                scoring,
+                config.mode,
+                config.traceback,
+                ydrop,
+                &mut NoTrace,
+            )
+        },
+    )
+}
+
+/// Runs `one_sided` on both sides of `anchor` (right on the suffixes
+/// after the seed, left on the reversed prefixes before it, each capped
+/// at `max_extension` bases) and splices the halves around the seed
+/// body: reversed left ops, the seed's `Diag`, right ops; the clamped sum
+/// of the three scores; coordinates from the halves' optima. The script
+/// is left empty when the halves carry no ops (traceback off).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_and_splice(
+    target: &Sequence,
+    query: &Sequence,
+    anchor: Anchor,
+    seed_span: usize,
+    scoring: &Scoring,
+    max_extension: usize,
+    scratch: &mut ExtendScratch,
+    mut one_sided: impl FnMut(&[u8], &[u8], &mut YDropScratch) -> OneSidedExtension,
+) -> GappedExtension {
+    let (tc, qc) = (target.codes(), query.codes());
     let t0 = anchor.target_pos as usize;
     let q0 = anchor.query_pos as usize;
     assert!(t0 + seed_span <= tc.len(), "anchor outside target");
     assert!(q0 + seed_span <= qc.len(), "anchor outside query");
-
-    // Seed body.
     let mut seed_score = 0i32;
     for k in 0..seed_span {
         seed_score = score::add_clamped(seed_score, scoring.subst.score(tc[t0 + k], qc[q0 + k]));
     }
 
-    // Right half: suffixes after the seed.
-    let rt_end = tc.len().min(t0 + seed_span + config.max_extension);
-    let rq_end = qc.len().min(q0 + seed_span + config.max_extension);
-    let right = ydrop_extend_with(
-        &tc[t0 + seed_span..rt_end],
-        &qc[q0 + seed_span..rq_end],
-        scoring,
-        config.mode,
-        config.traceback,
+    let right = one_sided(
+        &tc[t0 + seed_span..tc.len().min(t0 + seed_span + max_extension)],
+        &qc[q0 + seed_span..qc.len().min(q0 + seed_span + max_extension)],
         &mut scratch.ydrop,
     );
-
-    // Left half: reversed prefixes before the seed.
-    let lt_start = t0.saturating_sub(config.max_extension);
-    let lq_start = q0.saturating_sub(config.max_extension);
     scratch.rev_t.clear();
     scratch.rev_q.clear();
-    scratch.rev_t.extend(tc[lt_start..t0].iter().rev());
-    scratch.rev_q.extend(qc[lq_start..q0].iter().rev());
-    let left = ydrop_extend_with(
-        &scratch.rev_t,
-        &scratch.rev_q,
-        scoring,
-        config.mode,
-        config.traceback,
-        &mut scratch.ydrop,
-    );
+    scratch
+        .rev_t
+        .extend(tc[t0.saturating_sub(max_extension)..t0].iter().rev());
+    scratch
+        .rev_q
+        .extend(qc[q0.saturating_sub(max_extension)..q0].iter().rev());
+    let left = one_sided(&scratch.rev_t, &scratch.rev_q, &mut scratch.ydrop);
 
-    // Splice: reversed left ops, seed body, right ops.
-    let ops = config.traceback.then(|| {
-        let mut ops: Vec<EditOp> = Vec::new();
-        if let Some(left_ops) = &left.ops {
-            for &op in left_ops.iter().rev() {
-                push_op(&mut ops, op);
-            }
+    let mut ops: Vec<EditOp> = Vec::new();
+    if let (Some(left_ops), Some(right_ops)) = (&left.ops, &right.ops) {
+        for &op in left_ops.iter().rev() {
+            push_op(&mut ops, op);
         }
         push_op(&mut ops, EditOp::Diag(seed_span as u32));
-        if let Some(right_ops) = &right.ops {
-            for &op in right_ops {
-                push_op(&mut ops, op);
-            }
+        for &op in right_ops {
+            push_op(&mut ops, op);
         }
-        ops
-    });
-
+    }
     let alignment = Alignment {
         target_start: t0 - left.best_j,
         target_end: t0 + seed_span + right.best_j,
@@ -175,9 +174,8 @@ pub fn gapped_extend_with(
             score::add_clamped(left.best_score, seed_score),
             right.best_score,
         ),
-        ops: ops.unwrap_or_default(),
+        ops,
     };
-
     GappedExtension {
         alignment,
         left_stats: left.stats,
@@ -214,7 +212,15 @@ mod tests {
             target_pos: 8,
             query_pos: 8,
         };
-        let ext = gapped_extend(&t, &t, a, 4, &scoring(), &ExtendConfig::default());
+        let ext = gapped_extend(
+            &t,
+            &t,
+            a,
+            4,
+            &scoring(),
+            &ExtendConfig::default(),
+            &mut ExtendScratch::default(),
+        );
         let al = &ext.alignment;
         assert_eq!(al.target_start, 0);
         assert_eq!(al.target_end, 20);
@@ -240,7 +246,15 @@ mod tests {
             query_pos: 18,
         };
         let sc = scoring();
-        let ext = gapped_extend(&t, &q, a, 4, &sc, &ExtendConfig::default());
+        let ext = gapped_extend(
+            &t,
+            &q,
+            a,
+            4,
+            &sc,
+            &ExtendConfig::default(),
+            &mut ExtendScratch::default(),
+        );
         let al = &ext.alignment;
         assert!(al.is_consistent(&t, &q));
         assert_eq!(al.rescore(&t, &q, &sc), al.score);
@@ -261,7 +275,15 @@ mod tests {
             target_pos: 0,
             query_pos: 0,
         };
-        let ext = gapped_extend(&t, &t, a, 4, &scoring(), &ExtendConfig::default());
+        let ext = gapped_extend(
+            &t,
+            &t,
+            a,
+            4,
+            &scoring(),
+            &ExtendConfig::default(),
+            &mut ExtendScratch::default(),
+        );
         assert_eq!(ext.left_extent, (0, 0));
         assert_eq!(ext.alignment.target_start, 0);
         assert_eq!(ext.alignment.target_end, 8);
@@ -279,7 +301,15 @@ mod tests {
             max_extension: 50,
             ..ExtendConfig::default()
         };
-        let ext = gapped_extend(&t, &t, a, 4, &scoring(), &cfg);
+        let ext = gapped_extend(
+            &t,
+            &t,
+            a,
+            4,
+            &scoring(),
+            &cfg,
+            &mut ExtendScratch::default(),
+        );
         assert!(ext.alignment.target_start >= 150);
         assert!(ext.alignment.target_end <= 254);
     }
@@ -295,7 +325,15 @@ mod tests {
             traceback: false,
             ..ExtendConfig::default()
         };
-        let ext = gapped_extend(&t, &t, a, 4, &scoring(), &cfg);
+        let ext = gapped_extend(
+            &t,
+            &t,
+            a,
+            4,
+            &scoring(),
+            &cfg,
+            &mut ExtendScratch::default(),
+        );
         assert!(ext.alignment.ops.is_empty());
         assert_eq!(ext.alignment.score, 160);
         assert_eq!(ext.max_extent(), 8);
@@ -308,7 +346,15 @@ mod tests {
             target_pos: 12,
             query_pos: 12,
         };
-        let ext = gapped_extend(&t, &t, a, 4, &scoring(), &ExtendConfig::default());
+        let ext = gapped_extend(
+            &t,
+            &t,
+            a,
+            4,
+            &scoring(),
+            &ExtendConfig::default(),
+            &mut ExtendScratch::default(),
+        );
         assert!(ext.cells() > 0);
         assert_eq!(ext.cells(), ext.left_stats.cells + ext.right_stats.cells);
     }

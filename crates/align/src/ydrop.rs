@@ -69,14 +69,6 @@ pub struct OneSidedExtension {
     pub stats: ExtensionStats,
 }
 
-impl OneSidedExtension {
-    /// The paper's per-extension "alignment length": larger of the two
-    /// extents of the *optimal* alignment.
-    pub fn extent(&self) -> usize {
-        self.best_i.max(self.best_j)
-    }
-}
-
 /// Packed traceback byte layout (paper §3.1.3: 1+1+2 bits in one byte).
 pub mod tb {
     /// Mask for the S-choice field (bits 0-1).
@@ -123,22 +115,12 @@ impl Traceback {
             _ => tb::S_ORIGIN,
         }
     }
-
-    /// Total stored traceback bytes.
-    pub fn bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.bytes.len()).sum()
-    }
 }
 
 /// Walks a packed traceback from `(i, j)` back to the origin, returning
-/// forward-ordered, run-length-merged edit ops.
-pub fn walk_traceback(tbm: &Traceback, i: usize, j: usize) -> Vec<EditOp> {
-    walk_traceback_with(|i, j| tbm.get(i, j), i, j)
-}
-
-/// [`walk_traceback`] over any packed-byte source (the warp engine's
-/// shared-memory eager window and the executor's trimmed matrix use this
-/// directly).
+/// forward-ordered, run-length-merged edit ops. `get` is the packed-byte
+/// source: a [`Traceback`], the warp engine's shared-memory eager window
+/// or the executor's trimmed matrix.
 pub fn walk_traceback_with(
     get: impl Fn(usize, usize) -> u8,
     mut i: usize,
@@ -216,39 +198,21 @@ pub fn ydrop_extend(
     mode: PruneMode,
     want_traceback: bool,
 ) -> OneSidedExtension {
-    ydrop_extend_with(
-        target,
-        query,
-        scoring,
-        mode,
-        want_traceback,
-        &mut YDropScratch::default(),
-    )
-}
-
-/// [`ydrop_extend`] with caller-provided scratch buffers.
-pub fn ydrop_extend_with(
-    target: &[u8],
-    query: &[u8],
-    scoring: &Scoring,
-    mode: PruneMode,
-    want_traceback: bool,
-    scratch: &mut YDropScratch,
-) -> OneSidedExtension {
     ydrop_extend_traced(
         target,
         query,
         scoring,
         mode,
         want_traceback,
-        scratch,
+        &mut YDropScratch::default(),
         &mut NoTrace,
     )
 }
 
-/// [`ydrop_extend_with`] that additionally reports every live cell to
-/// `sink` (the conformance oracle's cell-for-cell hook; [`NoTrace`]
-/// compiles the calls away on the production path).
+/// [`ydrop_extend`] with caller-provided scratch buffers that
+/// additionally reports every live cell to `sink` (the conformance
+/// oracle's cell-for-cell hook; [`NoTrace`] compiles the calls away on
+/// the production path).
 pub fn ydrop_extend_traced<K: CellSink>(
     target: &[u8],
     query: &[u8],
@@ -525,7 +489,7 @@ pub fn ydrop_extend_traced<K: CellSink>(
     scratch.d_prev = d_prev;
     scratch.s_cur = s_cur_buf;
     scratch.d_cur = d_cur_buf;
-    let ops = want_traceback.then(|| walk_traceback(&tbm, best_i, best_j));
+    let ops = want_traceback.then(|| walk_traceback_with(|i, j| tbm.get(i, j), best_i, best_j));
     OneSidedExtension {
         best_score,
         best_i,
@@ -703,8 +667,18 @@ mod tests {
         let t = codes(b"ACGTTACGGACGTAC");
         let q = codes(b"ACGTACGGACGTAAC");
         let mut scratch = YDropScratch::default();
-        let a = ydrop_extend_with(&t, &q, &s, PruneMode::Exact, true, &mut scratch);
-        let b = ydrop_extend_with(&t, &q, &s, PruneMode::Exact, true, &mut scratch);
+        let mut run = || {
+            ydrop_extend_traced(
+                &t,
+                &q,
+                &s,
+                PruneMode::Exact,
+                true,
+                &mut scratch,
+                &mut NoTrace,
+            )
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.best_score, b.best_score);
         assert_eq!(a.ops, b.ops);
     }

@@ -53,7 +53,7 @@ use fastz_genome::{fnv1a, Scoring, Sequence, FNV1A_BASIS};
 use fastz_gpu_sim::{FaultCounters, FaultPlan, WarpCounters, WarpTask};
 use fastz_seed::Anchor;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
 
 /// Bit-flip retry budget on the warp rung of the ladder; the next
@@ -394,31 +394,12 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
-    /// Writes the checkpoint crash-consistently: the bytes go to a temp
-    /// file *in the same directory* (rename across filesystems is not
-    /// atomic), are fsync'd so the rename can never publish a name whose
-    /// data is still in the page cache, and then atomically replace
-    /// `path`. A crash at any point leaves either the old checkpoint or
-    /// the new one — never a torn file under the real name.
+    /// Writes the checkpoint crash-consistently
+    /// ([`fastz_genome::durable::write_atomic`]): a crash at any point
+    /// leaves either the old checkpoint or the new one, never a torn file
+    /// under the real name.
     pub fn save(&self, path: &std::path::Path) -> io::Result<()> {
-        let mut name = path
-            .file_name()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "checkpoint path has no file name",
-                )
-            })?
-            .to_os_string();
-        name.push(".tmp");
-        let tmp = path.with_file_name(name);
-        {
-            let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            f.write_all(self.to_text().as_bytes())?;
-            f.flush()?;
-            f.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        fastz_genome::durable::write_atomic(path, self.to_text().as_bytes())
     }
 
     /// Loads a checkpoint; `Ok(None)` when the file does not exist.

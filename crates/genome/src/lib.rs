@@ -1,9 +1,10 @@
 //! # fastz-genome
 //!
 //! Sequence handling for the FastZ whole-genome-alignment reproduction:
-//! the DNA alphabet, byte-code and 2-bit-packed sequence containers, FASTA
-//! I/O, LASTZ-compatible scoring (HOXD70, affine gaps, y-drop/x-drop), a
-//! synthetic genome-pair evolver, and the paper's benchmark-pair catalog.
+//! the DNA alphabet, the byte-code sequence container, FASTA I/O,
+//! LASTZ-compatible scoring (HOXD70, affine gaps, y-drop/x-drop), a
+//! synthetic genome-pair evolver, the paper's benchmark-pair catalog, and
+//! the crash-consistent file writer checkpoints and index artifacts share.
 //!
 //! The synthetic evolver is the documented substitution for the paper's
 //! real chromosome inputs; see `DESIGN.md` at the repository root.
@@ -12,6 +13,7 @@
 
 pub mod alphabet;
 pub mod catalog;
+pub mod durable;
 pub mod evolve;
 pub mod fasta;
 pub mod hash;
@@ -26,4 +28,4 @@ pub use fasta::{read_fasta, read_fasta_file, write_fasta, write_fasta_file, Fast
 pub use hash::{fnv1a, FNV1A_BASIS};
 pub use scorefile::{parse_score_file, write_score_file, ScoreFileError};
 pub use scoring::{GapPenalties, Scoring, SubstMatrix};
-pub use sequence::{PackedSeq, Sequence};
+pub use sequence::Sequence;

@@ -99,7 +99,7 @@ pub fn parse_score_file(text: &str, defaults: &Scoring) -> Result<Scoring, Score
                 })
                 .collect();
             match cols {
-                Some(cols) if cols.len() == 4 => {
+                Some(cols) if cols.len() == 4 && (0..4).all(|b| cols.contains(&b)) => {
                     header = Some(cols);
                     continue;
                 }
@@ -224,6 +224,11 @@ T   91  -114   -31  -123
         ));
         assert!(matches!(
             parse_score_file("  A  B  C  D\n", &d),
+            Err(ScoreFileError::BadHeader(_))
+        ));
+        // Four valid bases that repeat one and miss another.
+        assert!(matches!(
+            parse_score_file("  A  A  C  G\nA 1 2 3 4\n", &d),
             Err(ScoreFileError::BadHeader(_))
         ));
         assert!(matches!(

@@ -1,9 +1,7 @@
 //! Sequence containers.
 //!
 //! [`Sequence`] stores one byte-code per base (fast random access for DP
-//! inner loops); [`PackedSeq`] stores 2 bits per base plus an `N`-run
-//! exception list (4x smaller, used for on-disk/catalog storage and the
-//! seed index, which never needs `N` positions anyway).
+//! inner loops).
 
 use crate::alphabet::{codes_from_ascii, codes_to_ascii, complement_code, Base, N_CODE};
 use std::fmt;
@@ -113,96 +111,6 @@ impl fmt::Debug for Sequence {
     }
 }
 
-/// A 2-bit-packed DNA sequence with an exception list for `N` runs.
-///
-/// Four bases per byte, little-endian within the byte: base `i` occupies
-/// bits `2*(i%4) .. 2*(i%4)+2` of byte `i/4`. Positions inside an `N` run
-/// decode to [`Base::N`] regardless of the (arbitrary) packed bits.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PackedSeq {
-    len: usize,
-    words: Vec<u8>,
-    /// Sorted, non-overlapping, non-adjacent `[start, end)` runs of `N`.
-    n_runs: Vec<(u32, u32)>,
-}
-
-impl PackedSeq {
-    /// Packs a code slice.
-    pub fn from_codes(codes: &[u8]) -> PackedSeq {
-        let mut words = vec![0u8; codes.len().div_ceil(4)];
-        let mut n_runs: Vec<(u32, u32)> = Vec::new();
-        for (i, &c) in codes.iter().enumerate() {
-            let packed = if c >= N_CODE {
-                match n_runs.last_mut() {
-                    Some(run) if run.1 as usize == i => run.1 += 1,
-                    _ => n_runs.push((i as u32, i as u32 + 1)),
-                }
-                0
-            } else {
-                c
-            };
-            words[i / 4] |= packed << (2 * (i % 4));
-        }
-        PackedSeq {
-            len: codes.len(),
-            words,
-            n_runs,
-        }
-    }
-
-    /// Number of bases.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The code (0..=4) at `pos`, honouring `N` runs.
-    #[inline]
-    pub fn code(&self, pos: usize) -> u8 {
-        debug_assert!(pos < self.len);
-        if self.is_n(pos) {
-            N_CODE
-        } else {
-            (self.words[pos / 4] >> (2 * (pos % 4))) & 0b11
-        }
-    }
-
-    /// True if position `pos` falls inside an `N` run.
-    #[inline]
-    pub fn is_n(&self, pos: usize) -> bool {
-        let pos = pos as u32;
-        match self.n_runs.binary_search_by(|&(s, _)| s.cmp(&pos)) {
-            Ok(_) => true,
-            Err(idx) => idx > 0 && self.n_runs[idx - 1].1 > pos,
-        }
-    }
-
-    /// Unpacks the whole sequence back to byte codes.
-    pub fn unpack(&self) -> Vec<u8> {
-        let mut codes = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            codes.push((self.words[i / 4] >> (2 * (i % 4))) & 0b11);
-        }
-        for &(s, e) in &self.n_runs {
-            for c in &mut codes[s as usize..e as usize] {
-                *c = N_CODE;
-            }
-        }
-        codes
-    }
-
-    /// The `N`-run exception list (sorted `[start, end)` pairs).
-    pub fn n_runs(&self) -> &[(u32, u32)] {
-        &self.n_runs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,35 +161,6 @@ mod tests {
         let s = seq(b"ATCGGGCATNNAT");
         let rc_rc = s.reverse_complement().reverse_complement();
         assert_eq!(rc_rc.codes(), s.codes());
-    }
-
-    #[test]
-    fn packed_round_trip() {
-        let s = seq(b"ACGTACGTNNACGNTT");
-        let p = PackedSeq::from_codes(s.codes());
-        assert_eq!(p.len(), s.len());
-        assert_eq!(p.unpack(), s.codes());
-        for i in 0..s.len() {
-            assert_eq!(p.code(i), s.codes()[i], "pos {i}");
-        }
-    }
-
-    #[test]
-    fn packed_n_runs_merge() {
-        let s = seq(b"NNACGNNNT");
-        let p = PackedSeq::from_codes(s.codes());
-        assert_eq!(p.n_runs(), &[(0, 2), (5, 8)]);
-        assert!(p.is_n(0));
-        assert!(p.is_n(7));
-        assert!(!p.is_n(2));
-        assert!(!p.is_n(8));
-    }
-
-    #[test]
-    fn packed_empty() {
-        let p = PackedSeq::from_codes(&[]);
-        assert!(p.is_empty());
-        assert!(p.unpack().is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! round-trips, scoring invariants, and the synthetic evolver.
 
 use fastz_genome::evolve::{generate_pair, mutate, MutationRates, PairParams};
-use fastz_genome::{read_fasta, write_fasta, PackedSeq, Scoring, Sequence, SubstMatrix};
+use fastz_genome::{read_fasta, write_fasta, Scoring, Sequence, SubstMatrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -13,28 +13,6 @@ fn codes_strategy() -> impl Strategy<Value = Vec<u8>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn packed_seq_round_trips(codes in codes_strategy()) {
-        let packed = PackedSeq::from_codes(&codes);
-        prop_assert_eq!(packed.unpack(), codes.clone());
-        prop_assert_eq!(packed.len(), codes.len());
-        for (i, &c) in codes.iter().enumerate() {
-            prop_assert_eq!(packed.code(i), c);
-        }
-    }
-
-    #[test]
-    fn packed_n_runs_are_sorted_disjoint(codes in codes_strategy()) {
-        let packed = PackedSeq::from_codes(&codes);
-        let runs = packed.n_runs();
-        for w in runs.windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "runs must be disjoint and non-adjacent");
-        }
-        let n_total: u32 = runs.iter().map(|&(s, e)| e - s).sum();
-        let expected = codes.iter().filter(|&&c| c == 4).count() as u32;
-        prop_assert_eq!(n_total, expected);
-    }
 
     #[test]
     fn reverse_complement_involution(codes in codes_strategy()) {

@@ -18,7 +18,6 @@
 pub mod counters;
 pub mod device;
 pub mod fault;
-pub mod isa;
 pub mod kernel;
 pub mod lanes32;
 pub mod model;
@@ -35,7 +34,6 @@ pub use device::{CpuSpec, DeviceSpec};
 pub use fault::{
     time_kernel_resilient, FaultKind, FaultPlan, FaultRates, FaultSite, ResilientKernelTiming,
 };
-pub use isa::{instructions_per_step, step_mix, InstrClass, MixEntry};
 pub use kernel::{time_kernel, KernelSpec, KernelTiming, WarpTask};
 pub use model::CpuModel;
 pub use occupancy::{occupancy, BlockResources, Occupancy, OccupancyLimit};

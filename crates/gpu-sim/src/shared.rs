@@ -73,10 +73,10 @@ impl SharedMem {
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, offset: usize, value: u8) {
+        self.reserve(offset + 1);
         if let Some(s) = &self.sanitize {
             s.on_write(offset, 1);
         }
-        self.reserve(offset + 1);
         self.data[offset] = value;
     }
 
@@ -91,10 +91,10 @@ impl SharedMem {
 
     /// Writes a little-endian u32.
     pub fn write_u32(&mut self, offset: usize, value: u32) {
+        self.reserve(offset + 4);
         if let Some(s) = &self.sanitize {
             s.on_write(offset, 4);
         }
-        self.reserve(offset + 4);
         self.data[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
     }
 
@@ -105,14 +105,14 @@ impl SharedMem {
     /// half first: the same accesses, in the same order, as a pair of
     /// [`SharedMem::write_u32`] calls per word.
     pub fn write_u64s(&mut self, offset: usize, words: &[u64]) {
+        let end = offset + 8 * words.len();
+        self.reserve(end);
         if let Some(s) = &self.sanitize {
             for w in 0..words.len() {
                 s.on_write(offset + 8 * w, 4);
                 s.on_write(offset + 8 * w + 4, 4);
             }
         }
-        let end = offset + 8 * words.len();
-        self.reserve(end);
         for (dst, w) in self.data[offset..end].chunks_exact_mut(8).zip(words) {
             dst.copy_from_slice(&w.to_le_bytes());
         }
@@ -337,6 +337,28 @@ mod tests {
         assert_eq!(f.offset, 0);
         assert_eq!(f.phase, "inspector");
         assert_eq!(f.problem, 3);
+    }
+
+    #[test]
+    fn sanitized_write_past_capacity_fails_before_the_hook() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        type Write = fn(&mut SharedMem);
+        let writes: [Write; 3] = [
+            |sm| sm.write_u8(64, 1),
+            |sm| sm.write_u32(61, 1),
+            |sm| sm.write_u64s(56, &[1, 2]),
+        ];
+        for write in writes {
+            let mut sm = SharedMem::new(64);
+            sm.attach_sanitizer();
+            sm.write_u32(0, 7);
+            let err = catch_unwind(AssertUnwindSafe(|| write(&mut sm)))
+                .expect_err("a write past capacity must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("exceeds capacity 64 B"), "{msg}");
+            let report = sm.take_sanitize_report().expect("sanitizer attached");
+            assert_eq!(report.shared_writes, 1, "the failed write reached the hook");
+        }
     }
 
     #[test]

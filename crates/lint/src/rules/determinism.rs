@@ -27,6 +27,7 @@ const FILES: &[&str] = &[
     "crates/conformance/src/report.rs",
     "crates/core/src/cost.rs",
     "crates/core/src/resilient.rs",
+    "crates/genome/src/durable.rs",
     "crates/gpu-sim/src/counters.rs",
     "crates/gpu-sim/src/model.rs",
     "crates/gpu-sim/src/occupancy.rs",

@@ -33,7 +33,6 @@ use crate::anchor::AnchorSource;
 use crate::index::{IndexBuildError, SeedIndex};
 use crate::shape::SeedShape;
 use fastz_genome::{fnv1a, Sequence, FNV1A_BASIS};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// On-disk format magic (8 bytes).
@@ -417,24 +416,12 @@ impl ShardedSeedIndex {
         })
     }
 
-    /// Writes the artifact crash-consistently: same-directory temp file,
-    /// fsync, atomic rename — a crash leaves the old artifact or the new
-    /// one, never a torn file (the `Checkpoint::save` discipline).
+    /// Writes the artifact crash-consistently
+    /// ([`fastz_genome::durable::write_atomic`]): a crash leaves the old
+    /// artifact or the new one, never a torn file.
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        let err = |e: std::io::Error| PersistError::Io(format!("{}: {e}", path.display()));
-        let mut name = path
-            .file_name()
-            .ok_or_else(|| PersistError::Io(format!("{}: no file name", path.display())))?
-            .to_os_string();
-        name.push(".tmp");
-        let tmp = path.with_file_name(name);
-        {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp).map_err(err)?);
-            f.write_all(&self.to_bytes()).map_err(err)?;
-            f.flush().map_err(err)?;
-            f.get_ref().sync_all().map_err(err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(err)
+        fastz_genome::durable::write_atomic(path, &self.to_bytes())
+            .map_err(|e| PersistError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Loads and validates an artifact; `Ok(None)` when the file does
